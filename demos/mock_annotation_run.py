@@ -21,41 +21,43 @@ feed = [
     ("r06", "Miami Hurricanes win the season opener"),
 ]
 
-workdir = Path(tempfile.mkdtemp(prefix="annotation_demo_"))
-posts_path = workdir / "posts.jsonl"
-with posts_path.open("w", encoding="utf-8") as fh:
-    for post_id, text in feed:
-        fh.write(
-            json.dumps(
-                {
-                    "id": post_id,
-                    "platform": "reddit",
-                    "created_at": "2024-09-28T16:00:00Z",
-                    "media_refs": [],
-                    "text": text,
-                }
+# Scratch files live in a directory removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
+    workdir = Path(tmp)
+    posts_path = workdir / "posts.jsonl"
+    with posts_path.open("w", encoding="utf-8") as fh:
+        for post_id, text in feed:
+            fh.write(
+                json.dumps(
+                    {
+                        "id": post_id,
+                        "platform": "reddit",
+                        "created_at": "2024-09-28T16:00:00Z",
+                        "media_refs": [],
+                        "text": text,
+                    }
+                )
+                + "\n"
             )
-            + "\n"
-        )
 
-# Ingestion scrubs handles before anything else sees the text.
-dataset = load_posts(posts_path, DisasterTag.HURRICANE).dataset
-print("scrubbed:", next(p.text for p in dataset.posts if p.id == "r05"))
-print()
+    # Ingestion scrubs handles before anything else sees the text.
+    dataset = load_posts(posts_path, DisasterTag.HURRICANE).dataset
+    print("scrubbed:", next(p.text for p in dataset.posts if p.id == "r05"))
+    print()
 
-# Stage one drops posts that are not about the disaster.
-backend = MockBackend()
-policy = ClientPolicy(max_in_flight=2)
-kept, report = clean_dataset(dataset, backend, policy, workdir / "cache.jsonl")
-print("cleaning kept", report.summary())
-for post in kept:
-    print("  kept:", post.id, post.text[:46])
-print()
+    # Stage one drops posts that are not about the disaster.
+    backend = MockBackend()
+    policy = ClientPolicy(max_in_flight=2)
+    kept, report = clean_dataset(dataset, backend, policy, workdir / "cache.jsonl")
+    print("cleaning kept", report.summary())
+    for post in kept:
+        print("  kept:", post.id, post.text[:46])
+    print()
 
-# Stage two assigns one impact category per relevant post. The cache
-# wrote stage-one verdicts already, so those calls are not repeated.
-annotations, run = annotate_dataset(dataset, backend, policy, workdir / "cache.jsonl")
-print("labels (cache hits:", run.cache_hits, "):")
-for item in annotations:
-    label = item.category.short_name if item.relevant else "-"
-    print(f"  {item.post.id}  relevant={item.relevant!s:5}  {label}")
+    # Stage two assigns one impact category per relevant post. The cache
+    # wrote stage-one verdicts already, so those calls are not repeated.
+    annotations, run = annotate_dataset(dataset, backend, policy, workdir / "cache.jsonl")
+    print("labels (cache hits:", run.cache_hits, "):")
+    for item in annotations:
+        label = item.category.short_name if item.relevant else "-"
+        print(f"  {item.post.id}  relevant={item.relevant!s:5}  {label}")

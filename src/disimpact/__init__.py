@@ -77,7 +77,6 @@ from .errors import (
     LengthMismatch,
     MalformedCsv,
     MalformedInput,
-    MalformedLine,
     MalformedResponse,
     MisalignedGrids,
     MisalignedRange,
@@ -203,8 +202,8 @@ __all__ = [
     # bundled reference distributions
     "ReferenceRow", "load_reference_distribution", "counts_by_category",
     # errors
-    "DisimpactError", "OutOfRange", "MalformedLine", "MalformedInput",
-    "MalformedCsv", "NegativeValue", "UnknownPostId", "TransportError",
+    "DisimpactError", "OutOfRange", "MalformedInput", "MalformedCsv",
+    "NegativeValue", "UnknownPostId", "TransportError",
     "MalformedResponse", "BeforeAnchor", "MisalignedRange", "InvalidCounts",
     "EmptyInput", "EmptyTable", "DegenerateExpected", "LengthMismatch",
     "EvenRaterCount", "ConstantInput", "MisalignedGrids", "AllLagsUndefined",

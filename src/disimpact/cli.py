@@ -45,7 +45,7 @@ from .errors import (
     DisimpactError,
     MalformedCsv,
     MalformedInput,
-    MalformedLine,
+    NegativeValue,
     OutOfRange,
     TransportError,
     UnknownPostId,
@@ -354,7 +354,7 @@ def _load_model_labels(path: Path) -> dict[str, ImpactCategory]:
                 raise MalformedCsv(f"{path}:{lineno}: expected 2 fields")
             try:
                 labels[row[0].strip()] = category_from_code(int(row[1]))
-            except ValueError as exc:
+            except (ValueError, OutOfRange) as exc:
                 raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
     return labels
 
@@ -606,7 +606,7 @@ def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, TransportError):
         return 3
     if isinstance(
-        exc, (OSError, MalformedInput, MalformedLine, MalformedCsv, UnknownPostId)
+        exc, (OSError, MalformedInput, MalformedCsv, NegativeValue, UnknownPostId)
     ):
         return 2
     return 1

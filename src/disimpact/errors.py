@@ -9,10 +9,6 @@ class OutOfRange(DisimpactError):
     """A category code or numeric argument fell outside its allowed range."""
 
 
-class MalformedLine(DisimpactError):
-    """A single input line could not be parsed."""
-
-
 class MalformedInput(DisimpactError):
     """An input file is unusable as a whole (e.g. mostly malformed lines)."""
 

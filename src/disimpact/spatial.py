@@ -4,14 +4,20 @@ Location inference is deliberately transparent: a bundled gazetteer of
 state names, postal abbreviations, and large unambiguous cities, matched
 longest-first with earliest-position tie-break. Metadata is consulted
 before text, and a post whose metadata resolves never falls through to
-text matching. Two-letter codes that collide with everyday words ("IN",
-"OR", "HI", ...) only count when uppercase and preceded by a
-capitalized token plus comma or space, the "Springfield, OR" shape, and
-city names that are ordinary nouns in lowercase ("mesa", "buffalo")
-only count as written. The bundled city list is curated for precision:
-names shared by multiple sizable places, famous non-U.S. namesakes, and
-phrase-like names are left out, since a missed city degrades to the
-state name while a false hit silently corrupts the map.
+text matching. Words are runs of ASCII letters, so digits, "_" and
+punctuation separate words ("Texas2024" matches Texas); spaces and
+punctuation inside a name must appear as written. Two-letter codes that
+collide with everyday words ("IN", "OR", "HI", ...) only count when
+uppercase and preceded by a capitalized word plus comma or whitespace,
+the "Springfield, OR" shape, where a capitalized word is a letter run
+holding any uppercase ASCII letter ("iPhone, OR" counts). City names
+that are ordinary nouns in lowercase ("mesa", "buffalo") only count as
+written. Names in a --gazetteer override that are not ASCII or that
+begin or end with punctuation ("Cañon City") match by the same rules.
+The bundled city list is curated for precision: names shared by
+multiple sizable places, famous non-U.S. namesakes, and phrase-like
+names are left out, since a missed city degrades to the state name
+while a false hit silently corrupts the map.
 """
 
 from __future__ import annotations
@@ -80,59 +86,119 @@ class GazetteerEntry:
     kind: str
 
 
-@dataclass(frozen=True)
-class _CompiledEntry:
-    entry: GazetteerEntry
-    pattern: re.Pattern
-    group: int
+# Letter runs are the words the index is keyed on; word boundaries are
+# ASCII letters only, so digits and "_" separate words.
+_WORDS = re.compile(r"[A-Za-z]+")
+_FOLDED_WORDS = re.compile(r"[a-z]+")
+
+# The only non-ASCII characters re.IGNORECASE equates with ASCII
+# letters. After this translation lower() keeps every character's
+# length and never produces an ASCII letter from a non-ASCII one.
+_FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
+
+_Hits = dict[str, list[tuple[str, str]]]
+
+
+def _spans(words: re.Pattern, text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in words.finditer(text)]
+
+
+def _tokenizable(name: str) -> bool:
+    return name.isascii() and name[:1].isalpha() and name[-1:].isalpha()
 
 
 class Gazetteer:
-    """Compiled place index; resolution depends only on the entry list."""
+    """Token-indexed place index; resolution depends only on the entry list.
+
+    Names are keyed by the text they match: lowercased for
+    case-insensitive names, as written for abbreviations and
+    word-collision cities. A text is matched by looking up every run of
+    1..maxtok consecutive letter runs, separators compared as written.
+    Names the letter-run scan cannot bound (non-ASCII, or starting or
+    ending with a non-letter) keep a per-entry regex.
+    """
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
         if not entries:
             raise MalformedCsv("gazetteer has no entries")
         self.entries = tuple(entries)
-        self._compiled = [self._compile(e) for e in self.entries]
-
-    @staticmethod
-    def _compile(entry: GazetteerEntry) -> _CompiledEntry:
-        escaped = re.escape(entry.name)
-        if entry.kind == "abbrev":
-            if entry.name in AMBIGUOUS_ABBREVS:
+        self._folded: _Hits = {}
+        self._exact: _Hits = {}
+        self._ambiguous: _Hits = {}
+        self._patterns: list[tuple[re.Pattern, GazetteerEntry]] = []
+        self._maxtok = 1
+        for entry in self.entries:
+            name = entry.name
+            if not _tokenizable(name):
+                flags = 0 if entry.kind == "abbrev" else re.IGNORECASE
                 pattern = re.compile(
-                    r"[A-Z][A-Za-z]*(?:,\s*|\s+)(" + escaped + r")(?![A-Za-z])"
+                    r"(?<![A-Za-z])" + re.escape(name) + r"(?![A-Za-z])", flags
                 )
-                return _CompiledEntry(entry=entry, pattern=pattern, group=1)
-            pattern = re.compile(r"(?<![A-Za-z])(" + escaped + r")(?![A-Za-z])")
-            return _CompiledEntry(entry=entry, pattern=pattern, group=1)
-        flags = 0 if entry.name in WORD_COLLISION_CITIES else re.IGNORECASE
-        pattern = re.compile(
-            r"(?<![A-Za-z])(" + escaped + r")(?![A-Za-z])", flags
-        )
-        return _CompiledEntry(entry=entry, pattern=pattern, group=1)
+                self._patterns.append((pattern, entry))
+                continue
+            if entry.kind == "abbrev":
+                index = self._ambiguous if name in AMBIGUOUS_ABBREVS else self._exact
+            elif name in WORD_COLLISION_CITIES:
+                index = self._exact
+            else:
+                index, name = self._folded, name.lower()
+            index.setdefault(name, []).append((entry.state_code, entry.kind))
+            self._maxtok = max(self._maxtok, len(_WORDS.findall(name)))
 
     def best_match(self, text: str) -> str | None:
         """State code of the longest, earliest gazetteer hit, if any."""
         if not text:
             return None
         candidates: list[tuple[int, int, str, str]] = []
-        for compiled in self._compiled:
-            match = compiled.pattern.search(text)
+        spans = _spans(_WORDS, text)
+        self._lookup(text, spans, self._exact, candidates)
+        folded = text.translate(_FOLD).lower()
+        # Only the _FOLD characters can add letters, and they are not ASCII.
+        folded_spans = spans if text.isascii() else _spans(_FOLDED_WORDS, folded)
+        self._lookup(folded, folded_spans, self._folded, candidates)
+        for k, (start, end) in enumerate(spans):
+            hits = self._ambiguous.get(text[start:end])
+            if hits and k and self._follows_capitalized(text, start, spans[k - 1]):
+                candidates.extend(
+                    (start - end, start, code, kind) for code, kind in hits
+                )
+        for pattern, entry in self._patterns:
+            match = pattern.search(text)
             if match is not None:
                 candidates.append(
-                    (
-                        -len(compiled.entry.name),
-                        match.start(compiled.group),
-                        compiled.entry.state_code,
-                        compiled.entry.kind,
-                    )
+                    (-len(entry.name), match.start(), entry.state_code, entry.kind)
                 )
         if not candidates:
             return None
-        candidates.sort()
-        return candidates[0][2]
+        return min(candidates)[2]
+
+    def _lookup(
+        self,
+        text: str,
+        spans: list[tuple[int, int]],
+        index: _Hits,
+        candidates: list[tuple[int, int, str, str]],
+    ) -> None:
+        for i, (start, _) in enumerate(spans):
+            for _, end in spans[i : i + self._maxtok]:
+                hits = index.get(text[start:end])
+                if hits:
+                    candidates.extend(
+                        (start - end, start, code, kind) for code, kind in hits
+                    )
+
+    @staticmethod
+    def _follows_capitalized(
+        text: str, start: int, previous: tuple[int, int]
+    ) -> bool:
+        """Whether text[:start] ends like r"[A-Z][A-Za-z]*(?:,\\s*|\\s+)"."""
+        i = start
+        while i and text[i - 1].isspace():
+            i -= 1
+        if text[i - 1] == ",":
+            i -= 1
+        word_start, word_end = previous
+        return word_end == i and not text[word_start:word_end].islower()
 
 
 def load_gazetteer(path: str | Path | None = None) -> Gazetteer:

@@ -386,6 +386,24 @@ class TestFailures:
         assert code == 2
         assert "error:" in stderr
 
+    def test_negative_ground_truth_exits_2(self, tmp_path):
+        truth = tmp_path / "groundtruth.csv"
+        truth.write_text("week_start,value\n2024-09-02,-1.0\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["validate", "--in", TRUTH, "--truth", truth, "--out", tmp_path]
+        )
+        assert code == 2
+        assert "NegativeValue" in stderr
+
+    def test_out_of_range_model_label_exits_2(self, tmp_path):
+        labels = tmp_path / "model.csv"
+        labels.write_text("post_id,category_code\ni1,12\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["agreement", "--in", ANNOTATIONS, "--labels", labels, "--out", tmp_path]
+        )
+        assert code == 2
+        assert f"{labels}:2:" in stderr
+
     def test_wrong_csv_shape_for_validate_exits_2(self, tmp_path):
         code, _, stderr = run_cli(
             ["validate", "--in", TABLE_COUNTS, "--truth", TRUTH, "--out", tmp_path]

@@ -2,9 +2,12 @@
 
 import math
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ANCHOR, RESOLUTION_CASES, make_annotated, make_post
 
@@ -23,6 +26,7 @@ from disimpact import (
     resolve_location,
     write_spatial_csv,
 )
+from disimpact.spatial import AMBIGUOUS_ABBREVS, WORD_COLLISION_CITIES
 
 CONFIG = IndexConfig()
 
@@ -77,6 +81,145 @@ class TestResolutionSuite:
 
     def test_empty_text_resolves_to_nothing(self, gazetteer):
         assert gazetteer.best_match("") is None
+
+
+class RegexOracle:
+    """The per-entry regex matcher that the token index replaced.
+
+    Every entry is its own pattern, searched over the whole text; the
+    hit with the longest name, then the earliest start, wins.
+    """
+
+    def __init__(self, entries):
+        self.compiled = [(entry, self._compile(entry)) for entry in entries]
+
+    @staticmethod
+    def _compile(entry):
+        escaped = re.escape(entry.name)
+        if entry.kind == "abbrev":
+            if entry.name in AMBIGUOUS_ABBREVS:
+                return re.compile(
+                    r"[A-Z][A-Za-z]*(?:,\s*|\s+)(" + escaped + r")(?![A-Za-z])"
+                )
+            return re.compile(r"(?<![A-Za-z])(" + escaped + r")(?![A-Za-z])")
+        flags = 0 if entry.name in WORD_COLLISION_CITIES else re.IGNORECASE
+        return re.compile(r"(?<![A-Za-z])(" + escaped + r")(?![A-Za-z])", flags)
+
+    def best_match(self, text):
+        if not text:
+            return None
+        candidates = []
+        for entry, pattern in self.compiled:
+            match = pattern.search(text)
+            if match is not None:
+                candidates.append(
+                    (-len(entry.name), match.start(1), entry.state_code, entry.kind)
+                )
+        return min(candidates)[2] if candidates else None
+
+
+BUNDLED = load_gazetteer()
+CUSTOM = Gazetteer(
+    list(BUNDLED.entries)
+    + [
+        GazetteerEntry("Cañon City", "CO", "city"),
+        GazetteerEntry("Washington D.C.", "MD", "city"),
+        GazetteerEntry("Route 66 Town", "AZ", "city"),
+        GazetteerEntry("Springfield", "IL", "city"),
+        GazetteerEntry("Springfield", "MO", "city"),
+    ]
+)
+
+# Characters re.IGNORECASE equates with ASCII letters (fold), letters
+# whose case mapping is unusual, and Unicode whitespace.
+FOLD_SWAPS = str.maketrans(
+    {"i": "\u0131", "I": "\u0130", "s": "\u017f", "k": "\u212a"}
+)
+NOISE_WORDS = [
+    "the", "storm", "flood", "Big", "Salem", "iPhone", "in", "or", "al",
+    "\u0130", "\u0131", "\u017f", "\u212a", "σ", "ς", "Σ", "ñ", "Ñ", "ß",
+    "Texas2024", "2024", "_", "Ohio_", "x",
+]
+SEPARATORS = [
+    " ", "  ", ", ", ",", " , ", "-", ". ", "_", "7", "",
+    "\x85", "\u00a0", "\u3000", "\x1c", "\n",
+]
+# What can stand between a word and an ambiguous code like "OR".
+CODE_SEPARATORS = [
+    " ", "  ", ",", ", ", ",  ", " ,", " , ", ",,", "\x85", "\u00a0",
+    "\u3000", "\x1c", ", \u3000", "\t\n", "",
+]
+
+
+def _cased(name, how, bits):
+    if how == "lower":
+        return name.lower()
+    if how == "upper":
+        return name.upper()
+    if how == "mixed":
+        return "".join(
+            c.upper() if bits >> (i % 32) & 1 else c.lower() for i, c in enumerate(name)
+        )
+    if how == "fold":
+        return name.translate(FOLD_SWAPS)
+    return name
+
+
+def texts(gazetteer):
+    names = sorted({entry.name for entry in gazetteer.entries})
+    name = st.builds(
+        _cased,
+        st.sampled_from(names),
+        st.sampled_from(["as written", "lower", "upper", "mixed", "fold"]),
+        st.integers(0, 2**32 - 1),
+    )
+    coded = st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(NOISE_WORDS),
+            st.sampled_from(CODE_SEPARATORS),
+            st.sampled_from(sorted(AMBIGUOUS_ABBREVS)),
+        ),
+    )
+    word = st.one_of(name, coded, st.sampled_from(NOISE_WORDS))
+    pair = st.tuples(word, st.sampled_from(SEPARATORS)).map("".join)
+    return st.lists(pair, max_size=8).map("".join)
+
+
+ORACLES = {id(g): RegexOracle(g.entries) for g in (BUNDLED, CUSTOM)}
+
+
+def _agrees(gazetteer, text):
+    expected = ORACLES[id(gazetteer)].best_match(text)
+    assert gazetteer.best_match(text) == expected, repr(text)
+
+
+class TestRegexOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(texts(BUNDLED))
+    @example("iPhone, OR")
+    @example("Salem,OR")
+    @example("Salem , OR")
+    @example("Salem\x85OR")
+    @example("Salem\u3000OR")
+    @example("Texas2024; Port St. Lucie; winston-salem")
+    @example("KAN\u017fAS and \u0130llinois and \u0131owa and \u212aansas")
+    def test_bundled_gazetteer_matches_oracle(self, text):
+        _agrees(BUNDLED, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts(CUSTOM))
+    @example("cañon city vs CAÑON CITY, near washington d.c.")
+    @example("route 66 town, Springfield MO")
+    def test_custom_gazetteer_matches_oracle(self, text):
+        _agrees(CUSTOM, text)
+
+    def test_bundled_names_all_use_the_token_index(self):
+        assert BUNDLED._patterns == []
+
+    def test_only_unbounded_names_keep_a_regex(self):
+        kept = sorted(entry.name for _, entry in CUSTOM._patterns)
+        assert kept == ["Cañon City", "Washington D.C."]
 
 
 class TestLocatedPost:
