@@ -60,6 +60,7 @@ from .core import (
     Platform,
     Post,
     TimeWindow,
+    WeeklySeries,
     category_from_code,
     category_from_short_name,
     domain_of,
@@ -100,7 +101,6 @@ from .impact import (
 )
 from .ingestion import (
     Dataset,
-    GroundTruthSeries,
     LabelReport,
     LoadReport,
     LoadResult,
@@ -132,7 +132,6 @@ from .spatial import (
 )
 from .validation import (
     LagCorrelationProfile,
-    WeeklySeries,
     domain_weekly_series,
     interpret_profile,
     lead_lag_profile,
@@ -164,10 +163,10 @@ __all__ = [
     "PUBH", "EMOT", "BIAS", "ASST", "SECO", "OTHER",
     "CATEGORIES", "PHYSICAL_CATEGORIES", "SOCIAL_CATEGORIES",
     "category_from_code", "category_from_short_name", "domain_of",
-    "Post", "AnnotatedPost", "TimeWindow", "IndexConfig",
+    "Post", "AnnotatedPost", "TimeWindow", "IndexConfig", "WeeklySeries",
     # ingestion
     "Dataset", "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
-    "scrub_handles", "GroundTruthSeries", "load_ground_truth",
+    "scrub_handles", "load_ground_truth",
     "LabelReport", "load_labels", "write_labels_csv",
     # annotation
     "Task", "ClassifierRequest", "ClassifierResponse", "ClientPolicy",
@@ -189,7 +188,7 @@ __all__ = [
     "cohen_kappa", "ConsensusItem", "human_consensus",
     "load_annotations_csv", "agreement_report",
     # validation
-    "WeeklySeries", "domain_weekly_series", "read_domain_csv", "spearman_rho",
+    "domain_weekly_series", "read_domain_csv", "spearman_rho",
     "LagCorrelationProfile", "lead_lag_profile", "interpret_profile",
     "write_leadlag_csv",
     # spatial

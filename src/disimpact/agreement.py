@@ -14,7 +14,6 @@ necessarily perfect, and kappa is reported as 1 with a degeneracy flag.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from .errors import (
     MalformedCsv,
     OutOfRange,
 )
+from .ingestion import csv_rows
 
 Label = Hashable
 
@@ -163,34 +163,23 @@ def load_annotations_csv(path: str | Path) -> AgreementTable:
     Items keep first-appearance order; annotator columns are sorted by id.
     The matrix must come out complete.
     """
-    path = Path(path)
     cells: dict[tuple[str, str], Label] = {}
     items: list[str] = []
     seen_items: set[str] = set()
     annotators: set[str] = set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["post_id", "annotator_id", "category_code"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedCsv(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise MalformedCsv(f"{path}:{lineno}: expected 3 fields")
-            item, annotator = row[0].strip(), row[1].strip()
-            try:
-                label = category_from_code(int(row[2]))
-            except (ValueError, OutOfRange) as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-            if (item, annotator) in cells:
-                raise MalformedCsv(f"{path}:{lineno}: duplicate cell {item}/{annotator}")
-            if item not in seen_items:
-                seen_items.add(item)
-                items.append(item)
-            cells[(item, annotator)] = label
-            annotators.add(annotator)
+    header = ("post_id", "annotator_id", "category_code")
+    for lineno, (item, annotator, code) in csv_rows(path, header):
+        try:
+            label = category_from_code(int(code))
+        except (ValueError, OutOfRange) as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        if (item, annotator) in cells:
+            raise MalformedCsv(f"{path}:{lineno}: duplicate cell {item}/{annotator}")
+        if item not in seen_items:
+            seen_items.add(item)
+            items.append(item)
+        cells[(item, annotator)] = label
+        annotators.add(annotator)
     annotator_ids = tuple(sorted(annotators))
     rows = []
     for item in items:

@@ -9,13 +9,13 @@ weight, so charts from different runs are visually comparable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from .errors import MalformedCsv, UnknownColumn
+from .ingestion import csv_header, csv_rows
 
 WIDTH = 960
 HEIGHT = 540
@@ -51,44 +51,34 @@ def read_chart_csv(path: str | Path) -> ChartData:
     Index exports plot the index column per category; domain exports
     plot the composite column per domain. Any other header is refused.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedCsv(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header[:2] == ["window_start", "category"] and "index" in header:
-            key_col, value_col = 1, header.index("index")
-            value_label = "index"
-        elif header[:2] == ["window_start", "domain"] and "composite" in header:
-            key_col, value_col = 1, header.index("composite")
-            value_label = "composite"
-        else:
-            raise UnknownColumn(
-                f"{path}: need window_start,category,...,index or "
-                f"window_start,domain,...,composite columns"
-            )
-        weeks: list[date] = []
-        series: dict[str, dict[date, float]] = {}
-        order: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedCsv(f"{path}:{lineno}: ragged row")
-            try:
-                week = date.fromisoformat(row[0].strip())
-                value = float(row[value_col])
-            except ValueError as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-            name = row[key_col].strip()
-            if name not in series:
-                series[name] = {}
-                order.append(name)
-            if week not in weeks:
-                weeks.append(week)
-            series[name][week] = value
+    header = csv_header(path)
+    if header[:2] == ["window_start", "category"] and "index" in header:
+        key_col, value_col = 1, header.index("index")
+        value_label = "index"
+    elif header[:2] == ["window_start", "domain"] and "composite" in header:
+        key_col, value_col = 1, header.index("composite")
+        value_label = "composite"
+    else:
+        raise UnknownColumn(
+            f"{path}: need window_start,category,...,index or "
+            f"window_start,domain,...,composite columns"
+        )
+    weeks: list[date] = []
+    series: dict[str, dict[date, float]] = {}
+    order: list[str] = []
+    for lineno, row in csv_rows(path, header):
+        try:
+            week = date.fromisoformat(row[0])
+            value = float(row[value_col])
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        name = row[key_col]
+        if name not in series:
+            series[name] = {}
+            order.append(name)
+        if week not in weeks:
+            weeks.append(week)
+        series[name][week] = value
     weeks.sort()
     packed = []
     for name in order:

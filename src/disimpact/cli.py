@@ -12,7 +12,6 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -34,24 +33,18 @@ from .annotation import (
     clean_dataset,
 )
 from .chart import chart_csv_to_svg
-from .core import (
-    DisasterTag,
-    Domain,
-    ImpactCategory,
-    IndexConfig,
-    category_from_code,
-)
+from .core import DisasterTag, Domain, IndexConfig
 from .errors import (
     DisimpactError,
     MalformedCsv,
     MalformedInput,
-    NegativeValue,
     OutOfRange,
     TransportError,
-    UnknownPostId,
 )
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
+    csv_header,
+    iter_labels,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -340,29 +333,14 @@ def cmd_index(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def _load_model_labels(path: Path) -> dict[str, ImpactCategory]:
-    labels: dict[str, ImpactCategory] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["post_id", "category_code"]:
-            raise MalformedCsv(f"{path}: expected header post_id,category_code")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedCsv(f"{path}:{lineno}: expected 2 fields")
-            try:
-                labels[row[0].strip()] = category_from_code(int(row[1]))
-            except (ValueError, OutOfRange) as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-    return labels
-
-
 def cmd_agreement(args: argparse.Namespace, outputs: list[Path]) -> int:
     config = resolve_run_config(args)
     table = load_annotations_csv(args.input)
-    model_labels = _load_model_labels(args.labels) if args.labels else None
+    model_labels = None
+    if args.labels:
+        model_labels = {
+            post_id: category for _, post_id, category in iter_labels(args.labels)
+        }
     report = agreement_report(table, model_labels)
     report = {key: _round9(value) for key, value in report.items()}
     out_report = args.out / "agreement.json"
@@ -381,18 +359,9 @@ def cmd_agreement(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def _sniff_header(path: Path) -> list[str]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-    if header is None:
-        raise MalformedCsv(f"{path}: empty file")
-    return [h.strip() for h in header]
-
-
 def cmd_validate(args: argparse.Namespace, outputs: list[Path]) -> int:
     config = resolve_run_config(args)
-    header = _sniff_header(args.input)
+    header = csv_header(args.input)
     if header == ["window_start", "domain", "composite"]:
         index_series = read_domain_csv(args.input, Domain(args.domain))
     elif header == ["week_start", "value"]:
@@ -605,9 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, TransportError):
         return 3
-    if isinstance(
-        exc, (OSError, MalformedInput, MalformedCsv, NegativeValue, UnknownPostId)
-    ):
+    if isinstance(exc, (OSError, MalformedInput)):
         return 2
     return 1
 

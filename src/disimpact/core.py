@@ -8,10 +8,11 @@ and its 1-11 code numbering are fixed; every other module keys off it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 
-from .errors import OutOfRange
+from .errors import EmptyInput, LengthMismatch, OutOfRange
 
 
 class Domain(enum.Enum):
@@ -165,6 +166,28 @@ class TimeWindow:
         from datetime import timedelta
 
         return self.start + timedelta(days=self.length_days)
+
+
+@dataclass(frozen=True)
+class WeeklySeries:
+    """Contiguous weekly value series keyed by window-start dates."""
+
+    weeks: tuple[date, ...]
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.weeks:
+            raise EmptyInput("weekly series needs at least one week")
+        if len(self.weeks) != len(self.values):
+            raise LengthMismatch(
+                f"{len(self.weeks)} weeks vs {len(self.values)} values"
+            )
+        for prev, cur in zip(self.weeks, self.weeks[1:]):
+            if (cur - prev).days != 7:
+                raise ValueError(f"weeks must step by 7 days: {prev} -> {cur}")
+        for value in self.values:
+            if not math.isfinite(value):
+                raise ValueError("series values must be finite")
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,18 @@ class OutOfRange(DisimpactError):
 
 
 class MalformedInput(DisimpactError):
-    """An input file is unusable as a whole (e.g. mostly malformed lines)."""
+    """An input file is unusable; the CLI exits 2 for it and its subclasses."""
 
 
-class MalformedCsv(DisimpactError):
+class MalformedCsv(MalformedInput):
     """A CSV file violates its documented schema."""
 
 
-class NegativeValue(DisimpactError):
+class NegativeValue(MalformedInput):
     """A value that must be nonnegative was negative."""
 
 
-class UnknownPostId(DisimpactError):
+class UnknownPostId(MalformedInput):
     """A label referenced a post id that is not in the dataset."""
 
 
@@ -77,5 +77,5 @@ class AllLagsUndefined(DisimpactError):
     """No lag in a correlation profile had enough overlap to be defined."""
 
 
-class UnknownColumn(DisimpactError):
+class UnknownColumn(MalformedInput):
     """A CSV input does not carry the column a command expects."""

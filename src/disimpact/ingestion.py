@@ -1,5 +1,8 @@
 """Dataset loading: JSONL posts, label CSVs, weekly ground-truth CSVs.
 
+Every CSV input of the package, here and in the other modules, is read
+through csv_rows (or csv_header first, where the header picks columns).
+
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
 """
@@ -12,10 +15,19 @@ import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .core import AnnotatedPost, DisasterTag, Platform, Post, category_from_code
+from .core import (
+    AnnotatedPost,
+    DisasterTag,
+    ImpactCategory,
+    Platform,
+    Post,
+    WeeklySeries,
+    category_from_code,
+)
 from .errors import (
+    EmptyInput,
     MalformedCsv,
     MalformedInput,
     NegativeValue,
@@ -112,25 +124,30 @@ def load_posts(
 ) -> LoadResult:
     """Load a posts.jsonl file.
 
-    Malformed lines are collected per line and skipped; the load aborts
-    (MalformedInput) only if more than half of the non-blank lines are
-    malformed. Duplicate ids keep the first occurrence.
+    Malformed lines, including lines that are not UTF-8, are collected
+    per line and skipped; the load aborts (MalformedInput) only if more
+    than half of the non-blank lines are malformed. Duplicate ids keep
+    the first occurrence.
     """
     path = Path(path)
     report = LoadReport()
     posts: list[Post] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            report.lines_read += 1
+    # Decoded per line, so a bad byte costs one line (UnicodeDecodeError
+    # is a ValueError), not the whole load.
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 post = _parse_post_line(line)
             except (ValueError, json.JSONDecodeError) as exc:
+                report.lines_read += 1
                 report.dropped_malformed += 1
                 report.malformed.append((lineno, str(exc)))
                 continue
+            report.lines_read += 1
             if post.id in seen:
                 report.dropped_duplicate += 1
                 continue
@@ -161,25 +178,69 @@ def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class GroundTruthSeries:
-    """Weekly external signal, gap-free on a strict 7-day grid."""
+def _undecodable_line(path: Path) -> str:
+    """`lineno: reason` for the first line of a file that is not UTF-8.
 
-    entries: tuple[tuple[date, float], ...]
+    Text mode decodes a whole buffer at a time, so its error cannot say
+    which line holds the bad byte; a newline byte is never part of a
+    multi-byte UTF-8 sequence, so decoding line by line finds it.
+    """
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{lineno}: {exc}"
+    return "?: not UTF-8"
 
-    def __post_init__(self) -> None:
-        weeks = [w for w, _ in self.entries]
-        for prev, cur in zip(weeks, weeks[1:]):
-            if (cur - prev).days != 7:
-                raise ValueError("ground-truth weeks must advance in 7-day steps")
 
-    @property
-    def weeks(self) -> tuple[date, ...]:
-        return tuple(w for w, _ in self.entries)
+def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """Every record of a CSV file as (first line number, stripped fields)."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lineno = 1
+        try:
+            for row in reader:
+                yield lineno, [cell.strip() for cell in row]
+                lineno = reader.line_num + 1
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(f"{path}:{_undecodable_line(path)}") from exc
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.entries)
+
+def csv_header(path: str | Path) -> list[str]:
+    """The stripped header of a CSV input, for readers that pick columns by it."""
+    path = Path(path)
+    for _, header in _csv_records(path):
+        return header
+    raise MalformedCsv(f"{path}: empty file")
+
+
+def csv_rows(
+    path: str | Path, header: Sequence[str]
+) -> Iterator[tuple[int, list[str]]]:
+    """Stream the data rows of a CSV input as (line number, stripped fields).
+
+    This is the one reader every CSV input goes through. The file is
+    UTF-8; its stripped header must equal `header`; blank rows are
+    skipped; every other row must have as many fields as the header. A
+    violation, an undecodable byte or a field over the csv module's size
+    limit raises MalformedCsv naming `path:line`.
+    """
+    path = Path(path)
+    records = _csv_records(path)
+    first = next(records, None)
+    if first is None or first[1] != list(header):
+        raise MalformedCsv(f"{path}:1: expected header {','.join(header)}")
+    for lineno, fields in records:
+        if not any(fields):
+            continue
+        if len(fields) != len(header):
+            raise MalformedCsv(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 @dataclass(frozen=True)
@@ -187,36 +248,27 @@ class GroundTruthReport:
     filled_weeks: tuple[date, ...]
 
 
-def load_ground_truth(path: str | Path) -> tuple[GroundTruthSeries, GroundTruthReport]:
+def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport]:
     """Load a groundtruth.csv (header week_start,value).
 
     Rows are sorted by week; interior gaps must be whole weeks and are
-    zero-filled, with the filled weeks listed in the report.
+    zero-filled, with the filled weeks listed in the report. A file with
+    no data rows raises EmptyInput.
     """
-    path = Path(path)
     rows: list[tuple[date, float]] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["week_start", "value"]:
-            raise MalformedCsv(f"{path}: expected header week_start,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedCsv(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                week = date.fromisoformat(row[0].strip())
-                value = float(row[1])
-            except ValueError as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-            if value != value or value in (float("inf"), float("-inf")):
-                raise MalformedCsv(f"{path}:{lineno}: value must be finite")
-            if value < 0:
-                raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
-            rows.append((week, value))
+    for lineno, (week_text, value_text) in csv_rows(path, ("week_start", "value")):
+        try:
+            week = date.fromisoformat(week_text)
+            value = float(value_text)
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        if value != value or value in (float("inf"), float("-inf")):
+            raise MalformedCsv(f"{path}:{lineno}: value must be finite")
+        if value < 0:
+            raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
+        rows.append((week, value))
     if not rows:
-        return GroundTruthSeries(entries=()), GroundTruthReport(filled_weeks=())
+        raise EmptyInput(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
     first = rows[0][0]
     by_week: dict[date, float] = {}
@@ -227,18 +279,18 @@ def load_ground_truth(path: str | Path) -> tuple[GroundTruthSeries, GroundTruthR
             raise MalformedCsv(f"{path}: duplicate week {week}")
         by_week[week] = value
     last = rows[-1][0]
-    entries: list[tuple[date, float]] = []
+    weeks: list[date] = []
     filled: list[date] = []
     week = first
     while week <= last:
-        if week in by_week:
-            entries.append((week, by_week[week]))
-        else:
-            entries.append((week, 0.0))
+        weeks.append(week)
+        if week not in by_week:
             filled.append(week)
         week += timedelta(days=7)
     return (
-        GroundTruthSeries(entries=tuple(entries)),
+        WeeklySeries(
+            weeks=tuple(weeks), values=tuple(by_week.get(w, 0.0) for w in weeks)
+        ),
         GroundTruthReport(filled_weeks=tuple(filled)),
     )
 
@@ -246,6 +298,23 @@ def load_ground_truth(path: str | Path) -> tuple[GroundTruthSeries, GroundTruthR
 @dataclass(frozen=True)
 class LabelReport:
     unlabeled_ids: tuple[str, ...]
+
+
+def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
+    """Stream a labels.csv (header post_id,category_code) as (line, id, category).
+
+    A repeated post id or a code outside 1..11 raises MalformedCsv.
+    """
+    seen: set[str] = set()
+    for lineno, (post_id, code) in csv_rows(path, ("post_id", "category_code")):
+        if post_id in seen:
+            raise MalformedCsv(f"{path}:{lineno}: duplicate label for {post_id!r}")
+        seen.add(post_id)
+        try:
+            category = category_from_code(int(code))
+        except (ValueError, OutOfRange) as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, post_id, category
 
 
 def load_labels(
@@ -256,32 +325,14 @@ def load_labels(
     Output order follows the dataset, so repeated runs are deterministic.
     Posts without a label are reported, never silently dropped.
     """
-    path = Path(path)
     by_id = dataset.by_id()
-    labels: dict[str, int] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["post_id", "category_code"]:
-            raise MalformedCsv(f"{path}: expected header post_id,category_code")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedCsv(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            post_id = row[0].strip()
-            if post_id not in by_id:
-                raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
-            if post_id in labels:
-                raise MalformedCsv(f"{path}:{lineno}: duplicate label for {post_id!r}")
-            try:
-                code = int(row[1])
-                category_from_code(code)
-            except (ValueError, OutOfRange) as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-            labels[post_id] = code
+    labels: dict[str, ImpactCategory] = {}
+    for lineno, post_id, category in iter_labels(path):
+        if post_id not in by_id:
+            raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
+        labels[post_id] = category
     annotated = [
-        AnnotatedPost(post=post, category=category_from_code(labels[post.id]))
+        AnnotatedPost(post=post, category=labels[post.id])
         for post in dataset.posts
         if post.id in labels
     ]

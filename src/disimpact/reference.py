@@ -16,7 +16,6 @@ tiktok ENVD (31.12% printed as 30).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +28,7 @@ from .core import (
     category_from_short_name,
 )
 from .errors import MalformedCsv
+from .ingestion import csv_rows
 
 
 @dataclass(frozen=True)
@@ -61,28 +61,19 @@ def load_reference_distribution(disaster: DisasterTag) -> list[ReferenceRow]:
 
 def _parse(path: Path) -> list[ReferenceRow]:
     rows: list[ReferenceRow] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["platform", "category", "count", "published_pct"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedCsv(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise MalformedCsv(f"{path}:{lineno}: expected 4 fields")
-            platform = Platform.parse(row[0])
-            if platform is Platform.OTHER:
-                raise MalformedCsv(f"{path}:{lineno}: unknown platform {row[0]!r}")
-            rows.append(
-                ReferenceRow(
-                    platform=platform,
-                    category=category_from_short_name(row[1]),
-                    count=int(row[2]),
-                    published_pct=int(row[3]),
-                )
+    header = ("platform", "category", "count", "published_pct")
+    for lineno, (name, category, count, pct) in csv_rows(path, header):
+        platform = Platform.parse(name)
+        if platform is Platform.OTHER:
+            raise MalformedCsv(f"{path}:{lineno}: unknown platform {name!r}")
+        rows.append(
+            ReferenceRow(
+                platform=platform,
+                category=category_from_short_name(category),
+                count=int(count),
+                published_pct=int(pct),
             )
+        )
     return rows
 
 

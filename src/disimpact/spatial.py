@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 from .core import AnnotatedPost, Domain, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
+from .ingestion import csv_rows
 from .windowing import build_count_series, full_range, resolve_config
 
 # Codes that read as ordinary words or titles when uppercased; these
@@ -207,26 +208,15 @@ def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
         ref = resources.files("disimpact").joinpath("data/gazetteer.csv")
         with resources.as_file(ref) as concrete:
             return load_gazetteer(concrete)
-    path = Path(path)
     entries: list[GazetteerEntry] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["name", "state_code", "kind"]:
-            raise MalformedCsv(f"{path}: expected header name,state_code,kind")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise MalformedCsv(f"{path}:{lineno}: expected 3 fields")
-            name, code, kind = (cell.strip() for cell in row)
-            if kind not in VALID_KINDS:
-                raise MalformedCsv(f"{path}:{lineno}: unknown kind {kind!r}")
-            if code not in STATE_CODES:
-                raise MalformedCsv(f"{path}:{lineno}: unknown state code {code!r}")
-            if not name:
-                raise MalformedCsv(f"{path}:{lineno}: empty name")
-            entries.append(GazetteerEntry(name=name, state_code=code, kind=kind))
+    for lineno, (name, code, kind) in csv_rows(path, ("name", "state_code", "kind")):
+        if kind not in VALID_KINDS:
+            raise MalformedCsv(f"{path}:{lineno}: unknown kind {kind!r}")
+        if code not in STATE_CODES:
+            raise MalformedCsv(f"{path}:{lineno}: unknown state code {code!r}")
+        if not name:
+            raise MalformedCsv(f"{path}:{lineno}: empty name")
+        entries.append(GazetteerEntry(name=name, state_code=code, kind=kind))
     return Gazetteer(entries)
 
 

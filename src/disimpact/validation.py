@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
-from .core import Domain
+from .core import Domain, WeeklySeries
 from .errors import (
     AllLagsUndefined,
     ConstantInput,
@@ -28,41 +28,12 @@ from .errors import (
     OutOfRange,
 )
 from .impact import ImpactSeries
+from .ingestion import csv_rows
 
 WEEK = timedelta(days=7)
 
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
-
-
-class _WeeklyLike(Protocol):
-    @property
-    def weeks(self) -> tuple[date, ...]: ...
-
-    @property
-    def values(self) -> tuple[float, ...]: ...
-
-
-@dataclass(frozen=True)
-class WeeklySeries:
-    """Contiguous weekly value series keyed by window-start dates."""
-
-    weeks: tuple[date, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.weeks:
-            raise EmptyInput("weekly series needs at least one week")
-        if len(self.weeks) != len(self.values):
-            raise LengthMismatch(
-                f"{len(self.weeks)} weeks vs {len(self.values)} values"
-            )
-        for prev, cur in zip(self.weeks, self.weeks[1:]):
-            if cur - prev != WEEK:
-                raise ValueError(f"weeks must step by 7 days: {prev} -> {cur}")
-        for value in self.values:
-            if not math.isfinite(value):
-                raise ValueError("series values must be finite")
 
 
 def domain_weekly_series(series: ImpactSeries, domain: Domain) -> WeeklySeries:
@@ -77,27 +48,17 @@ def domain_weekly_series(series: ImpactSeries, domain: Domain) -> WeeklySeries:
 
 def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:
     """Load one domain's composite series from a domain export."""
-    path = Path(path)
     weeks: list[date] = []
     values: list[float] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["window_start", "domain", "composite"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedCsv(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise MalformedCsv(f"{path}:{lineno}: expected 3 fields")
-            if row[1].strip() != domain.value:
-                continue
-            try:
-                weeks.append(date.fromisoformat(row[0].strip()))
-                values.append(float(row[2]))
-            except ValueError as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+    header = ("window_start", "domain", "composite")
+    for lineno, (week, name, composite) in csv_rows(path, header):
+        if name != domain.value:
+            continue
+        try:
+            weeks.append(date.fromisoformat(week))
+            values.append(float(composite))
+        except ValueError as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
     if not weeks:
         raise EmptyInput(f"{path}: no rows for domain {domain.value}")
     return WeeklySeries(weeks=tuple(weeks), values=tuple(values))
@@ -151,7 +112,7 @@ class LagCorrelationProfile:
 
 
 def lead_lag_profile(
-    index: _WeeklyLike, truth: _WeeklyLike, max_lag: int
+    index: WeeklySeries, truth: WeeklySeries, max_lag: int
 ) -> LagCorrelationProfile:
     """Correlate (index_t, truth_{t+lag}) for every lag in [-L, L].
 
@@ -160,8 +121,6 @@ def lead_lag_profile(
     """
     if max_lag < 0:
         raise OutOfRange(f"max_lag must be >= 0, got {max_lag}")
-    if not index.weeks or not truth.weeks:
-        raise EmptyInput("both series need at least one week")
     if (truth.weeks[0] - index.weeks[0]).days % 7 != 0:
         raise MisalignedGrids(
             f"week grids differ: {index.weeks[0]} vs {truth.weeks[0]}"

@@ -16,6 +16,7 @@ from .core import (
     category_from_short_name,
 )
 from .errors import BeforeAnchor, MalformedCsv, MisalignedRange, OutOfRange
+from .ingestion import csv_rows
 
 
 def monday_on_or_before(day: date) -> date:
@@ -189,39 +190,29 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
     and window starts must sit on the configured grid (the first start
     anchors the grid when the config leaves the anchor open).
     """
-    path = Path(path)
     per_window: dict[date, dict[ImpactCategory, int]] = {}
     stated_totals: dict[date, int] = {}
     order: list[date] = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["window_start", "category", "count", "total"]
-        if header is None or [h.strip() for h in header] != expected:
-            raise MalformedCsv(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise MalformedCsv(f"{path}:{lineno}: expected 4 fields")
-            try:
-                start = date.fromisoformat(row[0].strip())
-                category = category_from_short_name(row[1].strip())
-                count = int(row[2])
-                total = int(row[3])
-            except (ValueError, OutOfRange) as exc:
-                raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-            if count < 0:
-                raise MalformedCsv(f"{path}:{lineno}: negative count")
-            if start not in per_window:
-                per_window[start] = {}
-                stated_totals[start] = total
-                order.append(start)
-            if stated_totals[start] != total:
-                raise MalformedCsv(f"{path}:{lineno}: total differs within window")
-            if category in per_window[start]:
-                raise MalformedCsv(f"{path}:{lineno}: duplicate category row")
-            per_window[start][category] = count
+    header = ("window_start", "category", "count", "total")
+    for lineno, row in csv_rows(path, header):
+        try:
+            start = date.fromisoformat(row[0])
+            category = category_from_short_name(row[1])
+            count = int(row[2])
+            total = int(row[3])
+        except (ValueError, OutOfRange) as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        if count < 0:
+            raise MalformedCsv(f"{path}:{lineno}: negative count")
+        if start not in per_window:
+            per_window[start] = {}
+            stated_totals[start] = total
+            order.append(start)
+        if stated_totals[start] != total:
+            raise MalformedCsv(f"{path}:{lineno}: total differs within window")
+        if category in per_window[start]:
+            raise MalformedCsv(f"{path}:{lineno}: duplicate category row")
+        per_window[start][category] = count
     if not order:
         raise MalformedCsv(f"{path}: no data rows")
     if order != sorted(order):

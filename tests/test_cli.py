@@ -360,7 +360,100 @@ class TestManifests:
             assert "time" not in json.loads(text)
 
 
+# Every CSV input flag: its command line (TARGET marks the file under
+# test, HEADER_ONLY_LABELS a valid labels.csv without rows), the header
+# of the file under test and one well-formed data row for it.
+TARGET = "<target>"
+HEADER_ONLY_LABELS = "<labels>"
+CSV_INPUTS = {
+    "counts --labels": (
+        ["counts", "--in", CLEAN20, "--labels", TARGET],
+        "post_id,category_code", "c01,1",
+    ),
+    "index --in": (
+        ["index", "--in", TARGET],
+        "window_start,category,count,total", "2024-09-02,CINJ,1,1",
+    ),
+    "validate --in": (
+        ["validate", "--in", TARGET, "--truth", TRUTH],
+        "window_start,domain,composite", "2024-09-02,physical,1.0",
+    ),
+    "validate --truth": (
+        ["validate", "--in", TRUTH, "--truth", TARGET],
+        "week_start,value", "2024-09-02,1.0",
+    ),
+    "agreement --in": (
+        ["agreement", "--in", TARGET],
+        "post_id,annotator_id,category_code", "i1,a1,1",
+    ),
+    "agreement --labels": (
+        ["agreement", "--in", ANNOTATIONS, "--labels", TARGET],
+        "post_id,category_code", "i1,1",
+    ),
+    "spatial --labels": (
+        ["spatial", "--in", CLEAN20, "--labels", TARGET],
+        "post_id,category_code", "c01,1",
+    ),
+    "spatial --gazetteer": (
+        ["spatial", "--in", CLEAN20, "--labels", HEADER_ONLY_LABELS, "--gazetteer", TARGET],
+        "name,state_code,kind", "Tampa,FL,city",
+    ),
+    "chart --in": (
+        ["chart", "--in", TARGET],
+        "window_start,domain,composite", "2024-09-02,physical,1.0",
+    ),
+}
+CORRUPTIONS = {
+    "undecodable byte": lambda row: b"\xff" + row.encode(),
+    "oversized field": lambda row: ("x" * 200_000 + row).encode(),
+    "extra field": lambda row: (row + ",extra").encode(),
+}
+
+
 class TestFailures:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("flag", sorted(CSV_INPUTS))
+    def test_malformed_csv_input_exits_2(self, tmp_path, flag, corruption):
+        argv, header, row = CSV_INPUTS[flag]
+        target = tmp_path / "input.csv"
+        target.write_bytes(f"{header}\n".encode() + CORRUPTIONS[corruption](row) + b"\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("post_id,category_code\n", encoding="utf-8")
+        argv = [{TARGET: target, HEADER_ONLY_LABELS: labels}.get(a, a) for a in argv]
+        code, _, stderr = run_cli(argv + ["--out", tmp_path / "out"])
+        assert code == 2
+        assert stderr.startswith("error: MalformedCsv: ")
+        assert f"{target}:2: " in stderr
+
+    def test_chart_of_unknown_columns_exits_2(self, tmp_path):
+        series = tmp_path / "series.csv"
+        series.write_text("week_start,physical\n2024-09-02,1.0\n", encoding="utf-8")
+        code, _, stderr = run_cli(["chart", "--in", series, "--out", tmp_path])
+        assert code == 2
+        assert stderr.startswith(f"error: UnknownColumn: {series}: ")
+
+    def test_duplicate_model_label_exits_2(self, tmp_path):
+        labels = tmp_path / "model.csv"
+        labels.write_text("post_id,category_code\ni1,1\ni1,5\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["agreement", "--in", ANNOTATIONS, "--labels", labels, "--out", tmp_path]
+        )
+        assert code == 2
+        assert stderr.startswith(f"error: MalformedCsv: {labels}:3: duplicate label")
+
+    def test_non_utf8_posts_line_is_one_malformed_line(self, tmp_path):
+        lines = CLEAN20.read_bytes().splitlines(keepends=True)[:5]
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "\xff')
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes(b"".join(lines))
+        code, stdout, stderr = run_cli(
+            ["clean", "--in", posts, "--disaster", "hurricane", "--out", tmp_path]
+        )
+        assert code == 0
+        assert "dropped 1 malformed, 0 duplicate lines" in stderr
+        kept = (tmp_path / "posts_clean.jsonl").read_text(encoding="utf-8")
+        assert '"c03"' not in kept
+
     def test_missing_input_exits_2(self, tmp_path):
         code, _, stderr = run_cli(
             ["index", "--in", tmp_path / "nope.csv", "--out", tmp_path]

@@ -2,11 +2,13 @@
 
 import json
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import disimpact
 from disimpact.core import Platform
 from disimpact.errors import (
     MalformedCsv,
@@ -15,6 +17,7 @@ from disimpact.errors import (
     UnknownPostId,
 )
 from disimpact.ingestion import (
+    csv_rows,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -159,8 +162,8 @@ class TestGroundTruth:
         path = tmp_path / "gt.csv"
         path.write_text("week_start,value\n2024-09-02,5.0\n2024-09-16,1.0\n")
         series, report = load_ground_truth(path)
-        assert len(series.entries) == 3
-        assert series.entries[1] == (date(2024, 9, 9), 0.0)
+        assert len(series.weeks) == len(series.values) == 3
+        assert (series.weeks[1], series.values[1]) == (date(2024, 9, 9), 0.0)
         assert report.filled_weeks == (date(2024, 9, 9),)
 
     def test_negative_rejected(self, tmp_path):
@@ -240,3 +243,36 @@ def test_load_posts_deterministic(tmp_path):
     second = load_posts(path)
     assert first.dataset.posts == second.dataset.posts
     assert first.report == second.report
+
+
+class TestCsvRows:
+    def test_rows_are_stripped_and_numbered_by_their_first_line(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text(' a , b \n x , y \n\n"multi\nline",z\nlone\n', encoding="utf-8")
+        rows = csv_rows(path, ("a", "b"))
+        assert next(rows) == (2, ["x", "y"])
+        assert next(rows) == (4, ["multi\nline", "z"])
+        with pytest.raises(MalformedCsv, match=r"two.csv:6: expected 2 fields, got 1"):
+            next(rows)
+
+    def test_undecodable_byte_past_the_first_buffer_names_its_line(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        header = ("window_start", "category", "count", "total")
+        path.write_bytes(
+            b"window_start,category,count,total\n"
+            + b"2024-09-02,CINJ,1,1\n" * 2000
+            + b"2024-09-09,\xffCINJ,1,1\n"
+        )
+        with pytest.raises(MalformedCsv, match=r"counts.csv:2002: "):
+            list(csv_rows(path, header))
+
+
+def test_only_ingestion_calls_csv_reader():
+    """Every CSV input goes through csv_rows; no module forks its own reader."""
+    package = Path(disimpact.__file__).parent
+    callers = sorted(
+        module.name
+        for module in package.glob("*.py")
+        if "csv.reader(" in module.read_text(encoding="utf-8")
+    )
+    assert callers == ["ingestion.py"]
