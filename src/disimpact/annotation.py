@@ -10,18 +10,21 @@ judgment JSON out) and leaves vendor specifics to adapter code.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from .core import (
     OTHER,
@@ -48,6 +51,7 @@ PROMPT_TEMPLATE_IDS = {
 }
 
 RELEVANCE_TASKS = (Task.RELEVANCE_HURRICANE, Task.RELEVANCE_WILDFIRE)
+_TASKS = {task.value: task for task in Task}
 
 
 def load_prompt(template_id: str) -> str:
@@ -85,7 +89,7 @@ class ClassifierRequest:
 
 @dataclass(frozen=True)
 class ClassifierResponse:
-    judgment: bool | int
+    judgment: bool | ImpactCategory
     raw: str
 
 
@@ -129,7 +133,10 @@ def _extract_judgment(raw: str):
 
 def parse_judgment(raw: str, task: Task) -> bool | ImpactCategory:
     """Extract the judgment for a task; rejects, never coerces."""
-    value = _extract_judgment(raw)
+    return _check_judgment(_extract_judgment(raw), task)
+
+
+def _check_judgment(value, task: Task) -> bool | ImpactCategory:
     if task in RELEVANCE_TASKS:
         if isinstance(value, bool):
             return value
@@ -145,6 +152,16 @@ def parse_judgment(raw: str, task: Task) -> bool | ImpactCategory:
 
 
 class Backend(Protocol):
+    """A classifier backend.
+
+    Two optional attributes steer the annotation loop. ``identity`` is
+    a string naming what answers (``"mock"``, or the remote endpoint);
+    it is part of every cache key, so one backend's verdicts are never
+    reused for another's. ``in_process = True`` marks a CPU-bound
+    backend that is called inline rather than from a pool of
+    ``ClientPolicy.max_in_flight`` threads.
+    """
+
     def complete(self, request: ClassifierRequest) -> str:
         """Return the raw model output for one request."""
         ...
@@ -179,9 +196,17 @@ MOCK_RELEVANCE_RULES: dict[Task, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 class MockBackend:
-    """Deterministic keyword classifier with a request audit log."""
+    """Deterministic keyword classifier with an opt-in request audit log.
 
-    def __init__(self) -> None:
+    It runs in-process and CPU-bound, so the annotation loop calls it
+    inline instead of through a thread pool.
+    """
+
+    identity = "mock"
+    in_process = True
+
+    def __init__(self, log_requests: bool = False) -> None:
+        self.log_requests = log_requests
         self.request_log: list[str] = []
         self.calls = 0
         self._lock = threading.Lock()
@@ -189,7 +214,8 @@ class MockBackend:
     def complete(self, request: ClassifierRequest) -> str:
         with self._lock:
             self.calls += 1
-            self.request_log.append(request.payload())
+            if self.log_requests:
+                self.request_log.append(request.payload())
         text = request.post.text.lower()
         if request.task in RELEVANCE_TASKS:
             counters, on_topic = MOCK_RELEVANCE_RULES[request.task]
@@ -204,7 +230,10 @@ class MockBackend:
 
 
 class RemoteBackend:
-    """JSON-over-HTTP adapter; auth via DISIMPACT_MLLM_API_KEY."""
+    """JSON-over-HTTP adapter; auth via DISIMPACT_MLLM_API_KEY.
+
+    Its cache identity is the endpoint; the key never enters the cache.
+    """
 
     ENV_KEY = "DISIMPACT_MLLM_API_KEY"
 
@@ -215,12 +244,10 @@ class RemoteBackend:
         timeout: float = 30.0,
     ) -> None:
         if api_key is None:
-            import os
-
             api_key = os.environ.get(self.ENV_KEY)
         if not api_key:
             raise TransportError(f"no API key: set {self.ENV_KEY} or pass api_key")
-        self.endpoint = endpoint
+        self.endpoint = self.identity = endpoint
         self._api_key = api_key
         self.timeout = timeout
 
@@ -274,6 +301,22 @@ def _relevance_task(disaster: DisasterTag) -> Task:
     raise OutOfRange(f"no cleaning prompt for disaster tag {disaster}")
 
 
+def _classify(
+    post: Post,
+    task: Task,
+    backend: Backend,
+    policy: ClientPolicy,
+    sleep: Callable[[float], None],
+) -> ClassifierResponse:
+    if not post.text and not post.media_refs:
+        raise EmptyInput(f"post {post.id} has neither text nor media")
+    request = ClassifierRequest(
+        post=post, task=task, prompt_template_id=PROMPT_TEMPLATE_IDS[task]
+    )
+    raw = _call_with_retries(backend, request, policy, sleep)
+    return ClassifierResponse(judgment=parse_judgment(raw, task), raw=raw)
+
+
 def classify_relevance(
     post: Post,
     disaster: DisasterTag,
@@ -282,16 +325,7 @@ def classify_relevance(
     sleep: Callable[[float], None] = time.sleep,
 ) -> ClassifierResponse:
     """Judge whether a post is on-topic for the disaster type."""
-    if not post.text and not post.media_refs:
-        raise EmptyInput(f"post {post.id} has neither text nor media")
-    task = _relevance_task(disaster)
-    request = ClassifierRequest(
-        post=post, task=task, prompt_template_id=PROMPT_TEMPLATE_IDS[task]
-    )
-    raw = _call_with_retries(backend, request, policy, sleep)
-    judgment = parse_judgment(raw, task)
-    assert isinstance(judgment, bool)
-    return ClassifierResponse(judgment=judgment, raw=raw)
+    return _classify(post, _relevance_task(disaster), backend, policy, sleep)
 
 
 def classify_impact(
@@ -301,16 +335,7 @@ def classify_impact(
     sleep: Callable[[float], None] = time.sleep,
 ) -> ClassifierResponse:
     """Assign the single dominant impact category to a relevant post."""
-    if not post.text and not post.media_refs:
-        raise EmptyInput(f"post {post.id} has neither text nor media")
-    task = Task.IMPACT_CATEGORY
-    request = ClassifierRequest(
-        post=post, task=task, prompt_template_id=PROMPT_TEMPLATE_IDS[task]
-    )
-    raw = _call_with_retries(backend, request, policy, sleep)
-    judgment = parse_judgment(raw, task)
-    assert isinstance(judgment, ImpactCategory)
-    return ClassifierResponse(judgment=judgment, raw=raw)
+    return _classify(post, Task.IMPACT_CATEGORY, backend, policy, sleep)
 
 
 @dataclass(frozen=True)
@@ -322,173 +347,18 @@ class AnnotationError:
 
 @dataclass
 class AnnotationReport:
+    """Per-run counts; a cache hit is a post that needed no backend call."""
+
     backend_posts: int = 0
     cache_hits: int = 0
     cache_invalid: int = 0
     errors: list[AnnotationError] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class _CacheEntry:
-    post_id: str
-    relevant: bool
-    category_code: int | None
-    raw: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "post_id": self.post_id,
-                "relevant": self.relevant,
-                "category_code": self.category_code,
-                "raw": self.raw,
-            },
-            sort_keys=True,
-        )
-
-
-def _read_cache(path: Path, report: AnnotationReport) -> dict[str, _CacheEntry]:
-    entries: dict[str, _CacheEntry] = {}
-    if not path.exists():
-        return entries
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                entry = _CacheEntry(
-                    post_id=data["post_id"],
-                    relevant=bool(data["relevant"]),
-                    category_code=data["category_code"],
-                    raw=str(data.get("raw", "")),
-                )
-                if entry.category_code is not None:
-                    category_from_code(entry.category_code)
-            except (KeyError, TypeError, ValueError, OutOfRange):
-                # Torn or stale writes from an interrupted run are
-                # recoverable: skip the line and re-annotate that post.
-                report.cache_invalid += 1
-                continue
-            entries[entry.post_id] = entry
-    return entries
-
-
-def _is_complete(entry: _CacheEntry) -> bool:
-    # A relevant entry without a category records a finished cleaning
-    # stage whose impact stage is still pending.
-    return not entry.relevant or entry.category_code is not None
-
-
-def _entry_to_annotation(post: Post, entry: _CacheEntry) -> AnnotatedPost:
-    if entry.relevant and entry.category_code is not None:
-        return AnnotatedPost(
-            post=post, category=category_from_code(entry.category_code), relevant=True
-        )
-    return AnnotatedPost(post=post, category=OTHER, relevant=False)
-
-
-def annotate_dataset(
-    dataset: Dataset,
-    backend: Backend,
-    policy: ClientPolicy = ClientPolicy(),
-    cache_path: str | Path = "annotation_cache.jsonl",
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[list[AnnotatedPost], AnnotationReport]:
-    """Annotate every post, reusing and extending the JSONL cache.
-
-    Posts already in the cache cost zero backend calls. Failures are
-    collected per post and the rest of the batch completes; failed
-    posts are left out of both the result and the cache so the next
-    run retries them. New cache entries are appended in dataset order,
-    which keeps reruns byte-reproducible.
-    """
-    cache_path = Path(cache_path)
-    report = AnnotationReport()
-    cache = _read_cache(cache_path, report)
-
-    def annotate_one(post: Post) -> tuple[AnnotatedPost, _CacheEntry]:
-        prior = cache.get(post.id)
-        if prior is not None and prior.relevant and prior.category_code is None:
-            # Cleaning stage cached; only the impact stage remains.
-            relevant, raw_prefix = True, prior.raw
-        else:
-            relevance = classify_relevance(
-                post, dataset.disaster_tag, backend, policy, sleep
-            )
-            relevant, raw_prefix = bool(relevance.judgment), relevance.raw
-        if not relevant:
-            entry = _CacheEntry(
-                post_id=post.id,
-                relevant=False,
-                category_code=None,
-                raw=raw_prefix,
-            )
-            return _entry_to_annotation(post, entry), entry
-        impact = classify_impact(post, backend, policy, sleep)
-        assert isinstance(impact.judgment, ImpactCategory)
-        entry = _CacheEntry(
-            post_id=post.id,
-            relevant=True,
-            category_code=impact.judgment.code,
-            raw=raw_prefix + "\n" + impact.raw,
-        )
-        return _entry_to_annotation(post, entry), entry
-
-    pending = [
-        post
-        for post in dataset.posts
-        if post.id not in cache or not _is_complete(cache[post.id])
-    ]
-    report.cache_hits = len(dataset.posts) - len(pending)
-    report.backend_posts = len(pending)
-    outcomes: dict[str, AnnotatedPost | AnnotationError] = {}
-    new_entries: dict[str, _CacheEntry] = {}
-
-    def worker(post: Post) -> None:
-        try:
-            annotation, entry = annotate_one(post)
-        except (TransportError, MalformedResponse, EmptyInput) as exc:
-            outcomes[post.id] = AnnotationError(
-                post_id=post.id, stage=type(exc).__name__, message=str(exc)
-            )
-            return
-        outcomes[post.id] = annotation
-        new_entries[post.id] = entry
-
-    if pending:
-        with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-            list(pool.map(worker, pending))
-
-    annotations: list[AnnotatedPost] = []
-    pending_ids = {post.id for post in pending}
-    for post in dataset.posts:
-        if post.id not in pending_ids:
-            annotations.append(_entry_to_annotation(post, cache[post.id]))
-            continue
-        outcome = outcomes[post.id]
-        if isinstance(outcome, AnnotationError):
-            report.errors.append(outcome)
-        else:
-            annotations.append(outcome)
-
-    if new_entries:
-        with cache_path.open("a", encoding="utf-8") as fh:
-            for post in dataset.posts:
-                if post.id in new_entries:
-                    fh.write(new_entries[post.id].to_json() + "\n")
-    return annotations, report
 
 
 @dataclass
-class CleanReport:
+class CleanReport(AnnotationReport):
     total: int = 0
     kept: int = 0
-    backend_posts: int = 0
-    cache_hits: int = 0
-    cache_invalid: int = 0
-    errors: list[AnnotationError] = field(default_factory=list)
 
     def summary(self) -> str:
         """Human summary line, e.g. "9,666/12,301 (79%)"."""
@@ -498,6 +368,164 @@ class CleanReport:
         return f"{self.kept:,}/{self.total:,} ({pct}%)"
 
 
+def _read_cache(path: Path) -> tuple[dict[str, bool | ImpactCategory], int]:
+    """Judgment by key of every readable cache line, and the unreadable count.
+
+    A later line for the same key wins.
+    """
+    verdicts: dict[str, bool | ImpactCategory] = {}
+    invalid = 0
+    if not path.exists():
+        return verdicts, invalid
+    with path.open("rb") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line.decode("utf-8"))
+                task = _TASKS[data["task"]]
+                verdicts[data["key"]] = _check_judgment(data["judgment"], task)
+            except (KeyError, TypeError, ValueError, MalformedResponse):
+                # Torn writes, bytes that are not UTF-8 and lines in the
+                # old unkeyed format are recoverable: skip the line and
+                # ask the backend again.
+                invalid += 1
+    return verdicts, invalid
+
+
+def _verdict_keys(posts: Sequence[Post], task: Task, backend: Backend) -> list[str]:
+    """The cache key of each post's verdict on a task.
+
+    It is a digest of everything that decides the verdict: the post
+    (id, scrubbed text, media refs), the task, the prompt template id
+    and the sha256 of its text, and the backend's ``identity``.
+    """
+    template_id = PROMPT_TEMPLATE_IDS[task]
+    prompt = hashlib.sha256(load_prompt(template_id).encode("utf-8")).hexdigest()
+    question = [task.value, template_id, prompt, getattr(backend, "identity", None)]
+    prefix = hashlib.blake2b(json.dumps(question).encode("utf-8"), digest_size=16)
+    keys = []
+    for post in posts:
+        # Length-prefixed id and text, then the media tuple's repr: no
+        # two posts give the same bytes.
+        material = f"{len(post.id)}:{post.id}{len(post.text)}:{post.text}{post.media_refs!r}"
+        digest = prefix.copy()
+        digest.update(material.encode("utf-8", "surrogatepass"))
+        keys.append(digest.hexdigest())
+    return keys
+
+
+def _end_torn_line(fh) -> None:
+    """End a last line torn by an interrupted write.
+
+    It then stays one unreadable line, and the next verdict is intact.
+    """
+    end = fh.seek(0, os.SEEK_END)
+    if end:
+        fh.seek(end - 1)
+        if fh.read(1) != b"\n":
+            fh.write(b"\n")
+
+
+class _StageLoop:
+    """The one annotation loop: answers one task for a list of posts.
+
+    Verdicts missing from the cache are asked for inline for an
+    in-process backend or a one-wide policy, otherwise from a pool of
+    ``max_in_flight`` threads. Each new verdict is appended in post
+    order and flushed as soon as it and every verdict before it are
+    done, so an interrupted run keeps the work it finished.
+    """
+
+    def __init__(self, report, backend, policy, cache_path, sleep) -> None:
+        self.report = report
+        self.backend = backend
+        self.policy = policy
+        self.cache_path = Path(cache_path)
+        self.sleep = sleep
+        self.cache, report.cache_invalid = _read_cache(self.cache_path)
+        self.asked: set[str] = set()
+
+    def run(self, posts: Sequence[Post], task: Task) -> list:
+        """The judgment for each post, None where the post failed."""
+        keys = _verdict_keys(posts, task, self.backend)
+        judgments = [self.cache.get(key) for key in keys]
+        pending = [i for i, judgment in enumerate(judgments) if judgment is None]
+        if not pending:
+            return judgments
+        self.asked.update(posts[i].id for i in pending)
+
+        def ask(i: int) -> ClassifierResponse | AnnotationError:
+            try:
+                return _classify(posts[i], task, self.backend, self.policy, self.sleep)
+            except (TransportError, MalformedResponse, EmptyInput) as exc:
+                return AnnotationError(
+                    post_id=posts[i].id, stage=type(exc).__name__, message=str(exc)
+                )
+
+        in_flight = self.policy.max_in_flight
+        with ExitStack() as stack:
+            if getattr(self.backend, "in_process", False) or in_flight == 1:
+                answers = map(ask, pending)
+            else:
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=in_flight))
+                answers = pool.map(ask, pending)
+            fh = None
+            for i, answer in zip(pending, answers):
+                if isinstance(answer, AnnotationError):
+                    self.report.errors.append(answer)
+                    continue
+                if fh is None:
+                    fh = stack.enter_context(self.cache_path.open("a+b"))
+                    _end_torn_line(fh)
+                judgment = judgments[i] = answer.judgment
+                line = {
+                    "judgment": getattr(judgment, "code", judgment),
+                    "key": keys[i],
+                    "post_id": posts[i].id,
+                    "task": task.value,
+                }
+                fh.write(json.dumps(line, sort_keys=True).encode("utf-8") + b"\n")
+                fh.flush()
+        return judgments
+
+    def count(self, total: int) -> None:
+        self.report.backend_posts = len(self.asked)
+        self.report.cache_hits = total - len(self.asked)
+
+
+def annotate_dataset(
+    dataset: Dataset,
+    backend: Backend,
+    policy: ClientPolicy = ClientPolicy(),
+    cache_path: str | Path = "annotation_cache.jsonl",
+    sleep: Callable[[float], None] = time.sleep,
+) -> tuple[list[AnnotatedPost], AnnotationReport]:
+    """Annotate every post: relevance, then the category of relevant posts.
+
+    Verdicts already in the JSONL cache cost zero backend calls, so a
+    relevance verdict cached by ``clean_dataset`` is not asked again.
+    Failures are collected per post and the rest of the batch
+    completes; a failed post is left out of the result and its missing
+    verdict is asked for on the next run.
+    """
+    report = AnnotationReport()
+    loop = _StageLoop(report, backend, policy, cache_path, sleep)
+    posts = dataset.posts
+    relevance = loop.run(posts, _relevance_task(dataset.disaster_tag))
+    relevant = [post for post, flag in zip(posts, relevance) if flag]
+    categories = iter(loop.run(relevant, Task.IMPACT_CATEGORY))
+    annotations: list[AnnotatedPost] = []
+    for post, flag in zip(posts, relevance):
+        category = next(categories) if flag else OTHER
+        if flag is not None and category is not None:
+            annotations.append(
+                AnnotatedPost(post=post, category=category, relevant=flag)
+            )
+    loop.count(len(posts))
+    return annotations, report
+
+
 def clean_dataset(
     dataset: Dataset,
     backend: Backend,
@@ -505,61 +533,16 @@ def clean_dataset(
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[Post], CleanReport]:
-    """Relevance-filter a dataset, caching judgments for later stages.
+    """Relevance-filter a dataset, caching each verdict for later stages.
 
-    Kept posts come back in dataset order. Cached relevance (from any
-    earlier stage) is reused without backend calls; newly judged posts
-    are cached with the category left open so a later full annotation
-    run completes them without repeating the cleaning call.
+    Kept posts come back in dataset order. Cached relevance verdicts
+    (from either command) are reused without backend calls, and
+    ``annotate_dataset`` reuses the ones this writes.
     """
-    cache_path = Path(cache_path)
     report = CleanReport(total=len(dataset.posts))
-    cache = _read_cache(cache_path, report)
-    pending = [post for post in dataset.posts if post.id not in cache]
-    report.cache_hits = report.total - len(pending)
-    report.backend_posts = len(pending)
-    outcomes: dict[str, bool | AnnotationError] = {}
-    new_entries: dict[str, _CacheEntry] = {}
-
-    def worker(post: Post) -> None:
-        try:
-            response = classify_relevance(
-                post, dataset.disaster_tag, backend, policy, sleep
-            )
-        except (TransportError, MalformedResponse, EmptyInput) as exc:
-            outcomes[post.id] = AnnotationError(
-                post_id=post.id, stage=type(exc).__name__, message=str(exc)
-            )
-            return
-        judgment = bool(response.judgment)
-        outcomes[post.id] = judgment
-        new_entries[post.id] = _CacheEntry(
-            post_id=post.id,
-            relevant=judgment,
-            category_code=None,
-            raw=response.raw,
-        )
-
-    if pending:
-        with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-            list(pool.map(worker, pending))
-
-    kept: list[Post] = []
-    for post in dataset.posts:
-        if post.id in cache:
-            if cache[post.id].relevant:
-                kept.append(post)
-            continue
-        outcome = outcomes[post.id]
-        if isinstance(outcome, AnnotationError):
-            report.errors.append(outcome)
-        elif outcome:
-            kept.append(post)
+    loop = _StageLoop(report, backend, policy, cache_path, sleep)
+    relevance = loop.run(dataset.posts, _relevance_task(dataset.disaster_tag))
+    kept = [post for post, flag in zip(dataset.posts, relevance) if flag]
     report.kept = len(kept)
-
-    if new_entries:
-        with cache_path.open("a", encoding="utf-8") as fh:
-            for post in dataset.posts:
-                if post.id in new_entries:
-                    fh.write(new_entries[post.id].to_json() + "\n")
+    loop.count(report.total)
     return kept, report

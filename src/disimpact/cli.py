@@ -132,8 +132,11 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
 def load_config_file(path: Path) -> dict:
     """Parse a flat key=value file; '#' starts a comment line."""
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path}:{lineno}: {exc}") from exc
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

@@ -55,10 +55,17 @@ def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:
         if name != domain.value:
             continue
         try:
-            weeks.append(date.fromisoformat(week))
-            values.append(float(composite))
+            week_start, value = date.fromisoformat(week), float(composite)
         except ValueError as exc:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise MalformedCsv(f"{path}:{lineno}: composite must be finite")
+        if weeks and (week_start - weeks[-1]).days != 7:
+            raise MalformedCsv(
+                f"{path}:{lineno}: week {week_start} does not follow {weeks[-1]} by 7 days"
+            )
+        weeks.append(week_start)
+        values.append(value)
     if not weeks:
         raise EmptyInput(f"{path}: no rows for domain {domain.value}")
     return WeeklySeries(weeks=tuple(weeks), values=tuple(values))

@@ -5,8 +5,11 @@ from __future__ import annotations
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import threading
+
 import pytest
 
+from disimpact.annotation import MockBackend
 from disimpact.core import (
     AnnotatedPost,
     ImpactCategory,
@@ -81,6 +84,20 @@ def spread_posts(counts_by_week: dict[int, dict[int, int]]) -> list[AnnotatedPos
 
 def category(code: int) -> ImpactCategory:
     return category_from_code(code)
+
+
+class PooledMock:
+    """The mock's answers and identity, from a backend that is not in-process."""
+
+    identity = "mock"
+
+    def __init__(self, inner=None):
+        self.inner = inner or MockBackend()
+        self.threads = set()
+
+    def complete(self, request):
+        self.threads.add(threading.current_thread().name)
+        return self.inner.complete(request)
 
 
 # Location-resolution cases: (metadata, text, expected_state, expected_source).

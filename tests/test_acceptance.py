@@ -333,7 +333,7 @@ def test_criterion_09_privacy_fuzz(tmp_path):
                 text = text[:cut] + handle + text[cut:]
             scrubbed = scrub_handles(text)
             assert set(token.findall(scrubbed)) <= {"@user"}
-        backend = MockBackend()
+        backend = MockBackend(log_requests=True)
         raw = tmp_path / "raw_posts.jsonl"
         raw.write_text(
             "".join(

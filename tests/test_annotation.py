@@ -2,12 +2,13 @@
 
 import json
 import re
+import sys
 import threading
 import time
 
 import pytest
 
-from conftest import make_post
+from conftest import FIXTURES, PooledMock, make_post
 
 from disimpact import (
     ClassifierRequest,
@@ -24,10 +25,12 @@ from disimpact import (
     classify_impact,
     classify_relevance,
     clean_dataset,
+    load_posts,
     load_prompt,
     parse_judgment,
     scrub_handles,
 )
+import disimpact.annotation
 from disimpact.annotation import PROMPT_TEMPLATE_IDS
 
 
@@ -73,6 +76,8 @@ class FlakyBackend:
 
 class SelectiveBackend:
     """Hard transport failure for chosen post ids, mock behavior otherwise."""
+
+    identity = "mock"
 
     def __init__(self, bad_ids):
         self.bad_ids = set(bad_ids)
@@ -120,6 +125,28 @@ class GaugeBackend:
         finally:
             with self._lock:
                 self.active -= 1
+
+
+class InterruptingBackend(MockBackend):
+    """The mock, except that its Nth call raises KeyboardInterrupt."""
+
+    def __init__(self, interrupt_at: int):
+        super().__init__()
+        self.interrupt_at = interrupt_at
+        self._order = threading.Lock()
+
+    def complete(self, request: ClassifierRequest) -> str:
+        with self._order:
+            answer = super().complete(request)
+            call = self.calls
+        if call == self.interrupt_at:
+            raise KeyboardInterrupt
+        return answer
+
+
+def cache_lines(path, task=None) -> list[dict]:
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    return [line for line in lines if task in (None, line["task"])]
 
 
 no_sleep = lambda _seconds: None  # noqa: E731
@@ -245,7 +272,7 @@ class TestMockBackend:
         assert runs[0] == runs[1]
 
     def test_request_log_records_payloads(self):
-        backend = MockBackend()
+        backend = MockBackend(log_requests=True)
         backend.complete(self.request("storm surge tonight"))
         assert backend.calls == 1
         payload = json.loads(backend.request_log[0])
@@ -351,7 +378,8 @@ class TestAnnotateDataset:
         assert report.errors == []
         relevant = sum(1 for _, flag, _ in SCRIPTED_POSTS if flag)
         assert backend.calls == 10 + relevant
-        assert len(cache.read_text().splitlines()) == 10
+        # One cache line per verdict: relevance for all, category for the relevant.
+        assert len(cache.read_text().splitlines()) == 10 + relevant
 
     def test_expected_categories(self, tmp_path):
         dataset = make_dataset()
@@ -392,8 +420,11 @@ class TestAnnotateDataset:
     def test_cache_appends_in_dataset_order(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         annotate_dataset(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
-        ids = [json.loads(line)["post_id"] for line in cache.read_text().splitlines()]
-        assert ids == [f"p{i}" for i in range(10)]
+        relevant = [f"p{i}" for i, (_, flag, _) in enumerate(SCRIPTED_POSTS) if flag]
+        # Each stage appends its verdicts in dataset order.
+        assert [(line["task"], line["post_id"]) for line in cache_lines(cache)] == [
+            ("relevance_hurricane", f"p{i}") for i in range(10)
+        ] + [("impact_category", post_id) for post_id in relevant]
 
     def test_failed_post_is_isolated_and_retried_later(self, tmp_path):
         dataset = make_dataset()
@@ -424,7 +455,7 @@ class TestAnnotateDataset:
         cache = tmp_path / "cache.jsonl"
         clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
 
-        backend = MockBackend()
+        backend = MockBackend(log_requests=True)
         annotations, report = annotate_dataset(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
@@ -439,9 +470,10 @@ class TestAnnotateDataset:
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
         annotate_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        out_of_range = dict(cache_lines(cache, "impact_category")[1], judgment=99)
         with cache.open("a", encoding="utf-8") as fh:
-            fh.write('{"post_id": "p0", "relevant": tr\n')  # torn write
-            fh.write('{"post_id": "p1", "relevant": true, "category_code": 99}\n')
+            fh.write('{"judgment": true, "key": "ab\n')  # torn write
+            fh.write(json.dumps(out_of_range) + "\n")
             fh.write("\n")  # blank lines are not an error
         backend = MockBackend()
         annotations, report = annotate_dataset(
@@ -455,13 +487,10 @@ class TestAnnotateDataset:
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
         annotate_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        p0_category = cache_lines(cache, "impact_category")[0]
+        assert p0_category["post_id"] == "p0"
         with cache.open("a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"post_id": "p0", "relevant": True, "category_code": 9, "raw": ""}
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(dict(p0_category, judgment=9, raw="")) + "\n")
         annotations, _ = annotate_dataset(
             dataset, MockBackend(), cache_path=cache, sleep=no_sleep
         )
@@ -478,6 +507,16 @@ class TestAnnotateDataset:
         assert report.backend_posts == 0
         assert not cache.exists()
 
+    def test_all_failures_leave_no_cache(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        backend = SelectiveBackend(bad_ids={f"p{i}" for i in range(10)})
+        annotations, report = annotate_dataset(
+            make_dataset(), backend, cache_path=cache, sleep=no_sleep
+        )
+        assert annotations == []
+        assert len(report.errors) == 10
+        assert not cache.exists()
+
     def test_concurrency_stays_under_the_cap(self, tmp_path):
         rows = [(f"storm surge report number {i}", True, 11) for i in range(12)]
         dataset = make_dataset(rows)
@@ -490,6 +529,29 @@ class TestAnnotateDataset:
             sleep=no_sleep,
         )
         assert 1 <= backend.peak <= 2
+
+    def test_in_process_backend_runs_inline(self, tmp_path):
+        backend = PooledMock()
+        backend.in_process = True
+        annotate_dataset(
+            make_dataset(),
+            backend,
+            ClientPolicy(max_in_flight=4),
+            cache_path=tmp_path / "c.jsonl",
+            sleep=no_sleep,
+        )
+        assert backend.threads == {threading.current_thread().name}
+
+    def test_other_backends_run_in_a_pool(self, tmp_path):
+        backend = PooledMock()
+        annotate_dataset(
+            make_dataset(),
+            backend,
+            ClientPolicy(max_in_flight=4),
+            cache_path=tmp_path / "c.jsonl",
+            sleep=no_sleep,
+        )
+        assert threading.current_thread().name not in backend.threads
 
 
 class TestCleanDataset:
@@ -537,6 +599,220 @@ class TestCleanDataset:
         assert len(kept) == 7
 
 
+def fixture_dataset(disaster=DisasterTag.HURRICANE) -> Dataset:
+    # 200 posts; 171 are hurricane-relevant, none wildfire-relevant.
+    return load_posts(FIXTURES / "posts.jsonl", disaster).dataset
+
+
+class TestCacheKeys:
+    """A cached verdict is reused only for the question it answered."""
+
+    def run_pair(self, tmp_path, first, second):
+        """What `second` returns after `first` into one cache, and on a fresh one."""
+        shared, fresh = tmp_path / "shared.jsonl", tmp_path / "fresh.jsonl"
+        first(shared)
+        return second(shared), second(fresh)
+
+    def test_disaster(self, tmp_path):
+        def clean(disaster):
+            def run(cache):
+                backend = MockBackend()
+                kept, _ = clean_dataset(
+                    fixture_dataset(disaster), backend, cache_path=cache, sleep=no_sleep
+                )
+                return [post.id for post in kept], backend.calls
+
+            return run
+
+        after, alone = self.run_pair(
+            tmp_path, clean(DisasterTag.HURRICANE), clean(DisasterTag.WILDFIRE)
+        )
+        assert after == alone == ([], 200)
+
+    def annotate(self, backend_factory):
+        def run(cache):
+            backend = backend_factory()
+            annotations, _ = annotate_dataset(
+                make_dataset(), backend, cache_path=cache, sleep=no_sleep
+            )
+            return annotations, backend.calls
+
+        return run
+
+    def test_post_content(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        annotate_dataset(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
+        posts = list(make_dataset().posts)
+        posts[0] = make_post(post_id="p0", text=posts[0].text, media=("img0.jpg",))
+        posts[5] = make_post(post_id="p5", text="hurricane surge in Miami")
+        changed = Dataset(
+            posts=tuple(posts), source_path="memory", disaster_tag=DisasterTag.HURRICANE
+        )
+        backend = MockBackend()
+        annotations, report = annotate_dataset(
+            changed, backend, cache_path=cache, sleep=no_sleep
+        )
+        assert (report.backend_posts, backend.calls) == (2, 4)
+        assert annotations[5].relevant and annotations[5].post.text.startswith("hurricane")
+
+    def test_backend_identity(self, tmp_path):
+        class OtherModel(MockBackend):
+            identity = "https://models.example/v2"
+
+        after, alone = self.run_pair(
+            tmp_path, self.annotate(MockBackend), self.annotate(OtherModel)
+        )
+        assert after == alone
+        assert alone[1] == 18  # 10 relevance and 8 category calls
+
+    def test_backend_without_identity_is_not_the_mock(self, tmp_path):
+        class Anonymous:
+            def __init__(self):
+                self.inner, self.calls = MockBackend(), 0
+
+            def complete(self, request):
+                self.calls += 1
+                return self.inner.complete(request)
+
+        after, alone = self.run_pair(
+            tmp_path, self.annotate(MockBackend), self.annotate(Anonymous)
+        )
+        assert after == alone
+
+    @pytest.mark.parametrize("changed", sorted(PROMPT_TEMPLATE_IDS.values()))
+    def test_prompt_text(self, tmp_path, monkeypatch, changed):
+        shared = tmp_path / "shared.jsonl"
+        self.annotate(MockBackend)(shared)
+        original = disimpact.annotation.load_prompt
+        monkeypatch.setattr(
+            disimpact.annotation,
+            "load_prompt",
+            lambda template_id: original(template_id)
+            + ("\nBe brief." if template_id == changed else ""),
+        )
+        annotations, calls = self.annotate(MockBackend)(shared)
+        fresh = self.annotate(MockBackend)(tmp_path / "fresh.jsonl")
+        assert annotations == fresh[0]
+        # Only the verdicts asked with the changed prompt are asked again.
+        expected = {"clean_hurricane": 10, "clean_wildfire": 0, "classify_impact": 8}
+        assert calls == expected[changed]
+
+    def test_old_format_lines_are_invalid_and_asked_again(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            "".join(
+                json.dumps(
+                    {"post_id": f"p{i}", "relevant": False, "category_code": None, "raw": ""}
+                )
+                + "\n"
+                for i in range(10)
+            ),
+            encoding="utf-8",
+        )
+        backend = MockBackend()
+        kept, report = clean_dataset(
+            make_dataset(), backend, cache_path=cache, sleep=no_sleep
+        )
+        assert report.cache_invalid == 10
+        assert report.cache_hits == 0
+        assert backend.calls == 10
+        assert len(kept) == 8
+
+    def test_non_utf8_line_is_invalid_and_asked_again(self, tmp_path):
+        dataset = make_dataset()
+        cache = tmp_path / "cache.jsonl"
+        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        lines[3] = b"\xff" + lines[3]
+        cache.write_bytes(b"".join(lines))
+        backend = MockBackend()
+        kept, report = clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        assert report.cache_invalid == 1
+        assert report.cache_hits == 9
+        assert report.backend_posts == 1
+        assert backend.calls == 1
+        assert len(kept) == 8
+
+
+class TestInterruptAndResume:
+    @pytest.mark.parametrize("in_flight", [1, 3])
+    def test_interrupt_keeps_finished_verdicts(self, tmp_path, in_flight):
+        dataset = fixture_dataset()
+        fresh = tmp_path / "fresh.jsonl"
+        expected, _ = annotate_dataset(dataset, MockBackend(), cache_path=fresh)
+        assert len(fresh.read_text().splitlines()) == 371
+
+        cache = tmp_path / "cache.jsonl"
+        interrupting = InterruptingBackend(interrupt_at=300)
+        backend = interrupting if in_flight == 1 else PooledMock(interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            annotate_dataset(
+                dataset, backend, ClientPolicy(max_in_flight=in_flight), cache_path=cache
+            )
+        kept = len(cache.read_text().splitlines())
+        if in_flight == 1:
+            assert kept == 299  # every verdict finished before the interrupt
+        else:
+            # Pool threads may finish a few calls around the interrupt out of order.
+            assert abs(kept - 299) <= in_flight
+
+        rerun = MockBackend()
+        annotations, report = annotate_dataset(dataset, rerun, cache_path=cache)
+        assert rerun.calls == 371 - kept
+        assert report.errors == []
+        assert annotations == expected
+        assert cache.read_bytes() == fresh.read_bytes()
+
+
+    def test_each_verdict_is_on_disk_before_the_next_call(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        on_disk = []
+
+        class Probe(MockBackend):
+            def complete(self, request):
+                on_disk.append(cache.read_bytes().count(b"\n") if cache.exists() else 0)
+                return super().complete(request)
+
+        annotate_dataset(fixture_dataset(), Probe(), cache_path=cache)
+        assert on_disk == list(range(371))
+
+    def test_torn_last_line_keeps_the_next_verdict(self, tmp_path):
+        dataset = make_dataset()
+        cache = tmp_path / "cache.jsonl"
+        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        cache.write_bytes(b"".join(lines[:-1]) + lines[-1][:20])  # killed mid-write
+        backend = MockBackend()
+        clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        assert backend.calls == 1
+        backend = MockBackend()
+        _, report = clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        assert (backend.calls, report.cache_invalid) == (0, 1)
+
+
+class TestPool:
+    def test_many_threads_write_what_one_writes(self, tmp_path):
+        dataset = fixture_dataset()
+        inline = tmp_path / "inline.jsonl"
+        expected, _ = annotate_dataset(dataset, MockBackend(), cache_path=inline)
+        backend = PooledMock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            annotations, report = annotate_dataset(
+                dataset,
+                backend,
+                ClientPolicy(max_in_flight=8),
+                cache_path=tmp_path / "pool.jsonl",
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(backend.threads) > 1
+        assert backend.inner.calls == report.backend_posts + 171 == 371
+        assert annotations == expected
+        assert (tmp_path / "pool.jsonl").read_bytes() == inline.read_bytes()
+
+
 class TestPayloadPrivacy:
     def test_request_rejects_unscrubbed_text(self):
         with pytest.raises(ValueError):
@@ -553,7 +829,7 @@ class TestPayloadPrivacy:
             scrub_handles("@maria.r and @WXAlertsNC storm surge photos"),
         ]
         rows = [(t, True, 11) for t in texts]
-        backend = MockBackend()
+        backend = MockBackend(log_requests=True)
         annotate_dataset(
             make_dataset(rows), backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )

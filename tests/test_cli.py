@@ -4,14 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import threading
 from datetime import date
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, PooledMock
 
 import disimpact
 from disimpact import MalformedInput
+from disimpact import cli
 from disimpact.cli import load_config_file, main
 
 POSTS = FIXTURES / "posts.jsonl"
@@ -166,6 +168,60 @@ class TestClean:
         assert second[1] == "14/20 (70%)\n"
         cache_lines = (tmp_path / "annotation_cache.jsonl").read_text().splitlines()
         assert len(cache_lines) == 20
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """Every backend the CLI makes, in order; a mock unless `make` is replaced."""
+    made = []
+    factory = {"make": disimpact.MockBackend}
+
+    def make_backend(args):
+        made.append(factory["make"]())
+        return made[-1]
+
+    monkeypatch.setattr(cli, "make_backend", make_backend)
+    return made, factory
+
+
+class TestAnnotationCache:
+    def test_other_disaster_reuses_no_verdict(self, tmp_path, backends):
+        made, _ = backends
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        clean = ["clean", "--in", POSTS, "--disaster"]
+        assert run_cli(clean + ["hurricane", "--out", shared])[:2] == (0, "171/200 (86%)\n")
+        after = run_cli(clean + ["wildfire", "--out", shared])
+        alone = run_cli(clean + ["wildfire", "--out", fresh])
+        assert after[:2] == alone[:2] == (0, "0/200 (0%)\n")
+        assert [backend.calls for backend in made] == [200, 200, 200]
+        assert (shared / "posts_clean.jsonl").read_bytes() == (
+            fresh / "posts_clean.jsonl"
+        ).read_bytes()
+
+    def test_cold_runs_write_identical_caches(self, tmp_path, backends):
+        made, factory = backends
+        outputs = {}
+        for name, in_flight in (("inline", 4), ("again", 4), ("pool", 3)):
+            if name == "pool":
+                factory["make"] = PooledMock
+            out = tmp_path / name
+            argv = ["annotate", "--in", POSTS, "--disaster", "hurricane"]
+            code, _, _ = run_cli(argv + ["--max-in-flight", in_flight, "--out", out])
+            assert code == 0
+            outputs[name] = [
+                (out / file).read_bytes() for file in ("annotation_cache.jsonl", "labels.csv")
+            ]
+        assert outputs["inline"] == outputs["again"] == outputs["pool"]
+        assert threading.current_thread().name not in made[-1].threads
+        assert len(outputs["pool"][0].splitlines()) == 371 == made[-1].inner.calls
+
+    def test_rerun_appends_nothing(self, tmp_path):
+        argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
+        assert run_cli(argv)[0] == 0
+        before = (tmp_path / "annotation_cache.jsonl").read_bytes()
+        code, stdout, _ = run_cli(argv)
+        assert (code, stdout) == (0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n")
+        assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
 
 
 class TestAnnotate:
@@ -453,6 +509,41 @@ class TestFailures:
         assert "dropped 1 malformed, 0 duplicate lines" in stderr
         kept = (tmp_path / "posts_clean.jsonl").read_text(encoding="utf-8")
         assert '"c03"' not in kept
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("2024-09-09,physical,nan", "composite must be finite"),
+            ("2024-09-09,physical,inf", "composite must be finite"),
+            ("2024-09-09,physical,-inf", "composite must be finite"),
+            ("2024-09-12,physical,2.0", "week 2024-09-12 does not follow 2024-09-02 by 7 days"),
+            ("2024-09-16,physical,2.0", "week 2024-09-16 does not follow 2024-09-02 by 7 days"),
+            ("2024-08-26,physical,2.0", "week 2024-08-26 does not follow 2024-09-02 by 7 days"),
+        ],
+    )
+    def test_bad_domain_row_exits_2(self, tmp_path, row, problem):
+        domain = tmp_path / "domain.csv"
+        domain.write_text(
+            "window_start,domain,composite\n"
+            "2024-09-02,physical,1.0\n"
+            "2024-09-02,social,1.0\n"
+            f"{row}\n",
+            encoding="utf-8",
+        )
+        code, _, stderr = run_cli(
+            ["validate", "--in", domain, "--truth", TRUTH, "--out", tmp_path]
+        )
+        assert code == 2
+        assert stderr.startswith(f"error: MalformedCsv: {domain}:4: {problem}")
+
+    def test_non_utf8_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# tuning\nalpha=0.5\xff\n")
+        code, _, stderr = run_cli(
+            ["index", "--in", TABLE_COUNTS, "--out", tmp_path, "--config", cfg]
+        )
+        assert code == 2
+        assert stderr.startswith(f"error: MalformedInput: {cfg}:2: ")
 
     def test_missing_input_exits_2(self, tmp_path):
         code, _, stderr = run_cli(
