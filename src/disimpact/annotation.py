@@ -157,8 +157,9 @@ class Backend(Protocol):
     Two optional attributes steer the annotation loop. ``identity`` is
     a string naming what answers (``"mock"``, or the remote endpoint);
     it is part of every cache key, so one backend's verdicts are never
-    reused for another's. ``in_process = True`` marks a CPU-bound
-    backend that is called inline rather than from a pool of
+    reused for another's. A backend without one reuses no cached
+    verdict. ``in_process = True`` marks a CPU-bound backend that is
+    called inline rather than from a pool of
     ``ClientPolicy.max_in_flight`` threads.
     """
 
@@ -196,7 +197,7 @@ MOCK_RELEVANCE_RULES: dict[Task, tuple[tuple[str, ...], tuple[str, ...]]] = {
 
 
 class MockBackend:
-    """Deterministic keyword classifier with an opt-in request audit log.
+    """Deterministic keyword classifier.
 
     It runs in-process and CPU-bound, so the annotation loop calls it
     inline instead of through a thread pool.
@@ -205,17 +206,13 @@ class MockBackend:
     identity = "mock"
     in_process = True
 
-    def __init__(self, log_requests: bool = False) -> None:
-        self.log_requests = log_requests
-        self.request_log: list[str] = []
+    def __init__(self) -> None:
         self.calls = 0
         self._lock = threading.Lock()
 
     def complete(self, request: ClassifierRequest) -> str:
         with self._lock:
             self.calls += 1
-            if self.log_requests:
-                self.request_log.append(request.payload())
         text = request.post.text.lower()
         if request.task in RELEVANCE_TASKS:
             counters, on_topic = MOCK_RELEVANCE_RULES[request.task]
@@ -431,10 +428,10 @@ class _StageLoop:
     """The one annotation loop: answers one task for a list of posts.
 
     Verdicts missing from the cache are asked for inline for an
-    in-process backend or a one-wide policy, otherwise from a pool of
-    ``max_in_flight`` threads. Each new verdict is appended in post
-    order and flushed as soon as it and every verdict before it are
-    done, so an interrupted run keeps the work it finished.
+    in-process backend, otherwise from a pool of ``max_in_flight``
+    threads. Each new verdict is appended in post order and flushed as
+    soon as it and every verdict before it are done, so an interrupted
+    run keeps the work it finished.
     """
 
     def __init__(self, report, backend, policy, cache_path, sleep) -> None:
@@ -449,7 +446,9 @@ class _StageLoop:
     def run(self, posts: Sequence[Post], task: Task) -> list:
         """The judgment for each post, None where the post failed."""
         keys = _verdict_keys(posts, task, self.backend)
-        judgments = [self.cache.get(key) for key in keys]
+        # Without an identity, a cached verdict may be another backend's.
+        reuse = getattr(self.backend, "identity", None) is not None
+        judgments = [self.cache.get(key) if reuse else None for key in keys]
         pending = [i for i, judgment in enumerate(judgments) if judgment is None]
         if not pending:
             return judgments
@@ -463,12 +462,13 @@ class _StageLoop:
                     post_id=posts[i].id, stage=type(exc).__name__, message=str(exc)
                 )
 
-        in_flight = self.policy.max_in_flight
         with ExitStack() as stack:
-            if getattr(self.backend, "in_process", False) or in_flight == 1:
+            if getattr(self.backend, "in_process", False):
                 answers = map(ask, pending)
             else:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=in_flight))
+                pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
+                # If writing the cache fails, send none of the queued requests.
+                stack.callback(pool.shutdown, cancel_futures=True)
                 answers = pool.map(ask, pending)
             fh = None
             for i, answer in zip(pending, answers):

@@ -86,6 +86,18 @@ def category(code: int) -> ImpactCategory:
     return category_from_code(code)
 
 
+class RecordingMock(MockBackend):
+    """The mock, keeping each request's payload for the privacy audits."""
+
+    def __init__(self):
+        super().__init__()
+        self.request_log = []
+
+    def complete(self, request):
+        self.request_log.append(request.payload())
+        return super().complete(request)
+
+
 class PooledMock:
     """The mock's answers and identity, from a backend that is not in-process."""
 

@@ -24,7 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ANCHOR, FIXTURES, RESOLUTION_CASES, category, make_post
+from conftest import (
+    ANCHOR,
+    FIXTURES,
+    RESOLUTION_CASES,
+    RecordingMock,
+    category,
+    make_post,
+)
 
 from disimpact import (
     AgreementTable,
@@ -32,7 +39,6 @@ from disimpact import (
     CountSeries,
     DisasterTag,
     IndexConfig,
-    MockBackend,
     Platform,
     SeriesStats,
     TimeWindow,
@@ -333,7 +339,7 @@ def test_criterion_09_privacy_fuzz(tmp_path):
                 text = text[:cut] + handle + text[cut:]
             scrubbed = scrub_handles(text)
             assert set(token.findall(scrubbed)) <= {"@user"}
-        backend = MockBackend(log_requests=True)
+        backend = RecordingMock()
         raw = tmp_path / "raw_posts.jsonl"
         raw.write_text(
             "".join(

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import FIXTURES, PooledMock, make_post
+from conftest import FIXTURES, PooledMock, RecordingMock, make_post
 
 from disimpact import (
     ClassifierRequest,
@@ -272,7 +272,7 @@ class TestMockBackend:
         assert runs[0] == runs[1]
 
     def test_request_log_records_payloads(self):
-        backend = MockBackend(log_requests=True)
+        backend = RecordingMock()
         backend.complete(self.request("storm surge tonight"))
         assert backend.calls == 1
         payload = json.loads(backend.request_log[0])
@@ -455,7 +455,7 @@ class TestAnnotateDataset:
         cache = tmp_path / "cache.jsonl"
         clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
 
-        backend = MockBackend(log_requests=True)
+        backend = RecordingMock()
         annotations, report = annotate_dataset(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
@@ -665,7 +665,7 @@ class TestCacheKeys:
         assert after == alone
         assert alone[1] == 18  # 10 relevance and 8 category calls
 
-    def test_backend_without_identity_is_not_the_mock(self, tmp_path):
+    def test_backend_without_identity_reuses_nothing(self, tmp_path):
         class Anonymous:
             def __init__(self):
                 self.inner, self.calls = MockBackend(), 0
@@ -674,10 +674,24 @@ class TestCacheKeys:
                 self.calls += 1
                 return self.inner.complete(request)
 
-        after, alone = self.run_pair(
-            tmp_path, self.annotate(MockBackend), self.annotate(Anonymous)
-        )
-        assert after == alone
+        class Dismissive(Anonymous):
+            def complete(self, request):
+                super().complete(request)
+                return '{"Judgment": false}'
+
+        for first, second in [
+            (MockBackend, Anonymous),
+            (Anonymous, Anonymous),
+            (Anonymous, Dismissive),
+        ]:
+            pair = tmp_path / f"{first.__name__}-{second.__name__}"
+            pair.mkdir()
+            after, alone = self.run_pair(
+                pair, self.annotate(first), self.annotate(second)
+            )
+            assert after == alone
+        assert alone[1] == 10
+        assert not any(annotation.relevant for annotation in alone[0])
 
     @pytest.mark.parametrize("changed", sorted(PROMPT_TEMPLATE_IDS.values()))
     def test_prompt_text(self, tmp_path, monkeypatch, changed):
@@ -812,6 +826,23 @@ class TestPool:
         assert annotations == expected
         assert (tmp_path / "pool.jsonl").read_bytes() == inline.read_bytes()
 
+    def test_cache_write_failure_cancels_queued_requests(self, tmp_path):
+        class Slow(PooledMock):
+            def complete(self, request):
+                time.sleep(0.02)
+                return super().complete(request)
+
+        backend = Slow()
+        with pytest.raises(FileNotFoundError):
+            clean_dataset(
+                fixture_dataset(),
+                backend,
+                ClientPolicy(max_in_flight=3),
+                cache_path=tmp_path / "missing" / "cache.jsonl",
+            )
+        # Only the requests already running when the write failed are sent.
+        assert backend.inner.calls < 20
+
 
 class TestPayloadPrivacy:
     def test_request_rejects_unscrubbed_text(self):
@@ -829,7 +860,7 @@ class TestPayloadPrivacy:
             scrub_handles("@maria.r and @WXAlertsNC storm surge photos"),
         ]
         rows = [(t, True, 11) for t in texts]
-        backend = MockBackend(log_requests=True)
+        backend = RecordingMock()
         annotate_dataset(
             make_dataset(rows), backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
