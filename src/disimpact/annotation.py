@@ -98,15 +98,14 @@ class ClientPolicy:
     max_in_flight: int = 4
     max_retries: int = 2
     backoff_base: float = 0.5
-    timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise OutOfRange("max_in_flight must be positive")
         if self.max_retries < 0:
             raise OutOfRange("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.timeout <= 0:
-            raise OutOfRange("backoff_base must be >= 0 and timeout > 0")
+        if self.backoff_base < 0:
+            raise OutOfRange("backoff_base must be >= 0")
 
 
 _JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
@@ -244,6 +243,8 @@ class RemoteBackend:
             api_key = os.environ.get(self.ENV_KEY)
         if not api_key:
             raise TransportError(f"no API key: set {self.ENV_KEY} or pass api_key")
+        if timeout <= 0:
+            raise OutOfRange("timeout must be > 0")
         self.endpoint = self.identity = endpoint
         self._api_key = api_key
         self.timeout = timeout

@@ -1,12 +1,16 @@
 """Command-line pipeline: clean, annotate, count, index, verify, map, chart.
 
-Every command reads declared inputs, writes its outputs plus a
+Every command reads declared inputs and writes its outputs plus a
 manifest_<command>.json listing input and output content hashes with
-the config snapshot and tool version, and exits nonzero with a one-line
-diagnostic on failure (2 for I/O and malformed inputs, 3 for backend
-exhaustion, 1 otherwise). Outputs carry no timestamps and all reals are
-formatted at fixed precision, so identical inputs give byte-identical
-outputs.
+the config snapshot and tool version. A `Run` stages each output as a
+hidden temp file in --out and moves it into place only when the command
+exits 0, writing the manifest last; on any other exit it removes its
+temp files, so files from an earlier run keep their bytes. The
+annotation cache is the one file written in place. A failed command
+exits nonzero with a one-line diagnostic (each error class carries its
+exit code: 2 for I/O and malformed inputs, 3 for backend exhaustion, 1
+otherwise). Outputs carry no timestamps and all reals are formatted at
+fixed precision, so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from datetime import date
 from importlib import resources
@@ -34,13 +40,7 @@ from .annotation import (
 )
 from .chart import chart_csv_to_svg
 from .core import DisasterTag, Domain, IndexConfig
-from .errors import (
-    DisimpactError,
-    MalformedCsv,
-    MalformedInput,
-    OutOfRange,
-    TransportError,
-)
+from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
     csv_header,
@@ -175,24 +175,83 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(
-    args: argparse.Namespace,
-    command: str,
-    config: RunConfig,
-    inputs: dict[str, str],
-    outputs: list[Path],
-) -> Path:
+def write_json(value: dict, path: Path) -> None:
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_manifest(run: Run, outputs: list[Path], path: Path) -> None:
     manifest = {
-        "command": command,
+        "command": run.args.command,
         "version": __version__,
-        "seed": args.seed,
-        "config": config.snapshot(),
-        "inputs": inputs,
-        "outputs": {p.name: sha256_file(p) for p in outputs if p.exists()},
+        "seed": run.args.seed,
+        "config": run.config.snapshot(),
+        "inputs": run.inputs,
+        "outputs": {p.name: sha256_file(p) for p in outputs},
     }
-    path = args.out / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    write_json(manifest, path)
+
+
+# mkstemp creates files 0600; staged outputs get the mode open() would give.
+# Reading the umask means setting it, so read it once, at import.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+class Run:
+    """One command's inputs and outputs, committed together on exit 0.
+
+    Each output is written to a hidden temp file in ``--out`` and moved
+    into place by ``commit``, which writes the manifest last. ``discard``
+    removes this run's temp files and touches nothing under a final name.
+    """
+
+    def __init__(self, args: argparse.Namespace, config: RunConfig) -> None:
+        self.args = args
+        self.config = config
+        self.inputs: dict[str, str] = {}
+        self.staged: dict[Path, Path] = {}
+        self.recorded: list[Path] = []
+
+    def input(self, path: Path) -> Path:
+        self.inputs[str(path)] = sha256_file(path)
+        return path
+
+    def output(self, name: str) -> Path:
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise MalformedInput(f"output name {name!r} must be a plain file name")
+        return self._stage(self.args.out / name)
+
+    def record(self, path: Path) -> Path:
+        """A file written in place (the annotation cache), listed if it exists."""
+        self.recorded.append(path)
+        return path
+
+    def _stage(self, final: Path) -> Path:
+        fd, temp = tempfile.mkstemp(prefix=f".{final.name}.", suffix=".tmp", dir=final.parent)
+        os.close(fd)
+        self.staged[final] = Path(temp)
+        os.chmod(temp, 0o666 & ~_UMASK)
+        return self.staged[final]
+
+    def commit(self) -> None:
+        """Move the outputs into place, then write the manifest; undo the moves on failure."""
+        moved: list[Path] = []
+        try:
+            for final, temp in self.staged.items():
+                os.replace(temp, final)
+                moved.append(final)
+            manifest = self.args.out / f"manifest_{self.args.command}.json"
+            temp = self._stage(manifest)
+            write_manifest(self, moved + [p for p in self.recorded if p.exists()], temp)
+            os.replace(temp, manifest)
+        except BaseException:
+            for path in moved:
+                path.unlink(missing_ok=True)
+            raise
+
+    def discard(self) -> None:
+        for temp in self.staged.values():
+            temp.unlink(missing_ok=True)
 
 
 def make_backend(args: argparse.Namespace) -> Backend:
@@ -204,11 +263,7 @@ def make_backend(args: argparse.Namespace) -> Backend:
 
 
 def make_policy(args: argparse.Namespace) -> ClientPolicy:
-    return ClientPolicy(
-        max_in_flight=args.max_in_flight,
-        max_retries=args.max_retries,
-        timeout=args.timeout,
-    )
+    return ClientPolicy(max_in_flight=args.max_in_flight, max_retries=args.max_retries)
 
 
 def _round9(value):
@@ -225,21 +280,13 @@ def _report_errors(errors: list[AnnotationError]) -> int:
     return 1 if errors else 0
 
 
-def cmd_clean(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    result = load_posts(args.input, DisasterTag(args.disaster))
-    backend = make_backend(args)
-    cache_path = args.cache if args.cache else args.out / "annotation_cache.jsonl"
+def cmd_clean(args: argparse.Namespace, run: Run) -> int:
+    result = load_posts(run.input(args.input), DisasterTag(args.disaster))
+    cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     kept, report = clean_dataset(
-        result.dataset, backend, make_policy(args), cache_path
+        result.dataset, make_backend(args), make_policy(args), cache_path
     )
-    out_posts = args.out / "posts_clean.jsonl"
-    outputs.append(out_posts)
-    write_posts_jsonl(kept, out_posts)
-    manifest_outputs = [out_posts] + ([cache_path] if cache_path.exists() else [])
-    write_manifest(
-        args, "clean", config, {str(args.input): sha256_file(args.input)}, manifest_outputs
-    )
+    write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
     print(report.summary())
     if result.report.dropped_malformed or result.report.dropped_duplicate:
         print(
@@ -250,21 +297,13 @@ def cmd_clean(args: argparse.Namespace, outputs: list[Path]) -> int:
     return _report_errors(report.errors)
 
 
-def cmd_annotate(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    result = load_posts(args.input, DisasterTag(args.disaster))
-    backend = make_backend(args)
-    cache_path = args.cache if args.cache else args.out / "annotation_cache.jsonl"
+def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
+    result = load_posts(run.input(args.input), DisasterTag(args.disaster))
+    cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     annotations, report = annotate_dataset(
-        result.dataset, backend, make_policy(args), cache_path
+        result.dataset, make_backend(args), make_policy(args), cache_path
     )
-    out_labels = args.out / "labels.csv"
-    outputs.append(out_labels)
-    write_labels_csv(annotations, out_labels)
-    manifest_outputs = [out_labels] + ([cache_path] if cache_path.exists() else [])
-    write_manifest(
-        args, "annotate", config, {str(args.input): sha256_file(args.input)}, manifest_outputs
-    )
+    write_labels_csv(annotations, run.output("labels.csv"))
     relevant = sum(1 for a in annotations if a.relevant)
     print(
         f"annotated {len(annotations)}/{len(result.dataset)} posts "
@@ -273,29 +312,16 @@ def cmd_annotate(args: argparse.Namespace, outputs: list[Path]) -> int:
     return _report_errors(report.errors)
 
 
-def cmd_counts(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    result = load_posts(args.input)
-    annotated, label_report = load_labels(args.labels, result.dataset)
-    index_config = resolve_config(config.index_config(), annotated, args.range_start)
+def cmd_counts(args: argparse.Namespace, run: Run) -> int:
+    result = load_posts(run.input(args.input))
+    annotated, label_report = load_labels(run.input(args.labels), result.dataset)
+    index_config = resolve_config(run.config.index_config(), annotated, args.range_start)
     if args.range_start and args.range_end:
         window_range = (args.range_start, args.range_end)
     else:
         window_range = full_range(annotated, index_config)
     series, report = build_count_series(annotated, index_config, *window_range)
-    out_counts = args.out / "counts.csv"
-    outputs.append(out_counts)
-    write_counts_csv(series, out_counts)
-    write_manifest(
-        args,
-        "counts",
-        config,
-        {
-            str(args.input): sha256_file(args.input),
-            str(args.labels): sha256_file(args.labels),
-        },
-        [out_counts],
-    )
+    write_counts_csv(series, run.output("counts.csv"))
     print(
         f"{len(series.windows)} windows from {window_range[0]} to {window_range[1]}, "
         f"{sum(series.totals)} posts"
@@ -307,27 +333,17 @@ def cmd_counts(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def cmd_index(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    counts = read_counts_csv(args.input, config.index_config())
+def cmd_index(args: argparse.Namespace, run: Run) -> int:
+    config = run.config
+    counts = read_counts_csv(run.input(args.input), config.index_config())
     series = compute_impact_series(
         counts,
         config.index_config(),
         quantile_method=config.quantile_method,
         composite_op=config.composite_operator,
     )
-    out_index = args.out / "index.csv"
-    out_domain = args.out / "domain.csv"
-    outputs.extend([out_index, out_domain])
-    write_index_csv(series, out_index)
-    write_domain_csv(series, out_domain)
-    write_manifest(
-        args,
-        "index",
-        config,
-        {str(args.input): sha256_file(args.input)},
-        [out_index, out_domain],
-    )
+    write_index_csv(series, run.output("index.csv"))
+    write_domain_csv(series, run.output("domain.csv"))
     weights = series.weights
     print(
         f"{len(series.windows)} windows; weight range "
@@ -336,25 +352,16 @@ def cmd_index(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def cmd_agreement(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    table = load_annotations_csv(args.input)
+def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
+    table = load_annotations_csv(run.input(args.input))
     model_labels = None
     if args.labels:
         model_labels = {
-            post_id: category for _, post_id, category in iter_labels(args.labels)
+            post_id: category for _, post_id, category in iter_labels(run.input(args.labels))
         }
     report = agreement_report(table, model_labels)
     report = {key: _round9(value) for key, value in report.items()}
-    out_report = args.out / "agreement.json"
-    outputs.append(out_report)
-    out_report.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    inputs = {str(args.input): sha256_file(args.input)}
-    if args.labels:
-        inputs[str(args.labels)] = sha256_file(args.labels)
-    write_manifest(args, "agreement", config, inputs, [out_report])
+    write_json(report, run.output("agreement.json"))
     print(
         f"consistency {report['consistency']:.4f}, "
         f"fleiss_kappa {report['fleiss_kappa']:.4f} over {report['n_items']} items"
@@ -362,9 +369,8 @@ def cmd_agreement(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def cmd_validate(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    header = csv_header(args.input)
+def cmd_validate(args: argparse.Namespace, run: Run) -> int:
+    header = csv_header(run.input(args.input))
     if header == ["window_start", "domain", "composite"]:
         index_series = read_domain_csv(args.input, Domain(args.domain))
     elif header == ["week_start", "value"]:
@@ -373,29 +379,13 @@ def cmd_validate(args: argparse.Namespace, outputs: list[Path]) -> int:
         raise MalformedCsv(
             f"{args.input}: expected a domain export or a week_start,value series"
         )
-    truth, truth_report = load_ground_truth(args.truth)
-    profile = lead_lag_profile(index_series, truth, config.max_lag)
-    out_leadlag = args.out / "leadlag.csv"
-    outputs.append(out_leadlag)
-    write_leadlag_csv(profile, out_leadlag)
+    truth, truth_report = load_ground_truth(run.input(args.truth))
+    profile = lead_lag_profile(index_series, truth, run.config.max_lag)
+    write_leadlag_csv(profile, run.output("leadlag.csv"))
     interpretation = {
         key: _round9(value) for key, value in interpret_profile(profile).items()
     }
-    out_report = args.out / "validate_report.json"
-    outputs.append(out_report)
-    out_report.write_text(
-        json.dumps(interpretation, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_manifest(
-        args,
-        "validate",
-        config,
-        {
-            str(args.input): sha256_file(args.input),
-            str(args.truth): sha256_file(args.truth),
-        },
-        [out_leadlag, out_report],
-    )
+    write_json(interpretation, run.output("validate_report.json"))
     print(interpretation["statement"])
     if truth_report.filled_weeks:
         print(
@@ -405,33 +395,23 @@ def cmd_validate(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def cmd_spatial(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    result = load_posts(args.input)
-    annotated, _ = load_labels(args.labels, result.dataset)
+def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
+    result = load_posts(run.input(args.input))
+    annotated, _ = load_labels(run.input(args.labels), result.dataset)
     if args.gazetteer:
-        gazetteer = load_gazetteer(args.gazetteer)
-        gazetteer_input = {str(args.gazetteer): sha256_file(args.gazetteer)}
+        gazetteer = load_gazetteer(run.input(args.gazetteer))
     else:
         gazetteer = load_gazetteer()
         data = resources.files("disimpact").joinpath("data/gazetteer.csv").read_bytes()
-        gazetteer_input = {"gazetteer.csv": hashlib.sha256(data).hexdigest()}
+        run.inputs["gazetteer.csv"] = hashlib.sha256(data).hexdigest()
     located = locate_posts(annotated, gazetteer)
     rows, report = aggregate_state_month(
         located,
-        config.index_config(),
+        run.config.index_config(),
         SourceFilter(args.source_filter),
-        min_posts=config.min_group_size,
+        min_posts=run.config.min_group_size,
     )
-    out_spatial = args.out / "spatial.csv"
-    outputs.append(out_spatial)
-    write_spatial_csv(rows, SourceFilter(args.source_filter), out_spatial)
-    inputs = {
-        str(args.input): sha256_file(args.input),
-        str(args.labels): sha256_file(args.labels),
-    }
-    inputs.update(gazetteer_input)
-    write_manifest(args, "spatial", config, inputs, [out_spatial])
+    write_spatial_csv(rows, SourceFilter(args.source_filter), run.output("spatial.csv"))
     states = sorted({row.state for row in rows})
     print(f"{len(rows)} state-month cells across {len(states)} states")
     if report.unlocated:
@@ -444,18 +424,13 @@ def cmd_spatial(args: argparse.Namespace, outputs: list[Path]) -> int:
     return 0
 
 
-def cmd_chart(args: argparse.Namespace, outputs: list[Path]) -> int:
-    config = resolve_run_config(args)
-    svg, warnings = chart_csv_to_svg(args.input, title=args.title)
-    out_chart = args.out / args.outfile
-    outputs.append(out_chart)
+def cmd_chart(args: argparse.Namespace, run: Run) -> int:
+    out_chart = run.output(args.outfile)
+    svg, warnings = chart_csv_to_svg(run.input(args.input), title=args.title)
     out_chart.write_text(svg, encoding="utf-8")
-    write_manifest(
-        args, "chart", config, {str(args.input): sha256_file(args.input)}, [out_chart]
-    )
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    print(f"wrote {out_chart}")
+    print(f"wrote {args.out / args.outfile}")
     return 0
 
 
@@ -574,29 +549,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, TransportError):
-        return 3
-    if isinstance(exc, (OSError, MalformedInput)):
-        return 2
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
+    run = None
     try:
-        return args.handler(args, outputs)
+        run = Run(args, resolve_run_config(args))
+        code = args.handler(args, run)
+        if code == 0:
+            run.commit()
+        return code
     except (DisimpactError, OSError, ValueError) as exc:
-        for path in outputs:
-            try:
-                path.unlink()
-            except OSError:
-                pass
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return getattr(exc, "exit_code", 2 if isinstance(exc, OSError) else 1)
+    finally:
+        if run is not None:
+            run.discard()
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 
 class DisimpactError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the CLI exits with ``exit_code``."""
+
+    exit_code = 1
 
 
 class OutOfRange(DisimpactError):
@@ -10,7 +12,9 @@ class OutOfRange(DisimpactError):
 
 
 class MalformedInput(DisimpactError):
-    """An input file is unusable; the CLI exits 2 for it and its subclasses."""
+    """An input file is unusable."""
+
+    exit_code = 2
 
 
 class MalformedCsv(MalformedInput):
@@ -27,6 +31,8 @@ class UnknownPostId(MalformedInput):
 
 class TransportError(DisimpactError):
     """A classifier backend failed at the transport level (after retries)."""
+
+    exit_code = 3
 
 
 class MalformedResponse(DisimpactError):

@@ -365,7 +365,7 @@ def test_criterion_09_privacy_fuzz(tmp_path):
         annotate_dataset(
             dataset,
             backend,
-            ClientPolicy(max_in_flight=2, max_retries=1, timeout=5.0),
+            ClientPolicy(max_in_flight=2, max_retries=1),
             tmp_path / "cache.jsonl",
         )
         assert backend.request_log

@@ -19,6 +19,7 @@ from disimpact import (
     MalformedResponse,
     MockBackend,
     OutOfRange,
+    RemoteBackend,
     Task,
     TransportError,
     annotate_dataset,
@@ -360,7 +361,7 @@ class TestRetries:
         with pytest.raises(OutOfRange):
             ClientPolicy(max_retries=-1)
         with pytest.raises(OutOfRange):
-            ClientPolicy(timeout=0.0)
+            RemoteBackend("http://127.0.0.1:9/x", api_key="k", timeout=0.0)
 
 
 class TestAnnotateDataset:

@@ -4,8 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -634,3 +639,168 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == disimpact.__version__
+
+
+OUTAGE_IDS = {f"p{n:04d}" for n in range(1, 201, 10)}
+FAILING_OUTPUT = {"clean": "posts_clean.jsonl", "annotate": "labels.csv"}
+VERDICTS = {"clean": 200, "annotate": 371}  # a cold fixture run's backend calls
+
+
+class OutageMock(disimpact.MockBackend):
+    """The mock, failing every OUTAGE_IDS post without counting a call."""
+
+    garbage = False  # True: an unparseable reply (exit 1), else a hard outage (exit 3)
+
+    def complete(self, request):
+        if request.post.id not in OUTAGE_IDS:
+            return super().complete(request)
+        if self.garbage:
+            return "no judgment here"
+        error = disimpact.TransportError("scripted outage")
+        error.retryable = False
+        raise error
+
+
+class GarbageMock(OutageMock):
+    garbage = True
+
+
+class TestCommitOnSuccess:
+    @pytest.mark.parametrize(
+        "mock, exit_code, stage",
+        [(OutageMock, 3, "TransportError"), (GarbageMock, 1, "MalformedResponse")],
+    )
+    @pytest.mark.parametrize("command", sorted(FAILING_OUTPUT))
+    def test_failed_annotation_leaves_no_new_outputs(
+        self, tmp_path, backends, command, mock, exit_code, stage
+    ):
+        made, factory = backends
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        argv = [command, "--disaster", "hurricane", "--out"]
+        assert run_cli(argv + [earlier, "--in", CLEAN20])[0] == 0
+        kept = [FAILING_OUTPUT[command], f"manifest_{command}.json"]
+        before = {name: (earlier / name).read_bytes() for name in kept}
+
+        factory["make"] = mock
+        for out in (earlier, fresh):
+            code, _, stderr = run_cli(argv + [out, "--in", POSTS])
+            assert code == exit_code
+            assert f"error: post p0001: {stage}: " in stderr
+        assert {name: (earlier / name).read_bytes() for name in kept} == before
+        assert sorted(p.name for p in fresh.iterdir()) == ["annotation_cache.jsonl"]
+
+        cached = len((fresh / "annotation_cache.jsonl").read_bytes().splitlines())
+        assert cached == made[-1].calls > 0
+        factory["make"] = disimpact.MockBackend
+        assert run_cli(argv + [fresh, "--in", POSTS])[0] == 0
+        assert made[-1].calls == VERDICTS[command] - cached
+        assert (fresh / FAILING_OUTPUT[command]).exists()
+
+    @pytest.mark.parametrize("outfile", ["../escaped.svg", "sub/chart.svg", "..", "ABS"])
+    def test_chart_outfile_cannot_leave_out(self, tmp_path, outfile):
+        out = tmp_path / "out"
+        outfile = str(tmp_path / "abs.svg") if outfile == "ABS" else outfile
+        code, _, stderr = run_cli(
+            ["chart", "--in", TABLE_COUNTS, "--out", out, "--outfile", outfile]
+        )
+        assert code == 2
+        assert stderr.startswith("error: MalformedInput: output name ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        assert run_cli(["index", "--in", TABLE_COUNTS, "--out", tmp_path])[0] == 0
+        (tmp_path / "plain.txt").write_text("x")
+        modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+        assert set(modes) == {"index.csv", "domain.csv", "manifest_index.json", "plain.txt"}
+        assert set(modes.values()) == {modes["plain.txt"]}
+
+
+COUNTS_LABELS = "post_id,category_code\nc01,1\nc02,5\nc05,7\n"
+
+# Runs `disimpact ARGS...` with write_counts_csv writing half its bytes and
+# then hanging until the test kills it.
+HANG_IN_WRITE = """
+import sys, time
+from disimpact import cli
+
+real = cli.write_counts_csv
+
+def half_then_hang(series, path):
+    real(series, path)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    print("ready", flush=True)
+    time.sleep(60)
+
+cli.write_counts_csv = half_then_hang
+cli.main(sys.argv[1:])
+"""
+
+
+class TestInterrupts:
+    @pytest.fixture
+    def counted(self, tmp_path):
+        """An --out holding a finished counts run, with its bytes and argv."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text(COUNTS_LABELS, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["counts", "--in", CLEAN20, "--labels", labels, "--out", out]
+        assert run_cli(argv)[0] == 0
+        names = ("counts.csv", "manifest_counts.json")
+        return out, argv, {name: (out / name).read_bytes() for name in names}
+
+    def test_keyboard_interrupt_mid_write_keeps_the_earlier_run(
+        self, counted, monkeypatch
+    ):
+        out, argv, before = counted
+        real = cli.write_counts_csv
+
+        def half_then_interrupt(series, path):
+            real(series, path)
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_counts_csv", half_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(argv + ["--window-days", "14"])
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+    def test_sigkill_mid_write_keeps_the_earlier_run(self, counted):
+        out, argv, before = counted
+        env = dict(os.environ)
+        src = str(Path(disimpact.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        child = subprocess.Popen(
+            [sys.executable, "-c", HANG_IN_WRITE, *map(str, argv), "--window-days", "14"],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert child.stdout.readline() == b"ready\n"
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        assert {name: (out / name).read_bytes() for name in before} == before
+        leftovers = set(p.name for p in out.iterdir()) - set(before)
+        assert all(n.startswith(".counts.csv.") and n.endswith(".tmp") for n in leftovers)
+
+
+class TestTimeout:
+    def test_mock_ignores_timeout(self, tmp_path):
+        argv = ["clean", "--in", CLEAN20, "--disaster", "hurricane", "--out", tmp_path]
+        assert run_cli(argv + ["--timeout", "0"])[:2] == (0, "14/20 (70%)\n")
+
+    def test_remote_rejects_nonpositive_timeout(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DISIMPACT_MLLM_API_KEY", "k")
+        code, _, stderr = run_cli(
+            [
+                "clean", "--in", CLEAN20, "--disaster", "hurricane", "--out", tmp_path,
+                "--backend", "remote", "--endpoint", "http://127.0.0.1:9/x",
+                "--timeout", "0",
+            ]
+        )
+        assert code == 1
+        assert stderr.startswith("error: OutOfRange: timeout must be > 0")
+        assert list(tmp_path.iterdir()) == []
