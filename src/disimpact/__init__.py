@@ -143,13 +143,9 @@ from .windowing import (
     CountSeries,
     WindowCounts,
     WindowingReport,
-    assign_window,
     build_count_series,
-    derive_anchor,
-    full_range,
     monday_on_or_before,
     read_counts_csv,
-    resolve_config,
     write_counts_csv,
 )
 
@@ -175,10 +171,8 @@ __all__ = [
     "AnnotationError", "AnnotationReport", "annotate_dataset",
     "CleanReport", "clean_dataset",
     # windowing
-    "monday_on_or_before", "derive_anchor", "assign_window",
-    "WindowCounts", "CountSeries", "WindowingReport",
-    "resolve_config", "build_count_series", "full_range",
-    "write_counts_csv", "read_counts_csv",
+    "monday_on_or_before", "WindowCounts", "CountSeries", "WindowingReport",
+    "build_count_series", "write_counts_csv", "read_counts_csv",
     # impact index
     "smoothed_proportion", "compute_iqr", "SeriesStats", "intensity_weight",
     "impact_index", "IndexPoint", "ImpactSeries", "compute_impact_series",

@@ -43,6 +43,7 @@ from .core import DisasterTag, Domain, IndexConfig
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
+    Dataset,
     csv_header,
     iter_labels,
     load_ground_truth,
@@ -64,7 +65,7 @@ from .validation import (
     read_domain_csv,
     write_leadlag_csv,
 )
-from .windowing import build_count_series, full_range, read_counts_csv, resolve_config, write_counts_csv
+from .windowing import build_count_series, read_counts_csv, write_counts_csv
 
 QUANTILE_METHODS = ("linear", "lower", "higher", "nearest", "midpoint")
 COMPOSITE_OPERATORS = ("sum", "mean")
@@ -75,7 +76,6 @@ class RunConfig:
     """Flat config surface; file values lose to explicit flags."""
 
     alpha: float = 0.5
-    category_count: int = 11
     window_days: int = 7
     window_anchor: date | None = None
     max_lag: int = 3
@@ -97,7 +97,6 @@ class RunConfig:
     def index_config(self) -> IndexConfig:
         return IndexConfig(
             alpha=self.alpha,
-            category_count=self.category_count,
             window_days=self.window_days,
             window_anchor=self.window_anchor,
         )
@@ -105,7 +104,6 @@ class RunConfig:
     def snapshot(self) -> dict:
         return {
             "alpha": self.alpha,
-            "category_count": self.category_count,
             "window_days": self.window_days,
             "window_anchor": (
                 None if self.window_anchor is None else self.window_anchor.isoformat()
@@ -119,7 +117,6 @@ class RunConfig:
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "alpha": float,
-    "category_count": int,
     "window_days": int,
     "window_anchor": lambda v: None if v.lower() in ("", "none") else date.fromisoformat(v),
     "max_lag": int,
@@ -280,51 +277,52 @@ def _report_errors(errors: list[AnnotationError]) -> int:
     return 1 if errors else 0
 
 
-def cmd_clean(args: argparse.Namespace, run: Run) -> int:
-    result = load_posts(run.input(args.input), DisasterTag(args.disaster))
-    cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
-    kept, report = clean_dataset(
-        result.dataset, make_backend(args), make_policy(args), cache_path
-    )
-    write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
-    print(report.summary())
+def _load_posts(path: Path, disaster: DisasterTag = DisasterTag.OTHER) -> Dataset:
+    """Load posts.jsonl, saying on stderr how many lines were dropped."""
+    result = load_posts(path, disaster)
     if result.report.dropped_malformed or result.report.dropped_duplicate:
         print(
             f"dropped {result.report.dropped_malformed} malformed, "
             f"{result.report.dropped_duplicate} duplicate lines",
             file=sys.stderr,
         )
+    return result.dataset
+
+
+def cmd_clean(args: argparse.Namespace, run: Run) -> int:
+    dataset = _load_posts(run.input(args.input), DisasterTag(args.disaster))
+    cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
+    kept, report = clean_dataset(dataset, make_backend(args), make_policy(args), cache_path)
+    write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
+    print(report.summary())
     return _report_errors(report.errors)
 
 
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
-    result = load_posts(run.input(args.input), DisasterTag(args.disaster))
+    dataset = _load_posts(run.input(args.input), DisasterTag(args.disaster))
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     annotations, report = annotate_dataset(
-        result.dataset, make_backend(args), make_policy(args), cache_path
+        dataset, make_backend(args), make_policy(args), cache_path
     )
     write_labels_csv(annotations, run.output("labels.csv"))
     relevant = sum(1 for a in annotations if a.relevant)
     print(
-        f"annotated {len(annotations)}/{len(result.dataset)} posts "
+        f"annotated {len(annotations)}/{len(dataset)} posts "
         f"({relevant} relevant, {report.cache_hits} cache hits)"
     )
     return _report_errors(report.errors)
 
 
 def cmd_counts(args: argparse.Namespace, run: Run) -> int:
-    result = load_posts(run.input(args.input))
-    annotated, label_report = load_labels(run.input(args.labels), result.dataset)
-    index_config = resolve_config(run.config.index_config(), annotated, args.range_start)
-    if args.range_start and args.range_end:
-        window_range = (args.range_start, args.range_end)
-    else:
-        window_range = full_range(annotated, index_config)
-    series, report = build_count_series(annotated, index_config, *window_range)
+    dataset = _load_posts(run.input(args.input))
+    annotated, label_report = load_labels(run.input(args.labels), dataset)
+    series, report = build_count_series(
+        annotated, run.config.index_config(), args.range_start, args.range_end
+    )
     write_counts_csv(series, run.output("counts.csv"))
     print(
-        f"{len(series.windows)} windows from {window_range[0]} to {window_range[1]}, "
-        f"{sum(series.totals)} posts"
+        f"{len(series.windows)} windows from {series.windows[0].window.start} "
+        f"to {series.windows[-1].window.end}, {sum(series.totals)} posts"
     )
     if label_report.unlabeled_ids:
         print(f"{len(label_report.unlabeled_ids)} posts had no label", file=sys.stderr)
@@ -396,8 +394,8 @@ def cmd_validate(args: argparse.Namespace, run: Run) -> int:
 
 
 def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
-    result = load_posts(run.input(args.input))
-    annotated, _ = load_labels(run.input(args.labels), result.dataset)
+    dataset = _load_posts(run.input(args.input))
+    annotated, _ = load_labels(run.input(args.labels), dataset)
     if args.gazetteer:
         gazetteer = load_gazetteer(run.input(args.gazetteer))
     else:

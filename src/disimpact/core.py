@@ -194,21 +194,17 @@ class WeeklySeries:
 class IndexConfig:
     """Knobs for the impact-index stage.
 
-    alpha is the additive-smoothing pseudo-count; category_count is the
-    number of categories sharing the smoothing mass (11 keeps OTHER in).
-    window_anchor = None means "derive the Monday on or before the
-    earliest relevant post".
+    alpha is the additive-smoothing pseudo-count given to each of the
+    11 categories (OTHER included). window_anchor = None means "derive
+    the Monday on or before the earliest relevant post or range start".
     """
 
     alpha: float = 0.5
-    category_count: int = 11
     window_days: int = 7
     window_anchor: date | None = None
 
     def __post_init__(self) -> None:
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if self.category_count < 2:
-            raise ValueError("category_count must be >= 2")
         if self.window_days < 1:
             raise ValueError("window_days must be >= 1")

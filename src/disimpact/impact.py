@@ -46,7 +46,7 @@ def smoothed_proportion(n: int, total: int, config: IndexConfig) -> float:
     if n < 0 or total < 0 or n > total:
         raise InvalidCounts(f"need 0 <= n <= total, got n={n}, total={total}")
     alpha = config.alpha
-    return (n + alpha) / (total + alpha * config.category_count)
+    return (n + alpha) / (total + alpha * len(CATEGORIES))
 
 
 def compute_iqr(values: Sequence[float], method: str = "linear") -> float:

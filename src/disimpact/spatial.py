@@ -35,7 +35,7 @@ from .core import AnnotatedPost, Domain, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
 from .ingestion import csv_rows
-from .windowing import build_count_series, full_range, resolve_config
+from .windowing import build_count_series
 
 # Codes that read as ordinary words or titles when uppercased; these
 # need the capitalized-token context rule to count as a state.
@@ -318,10 +318,8 @@ def aggregate_state_month(
     rows: list[StateMonthIndex] = []
     for state in sorted(groups):
         members = groups[state]
-        resolved = resolve_config(config, members)
-        start, end = full_range(members, resolved)
-        counts, _ = build_count_series(members, resolved, start, end)
-        series = compute_impact_series(counts, resolved)
+        counts, _ = build_count_series(members, config)
+        series = compute_impact_series(counts, config)
         monthly: dict[date, tuple[list[float], list[float], int]] = {}
         for idx, window in enumerate(series.windows):
             month = window.start.replace(day=1)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from datetime import date, datetime, timedelta, timezone
+from dataclasses import dataclass
+from datetime import date, timedelta
 from pathlib import Path
 
 from .core import (
@@ -21,27 +21,6 @@ from .ingestion import csv_rows
 
 def monday_on_or_before(day: date) -> date:
     return day - timedelta(days=day.weekday())
-
-
-def derive_anchor(posts: list[AnnotatedPost]) -> date:
-    """Default grid phase: the Monday on or before the earliest post."""
-    if not posts:
-        raise ValueError("cannot derive an anchor from zero posts")
-    earliest = min(p.post.created_date for p in posts)
-    return monday_on_or_before(earliest)
-
-
-def assign_window(created_at: datetime, config: IndexConfig) -> int:
-    """Window index of a timestamp: floor((date - anchor) / window_days)."""
-    if config.window_anchor is None:
-        raise ValueError("config.window_anchor must be set for assign_window")
-    day = created_at.astimezone(timezone.utc).date()
-    delta = (day - config.window_anchor).days
-    if delta < 0:
-        raise BeforeAnchor(
-            f"timestamp {created_at.isoformat()} precedes anchor {config.window_anchor}"
-        )
-    return delta // config.window_days
 
 
 @dataclass(frozen=True)
@@ -82,41 +61,43 @@ class WindowingReport:
     outside_range: tuple[str, ...]
 
 
-def resolve_config(
-    config: IndexConfig,
-    posts: list[AnnotatedPost],
-    range_start: date | None = None,
-) -> IndexConfig:
-    """Fill in a derived anchor when the config leaves it open."""
-    if config.window_anchor is not None:
-        return config
-    candidates = [p.post.created_date for p in posts]
-    if range_start is not None:
-        candidates.append(range_start)
-    if not candidates:
-        raise ValueError("no posts and no range to derive a window anchor from")
-    return replace(config, window_anchor=monday_on_or_before(min(candidates)))
-
-
 def build_count_series(
     posts: list[AnnotatedPost],
     config: IndexConfig,
-    range_start: date,
-    range_end: date,
+    range_start: date | None = None,
+    range_end: date | None = None,
 ) -> tuple[CountSeries, WindowingReport]:
     """Count posts per (window, category) over [range_start, range_end).
 
-    The range must sit on the anchor's window grid; empty windows appear
+    An open anchor becomes the Monday on or before the earliest post or
+    range_start. A bound not given becomes the edge of the smallest
+    aligned span covering every post; a bound given is always used and
+    must sit on the anchor's window grid. Empty windows appear
     zero-filled so the series is gap-free. Posts outside the range are
     excluded and reported by id.
     """
     for p in posts:
         if not p.relevant:
             raise ValueError(f"post {p.post.id!r} is not relevant; filter first")
-    config = resolve_config(config, posts, range_start)
+    days = [p.post.created_date for p in posts]
     anchor = config.window_anchor
-    assert anchor is not None
+    if anchor is None:
+        candidates = days if range_start is None else days + [range_start]
+        if not candidates:
+            raise ValueError("no posts and no range to derive a window anchor from")
+        anchor = monday_on_or_before(min(candidates))
     step = config.window_days
+    if range_start is None or range_end is None:
+        if not days:
+            raise ValueError("no posts to span")
+        if range_start is None:
+            lo = (min(days) - anchor).days
+            if lo < 0:
+                raise BeforeAnchor(f"earliest post precedes anchor {anchor}")
+            range_start = anchor + timedelta(days=(lo // step) * step)
+        if range_end is None:
+            hi = (max(days) - anchor).days
+            range_end = anchor + timedelta(days=(hi // step + 1) * step)
     if range_end <= range_start:
         raise MisalignedRange("range_end must be after range_start")
     if (range_start - anchor).days < 0:
@@ -130,8 +111,7 @@ def build_count_series(
 
     counts = [{c: 0 for c in CATEGORIES} for _ in range(n_windows)]
     outside: list[str] = []
-    for p in posts:
-        day = p.post.created_date
+    for p, day in zip(posts, days):
         if not (range_start <= day < range_end):
             outside.append(p.post.id)
             continue
@@ -151,24 +131,6 @@ def build_count_series(
         for i in range(n_windows)
     )
     return CountSeries(windows=windows), WindowingReport(outside_range=tuple(outside))
-
-
-def full_range(posts: list[AnnotatedPost], config: IndexConfig) -> tuple[date, date]:
-    """Smallest aligned [start, end) covering every post."""
-    config = resolve_config(config, posts)
-    anchor = config.window_anchor
-    assert anchor is not None
-    step = config.window_days
-    days = [p.post.created_date for p in posts]
-    if not days:
-        raise ValueError("no posts to span")
-    lo = (min(days) - anchor).days
-    hi = (max(days) - anchor).days
-    if lo < 0:
-        raise BeforeAnchor(f"earliest post precedes anchor {anchor}")
-    start = anchor + timedelta(days=(lo // step) * step)
-    end = anchor + timedelta(days=(hi // step + 1) * step)
-    return start, end
 
 
 def write_counts_csv(series: CountSeries, path: str | Path) -> None:

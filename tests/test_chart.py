@@ -2,6 +2,7 @@
 
 import math
 import re
+import xml.etree.ElementTree as ET
 from datetime import date, timedelta
 
 import pytest
@@ -200,6 +201,20 @@ class TestRenderChart:
         bare, _ = chart_csv_to_svg(domain_csv)
         assert "Weekly domain composites" in titled
         assert "Weekly domain composites" not in bare
+
+    def test_markup_in_title_and_series_names_is_escaped(self, tmp_path):
+        path = tmp_path / "domain.csv"
+        path.write_text(
+            "window_start,domain,composite\n"
+            "2024-09-02,R&D <north>,1.0\n"
+            "2024-09-09,R&D <north>,2.0\n",
+            encoding="utf-8",
+        )
+        svg, _ = chart_csv_to_svg(path, title="Helene & Milton <weekly>")
+        root = ET.fromstring(svg)
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "Helene & Milton <weekly>" in texts
+        assert "R&D <north>" in texts
 
     def test_week_labels_are_subsampled(self, index_csv):
         svg, _ = chart_csv_to_svg(index_csv)

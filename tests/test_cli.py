@@ -135,6 +135,16 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "manifest_index.json").read_text())
         assert manifest["config"]["alpha"] == 0.25
 
+    def test_category_count_is_an_unknown_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("category_count=12\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["index", "--in", TABLE_COUNTS, "--out", tmp_path, "--config", cfg]
+        )
+        assert code == 2
+        assert "unknown config key 'category_count'" in stderr
+        assert not (tmp_path / "index.csv").exists()
+
     def test_invalid_config_value_exits_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_lag=-1\n", encoding="utf-8")
@@ -256,6 +266,31 @@ class TestCounts:
         out, _ = pipeline
         first = (out / "counts.csv").read_text().splitlines()[0]
         assert first == "window_start,category,count,total"
+
+    @pytest.mark.parametrize(
+        "flag, windows, start, end, counted, outside",
+        [
+            ("--range-start", 8, "2024-09-16", "2024-11-11", 154, 17),
+            ("--range-end", 2, "2024-09-02", "2024-09-16", 17, 154),
+        ],
+    )
+    def test_one_bound_is_honoured(
+        self, pipeline, tmp_path, flag, windows, start, end, counted, outside
+    ):
+        out, _ = pipeline
+        code, stdout, stderr = run_cli(
+            [
+                "counts", "--in", POSTS, "--labels", out / "labels.csv",
+                flag, "2024-09-16", "--out", tmp_path,
+            ]
+        )
+        assert code == 0
+        assert stdout == f"{windows} windows from {start} to {end}, {counted} posts\n"
+        assert stderr == f"29 posts had no label\n{outside} posts outside range\n"
+        rows = (tmp_path / "counts.csv").read_text().splitlines()[1:]
+        starts = sorted({row.split(",")[0] for row in rows})
+        assert len(starts) == windows
+        assert starts[0] == start
 
 
 class TestIndex:
@@ -514,6 +549,20 @@ class TestFailures:
         assert "dropped 1 malformed, 0 duplicate lines" in stderr
         kept = (tmp_path / "posts_clean.jsonl").read_text(encoding="utf-8")
         assert '"c03"' not in kept
+
+    def test_every_posts_reader_reports_dropped_lines(self, tmp_path):
+        lines = CLEAN20.read_bytes().splitlines(keepends=True)[:5]
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes(b"".join(lines) + b"{not json\n" + lines[0])
+        labels = tmp_path / "labels.csv"
+        for argv in (
+            ["annotate", "--disaster", "hurricane"],
+            ["counts", "--labels", labels],
+            ["spatial", "--labels", labels],
+        ):
+            code, _, stderr = run_cli(argv + ["--in", posts, "--out", tmp_path])
+            assert code == 0, argv
+            assert stderr.startswith("dropped 1 malformed, 1 duplicate lines\n"), argv
 
     @pytest.mark.parametrize(
         "row, problem",

@@ -1,9 +1,11 @@
 """Taxonomy invariants: the 11-category bijection and domain partition."""
 
+import types
 from datetime import date, datetime, timezone
 
 import pytest
 
+import disimpact
 from disimpact.core import (
     CATEGORIES,
     OTHER,
@@ -104,13 +106,10 @@ def test_time_window_validation():
 def test_index_config_validation():
     config = IndexConfig()
     assert config.alpha == 0.5
-    assert config.category_count == 11
     assert config.window_days == 7
     assert config.window_anchor is None
     with pytest.raises(ValueError):
         IndexConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        IndexConfig(category_count=1)
     with pytest.raises(ValueError):
         IndexConfig(window_days=0)
 
@@ -119,3 +118,14 @@ def test_categories_immutable():
     with pytest.raises(Exception):
         CATEGORIES[0].code = 99  # type: ignore[misc]
     assert isinstance(CATEGORIES[0], ImpactCategory)
+
+
+def test_all_lists_exactly_the_public_names():
+    for name in disimpact.__all__:
+        assert hasattr(disimpact, name), name
+    public = {
+        name
+        for name, value in vars(disimpact).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(disimpact.__all__) - {"__version__"}

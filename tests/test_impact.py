@@ -100,7 +100,7 @@ class TestSmoothedProportion:
     @given(count_vectors)
     def test_smoothing_floor(self, vec):
         total = sum(vec)
-        floor = CONFIG.alpha / (total + CONFIG.alpha * CONFIG.category_count)
+        floor = CONFIG.alpha / (total + CONFIG.alpha * len(CATEGORIES))
         for n in vec:
             p = smoothed_proportion(n, total, CONFIG)
             assert p >= floor

@@ -1,5 +1,6 @@
 """Tests for window assignment and per-window category counting."""
 
+from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import ANCHOR, category, make_annotated, spread_posts
 
 from disimpact import (
+    AnnotatedPost,
     BeforeAnchor,
     CountSeries,
     IndexConfig,
@@ -16,13 +18,9 @@ from disimpact import (
     MisalignedRange,
     TimeWindow,
     WindowCounts,
-    assign_window,
     build_count_series,
-    derive_anchor,
-    full_range,
     monday_on_or_before,
     read_counts_csv,
-    resolve_config,
     write_counts_csv,
 )
 from disimpact.core import CATEGORIES
@@ -40,6 +38,24 @@ def utc(y, m, d, hour=0, minute=0, second=0):
     return datetime(y, m, d, hour, minute, second, tzinfo=timezone.utc)
 
 
+def window_index(stamp, config=CONFIG):
+    """Index of the one window spanning a single post made at stamp."""
+    template = make_annotated(3)
+    post = AnnotatedPost(
+        post=replace(template.post, created_at=stamp),
+        category=template.category,
+        relevant=True,
+    )
+    series, _ = build_count_series([post], config)
+    (wc,) = series.windows
+    assert wc.total == 1
+    return wc.window.index
+
+
+def span(series):
+    return series.windows[0].window.start, series.windows[-1].window.end
+
+
 class TestMondayGrid:
     def test_midweek_rolls_back(self):
         assert monday_on_or_before(date(2024, 9, 4)) == date(2024, 9, 2)
@@ -55,63 +71,67 @@ class TestMondayGrid:
             make_annotated(3, post_id="a", day=date(2024, 9, 12)),
             make_annotated(3, post_id="b", day=date(2024, 9, 5)),
         ]
-        assert derive_anchor(posts) == date(2024, 9, 2)
+        series, _ = build_count_series(posts, IndexConfig())
+        assert series.windows[0].window.start == date(2024, 9, 2)
+        assert series.windows[0].window.index == 0
 
     def test_derive_anchor_needs_posts(self):
         with pytest.raises(ValueError):
-            derive_anchor([])
+            build_count_series([], IndexConfig())
 
 
 class TestAssignWindow:
     def test_anchor_midnight_is_window_zero(self):
-        assert assign_window(utc(2024, 9, 2), CONFIG) == 0
+        assert window_index(utc(2024, 9, 2)) == 0
 
     def test_last_second_of_first_window(self):
-        assert assign_window(utc(2024, 9, 8, 23, 59, 59), CONFIG) == 0
+        assert window_index(utc(2024, 9, 8, 23, 59, 59)) == 0
 
     def test_next_midnight_starts_window_one(self):
-        assert assign_window(utc(2024, 9, 9), CONFIG) == 1
+        assert window_index(utc(2024, 9, 9)) == 1
 
     def test_five_weeks_out(self):
-        assert assign_window(utc(2024, 10, 7, 12, 0), CONFIG) == 5
+        assert window_index(utc(2024, 10, 7, 12, 0)) == 5
 
     def test_before_anchor_is_rejected(self):
         with pytest.raises(BeforeAnchor):
-            assign_window(utc(2024, 9, 1, 23, 59), CONFIG)
+            window_index(utc(2024, 9, 1, 23, 59))
 
     def test_offsets_convert_to_utc_first(self):
         # 01:00+02:00 is 23:00 UTC the previous day, still window 0.
         stamp = datetime(2024, 9, 9, 1, 0, tzinfo=timezone(timedelta(hours=2)))
-        assert assign_window(stamp, CONFIG) == 0
-
-    def test_requires_a_resolved_anchor(self):
-        with pytest.raises(ValueError):
-            assign_window(utc(2024, 9, 2), IndexConfig())
+        assert window_index(stamp) == 0
 
     def test_non_weekly_windows(self):
         config = IndexConfig(window_days=3, window_anchor=ANCHOR)
-        assert assign_window(utc(2024, 9, 4), config) == 0
-        assert assign_window(utc(2024, 9, 5), config) == 1
+        assert window_index(utc(2024, 9, 4), config) == 0
+        assert window_index(utc(2024, 9, 5), config) == 1
 
 
 class TestResolveConfig:
     def test_explicit_anchor_passes_through(self):
-        resolved = resolve_config(CONFIG, [])
-        assert resolved is CONFIG
+        posts = [make_annotated(3, day=date(2024, 9, 20))]
+        series, _ = build_count_series(posts, CONFIG)
+        assert series.windows[0].window.index == 2
+        assert span(series) == (date(2024, 9, 16), date(2024, 9, 23))
 
     def test_derives_monday_from_posts(self):
         posts = [make_annotated(3, day=date(2024, 9, 5))]
-        resolved = resolve_config(IndexConfig(), posts)
-        assert resolved.window_anchor == date(2024, 9, 2)
+        series, _ = build_count_series(posts, IndexConfig())
+        assert series.windows[0].window.index == 0
+        assert series.windows[0].window.start == date(2024, 9, 2)
 
     def test_range_start_joins_the_candidates(self):
         posts = [make_annotated(3, day=date(2024, 9, 20))]
-        resolved = resolve_config(IndexConfig(), posts, range_start=date(2024, 9, 3))
-        assert resolved.window_anchor == date(2024, 9, 2)
+        series, _ = build_count_series(posts, IndexConfig(), range_start=date(2024, 9, 9))
+        assert series.windows[0].window.index == 0
+        assert span(series) == (date(2024, 9, 9), date(2024, 9, 23))
+        assert series.totals == (0, 1)
 
     def test_nothing_to_derive_from(self):
+        # range_end alone gives no anchor.
         with pytest.raises(ValueError):
-            resolve_config(IndexConfig(), [])
+            build_count_series([], IndexConfig(), range_end=date(2024, 9, 9))
 
 
 class TestBuildCountSeries:
@@ -237,26 +257,54 @@ class TestFullRange:
             make_annotated(3, post_id="a", day=date(2024, 9, 3)),
             make_annotated(3, post_id="b", day=date(2024, 9, 20)),
         ]
-        start, end = full_range(posts, CONFIG)
-        assert (start, end) == (ANCHOR, ANCHOR + timedelta(days=21))
+        series, report = build_count_series(posts, CONFIG)
+        assert span(series) == (ANCHOR, ANCHOR + timedelta(days=21))
+        assert report.outside_range == ()
 
     def test_single_post_single_window(self):
         posts = [make_annotated(3, day=ANCHOR + timedelta(days=6))]
-        assert full_range(posts, CONFIG) == (ANCHOR, ANCHOR + timedelta(days=7))
+        series, _ = build_count_series(posts, CONFIG)
+        assert span(series) == (ANCHOR, ANCHOR + timedelta(days=7))
 
     def test_derived_anchor(self):
         posts = [make_annotated(3, day=date(2024, 9, 5))]
-        start, end = full_range(posts, IndexConfig())
-        assert (start, end) == (date(2024, 9, 2), date(2024, 9, 9))
+        series, _ = build_count_series(posts, IndexConfig())
+        assert span(series) == (date(2024, 9, 2), date(2024, 9, 9))
 
     def test_post_before_explicit_anchor(self):
         posts = [make_annotated(3, day=ANCHOR - timedelta(days=1))]
         with pytest.raises(BeforeAnchor):
-            full_range(posts, CONFIG)
+            build_count_series(posts, CONFIG)
 
     def test_no_posts(self):
         with pytest.raises(ValueError):
-            full_range([], CONFIG)
+            build_count_series([], CONFIG)
+        with pytest.raises(ValueError):
+            build_count_series([], CONFIG, range_start=ANCHOR)
+
+    def test_given_start_is_kept_and_end_spans_the_posts(self):
+        posts = spread_posts({0: {3: 1}, 2: {4: 1}, 3: {5: 1}})
+        start = ANCHOR + timedelta(days=14)
+        series, report = build_count_series(posts, CONFIG, range_start=start)
+        assert span(series) == (start, ANCHOR + timedelta(days=28))
+        assert series.totals == (1, 1)
+        assert len(report.outside_range) == 1
+
+    def test_given_end_is_kept_and_start_spans_the_posts(self):
+        posts = spread_posts({1: {3: 1}, 2: {4: 1}, 3: {5: 1}})
+        end = ANCHOR + timedelta(days=21)
+        series, report = build_count_series(posts, IndexConfig(), range_end=end)
+        assert span(series) == (ANCHOR + timedelta(days=7), end)
+        assert series.windows[0].window.index == 0
+        assert series.totals == (1, 1)
+        assert len(report.outside_range) == 1
+
+    def test_given_bound_must_sit_on_the_grid(self):
+        posts = spread_posts({0: {3: 1}})
+        with pytest.raises(MisalignedRange):
+            build_count_series(posts, CONFIG, range_end=ANCHOR + timedelta(days=10))
+        with pytest.raises(MisalignedRange):
+            build_count_series(posts, CONFIG, range_start=ANCHOR + timedelta(days=3))
 
 
 class TestCountsValidation:
