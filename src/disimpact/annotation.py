@@ -16,9 +16,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
@@ -250,6 +247,10 @@ class RemoteBackend:
         self.timeout = timeout
 
     def complete(self, request: ClassifierRequest) -> str:
+        # Imported here: the HTTP stack costs every other command about 3 MB of RSS.
+        import urllib.error
+        import urllib.request
+
         body = request.payload().encode("utf-8")
         http_request = urllib.request.Request(
             self.endpoint,
@@ -467,6 +468,9 @@ class _StageLoop:
             if getattr(self.backend, "in_process", False):
                 answers = map(ask, pending)
             else:
+                # Imported here: in-process backends, the common case, need no pool.
+                from concurrent.futures import ThreadPoolExecutor
+
                 pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
                 # If writing the cache fails, send none of the queued requests.
                 stack.callback(pool.shutdown, cancel_futures=True)

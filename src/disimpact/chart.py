@@ -10,11 +10,12 @@ weight, so charts from different runs are visually comparable.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .errors import MalformedCsv, UnknownColumn
+from .errors import MalformedCsv, MalformedInput, UnknownColumn
 from .ingestion import csv_header, csv_rows
 
 WIDTH = 960
@@ -36,6 +37,10 @@ Y_TICKS = (
     (3 * math.pi / 4, "3π/4"),
     (math.pi, "π"),
 )
+
+# Outside XML 1.0's Char production, lone surrogates included: no escape
+# can put these in an SVG.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,9 @@ def read_chart_csv(path: str | Path) -> ChartData:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
         name = row[key_col]
         if name not in series:
+            fault = _xml_fault(name)
+            if fault:
+                raise MalformedCsv(f"{path}:{lineno}: series name {name!r}: {fault}")
             series[name] = {}
             order.append(name)
         if week not in weeks:
@@ -89,15 +97,31 @@ def read_chart_csv(path: str | Path) -> ChartData:
     return ChartData(weeks=tuple(weeks), series=tuple(packed), value_label=value_label)
 
 
+def _xml_fault(text: str) -> str | None:
+    """Why `text` cannot go into an SVG, or None if it can."""
+    match = _NOT_XML_CHAR.search(text)
+    if match is None:
+        return None
+    return f"U+{ord(match.group()):04X} is not allowed in XML 1.0"
+
+
+def _escape(text: str) -> str:
+    """`text` as SVG character data, as xml.sax.saxutils.escape gives it.
+
+    Written out because importing xml.sax.saxutils loads urllib.request.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt(value: float) -> str:
     return "%.2f" % value
 
 
 def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
     """Render an SVG string; returns it with any degeneracy warnings."""
-    # Imported here: xml.sax costs every other command about 0.2 MB of RSS.
-    from xml.sax.saxutils import escape
-
+    fault = _xml_fault(title)
+    if fault:
+        raise MalformedInput(f"chart title {title!r}: {fault}")
     warnings: list[str] = []
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -120,7 +144,7 @@ def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
     if title:
         parts.append(
             f'<text x="{MARGIN_LEFT}" y="20" font-family="sans-serif" '
-            f'font-size="14" fill="#333">{escape(title)}</text>'
+            f'font-size="14" fill="#333">{_escape(title)}</text>'
         )
     # Axes and y grid.
     for value, label in Y_TICKS:
@@ -178,7 +202,7 @@ def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
             )
             parts.append(
                 f'<text x="{legend_x + 26}" y="{legend_y + 4}" '
-                f'font-family="sans-serif" font-size="12" fill="#333">{escape(name)}</text>'
+                f'font-family="sans-serif" font-size="12" fill="#333">{_escape(name)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n", warnings

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .agreement import agreement_report, load_annotations_csv
+from .agreement import agreement_report, human_consensus, load_annotations_csv
 from .annotation import (
     AnnotationError,
     Backend,
@@ -41,7 +41,12 @@ from .annotation import (
 from .chart import chart_csv_to_svg
 from .core import DisasterTag, Domain, IndexConfig
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
-from .impact import compute_impact_series, write_domain_csv, write_index_csv
+from .impact import (
+    QUANTILE_METHODS,
+    compute_impact_series,
+    write_domain_csv,
+    write_index_csv,
+)
 from .ingestion import (
     Dataset,
     csv_header,
@@ -67,7 +72,6 @@ from .validation import (
 )
 from .windowing import build_count_series, read_counts_csv, write_counts_csv
 
-QUANTILE_METHODS = ("linear", "lower", "higher", "nearest", "midpoint")
 COMPOSITE_OPERATORS = ("sum", "mean")
 
 
@@ -364,6 +368,13 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
         f"consistency {report['consistency']:.4f}, "
         f"fleiss_kappa {report['fleiss_kappa']:.4f} over {report['n_items']} items"
     )
+    if model_labels is not None:
+        # Resolved items the human-vs-model numbers leave out for want of a label.
+        unlabeled = sum(
+            1 for c in human_consensus(table) if c.resolved and c.item not in model_labels
+        )
+        if unlabeled:
+            print(f"{unlabeled} annotated items had no model label", file=sys.stderr)
     return 0
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Sequence
 
-import numpy as np
-
 from .core import (
     CATEGORIES,
     PHYSICAL_CATEGORIES,
@@ -40,6 +38,9 @@ IQR_EPSILON = 1e-6
 
 CompositeOp = Literal["sum", "mean"]
 
+# The numpy.percentile methods that compute_iqr reproduces without numpy.
+QUANTILE_METHODS = ("linear", "lower", "higher", "nearest", "midpoint")
+
 
 def smoothed_proportion(n: int, total: int, config: IndexConfig) -> float:
     """Additively smoothed share of one category within a window."""
@@ -49,12 +50,35 @@ def smoothed_proportion(n: int, total: int, config: IndexConfig) -> float:
     return (n + alpha) / (total + alpha * len(CATEGORIES))
 
 
+def _percentile(ordered: list[float], q: float, method: str) -> float:
+    """The q-quantile of a sorted sample, as numpy.percentile computes it."""
+    pos = (len(ordered) - 1) * q
+    lo = math.floor(pos)
+    if method == "lower":
+        return ordered[lo]
+    if method == "higher":
+        return ordered[math.ceil(pos)]
+    if method == "nearest":
+        return ordered[round(pos)]  # half to even, as numpy.around rounds
+    g = pos - lo if method == "linear" else (0.0 if pos == lo else 0.5)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    d = b - a
+    # numpy's _lerp: from b when g >= 0.5; the two forms can differ in the last bit.
+    return a + d * g if g < 0.5 else b - d * (1 - g)
+
+
 def compute_iqr(values: Sequence[float], method: str = "linear") -> float:
-    """Q3 - Q1 of a sample under the given numpy quantile method."""
+    """Q3 - Q1 of a sample under one of QUANTILE_METHODS.
+
+    Each method gives the same float as numpy.percentile(values, [25, 75],
+    method=method); the tests keep numpy as the oracle.
+    """
+    if method not in QUANTILE_METHODS:
+        raise OutOfRange(f"quantile_method must be one of {QUANTILE_METHODS}")
     if len(values) == 0:
         raise EmptyInput("IQR of an empty sample is undefined")
-    q1, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 75.0], method=method)
-    return float(q3 - q1)
+    ordered = sorted(map(float, values))
+    return _percentile(ordered, 0.75, method) - _percentile(ordered, 0.25, method)
 
 
 @dataclass(frozen=True)
@@ -70,7 +94,7 @@ class SeriesStats:
     def from_totals(cls, totals: Sequence[int], method: str = "linear") -> "SeriesStats":
         if len(totals) == 0:
             raise EmptyInput("a series needs at least one window")
-        mean = float(np.mean(totals))
+        mean = sum(totals) / len(totals)
         iqr = compute_iqr(totals, method=method)
         degenerate = iqr == 0.0
         if degenerate:

@@ -14,6 +14,7 @@ from disimpact import (
     CountSeries,
     IndexConfig,
     MalformedCsv,
+    MalformedInput,
     TimeWindow,
     UnknownColumn,
     WindowCounts,
@@ -215,6 +216,34 @@ class TestRenderChart:
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "Helene & Milton <weekly>" in texts
         assert "R&D <north>" in texts
+
+    @pytest.mark.parametrize(
+        "char, code", [("\x01", "U+0001"), ("\ufffe", "U+FFFE"), ("\udcff", "U+DCFF")]
+    )
+    def test_title_xml_cannot_hold_is_refused(self, domain_csv, char, code):
+        with pytest.raises(MalformedInput, match=re.escape(code)):
+            chart_csv_to_svg(domain_csv, title=f"storm{char}surge")
+
+    @pytest.mark.parametrize("char, code", [("\x01", "U+0001"), ("\ufffe", "U+FFFE")])
+    def test_series_name_xml_cannot_hold_is_refused(self, tmp_path, char, code):
+        path = tmp_path / "domain.csv"
+        path.write_text(
+            f"window_start,domain,composite\n2024-09-02,physical,1.0\n"
+            f"2024-09-02,storm{char}surge,1.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedCsv, match=re.escape(f"{path}:3: ") + ".*" + re.escape(code)):
+            read_chart_csv(path)
+
+    def test_every_xml_char_is_kept(self, tmp_path):
+        title = "tab\there \ue000 \U0001f300 \ud7ff"
+        path = tmp_path / "domain.csv"
+        path.write_text(
+            f"window_start,domain,composite\n2024-09-02,{title},1.0\n", encoding="utf-8"
+        )
+        svg, _ = chart_csv_to_svg(path, title=title)
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts.count(title) == 2
 
     def test_week_labels_are_subsampled(self, index_csv):
         svg, _ = chart_csv_to_svg(index_csv)

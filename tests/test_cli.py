@@ -372,14 +372,33 @@ class TestAgreement:
         labels.write_text(
             "post_id,category_code\ni1,1\ni2,2\ni3,2\ni4,2\n", encoding="utf-8"
         )
-        code, _, _ = run_cli(
+        code, _, stderr = run_cli(
             ["agreement", "--in", ANNOTATIONS, "--labels", labels, "--out", tmp_path]
         )
         assert code == 0
+        assert stderr == ""
         report = json.loads((tmp_path / "agreement.json").read_text())
         assert report["human_mllm_consistency"] == pytest.approx(0.75)
         assert report["cohen_kappa"] == pytest.approx(0.5, abs=1e-9)
         assert report["n_unresolved"] == 0
+
+    def test_items_without_a_model_label_are_counted(self, tmp_path):
+        annotations = tmp_path / "annotations.csv"
+        annotations.write_text(
+            ANNOTATIONS.read_text(encoding="utf-8") + "i5,a1,1\ni5,a2,2\ni5,a3,3\n",
+            encoding="utf-8",
+        )
+        labels = tmp_path / "model.csv"
+        labels.write_text("post_id,category_code\ni1,1\ni3,2\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["agreement", "--in", annotations, "--labels", labels, "--out", tmp_path]
+        )
+        assert code == 0
+        # i2 and i4 are resolved but unlabelled; i5 is a full split, counted apart.
+        assert stderr == "2 annotated items had no model label\n"
+        report = json.loads((tmp_path / "agreement.json").read_text())
+        assert report["n_unresolved"] == 1
+        assert report["human_mllm_consistency"] == 1.0
 
 
 class TestSpatial:
@@ -527,6 +546,35 @@ class TestFailures:
         code, _, stderr = run_cli(["chart", "--in", series, "--out", tmp_path])
         assert code == 2
         assert stderr.startswith(f"error: UnknownColumn: {series}: ")
+
+    @pytest.mark.parametrize(
+        "title, point", [("storm\x01surge", "U+0001"), ("storm\udcff", "U+DCFF")]
+    )
+    def test_chart_title_xml_cannot_hold_exits_2(self, tmp_path, title, point):
+        # "\udcff" is how Python decodes a lone 0xff byte in argv.
+        series = tmp_path / "domain.csv"
+        series.write_text(
+            "window_start,domain,composite\n2024-09-02,physical,1.0\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["chart", "--in", series, "--out", out, "--title", title])
+        assert code == 2
+        assert stderr.startswith("error: MalformedInput: ")
+        assert point in stderr
+        assert list(out.iterdir()) == []
+
+    def test_chart_series_name_xml_cannot_hold_exits_2(self, tmp_path):
+        series = tmp_path / "domain.csv"
+        series.write_text(
+            "window_start,domain,composite\n2024-09-02,storm\x01surge,1.0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["chart", "--in", series, "--out", out])
+        assert code == 2
+        assert stderr.startswith(f"error: MalformedCsv: {series}:2: ")
+        assert "U+0001" in stderr
+        assert list(out.iterdir()) == []
 
     def test_duplicate_model_label_exits_2(self, tmp_path):
         labels = tmp_path / "model.csv"
@@ -688,6 +736,49 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.strip() == disimpact.__version__
+
+
+# numpy is used by no command; the HTTP stack only by the remote backend and
+# the thread pool only by backends that are not in-process.
+UNUSED_MODULES = ("numpy", "urllib.request", "http.client", "ssl", "concurrent.futures")
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from disimpact.cli import main
+
+fixtures, out = Path(sys.argv[1]), Path(sys.argv[2])
+posts = fixtures / "posts.jsonl"
+commands = [
+    ["clean", "--in", posts, "--disaster", "hurricane"],
+    ["annotate", "--in", posts, "--disaster", "hurricane"],
+    ["counts", "--in", posts, "--labels", out / "labels.csv"],
+    ["index", "--in", out / "counts.csv"],
+    ["validate", "--in", out / "domain.csv", "--truth", fixtures / "groundtruth.csv"],
+    ["agreement", "--in", fixtures / "annotations.csv"],
+    ["spatial", "--in", posts, "--labels", out / "labels.csv"],
+    ["chart", "--in", out / "domain.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main([str(a) for a in argv + ["--out", out]]) for argv in commands]
+print(json.dumps({"codes": codes, "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
+"""
+
+
+class TestImports:
+    def test_commands_load_only_what_they_use(self, tmp_path):
+        src = Path(disimpact.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, FIXTURES, tmp_path, *UNUSED_MODULES],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * 8
+        assert report["loaded"] == []
 
 
 OUTAGE_IDS = {f"p{n:04d}" for n in range(1, 201, 10)}

@@ -4,8 +4,9 @@ import math
 from datetime import timedelta
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ANCHOR
@@ -30,6 +31,7 @@ from disimpact import (
     write_index_csv,
 )
 from disimpact.core import CATEGORIES, PHYSICAL_CATEGORIES, SOCIAL_CATEGORIES
+from disimpact.impact import QUANTILE_METHODS
 
 CONFIG = IndexConfig(window_anchor=ANCHOR)
 
@@ -136,6 +138,34 @@ class TestIqr:
     def test_empty_sample(self):
         with pytest.raises(EmptyInput):
             compute_iqr([])
+
+    @pytest.mark.parametrize("method", ["hazen", "Linear", "", "weibull"])
+    def test_unknown_method_is_refused(self, method):
+        with pytest.raises(OutOfRange):
+            compute_iqr([1, 2, 3, 4], method=method)
+
+
+# Bounded so that no difference of two values overflows to inf.
+samples = st.one_of(
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=60),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60),
+    st.lists(st.sampled_from([0, 1, 2, 2.5, 7, 1e6]), min_size=1, max_size=60),
+)
+
+
+class TestNumpyOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(samples, st.sampled_from(QUANTILE_METHODS))
+    # Samples where a + (b - a) * g alone would miss numpy by one ulp.
+    @example([0.1, 1.1], "linear")
+    @example([0.1, 0.1, 0.7], "midpoint")
+    def test_iqr_is_numpy_percentile(self, values, method):
+        q1, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 75.0], method=method)
+        assert compute_iqr(values, method=method) == float(q3 - q1)
+
+    @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=200))
+    def test_mean_is_numpy_mean(self, totals):
+        assert SeriesStats.from_totals(totals).n_mean == float(np.mean(totals))
 
 
 class TestSeriesStats:
