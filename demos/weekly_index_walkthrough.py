@@ -5,10 +5,10 @@ Weekly impact indices from raw category counts
 """
 
 import math
-from datetime import date, timedelta
+from datetime import date
 
-from disimpact import CountSeries, Domain, IndexConfig, TimeWindow, WindowCounts, compute_impact_series
-from disimpact.core import CATEGORIES
+from disimpact import CountSeries, Domain, IndexConfig, WindowCounts, compute_impact_series
+from disimpact.core import CATEGORIES, WEEK
 
 # Four weeks of labeled-post counts, one row per week, one column per
 # impact category. Week three is the posting-volume spike.
@@ -19,17 +19,14 @@ weekly_counts = [
     [6, 2, 9, 1, 4, 3, 5, 1, 3, 1, 10],
 ]
 
-# Pack the rows into the windowed count container the library expects.
+# Pack the rows into the weekly count container the library expects,
+# each keyed by the Monday its week starts on.
 anchor = date(2024, 9, 2)
 windows = []
 for week, row in enumerate(weekly_counts):
     counts = {cat: row[i] for i, cat in enumerate(CATEGORIES)}
     windows.append(
-        WindowCounts(
-            window=TimeWindow(index=week, start=anchor + timedelta(days=7 * week)),
-            n=counts,
-            total=sum(counts.values()),
-        )
+        WindowCounts(start=anchor + week * WEEK, n=counts, total=sum(counts.values()))
     )
 series = compute_impact_series(CountSeries(windows=tuple(windows)), IndexConfig())
 
@@ -53,7 +50,7 @@ print(f"shares sum to {share_sum:.9f}")
 # track, still on the (0, pi) scale.
 print()
 print("week  physical  social")
-for t in range(len(series.windows)):
+for t in range(len(series.weeks)):
     physical = series.domains[Domain.PHYSICAL][t]
     social = series.domains[Domain.SOCIAL][t]
     print(f"{t:4d}  {physical:8.4f}  {social:6.4f}")

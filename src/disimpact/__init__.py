@@ -23,7 +23,6 @@ from .annotation import (
     AnnotationReport,
     Backend,
     ClassifierRequest,
-    ClassifierResponse,
     CleanReport,
     ClientPolicy,
     MockBackend,
@@ -59,7 +58,6 @@ from .core import (
     IndexConfig,
     Platform,
     Post,
-    TimeWindow,
     WeeklySeries,
     category_from_code,
     category_from_short_name,
@@ -159,13 +157,13 @@ __all__ = [
     "PUBH", "EMOT", "BIAS", "ASST", "SECO", "OTHER",
     "CATEGORIES", "PHYSICAL_CATEGORIES", "SOCIAL_CATEGORIES",
     "category_from_code", "category_from_short_name", "domain_of",
-    "Post", "AnnotatedPost", "TimeWindow", "IndexConfig", "WeeklySeries",
+    "Post", "AnnotatedPost", "IndexConfig", "WeeklySeries",
     # ingestion
     "Dataset", "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
     "scrub_handles", "load_ground_truth",
     "LabelReport", "load_labels", "write_labels_csv",
     # annotation
-    "Task", "ClassifierRequest", "ClassifierResponse", "ClientPolicy",
+    "Task", "ClassifierRequest", "ClientPolicy",
     "Backend", "MockBackend", "RemoteBackend", "load_prompt", "parse_judgment",
     "classify_relevance", "classify_impact",
     "AnnotationError", "AnnotationReport", "annotate_dataset",

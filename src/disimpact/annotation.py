@@ -85,12 +85,6 @@ class ClassifierRequest:
 
 
 @dataclass(frozen=True)
-class ClassifierResponse:
-    judgment: bool | ImpactCategory
-    raw: str
-
-
-@dataclass(frozen=True)
 class ClientPolicy:
     max_in_flight: int = 4
     max_retries: int = 2
@@ -306,14 +300,13 @@ def _classify(
     backend: Backend,
     policy: ClientPolicy,
     sleep: Callable[[float], None],
-) -> ClassifierResponse:
+) -> bool | ImpactCategory:
     if not post.text and not post.media_refs:
         raise EmptyInput(f"post {post.id} has neither text nor media")
     request = ClassifierRequest(
         post=post, task=task, prompt_template_id=PROMPT_TEMPLATE_IDS[task]
     )
-    raw = _call_with_retries(backend, request, policy, sleep)
-    return ClassifierResponse(judgment=parse_judgment(raw, task), raw=raw)
+    return parse_judgment(_call_with_retries(backend, request, policy, sleep), task)
 
 
 def classify_relevance(
@@ -322,7 +315,7 @@ def classify_relevance(
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
     sleep: Callable[[float], None] = time.sleep,
-) -> ClassifierResponse:
+) -> bool:
     """Judge whether a post is on-topic for the disaster type."""
     return _classify(post, _relevance_task(disaster), backend, policy, sleep)
 
@@ -332,7 +325,7 @@ def classify_impact(
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
     sleep: Callable[[float], None] = time.sleep,
-) -> ClassifierResponse:
+) -> ImpactCategory:
     """Assign the single dominant impact category to a relevant post."""
     return _classify(post, Task.IMPACT_CATEGORY, backend, policy, sleep)
 
@@ -456,7 +449,7 @@ class _StageLoop:
             return judgments
         self.asked.update(posts[i].id for i in pending)
 
-        def ask(i: int) -> ClassifierResponse | AnnotationError:
+        def ask(i: int) -> bool | ImpactCategory | AnnotationError:
             try:
                 return _classify(posts[i], task, self.backend, self.policy, self.sleep)
             except (TransportError, MalformedResponse, EmptyInput) as exc:
@@ -483,9 +476,9 @@ class _StageLoop:
                 if fh is None:
                     fh = stack.enter_context(self.cache_path.open("a+b"))
                     _end_torn_line(fh)
-                judgment = judgments[i] = answer.judgment
+                judgments[i] = answer
                 line = {
-                    "judgment": getattr(judgment, "code", judgment),
+                    "judgment": getattr(answer, "code", answer),
                     "key": keys[i],
                     "post_id": posts[i].id,
                     "task": task.value,

@@ -39,7 +39,7 @@ from .annotation import (
     clean_dataset,
 )
 from .chart import chart_csv_to_svg
-from .core import DisasterTag, Domain, IndexConfig
+from .core import WEEK, DisasterTag, Domain, IndexConfig
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import (
     QUANTILE_METHODS,
@@ -80,7 +80,6 @@ class RunConfig:
     """Flat config surface; file values lose to explicit flags."""
 
     alpha: float = 0.5
-    window_days: int = 7
     window_anchor: date | None = None
     max_lag: int = 3
     quantile_method: str = "linear"
@@ -99,16 +98,11 @@ class RunConfig:
             raise OutOfRange("min_group_size must be >= 1")
 
     def index_config(self) -> IndexConfig:
-        return IndexConfig(
-            alpha=self.alpha,
-            window_days=self.window_days,
-            window_anchor=self.window_anchor,
-        )
+        return IndexConfig(alpha=self.alpha, window_anchor=self.window_anchor)
 
     def snapshot(self) -> dict:
         return {
             "alpha": self.alpha,
-            "window_days": self.window_days,
             "window_anchor": (
                 None if self.window_anchor is None else self.window_anchor.isoformat()
             ),
@@ -121,7 +115,6 @@ class RunConfig:
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "alpha": float,
-    "window_days": int,
     "window_anchor": lambda v: None if v.lower() in ("", "none") else date.fromisoformat(v),
     "max_lag": int,
     "quantile_method": str,
@@ -325,8 +318,8 @@ def cmd_counts(args: argparse.Namespace, run: Run) -> int:
     )
     write_counts_csv(series, run.output("counts.csv"))
     print(
-        f"{len(series.windows)} windows from {series.windows[0].window.start} "
-        f"to {series.windows[-1].window.end}, {sum(series.totals)} posts"
+        f"{len(series.windows)} windows from {series.windows[0].start} "
+        f"to {series.windows[-1].start + WEEK}, {sum(series.totals)} posts"
     )
     if label_report.unlabeled_ids:
         print(f"{len(label_report.unlabeled_ids)} posts had no label", file=sys.stderr)
@@ -348,7 +341,7 @@ def cmd_index(args: argparse.Namespace, run: Run) -> int:
     write_domain_csv(series, run.output("domain.csv"))
     weights = series.weights
     print(
-        f"{len(series.windows)} windows; weight range "
+        f"{len(series.weeks)} windows; weight range "
         f"[{min(weights):.6f}, {max(weights):.6f}]"
     )
     return 0
@@ -495,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=Path, required=True, help="labels.csv")
     p.add_argument("--range-start", type=date.fromisoformat)
     p.add_argument("--range-end", type=date.fromisoformat)
-    p.add_argument("--window-days", dest="window_days", type=int)
     p.add_argument("--window-anchor", dest="window_anchor", type=date.fromisoformat)
     p.set_defaults(handler=cmd_counts)
 
@@ -561,9 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.out.mkdir(parents=True, exist_ok=True)
     run = None
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         run = Run(args, resolve_run_config(args))
         code = args.handler(args, run)
         if code == 0:

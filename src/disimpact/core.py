@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
 
 from .errors import EmptyInput, LengthMismatch, OutOfRange
 
@@ -146,31 +146,14 @@ class AnnotatedPost:
     relevant: bool = True
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """One fixed-length window on the analysis grid."""
-
-    index: int
-    start: date
-    length_days: int = 7
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("window index must be >= 0")
-        if self.length_days < 1:
-            raise ValueError("window length must be >= 1 day")
-
-    @property
-    def end(self) -> date:
-        """Exclusive end date."""
-        from datetime import timedelta
-
-        return self.start + timedelta(days=self.length_days)
+# The one window length: the paper defines n_t(c), w_t and I_t(c) per
+# week, and lead-lag validation pairs them with weekly external signals.
+WEEK = timedelta(days=7)
 
 
 @dataclass(frozen=True)
 class WeeklySeries:
-    """Contiguous weekly value series keyed by window-start dates."""
+    """Contiguous weekly value series keyed by week-start dates."""
 
     weeks: tuple[date, ...]
     values: tuple[float, ...]
@@ -183,7 +166,7 @@ class WeeklySeries:
                 f"{len(self.weeks)} weeks vs {len(self.values)} values"
             )
         for prev, cur in zip(self.weeks, self.weeks[1:]):
-            if (cur - prev).days != 7:
+            if cur - prev != WEEK:
                 raise ValueError(f"weeks must step by 7 days: {prev} -> {cur}")
         for value in self.values:
             if not math.isfinite(value):
@@ -200,11 +183,8 @@ class IndexConfig:
     """
 
     alpha: float = 0.5
-    window_days: int = 7
     window_anchor: date | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if self.window_days < 1:
-            raise ValueError("window_days must be >= 1")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0")

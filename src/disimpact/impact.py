@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -27,7 +28,6 @@ from .core import (
     Domain,
     ImpactCategory,
     IndexConfig,
-    TimeWindow,
 )
 from .errors import EmptyInput, InvalidCounts, OutOfRange
 from .windowing import CountSeries
@@ -127,7 +127,7 @@ class IndexPoint:
 class ImpactSeries:
     """Per-category (P, w, I) triples plus physical/social composites."""
 
-    windows: tuple[TimeWindow, ...]
+    weeks: tuple[date, ...]
     per_category: dict[ImpactCategory, tuple[IndexPoint, ...]]
     domains: dict[Domain, tuple[float, ...]]
     stats: SeriesStats
@@ -176,7 +176,7 @@ def compute_impact_series(
         )
 
     return ImpactSeries(
-        windows=tuple(wc.window for wc in counts.windows),
+        weeks=tuple(wc.start for wc in counts.windows),
         per_category={c: tuple(points) for c, points in per_category.items()},
         domains={d: tuple(vals) for d, vals in composites.items()},
         stats=stats,
@@ -194,7 +194,7 @@ def write_index_csv(series: ImpactSeries, path: str | Path) -> None:
                 pt = series.per_category[cat][t]
                 writer.writerow(
                     [
-                        wc.window.start.isoformat(),
+                        wc.start.isoformat(),
                         cat.short_name,
                         wc.n[cat],
                         wc.total,
@@ -210,11 +210,11 @@ def write_domain_csv(series: ImpactSeries, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["window_start", "domain", "composite"])
-        for t, window in enumerate(series.windows):
+        for t, week in enumerate(series.weeks):
             for domain in (Domain.PHYSICAL, Domain.SOCIAL):
                 writer.writerow(
                     [
-                        window.start.isoformat(),
+                        week.isoformat(),
                         domain.value,
                         f"{series.domains[domain][t]:.9f}",
                     ]

@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    WEEK,
     AnnotatedPost,
     DisasterTag,
     ImpactCategory,
@@ -70,7 +71,6 @@ class LoadReport:
     kept: int = 0
     dropped_duplicate: int = 0
     dropped_malformed: int = 0
-    malformed: list[tuple[int, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,10 @@ def load_posts(
 ) -> LoadResult:
     """Load a posts.jsonl file.
 
-    Malformed lines, including lines that are not UTF-8, are collected
-    per line and skipped; the load aborts (MalformedInput) only if more
-    than half of the non-blank lines are malformed. Duplicate ids keep
-    the first occurrence.
+    Malformed lines, including lines that are not UTF-8, are counted and
+    skipped; the load aborts (MalformedInput) only if more than half of
+    the non-blank lines are malformed. Duplicate ids keep the first
+    occurrence.
     """
     path = Path(path)
     report = LoadReport()
@@ -136,16 +136,15 @@ def load_posts(
     # Decoded per line, so a bad byte costs one line (UnicodeDecodeError
     # is a ValueError), not the whole load.
     with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for raw in fh:
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
                 post = _parse_post_line(line)
-            except (ValueError, json.JSONDecodeError) as exc:
+            except (ValueError, json.JSONDecodeError):
                 report.lines_read += 1
                 report.dropped_malformed += 1
-                report.malformed.append((lineno, str(exc)))
                 continue
             report.lines_read += 1
             if post.id in seen:
@@ -273,7 +272,7 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport
     first = rows[0][0]
     by_week: dict[date, float] = {}
     for week, value in rows:
-        if (week - first).days % 7 != 0:
+        if (week - first) % WEEK:
             raise MalformedCsv(f"{path}: week {week} is off the 7-day grid of {first}")
         if week in by_week:
             raise MalformedCsv(f"{path}: duplicate week {week}")
@@ -286,7 +285,7 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport
         weeks.append(week)
         if week not in by_week:
             filled.append(week)
-        week += timedelta(days=7)
+        week += WEEK
     return (
         WeeklySeries(
             weeks=tuple(weeks), values=tuple(by_week.get(w, 0.0) for w in weeks)

@@ -321,8 +321,8 @@ def aggregate_state_month(
         counts, _ = build_count_series(members, config)
         series = compute_impact_series(counts, config)
         monthly: dict[date, tuple[list[float], list[float], int]] = {}
-        for idx, window in enumerate(series.windows):
-            month = window.start.replace(day=1)
+        for idx, week in enumerate(series.weeks):
+            month = week.replace(day=1)
             phys, soc, n_posts = monthly.setdefault(month, ([], [], 0))
             phys.append(series.domains[Domain.PHYSICAL][idx])
             soc.append(series.domains[Domain.SOCIAL][idx])

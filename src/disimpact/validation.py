@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .core import Domain, WeeklySeries
+from .core import WEEK, Domain, WeeklySeries
 from .errors import (
     AllLagsUndefined,
     ConstantInput,
@@ -30,8 +30,6 @@ from .errors import (
 from .impact import ImpactSeries
 from .ingestion import csv_rows
 
-WEEK = timedelta(days=7)
-
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
 
@@ -41,7 +39,7 @@ def domain_weekly_series(series: ImpactSeries, domain: Domain) -> WeeklySeries:
     if domain not in series.domains:
         raise OutOfRange(f"no composite for domain {domain}")
     return WeeklySeries(
-        weeks=tuple(w.start for w in series.windows),
+        weeks=series.weeks,
         values=series.domains[domain],
     )
 
@@ -60,7 +58,7 @@ def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
         if not math.isfinite(value):
             raise MalformedCsv(f"{path}:{lineno}: composite must be finite")
-        if weeks and (week_start - weeks[-1]).days != 7:
+        if weeks and week_start - weeks[-1] != WEEK:
             raise MalformedCsv(
                 f"{path}:{lineno}: week {week_start} does not follow {weeks[-1]} by 7 days"
             )
@@ -128,7 +126,7 @@ def lead_lag_profile(
     """
     if max_lag < 0:
         raise OutOfRange(f"max_lag must be >= 0, got {max_lag}")
-    if (truth.weeks[0] - index.weeks[0]).days % 7 != 0:
+    if (truth.weeks[0] - index.weeks[0]) % WEEK:
         raise MisalignedGrids(
             f"week grids differ: {index.weeks[0]} vs {truth.weeks[0]}"
         )

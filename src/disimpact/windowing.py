@@ -1,4 +1,4 @@
-"""Fixed-length temporal windows and per-window category counts."""
+"""Weekly windows and per-week category counts."""
 
 from __future__ import annotations
 
@@ -9,10 +9,10 @@ from pathlib import Path
 
 from .core import (
     CATEGORIES,
+    WEEK,
     AnnotatedPost,
     ImpactCategory,
     IndexConfig,
-    TimeWindow,
     category_from_short_name,
 )
 from .errors import BeforeAnchor, MalformedCsv, MisalignedRange, OutOfRange
@@ -25,9 +25,9 @@ def monday_on_or_before(day: date) -> date:
 
 @dataclass(frozen=True)
 class WindowCounts:
-    """Per-window category counts; every category key is present."""
+    """Category counts of the week starting at `start`; every category key is present."""
 
-    window: TimeWindow
+    start: date
     n: dict[ImpactCategory, int]
     total: int
 
@@ -44,16 +44,12 @@ class CountSeries:
 
     def __post_init__(self) -> None:
         for prev, cur in zip(self.windows, self.windows[1:]):
-            if cur.window.start != prev.window.end:
+            if cur.start - prev.start != WEEK:
                 raise ValueError("count series windows must be contiguous")
 
     @property
     def totals(self) -> tuple[int, ...]:
         return tuple(w.total for w in self.windows)
-
-    @property
-    def starts(self) -> tuple[date, ...]:
-        return tuple(w.window.start for w in self.windows)
 
 
 @dataclass(frozen=True)
@@ -67,12 +63,12 @@ def build_count_series(
     range_start: date | None = None,
     range_end: date | None = None,
 ) -> tuple[CountSeries, WindowingReport]:
-    """Count posts per (window, category) over [range_start, range_end).
+    """Count posts per (week, category) over [range_start, range_end).
 
     An open anchor becomes the Monday on or before the earliest post or
     range_start. A bound not given becomes the edge of the smallest
     aligned span covering every post; a bound given is always used and
-    must sit on the anchor's window grid. Empty windows appear
+    must be a whole number of weeks from the anchor. Empty windows appear
     zero-filled so the series is gap-free. Posts outside the range are
     excluded and reported by id.
     """
@@ -86,28 +82,24 @@ def build_count_series(
         if not candidates:
             raise ValueError("no posts and no range to derive a window anchor from")
         anchor = monday_on_or_before(min(candidates))
-    step = config.window_days
     if range_start is None or range_end is None:
         if not days:
             raise ValueError("no posts to span")
         if range_start is None:
-            lo = (min(days) - anchor).days
-            if lo < 0:
+            if min(days) < anchor:
                 raise BeforeAnchor(f"earliest post precedes anchor {anchor}")
-            range_start = anchor + timedelta(days=(lo // step) * step)
+            range_start = anchor + (min(days) - anchor) // WEEK * WEEK
         if range_end is None:
-            hi = (max(days) - anchor).days
-            range_end = anchor + timedelta(days=(hi // step + 1) * step)
+            range_end = anchor + ((max(days) - anchor) // WEEK + 1) * WEEK
     if range_end <= range_start:
         raise MisalignedRange("range_end must be after range_start")
-    if (range_start - anchor).days < 0:
+    if range_start < anchor:
         raise MisalignedRange(f"range starts before the anchor {anchor}")
-    if (range_start - anchor).days % step or (range_end - range_start).days % step:
+    if (range_start - anchor) % WEEK or (range_end - range_start) % WEEK:
         raise MisalignedRange(
-            f"range [{range_start}, {range_end}) is off the {step}-day grid of {anchor}"
+            f"range [{range_start}, {range_end}) is off the 7-day grid of {anchor}"
         )
-    first_index = (range_start - anchor).days // step
-    n_windows = (range_end - range_start).days // step
+    n_windows = (range_end - range_start) // WEEK
 
     counts = [{c: 0 for c in CATEGORIES} for _ in range(n_windows)]
     outside: list[str] = []
@@ -115,20 +107,11 @@ def build_count_series(
         if not (range_start <= day < range_end):
             outside.append(p.post.id)
             continue
-        idx = (day - range_start).days // step
-        counts[idx][p.category] += 1
+        counts[(day - range_start).days // WEEK.days][p.category] += 1
 
     windows = tuple(
-        WindowCounts(
-            window=TimeWindow(
-                index=first_index + i,
-                start=range_start + timedelta(days=i * step),
-                length_days=step,
-            ),
-            n=counts[i],
-            total=sum(counts[i].values()),
-        )
-        for i in range(n_windows)
+        WindowCounts(start=range_start + i * WEEK, n=n, total=sum(n.values()))
+        for i, n in enumerate(counts)
     )
     return CountSeries(windows=windows), WindowingReport(outside_range=tuple(outside))
 
@@ -141,7 +124,7 @@ def write_counts_csv(series: CountSeries, path: str | Path) -> None:
         for wc in series.windows:
             for cat in CATEGORIES:
                 writer.writerow(
-                    [wc.window.start.isoformat(), cat.short_name, wc.n[cat], wc.total]
+                    [wc.start.isoformat(), cat.short_name, wc.n[cat], wc.total]
                 )
 
 
@@ -149,8 +132,8 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
     """Load a counts export back into a contiguous series.
 
     Every window must carry all 11 categories with a consistent total,
-    and window starts must sit on the configured grid (the first start
-    anchors the grid when the config leaves the anchor open).
+    and window starts must be whole weeks from the configured anchor
+    (the first start anchors the grid when the config leaves it open).
     """
     per_window: dict[date, dict[ImpactCategory, int]] = {}
     stated_totals: dict[date, int] = {}
@@ -180,26 +163,14 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
     if order != sorted(order):
         raise MalformedCsv(f"{path}: window starts out of order")
     anchor = config.window_anchor if config.window_anchor is not None else order[0]
-    step = config.window_days
     windows = []
     for start in order:
-        offset = (start - anchor).days
-        if offset < 0 or offset % step:
-            raise MisalignedRange(
-                f"{path}: window {start} off the {step}-day grid of {anchor}"
-            )
+        if start < anchor or (start - anchor) % WEEK:
+            raise MisalignedRange(f"{path}: window {start} off the 7-day grid of {anchor}")
         n = per_window[start]
         if set(n) != set(CATEGORIES):
             raise MalformedCsv(f"{path}: window {start} misses categories")
         if sum(n.values()) != stated_totals[start]:
             raise MalformedCsv(f"{path}: window {start} total mismatch")
-        windows.append(
-            WindowCounts(
-                window=TimeWindow(
-                    index=offset // step, start=start, length_days=step
-                ),
-                n=n,
-                total=stated_totals[start],
-            )
-        )
+        windows.append(WindowCounts(start=start, n=n, total=stated_totals[start]))
     return CountSeries(windows=tuple(windows))

@@ -18,7 +18,6 @@ import shutil
 import statistics
 import sys
 import time
-from datetime import timedelta
 from io import StringIO
 from pathlib import Path
 
@@ -41,7 +40,6 @@ from disimpact import (
     IndexConfig,
     Platform,
     SeriesStats,
-    TimeWindow,
     WeeklySeries,
     WindowCounts,
     annotate_dataset,
@@ -62,13 +60,12 @@ from disimpact import (
     spearman_rho,
 )
 from disimpact.cli import main
-from disimpact.core import CATEGORIES
+from disimpact.core import CATEGORIES, WEEK
 
 POSTS = FIXTURES / "posts.jsonl"
 TRUTH = FIXTURES / "groundtruth.csv"
 TABLE_COUNTS = FIXTURES / "table_counts.csv"
 CONFIG = IndexConfig(window_anchor=ANCHOR)
-WEEK = timedelta(days=7)
 
 
 @contextlib.contextmanager
@@ -87,7 +84,7 @@ def make_count_series(vectors) -> CountSeries:
         n = {cat: int(vec[j]) for j, cat in enumerate(CATEGORIES)}
         windows.append(
             WindowCounts(
-                window=TimeWindow(index=i, start=ANCHOR + i * WEEK),
+                start=ANCHOR + i * WEEK,
                 n=n,
                 total=sum(n.values()),
             )

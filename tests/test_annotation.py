@@ -286,14 +286,14 @@ class TestRetries:
         backend = FlakyBackend(failures=2)
         sleeps = []
         policy = ClientPolicy(max_retries=2, backoff_base=0.5)
-        response = classify_relevance(
+        judgment = classify_relevance(
             make_post(text="storm surge at the pier"),
             DisasterTag.HURRICANE,
             backend,
             policy,
             sleep=sleeps.append,
         )
-        assert response.judgment is True
+        assert judgment is True
         assert backend.calls == 3
         assert sleeps == [0.5, 1.0]
 

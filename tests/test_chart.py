@@ -15,7 +15,6 @@ from disimpact import (
     IndexConfig,
     MalformedCsv,
     MalformedInput,
-    TimeWindow,
     UnknownColumn,
     WindowCounts,
     chart_csv_to_svg,
@@ -36,7 +35,7 @@ def make_series(n_weeks: int):
         n = {cat: (i * 7 + j * 3) % 13 for j, cat in enumerate(CATEGORIES)}
         windows.append(
             WindowCounts(
-                window=TimeWindow(index=i, start=ANCHOR + timedelta(days=7 * i)),
+                start=ANCHOR + timedelta(days=7 * i),
                 n=n,
                 total=sum(n.values()),
             )

@@ -145,6 +145,19 @@ class TestConfigFile:
         assert "unknown config key 'category_count'" in stderr
         assert not (tmp_path / "index.csv").exists()
 
+    def test_infinite_alpha_exits_1(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=inf\n", encoding="utf-8")
+        labels = tmp_path / "labels.csv"
+        labels.write_text(COUNTS_LABELS, encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["counts", "--in", CLEAN20, "--labels", labels, "--out", out, "--config", cfg]
+        )
+        assert code == 1
+        assert stderr == "error: ValueError: alpha must be finite and > 0\n"
+        assert list(out.iterdir()) == []
+
     def test_invalid_config_value_exits_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max_lag=-1\n", encoding="utf-8")
@@ -647,6 +660,19 @@ class TestFailures:
         assert code == 2
         assert stderr.startswith(f"error: MalformedInput: {cfg}:2: ")
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file/sub"])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("x", encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            ["index", "--in", TABLE_COUNTS, "--out", blocker / below]
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+        assert blocker.read_text(encoding="utf-8") == "x"
+
     def test_missing_input_exits_2(self, tmp_path):
         code, _, stderr = run_cli(
             ["index", "--in", tmp_path / "nope.csv", "--out", tmp_path]
@@ -901,7 +927,7 @@ class TestInterrupts:
 
         monkeypatch.setattr(cli, "write_counts_csv", half_then_interrupt)
         with pytest.raises(KeyboardInterrupt):
-            run_cli(argv + ["--window-days", "14"])
+            run_cli(argv + ["--range-end", "2024-09-16"])
         assert {name: (out / name).read_bytes() for name in before} == before
         assert sorted(p.name for p in out.iterdir()) == sorted(before)
 
@@ -911,7 +937,7 @@ class TestInterrupts:
         src = str(Path(disimpact.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
         child = subprocess.Popen(
-            [sys.executable, "-c", HANG_IN_WRITE, *map(str, argv), "--window-days", "14"],
+            [sys.executable, "-c", HANG_IN_WRITE, *map(str, argv), "--range-end", "2024-09-16"],
             stdout=subprocess.PIPE,
             env=env,
         )

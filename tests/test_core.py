@@ -16,7 +16,6 @@ from disimpact.core import (
     IndexConfig,
     Platform,
     Post,
-    TimeWindow,
     category_from_code,
     category_from_short_name,
     domain_of,
@@ -94,24 +93,13 @@ def test_post_validation():
     assert post.created_date == date(2024, 9, 2)
 
 
-def test_time_window_validation():
-    window = TimeWindow(index=0, start=date(2024, 9, 2))
-    assert window.end == date(2024, 9, 9)
-    with pytest.raises(ValueError):
-        TimeWindow(index=-1, start=date(2024, 9, 2))
-    with pytest.raises(ValueError):
-        TimeWindow(index=0, start=date(2024, 9, 2), length_days=0)
-
-
 def test_index_config_validation():
     config = IndexConfig()
     assert config.alpha == 0.5
-    assert config.window_days == 7
     assert config.window_anchor is None
-    with pytest.raises(ValueError):
-        IndexConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        IndexConfig(window_days=0)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            IndexConfig(alpha=alpha)
 
 
 def test_categories_immutable():

@@ -1,6 +1,7 @@
-"""Smoke tests: every demo script runs to completion and prints something."""
+"""Smoke tests: the demo scripts and the README quick start run and print something."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,20 @@ def test_demo_runs(demo, tmp_path):
     assert result.stdout.strip()
     # Demos leave nothing behind in the temp or working directory.
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 2

@@ -20,7 +20,6 @@ from disimpact import (
     InvalidCounts,
     OutOfRange,
     SeriesStats,
-    TimeWindow,
     WindowCounts,
     compute_impact_series,
     compute_iqr,
@@ -44,7 +43,7 @@ def series_from_vectors(vectors) -> CountSeries:
         n = {cat: int(vec[j]) for j, cat in enumerate(CATEGORIES)}
         windows.append(
             WindowCounts(
-                window=TimeWindow(index=i, start=ANCHOR + timedelta(days=7 * i)),
+                start=ANCHOR + timedelta(days=7 * i),
                 n=n,
                 total=sum(n.values()),
             )

@@ -168,7 +168,7 @@ class TestDomainSeries:
     def test_weekly_view_matches_the_composites(self):
         series = self.build_series()
         view = domain_weekly_series(series, Domain.PHYSICAL)
-        assert view.weeks == tuple(w.start for w in series.windows)
+        assert view.weeks == series.weeks
         assert view.values == series.domains[Domain.PHYSICAL]
 
     def test_csv_round_trip_by_domain(self, tmp_path):
@@ -177,7 +177,7 @@ class TestDomainSeries:
         write_domain_csv(series, path)
         for domain in (Domain.PHYSICAL, Domain.SOCIAL):
             loaded = read_domain_csv(path, domain)
-            assert loaded.weeks == tuple(w.start for w in series.windows)
+            assert loaded.weeks == series.weeks
             for got, want in zip(loaded.values, series.domains[domain]):
                 assert got == pytest.approx(want, abs=1e-9)
 

@@ -16,14 +16,13 @@ from disimpact import (
     IndexConfig,
     MalformedCsv,
     MisalignedRange,
-    TimeWindow,
     WindowCounts,
     build_count_series,
     monday_on_or_before,
     read_counts_csv,
     write_counts_csv,
 )
-from disimpact.core import CATEGORIES
+from disimpact.core import CATEGORIES, WEEK
 
 CONFIG = IndexConfig(window_anchor=ANCHOR)
 
@@ -38,22 +37,22 @@ def utc(y, m, d, hour=0, minute=0, second=0):
     return datetime(y, m, d, hour, minute, second, tzinfo=timezone.utc)
 
 
-def window_index(stamp, config=CONFIG):
-    """Index of the one window spanning a single post made at stamp."""
+def week_of(stamp):
+    """Start of the one week spanning a single post made at stamp."""
     template = make_annotated(3)
     post = AnnotatedPost(
         post=replace(template.post, created_at=stamp),
         category=template.category,
         relevant=True,
     )
-    series, _ = build_count_series([post], config)
+    series, _ = build_count_series([post], CONFIG)
     (wc,) = series.windows
     assert wc.total == 1
-    return wc.window.index
+    return wc.start
 
 
 def span(series):
-    return series.windows[0].window.start, series.windows[-1].window.end
+    return series.windows[0].start, series.windows[-1].start + WEEK
 
 
 class TestMondayGrid:
@@ -72,8 +71,7 @@ class TestMondayGrid:
             make_annotated(3, post_id="b", day=date(2024, 9, 5)),
         ]
         series, _ = build_count_series(posts, IndexConfig())
-        assert series.windows[0].window.start == date(2024, 9, 2)
-        assert series.windows[0].window.index == 0
+        assert series.windows[0].start == date(2024, 9, 2)
 
     def test_derive_anchor_needs_posts(self):
         with pytest.raises(ValueError):
@@ -82,49 +80,42 @@ class TestMondayGrid:
 
 class TestAssignWindow:
     def test_anchor_midnight_is_window_zero(self):
-        assert window_index(utc(2024, 9, 2)) == 0
+        assert week_of(utc(2024, 9, 2)) == ANCHOR
 
     def test_last_second_of_first_window(self):
-        assert window_index(utc(2024, 9, 8, 23, 59, 59)) == 0
+        assert week_of(utc(2024, 9, 8, 23, 59, 59)) == ANCHOR
 
     def test_next_midnight_starts_window_one(self):
-        assert window_index(utc(2024, 9, 9)) == 1
+        assert week_of(utc(2024, 9, 9)) == ANCHOR + WEEK
 
     def test_five_weeks_out(self):
-        assert window_index(utc(2024, 10, 7, 12, 0)) == 5
+        assert week_of(utc(2024, 10, 7, 12, 0)) == ANCHOR + 5 * WEEK
 
     def test_before_anchor_is_rejected(self):
         with pytest.raises(BeforeAnchor):
-            window_index(utc(2024, 9, 1, 23, 59))
+            week_of(utc(2024, 9, 1, 23, 59))
 
     def test_offsets_convert_to_utc_first(self):
         # 01:00+02:00 is 23:00 UTC the previous day, still window 0.
         stamp = datetime(2024, 9, 9, 1, 0, tzinfo=timezone(timedelta(hours=2)))
-        assert window_index(stamp) == 0
-
-    def test_non_weekly_windows(self):
-        config = IndexConfig(window_days=3, window_anchor=ANCHOR)
-        assert window_index(utc(2024, 9, 4), config) == 0
-        assert window_index(utc(2024, 9, 5), config) == 1
+        assert week_of(stamp) == ANCHOR
 
 
 class TestResolveConfig:
     def test_explicit_anchor_passes_through(self):
         posts = [make_annotated(3, day=date(2024, 9, 20))]
         series, _ = build_count_series(posts, CONFIG)
-        assert series.windows[0].window.index == 2
+        assert series.windows[0].start == ANCHOR + 2 * WEEK
         assert span(series) == (date(2024, 9, 16), date(2024, 9, 23))
 
     def test_derives_monday_from_posts(self):
         posts = [make_annotated(3, day=date(2024, 9, 5))]
         series, _ = build_count_series(posts, IndexConfig())
-        assert series.windows[0].window.index == 0
-        assert series.windows[0].window.start == date(2024, 9, 2)
+        assert series.windows[0].start == date(2024, 9, 2)
 
     def test_range_start_joins_the_candidates(self):
         posts = [make_annotated(3, day=date(2024, 9, 20))]
         series, _ = build_count_series(posts, IndexConfig(), range_start=date(2024, 9, 9))
-        assert series.windows[0].window.index == 0
         assert span(series) == (date(2024, 9, 9), date(2024, 9, 23))
         assert series.totals == (0, 1)
 
@@ -166,8 +157,8 @@ class TestBuildCountSeries:
         posts = spread_posts({2: {3: 1}})
         start = ANCHOR + timedelta(days=14)
         series, _ = build_count_series(posts, CONFIG, start, start + timedelta(days=7))
-        assert series.windows[0].window.index == 2
-        assert series.windows[0].window.start == start
+        assert series.windows[0].start == ANCHOR + 2 * WEEK
+        assert series.totals == (1,)
 
     def test_irrelevant_posts_are_rejected(self):
         bad = make_annotated(11, relevant=False)
@@ -295,7 +286,6 @@ class TestFullRange:
         end = ANCHOR + timedelta(days=21)
         series, report = build_count_series(posts, IndexConfig(), range_end=end)
         assert span(series) == (ANCHOR + timedelta(days=7), end)
-        assert series.windows[0].window.index == 0
         assert series.totals == (1, 1)
         assert len(report.outside_range) == 1
 
@@ -309,27 +299,22 @@ class TestFullRange:
 
 class TestCountsValidation:
     def test_window_counts_must_cover_all_categories(self):
-        window = TimeWindow(index=0, start=ANCHOR)
         with pytest.raises(ValueError):
-            WindowCounts(window=window, n={category(3): 1}, total=1)
+            WindowCounts(start=ANCHOR, n={category(3): 1}, total=1)
 
     def test_window_counts_total_must_match(self):
-        window = TimeWindow(index=0, start=ANCHOR)
         n = {c: 0 for c in CATEGORIES}
         with pytest.raises(ValueError):
-            WindowCounts(window=window, n=n, total=5)
+            WindowCounts(start=ANCHOR, n=n, total=5)
 
     def test_series_must_be_contiguous(self):
-        def window_at(i):
-            return WindowCounts(
-                window=TimeWindow(index=i, start=ANCHOR + timedelta(days=7 * i)),
-                n={c: 0 for c in CATEGORIES},
-                total=0,
-            )
+        def window_at(start):
+            return WindowCounts(start=start, n={c: 0 for c in CATEGORIES}, total=0)
 
-        CountSeries(windows=(window_at(0), window_at(1)))
-        with pytest.raises(ValueError):
-            CountSeries(windows=(window_at(0), window_at(2)))
+        CountSeries(windows=(window_at(ANCHOR), window_at(ANCHOR + WEEK)))
+        for gap in (2 * WEEK, timedelta(days=3)):
+            with pytest.raises(ValueError):
+                CountSeries(windows=(window_at(ANCHOR), window_at(ANCHOR + gap)))
 
 
 class TestCountsCsv:
@@ -355,9 +340,13 @@ class TestCountsCsv:
     def test_read_derives_anchor_from_first_window(self, tmp_path):
         path = tmp_path / "counts.csv"
         write_counts_csv(self.build(), path)
+        # Move both weeks to Tuesdays: off the Monday grid, on their own.
+        text = path.read_text().replace("2024-09-09", "2024-09-17")
+        path.write_text(text.replace("2024-09-02", "2024-09-10"))
         series = read_counts_csv(path, IndexConfig())
-        assert series.windows[0].window.index == 0
-        assert series.windows[0].window.start == ANCHOR
+        assert [wc.start for wc in series.windows] == [date(2024, 9, 10), date(2024, 9, 17)]
+        with pytest.raises(MisalignedRange):
+            read_counts_csv(path, CONFIG)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "counts.csv"
