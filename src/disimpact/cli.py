@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
@@ -39,14 +39,16 @@ from .annotation import (
     clean_dataset,
 )
 from .chart import chart_csv_to_svg
-from .core import WEEK, DisasterTag, Domain, IndexConfig
-from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
-from .impact import (
+from .core import (
+    COMPOSITE_OPERATORS,
     QUANTILE_METHODS,
-    compute_impact_series,
-    write_domain_csv,
-    write_index_csv,
+    WEEK,
+    DisasterTag,
+    Domain,
+    IndexConfig,
 )
+from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
+from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
     Dataset,
     csv_header,
@@ -72,45 +74,23 @@ from .validation import (
 )
 from .windowing import build_count_series, read_counts_csv, write_counts_csv
 
-COMPOSITE_OPERATORS = ("sum", "mean")
+@dataclass(frozen=True)
+class RunConfig(IndexConfig):
+    """Flat config surface: the index settings plus validate's and spatial's."""
 
-
-@dataclass
-class RunConfig:
-    """Flat config surface; file values lose to explicit flags."""
-
-    alpha: float = 0.5
-    window_anchor: date | None = None
     max_lag: int = 3
-    quantile_method: str = "linear"
-    composite_operator: str = "sum"
     min_group_size: int = 1
 
-    def validate(self) -> None:
-        self.index_config()
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.max_lag < 0:
             raise OutOfRange(f"max_lag must be >= 0, got {self.max_lag}")
-        if self.quantile_method not in QUANTILE_METHODS:
-            raise OutOfRange(f"quantile_method must be one of {QUANTILE_METHODS}")
-        if self.composite_operator not in COMPOSITE_OPERATORS:
-            raise OutOfRange(f"composite_operator must be one of {COMPOSITE_OPERATORS}")
         if self.min_group_size < 1:
             raise OutOfRange("min_group_size must be >= 1")
 
-    def index_config(self) -> IndexConfig:
-        return IndexConfig(alpha=self.alpha, window_anchor=self.window_anchor)
-
     def snapshot(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "window_anchor": (
-                None if self.window_anchor is None else self.window_anchor.isoformat()
-            ),
-            "max_lag": self.max_lag,
-            "quantile_method": self.quantile_method,
-            "composite_operator": self.composite_operator,
-            "min_group_size": self.min_group_size,
-        }
+        anchor = self.window_anchor
+        return asdict(self) | {"window_anchor": anchor.isoformat() if anchor else None}
 
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
@@ -139,6 +119,8 @@ def load_config_file(path: Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_PARSERS:
             raise MalformedInput(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise MalformedInput(f"{path}:{lineno}: duplicate config key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[key](value)
         except ValueError as exc:
@@ -147,18 +129,13 @@ def load_config_file(path: Path) -> dict:
 
 
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        config = replace(config, **load_config_file(args.config))
-    overrides = {}
+    """Defaults, then the --config file's values, then explicit flags."""
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _CONFIG_PARSERS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
-            overrides[key] = flag_value
-    if overrides:
-        config = replace(config, **overrides)
-    config.validate()
-    return config
+            values[key] = flag_value
+    return RunConfig(**values)
 
 
 def sha256_file(path: Path) -> str:
@@ -313,9 +290,7 @@ def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
 def cmd_counts(args: argparse.Namespace, run: Run) -> int:
     dataset = _load_posts(run.input(args.input))
     annotated, label_report = load_labels(run.input(args.labels), dataset)
-    series, report = build_count_series(
-        annotated, run.config.index_config(), args.range_start, args.range_end
-    )
+    series, report = build_count_series(annotated, run.config, args.range_start, args.range_end)
     write_counts_csv(series, run.output("counts.csv"))
     print(
         f"{len(series.windows)} windows from {series.windows[0].start} "
@@ -329,14 +304,8 @@ def cmd_counts(args: argparse.Namespace, run: Run) -> int:
 
 
 def cmd_index(args: argparse.Namespace, run: Run) -> int:
-    config = run.config
-    counts = read_counts_csv(run.input(args.input), config.index_config())
-    series = compute_impact_series(
-        counts,
-        config.index_config(),
-        quantile_method=config.quantile_method,
-        composite_op=config.composite_operator,
-    )
+    counts = read_counts_csv(run.input(args.input), run.config)
+    series = compute_impact_series(counts, run.config)
     write_index_csv(series, run.output("index.csv"))
     write_domain_csv(series, run.output("domain.csv"))
     weights = series.weights
@@ -373,10 +342,12 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
 
 def cmd_validate(args: argparse.Namespace, run: Run) -> int:
     header = csv_header(run.input(args.input))
+    index_filled: tuple[date, ...] = ()
     if header == ["window_start", "domain", "composite"]:
         index_series = read_domain_csv(args.input, Domain(args.domain))
     elif header == ["week_start", "value"]:
-        index_series, _ = load_ground_truth(args.input)
+        index_series, index_report = load_ground_truth(args.input)
+        index_filled = index_report.filled_weeks
     else:
         raise MalformedCsv(
             f"{args.input}: expected a domain export or a week_start,value series"
@@ -389,11 +360,9 @@ def cmd_validate(args: argparse.Namespace, run: Run) -> int:
     }
     write_json(interpretation, run.output("validate_report.json"))
     print(interpretation["statement"])
-    if truth_report.filled_weeks:
-        print(
-            f"zero-filled {len(truth_report.filled_weeks)} missing truth weeks",
-            file=sys.stderr,
-        )
+    for what, filled in (("index", index_filled), ("truth", truth_report.filled_weeks)):
+        if filled:
+            print(f"zero-filled {len(filled)} missing {what} weeks", file=sys.stderr)
     return 0
 
 
@@ -409,7 +378,7 @@ def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
     located = locate_posts(annotated, gazetteer)
     rows, report = aggregate_state_month(
         located,
-        run.config.index_config(),
+        run.config,
         SourceFilter(args.source_filter),
         min_posts=run.config.min_group_size,
     )

@@ -173,6 +173,12 @@ class WeeklySeries:
                 raise ValueError("series values must be finite")
 
 
+# The numpy.percentile methods that impact.compute_iqr reproduces without numpy.
+QUANTILE_METHODS = ("linear", "lower", "higher", "nearest", "midpoint")
+# How the five member indices of a domain combine into its composite.
+COMPOSITE_OPERATORS = ("sum", "mean")
+
+
 @dataclass(frozen=True)
 class IndexConfig:
     """Knobs for the impact-index stage.
@@ -180,11 +186,20 @@ class IndexConfig:
     alpha is the additive-smoothing pseudo-count given to each of the
     11 categories (OTHER included). window_anchor = None means "derive
     the Monday on or before the earliest relevant post or range start".
+    quantile_method sets how the IQR of the window totals is taken, and
+    composite_operator whether a domain composite sums or averages its
+    five member indices.
     """
 
     alpha: float = 0.5
     window_anchor: date | None = None
+    quantile_method: str = "linear"
+    composite_operator: str = "sum"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and > 0")
+        if self.quantile_method not in QUANTILE_METHODS:
+            raise OutOfRange(f"quantile_method must be one of {QUANTILE_METHODS}")
+        if self.composite_operator not in COMPOSITE_OPERATORS:
+            raise OutOfRange(f"composite_operator must be one of {COMPOSITE_OPERATORS}")

@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .core import (
     CATEGORIES,
     PHYSICAL_CATEGORIES,
+    QUANTILE_METHODS,
     SOCIAL_CATEGORIES,
     Domain,
     ImpactCategory,
@@ -35,11 +36,6 @@ from .windowing import CountSeries
 # Fallback width when every window has the same total: wide enough that
 # w collapses to pi/2 instead of dividing by zero.
 IQR_EPSILON = 1e-6
-
-CompositeOp = Literal["sum", "mean"]
-
-# The numpy.percentile methods that compute_iqr reproduces without numpy.
-QUANTILE_METHODS = ("linear", "lower", "higher", "nearest", "midpoint")
 
 
 def smoothed_proportion(n: int, total: int, config: IndexConfig) -> float:
@@ -139,27 +135,20 @@ class ImpactSeries:
         return tuple(pt.w for pt in first)
 
 
-def compute_impact_series(
-    counts: CountSeries,
-    config: IndexConfig,
-    quantile_method: str = "linear",
-    composite_op: CompositeOp = "sum",
-) -> ImpactSeries:
+def compute_impact_series(counts: CountSeries, config: IndexConfig) -> ImpactSeries:
     """Run the full index stage over a gap-free count series.
 
     Composites combine the five member categories per domain (OTHER
-    belongs to neither); "sum" keeps sum-of-all-indices = w_t exact,
-    "mean" divides by five.
+    belongs to neither) under config.composite_operator; "sum" keeps
+    sum-of-all-indices = w_t exact, "mean" divides by five.
     """
     if not counts.windows:
         raise EmptyInput("cannot index an empty count series")
-    if composite_op not in ("sum", "mean"):
-        raise ValueError(f"composite_op must be 'sum' or 'mean', got {composite_op!r}")
-    stats = SeriesStats.from_totals(counts.totals, method=quantile_method)
+    stats = SeriesStats.from_totals(counts.totals, method=config.quantile_method)
 
     per_category: dict[ImpactCategory, list[IndexPoint]] = {c: [] for c in CATEGORIES}
     composites: dict[Domain, list[float]] = {Domain.PHYSICAL: [], Domain.SOCIAL: []}
-    scale = 1.0 if composite_op == "sum" else 1.0 / len(PHYSICAL_CATEGORIES)
+    scale = 1.0 if config.composite_operator == "sum" else 1.0 / len(PHYSICAL_CATEGORIES)
     for wc in counts.windows:
         w = intensity_weight(wc.total, stats)
         indices: dict[ImpactCategory, float] = {}

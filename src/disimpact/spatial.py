@@ -280,14 +280,6 @@ class SpatialReport:
     suppressed_cells: list[tuple[str, date, int]] = field(default_factory=list)
 
 
-def _passes(located: LocatedPost, source_filter: SourceFilter) -> bool:
-    if located.source is LocationSource.NONE:
-        return False
-    if source_filter is SourceFilter.BOTH:
-        return True
-    return located.source.value == source_filter.value
-
-
 def aggregate_state_month(
     located: Sequence[LocatedPost],
     config: IndexConfig,
@@ -296,8 +288,9 @@ def aggregate_state_month(
 ) -> tuple[list[StateMonthIndex], SpatialReport]:
     """Monthly mean weekly domain composites per state.
 
-    Each state group runs the full weekly index pipeline over its own
-    post range; a month's value is the mean composite of the windows
+    Each state group runs the full weekly index pipeline under config
+    over its own post range; a month's value is the mean of the weekly
+    composites (combined by config.composite_operator) of the windows
     whose start date falls inside it, and its post count is the number
     of that state's posts landing in those windows. Cells under
     min_posts are suppressed into the report.
@@ -308,7 +301,7 @@ def aggregate_state_month(
         if item.source is LocationSource.NONE:
             report.unlocated += 1
             continue
-        if not _passes(item, source_filter):
+        if source_filter is not SourceFilter.BOTH and item.source.value != source_filter.value:
             report.filtered_out += 1
             continue
         if not item.annotated.relevant:

@@ -134,10 +134,13 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
     Every window must carry all 11 categories with a consistent total,
     and window starts must be whole weeks from the configured anchor
     (the first start anchors the grid when the config leaves it open).
+    Each new window must start one week after the last, so a missing
+    week is reported at the first row after the gap.
     """
     per_window: dict[date, dict[ImpactCategory, int]] = {}
     stated_totals: dict[date, int] = {}
     order: list[date] = []
+    anchor = config.window_anchor
     header = ("window_start", "category", "count", "total")
     for lineno, row in csv_rows(path, header):
         try:
@@ -150,6 +153,15 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
         if count < 0:
             raise MalformedCsv(f"{path}:{lineno}: negative count")
         if start not in per_window:
+            if order and start < order[-1]:
+                raise MalformedCsv(f"{path}:{lineno}: window starts out of order")
+            anchor = start if anchor is None else anchor
+            if start < anchor or (start - anchor) % WEEK:
+                raise MisalignedRange(f"{path}: window {start} off the 7-day grid of {anchor}")
+            if order and start != order[-1] + WEEK:
+                raise MalformedCsv(
+                    f"{path}:{lineno}: window {start} leaves a gap after {order[-1]}"
+                )
             per_window[start] = {}
             stated_totals[start] = total
             order.append(start)
@@ -160,13 +172,8 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
         per_window[start][category] = count
     if not order:
         raise MalformedCsv(f"{path}: no data rows")
-    if order != sorted(order):
-        raise MalformedCsv(f"{path}: window starts out of order")
-    anchor = config.window_anchor if config.window_anchor is not None else order[0]
     windows = []
     for start in order:
-        if start < anchor or (start - anchor) % WEEK:
-            raise MisalignedRange(f"{path}: window {start} off the 7-day grid of {anchor}")
         n = per_window[start]
         if set(n) != set(CATEGORIES):
             raise MalformedCsv(f"{path}: window {start} misses categories")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -111,6 +112,21 @@ class TestConfigFile:
         path.write_text("alpha=strong\n", encoding="utf-8")
         with pytest.raises(MalformedInput):
             load_config_file(path)
+
+    def test_repeated_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=1\nalpha=2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["index", "--in", TABLE_COUNTS, "--out", out, "--config", cfg]
+        )
+        assert code == 2
+        assert stderr == f"error: MalformedInput: {cfg}:2: duplicate config key 'alpha'\n"
+        assert list(out.iterdir()) == []
+
+    def test_keys_fields_and_snapshot_agree(self):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert set(cli._CONFIG_PARSERS) == fields == set(cli.RunConfig().snapshot())
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -363,6 +379,17 @@ class TestValidate:
         report = json.loads((tmp_path / "validate_report.json").read_text())
         assert report["best_lag"] == 0
 
+    def test_gapped_series_input_is_reported(self, tmp_path):
+        series = tmp_path / "series.csv"
+        lines = TRUTH.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("2024-09-16")]
+        series.write_text("".join(kept), encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["validate", "--in", series, "--truth", TRUTH, "--out", tmp_path]
+        )
+        assert code == 0
+        assert stderr == "zero-filled 1 missing index weeks\n"
+
 
 class TestAgreement:
     def test_human_only_report(self, tmp_path):
@@ -431,6 +458,25 @@ class TestSpatial:
         out, _ = pipeline
         manifest = json.loads((out / "manifest_spatial.json").read_text())
         assert "gazetteer.csv" in manifest["inputs"]
+
+    def test_obeys_the_composite_operator(self, pipeline, tmp_path):
+        out, _ = pipeline
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("composite_operator=mean\n", encoding="utf-8")
+        code, _, _ = run_cli(
+            ["spatial", "--in", POSTS, "--labels", out / "labels.csv",
+             "--config", cfg, "--out", tmp_path]
+        )
+        assert code == 0
+
+        def cells(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            return {(r[0], r[1], r[2], r[5]): (float(r[3]), float(r[4])) for r in rows}
+
+        summed, averaged = cells(out / "spatial.csv"), cells(tmp_path / "spatial.csv")
+        assert summed.keys() == averaged.keys()
+        for key, (physical, social) in summed.items():
+            assert averaged[key] == pytest.approx((physical / 5, social / 5), abs=1e-9)
 
 
 class TestChart:

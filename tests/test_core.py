@@ -97,9 +97,15 @@ def test_index_config_validation():
     config = IndexConfig()
     assert config.alpha == 0.5
     assert config.window_anchor is None
+    assert config.quantile_method == "linear"
+    assert config.composite_operator == "sum"
     for alpha in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             IndexConfig(alpha=alpha)
+    with pytest.raises(OutOfRange, match="composite_operator must be one of"):
+        IndexConfig(composite_operator="median")
+    with pytest.raises(OutOfRange, match="quantile_method must be one of"):
+        IndexConfig(quantile_method="bogus")
 
 
 def test_categories_immutable():

@@ -285,17 +285,11 @@ class TestComputeImpactSeries:
         with pytest.raises(EmptyInput):
             compute_impact_series(CountSeries(windows=()), CONFIG)
 
-    def test_unknown_composite_operator(self):
-        with pytest.raises(ValueError):
-            compute_impact_series(
-                series_from_vectors([[0] * 11]), CONFIG, composite_op="median"
-            )
-
     def test_mean_composite_is_sum_over_five(self):
         vectors = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [0] * 11]
         summed = compute_impact_series(series_from_vectors(vectors), CONFIG)
         averaged = compute_impact_series(
-            series_from_vectors(vectors), CONFIG, composite_op="mean"
+            series_from_vectors(vectors), IndexConfig(composite_operator="mean")
         )
         for domain in (Domain.PHYSICAL, Domain.SOCIAL):
             for s, m in zip(summed.domains[domain], averaged.domains[domain]):
@@ -305,7 +299,7 @@ class TestComputeImpactSeries:
         vectors = [[t] + [0] * 10 for t in (1, 2, 3, 4)]
         linear = compute_impact_series(series_from_vectors(vectors), CONFIG)
         nearest = compute_impact_series(
-            series_from_vectors(vectors), CONFIG, quantile_method="nearest"
+            series_from_vectors(vectors), IndexConfig(quantile_method="nearest")
         )
         assert linear.stats.iqr == 1.5
         assert nearest.stats.iqr == 1.0

@@ -410,5 +410,7 @@ class TestCountsCsv:
         with path.open("a") as fh:
             for cat in CATEGORIES:
                 fh.write(f"{far.isoformat()},{cat.short_name},0,0\n")
-        with pytest.raises(ValueError):
+        # Header plus 11 rows of the first week: the first row after the gap is line 13.
+        with pytest.raises(MalformedCsv) as excinfo:
             read_counts_csv(path, CONFIG)
+        assert str(excinfo.value).startswith(f"{path}:13: window {far} leaves a gap")
