@@ -285,6 +285,13 @@ class TestComputeImpactSeries:
         with pytest.raises(EmptyInput):
             compute_impact_series(CountSeries(windows=()), CONFIG)
 
+    def test_unknown_composite_operator(self):
+        with pytest.raises(OutOfRange, match="composite_operator must be one of"):
+            compute_impact_series(
+                series_from_vectors([[0] * 11]),
+                IndexConfig(window_anchor=ANCHOR, composite_operator="median"),
+            )
+
     def test_mean_composite_is_sum_over_five(self):
         vectors = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [0] * 11]
         summed = compute_impact_series(series_from_vectors(vectors), CONFIG)
