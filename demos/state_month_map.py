@@ -7,7 +7,6 @@ Rolling labeled posts up into state-by-month impact cells
 from datetime import date, datetime, timezone
 
 from disimpact import (
-    AnnotatedPost,
     IndexConfig,
     Platform,
     Post,
@@ -41,17 +40,17 @@ labeled = [
     (post("n2", date(2024, 9, 16), "donations pouring into western North Carolina"), 9),
     (post("x1", date(2024, 9, 15), "thinking of everyone affected"), 7),
 ]
-annotated = [
-    AnnotatedPost(post=p, category=category_from_code(code), relevant=True)
-    for p, code in labeled
-]
 
 # Location resolution prefers profile metadata and falls back to the
-# post text; posts mentioning no known place stay unlocated.
+# post text; posts mentioning no known place stay unlocated. Each
+# labelled post is reduced to (state, day, category, source) as it is
+# located, which is all the roll-up below reads.
 gazetteer = load_gazetteer()
-located = locate_posts(annotated, gazetteer)
-for row in located:
-    print(f"{row.annotated.post.id}: state={row.state}  via={row.source.value}")
+located = locate_posts(
+    [(p, category_from_code(code)) for p, code in labeled], gazetteer
+)
+for (p, _), row in zip(labeled, located):
+    print(f"{p.id}: state={row.state}  via={row.source.value}")
 print()
 
 # Aggregate into state-month cells, bucketing each post by the month

@@ -99,9 +99,11 @@ from .impact import (
 )
 from .ingestion import (
     Dataset,
-    LabelReport,
     LoadReport,
     LoadResult,
+    PostFields,
+    iter_posts,
+    join_labels,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -117,7 +119,7 @@ from .reference import (
 from .spatial import (
     Gazetteer,
     GazetteerEntry,
-    LocatedPost,
+    Located,
     LocationSource,
     SourceFilter,
     SpatialReport,
@@ -160,8 +162,8 @@ __all__ = [
     "Post", "AnnotatedPost", "IndexConfig", "WeeklySeries",
     # ingestion
     "Dataset", "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
-    "scrub_handles", "load_ground_truth",
-    "LabelReport", "load_labels", "write_labels_csv",
+    "PostFields", "iter_posts", "scrub_handles", "load_ground_truth",
+    "load_labels", "join_labels", "write_labels_csv",
     # annotation
     "Task", "ClassifierRequest", "ClientPolicy",
     "Backend", "MockBackend", "RemoteBackend", "load_prompt", "parse_judgment",
@@ -185,7 +187,7 @@ __all__ = [
     "write_leadlag_csv",
     # spatial
     "GazetteerEntry", "Gazetteer", "load_gazetteer", "LocationSource",
-    "SourceFilter", "resolve_location", "LocatedPost", "locate_posts",
+    "SourceFilter", "resolve_location", "Located", "locate_posts",
     "StateMonthIndex", "SpatialReport", "aggregate_state_month",
     "write_spatial_csv",
     # chart

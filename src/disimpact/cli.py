@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from datetime import date
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__
 from .agreement import agreement_report, human_consensus, load_annotations_csv
@@ -45,14 +45,19 @@ from .core import (
     WEEK,
     DisasterTag,
     Domain,
+    ImpactCategory,
     IndexConfig,
 )
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
     Dataset,
+    LoadReport,
+    PostFields,
     csv_header,
     iter_labels,
+    iter_posts,
+    join_labels,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -251,15 +256,20 @@ def _report_errors(errors: list[AnnotationError]) -> int:
     return 1 if errors else 0
 
 
-def _load_posts(path: Path, disaster: DisasterTag = DisasterTag.OTHER) -> Dataset:
-    """Load posts.jsonl, saying on stderr how many lines were dropped."""
-    result = load_posts(path, disaster)
-    if result.report.dropped_malformed or result.report.dropped_duplicate:
+def _report_dropped(report: LoadReport) -> None:
+    """Say on stderr how many posts.jsonl lines were dropped, if any."""
+    if report.dropped_malformed or report.dropped_duplicate:
         print(
-            f"dropped {result.report.dropped_malformed} malformed, "
-            f"{result.report.dropped_duplicate} duplicate lines",
+            f"dropped {report.dropped_malformed} malformed, "
+            f"{report.dropped_duplicate} duplicate lines",
             file=sys.stderr,
         )
+
+
+def _load_posts(path: Path, disaster: DisasterTag = DisasterTag.OTHER) -> Dataset:
+    """Load all of posts.jsonl, saying on stderr how many lines were dropped."""
+    result = load_posts(path, disaster)
+    _report_dropped(result.report)
     return result.dataset
 
 
@@ -287,19 +297,39 @@ def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
     return _report_errors(report.errors)
 
 
+def _labelled_posts(
+    args: argparse.Namespace, run: Run, report: LoadReport
+) -> Iterator[tuple[PostFields, ImpactCategory]]:
+    """Stream (post, category) for the labelled posts of --in; labels are read first.
+
+    The stream ends with the posts' malformed-share check and then the
+    labels' unknown-id check, so a caller that consumes it before
+    writing writes nothing when either fails.
+    """
+    posts_path, labels_path = run.input(args.input), run.input(args.labels)
+    labels = load_labels(labels_path)
+    return join_labels(iter_posts(posts_path, report), labels, labels_path, report)
+
+
 def cmd_counts(args: argparse.Namespace, run: Run) -> int:
-    dataset = _load_posts(run.input(args.input))
-    annotated, label_report = load_labels(run.input(args.labels), dataset)
-    series, report = build_count_series(annotated, run.config, args.range_start, args.range_end)
+    loaded = LoadReport()
+    days, categories = [], []
+    for post, category in _labelled_posts(args, run, loaded):
+        days.append(post.created_date)
+        categories.append(category)
+    _report_dropped(loaded)
+    series, report = build_count_series(
+        days, categories, run.config, args.range_start, args.range_end
+    )
     write_counts_csv(series, run.output("counts.csv"))
     print(
         f"{len(series.windows)} windows from {series.windows[0].start} "
         f"to {series.windows[-1].start + WEEK}, {sum(series.totals)} posts"
     )
-    if label_report.unlabeled_ids:
-        print(f"{len(label_report.unlabeled_ids)} posts had no label", file=sys.stderr)
+    if loaded.unlabeled:
+        print(f"{loaded.unlabeled} posts had no label", file=sys.stderr)
     if report.outside_range:
-        print(f"{len(report.outside_range)} posts outside range", file=sys.stderr)
+        print(f"{report.outside_range} posts outside range", file=sys.stderr)
     return 0
 
 
@@ -367,15 +397,16 @@ def cmd_validate(args: argparse.Namespace, run: Run) -> int:
 
 
 def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
-    dataset = _load_posts(run.input(args.input))
-    annotated, _ = load_labels(run.input(args.labels), dataset)
+    loaded = LoadReport()
+    labelled = _labelled_posts(args, run, loaded)
     if args.gazetteer:
         gazetteer = load_gazetteer(run.input(args.gazetteer))
     else:
         gazetteer = load_gazetteer()
         data = resources.files("disimpact").joinpath("data/gazetteer.csv").read_bytes()
         run.inputs["gazetteer.csv"] = hashlib.sha256(data).hexdigest()
-    located = locate_posts(annotated, gazetteer)
+    located = locate_posts(labelled, gazetteer)
+    _report_dropped(loaded)
     rows, report = aggregate_state_month(
         located,
         run.config,

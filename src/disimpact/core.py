@@ -59,6 +59,12 @@ class ImpactCategory:
     def __str__(self) -> str:
         return self.short_name
 
+    def __hash__(self) -> int:
+        # Categories key every count dict. The generated hash, over all four
+        # fields and through the Domain enum's Python-level __hash__, took a
+        # third of aggregate_state_month's time. Equal categories share a code.
+        return self.code
+
 
 CINJ = ImpactCategory(1, "CINJ", "Casualties & Injuries", Domain.PHYSICAL)
 EVAC = ImpactCategory(2, "EVAC", "Evacuations & Displacement", Domain.PHYSICAL)

@@ -5,6 +5,9 @@ through csv_rows (or csv_header first, where the header picks columns).
 
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
+posts.jsonl is read by one loop, iter_posts: load_posts keeps every post
+it yields, while counts and spatial stream it against labels read first
+(load_labels, join_labels) and keep only what they roll up.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     WEEK,
@@ -49,7 +52,7 @@ def scrub_handles(text: str) -> str:
     Idempotent: "@user" itself matches the handle pattern and maps to
     itself.
     """
-    return HANDLE_RE.sub(SCRUB_REPLACEMENT, text)
+    return HANDLE_RE.sub(SCRUB_REPLACEMENT, text) if "@" in text else text
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.posts)
 
-    def by_id(self) -> dict[str, Post]:
-        return {p.id: p for p in self.posts}
-
 
 @dataclass
 class LoadReport:
@@ -71,6 +71,7 @@ class LoadReport:
     kept: int = 0
     dropped_duplicate: int = 0
     dropped_malformed: int = 0
+    unlabeled: int = 0  # kept posts no label named; counted by join_labels
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,26 @@ def _parse_rfc3339(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _parse_post_line(line: str) -> Post:
+class PostFields(NamedTuple):
+    """One valid posts.jsonl line: a Post's fields, text already scrubbed.
+
+    The platform stays as written (load_posts parses it); created_at is
+    in UTC. Reads like a Post wherever only these attributes are used.
+    """
+
+    id: str
+    platform: str
+    text: str
+    created_at: datetime
+    media_refs: tuple[str, ...]
+    location_metadata: str | None
+
+    @property
+    def created_date(self) -> date:
+        return self.created_at.date()
+
+
+def _parse_post_line(line: str) -> PostFields:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -108,33 +128,30 @@ def _parse_post_line(line: str) -> Post:
     location = obj.get("location_metadata")
     if location is not None and not isinstance(location, str):
         raise ValueError("location_metadata must be a string or null")
-    return Post(
-        id=post_id,
-        platform=Platform.parse(str(obj["platform"])),
-        text=scrub_handles(text),
-        created_at=_parse_rfc3339(str(obj["created_at"])),
-        media_refs=tuple(media),
-        location_metadata=location,
+    return PostFields(
+        post_id,
+        str(obj["platform"]),
+        scrub_handles(text),
+        _parse_rfc3339(str(obj["created_at"])),
+        tuple(media),
+        location,
     )
 
 
-def load_posts(
-    path: str | Path,
-    disaster_tag: DisasterTag = DisasterTag.OTHER,
-) -> LoadResult:
-    """Load a posts.jsonl file.
+def iter_posts(path: str | Path, report: LoadReport) -> Iterator[PostFields]:
+    """Stream the valid posts of a posts.jsonl file, counting into report.
 
     Malformed lines, including lines that are not UTF-8, are counted and
-    skipped; the load aborts (MalformedInput) only if more than half of
-    the non-blank lines are malformed. Duplicate ids keep the first
-    occurrence.
+    skipped; duplicate ids keep the first occurrence. When the file is
+    exhausted the stream raises MalformedInput if more than half of the
+    non-blank lines were malformed, so a caller that writes only after
+    the stream ends writes nothing from such a file.
     """
     path = Path(path)
-    report = LoadReport()
-    posts: list[Post] = []
     seen: set[str] = set()
     # Decoded per line, so a bad byte costs one line (UnicodeDecodeError
-    # is a ValueError), not the whole load.
+    # is a ValueError), not the whole load; so does a timestamp whose UTC
+    # shift leaves the datetime range (OverflowError).
     with path.open("rb") as fh:
         for raw in fh:
             try:
@@ -142,7 +159,7 @@ def load_posts(
                 if not line.strip():
                     continue
                 post = _parse_post_line(line)
-            except (ValueError, json.JSONDecodeError):
+            except (ValueError, OverflowError):
                 report.lines_read += 1
                 report.dropped_malformed += 1
                 continue
@@ -151,14 +168,26 @@ def load_posts(
                 report.dropped_duplicate += 1
                 continue
             seen.add(post.id)
-            posts.append(post)
             report.kept += 1
+            yield post
     if report.lines_read and report.dropped_malformed * 2 > report.lines_read:
         raise MalformedInput(
             f"{report.dropped_malformed} of {report.lines_read} lines are "
             f"malformed in {path}"
         )
-    dataset = Dataset(posts=tuple(posts), source_path=str(path), disaster_tag=disaster_tag)
+
+
+def load_posts(
+    path: str | Path,
+    disaster_tag: DisasterTag = DisasterTag.OTHER,
+) -> LoadResult:
+    """Load a whole posts.jsonl file as Posts, by the rules of iter_posts."""
+    report = LoadReport()
+    posts = tuple(
+        Post(post_id, Platform.parse(platform), text, created_at, media, location)
+        for post_id, platform, text, created_at, media, location in iter_posts(path, report)
+    )
+    dataset = Dataset(posts=posts, source_path=str(path), disaster_tag=disaster_tag)
     return LoadResult(dataset=dataset, report=report)
 
 
@@ -294,11 +323,6 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport
     )
 
 
-@dataclass(frozen=True)
-class LabelReport:
-    unlabeled_ids: tuple[str, ...]
-
-
 def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
     """Stream a labels.csv (header post_id,category_code) as (line, id, category).
 
@@ -316,31 +340,43 @@ def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
         yield lineno, post_id, category
 
 
-def load_labels(
-    path: str | Path, dataset: Dataset
-) -> tuple[list[AnnotatedPost], LabelReport]:
-    """Join a labels.csv (header post_id,category_code) onto a dataset.
+def load_labels(path: str | Path) -> dict[str, tuple[int, ImpactCategory]]:
+    """Read a whole labels.csv as post id -> (line number, category).
 
-    Output order follows the dataset, so repeated runs are deterministic.
-    Posts without a label are reported, never silently dropped.
+    counts and spatial read it before they stream the posts, so its own
+    faults are reported first; the line number lets join_labels name a
+    label whose post never appears.
     """
-    by_id = dataset.by_id()
-    labels: dict[str, ImpactCategory] = {}
-    for lineno, post_id, category in iter_labels(path):
-        if post_id not in by_id:
-            raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
-        labels[post_id] = category
-    annotated = [
-        AnnotatedPost(post=post, category=labels[post.id])
-        for post in dataset.posts
-        if post.id in labels
-    ]
-    unlabeled = tuple(p.id for p in dataset.posts if p.id not in labels)
-    return annotated, LabelReport(unlabeled_ids=unlabeled)
+    return {post_id: (lineno, category) for lineno, post_id, category in iter_labels(path)}
+
+
+def join_labels(
+    posts: Iterable[PostFields | Post],
+    labels: dict[str, tuple[int, ImpactCategory]],
+    path: str | Path,
+    report: LoadReport,
+) -> Iterator[tuple[PostFields | Post, ImpactCategory]]:
+    """Pair each post that has a label with its category, in post order.
+
+    Posts without a label are counted in report, never silently dropped.
+    Once the posts run out (after their own end-of-stream check), the
+    first label line, at labels path:line, whose id never appeared
+    raises UnknownPostId.
+    """
+    pending = dict(labels)
+    for post in posts:
+        label = pending.pop(post.id, None)
+        if label is None:
+            report.unlabeled += 1
+        else:
+            yield post, label[1]
+    if pending:
+        post_id, (lineno, _) = min(pending.items(), key=lambda item: item[1][0])
+        raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
 
 
 def write_labels_csv(annotated: Iterable[AnnotatedPost], path: str | Path) -> None:
-    """Write relevant posts' labels; the inverse of load_labels."""
+    """Write relevant posts' labels, as load_labels reads them."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["post_id", "category_code"])

@@ -18,6 +18,10 @@ The bundled city list is curated for precision: names shared by
 multiple sizable places, famous non-U.S. namesakes, and phrase-like
 names are left out, since a missed city degrades to the state name
 while a false hit silently corrupts the map.
+
+The roll-up streams: locate_posts keeps only (state, day, category,
+source) of each labelled post as it arrives, and aggregate_state_month
+counts those per state and week, then averages by state-month.
 """
 
 from __future__ import annotations
@@ -29,12 +33,12 @@ from datetime import date
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import AnnotatedPost, Domain, IndexConfig, Post
+from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
-from .ingestion import csv_rows
+from .ingestion import PostFields, csv_rows
 from .windowing import build_count_series
 
 # Codes that read as ordinary words or titles when uppercased; these
@@ -88,9 +92,11 @@ class GazetteerEntry:
 
 
 # Letter runs are the words the index is keyed on; word boundaries are
-# ASCII letters only, so digits and "_" separate words.
+# ASCII letters only, so digits and "_" separate words. Splitting on a
+# captured run gives [separator, word, separator, ..., word, separator].
 _WORDS = re.compile(r"[A-Za-z]+")
-_FOLDED_WORDS = re.compile(r"[a-z]+")
+_SPLIT_WORDS = re.compile(r"([A-Za-z]+)")
+_SPLIT_FOLDED = re.compile(r"([a-z]+)")
 
 # The only non-ASCII characters re.IGNORECASE equates with ASCII
 # letters. After this translation lower() keeps every character's
@@ -98,10 +104,7 @@ _FOLDED_WORDS = re.compile(r"[a-z]+")
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 
 _Hits = dict[str, list[tuple[str, str]]]
-
-
-def _spans(words: re.Pattern, text: str) -> list[tuple[int, int]]:
-    return [m.span() for m in words.finditer(text)]
+_Candidates = list[tuple[int, int, str, str]]
 
 
 def _tokenizable(name: str) -> bool:
@@ -113,10 +116,11 @@ class Gazetteer:
 
     Names are keyed by the text they match: lowercased for
     case-insensitive names, as written for abbreviations and
-    word-collision cities. A text is matched by looking up every run of
-    1..maxtok consecutive letter runs, separators compared as written.
-    Names the letter-run scan cannot bound (non-ASCII, or starting or
-    ending with a non-letter) keep a per-entry regex.
+    word-collision cities. A text is matched by looking up the runs of
+    1..maxtok consecutive letter runs, separators compared as written,
+    that start with the first word of some name. Names the letter-run
+    scan cannot bound (non-ASCII, or starting or ending with a
+    non-letter) keep a per-entry regex.
     """
 
     def __init__(self, entries: Sequence[GazetteerEntry]):
@@ -145,24 +149,30 @@ class Gazetteer:
                 index, name = self._folded, name.lower()
             index.setdefault(name, []).append((entry.state_code, entry.kind))
             self._maxtok = max(self._maxtok, len(_WORDS.findall(name)))
+        self._exact_first = frozenset(_WORDS.match(name)[0] for name in self._exact)
+        self._folded_first = frozenset(_WORDS.match(name)[0] for name in self._folded)
+        self._ambiguous_codes = frozenset(self._ambiguous)
 
     def best_match(self, text: str) -> str | None:
         """State code of the longest, earliest gazetteer hit, if any."""
         if not text:
             return None
-        candidates: list[tuple[int, int, str, str]] = []
-        spans = _spans(_WORDS, text)
-        self._lookup(text, spans, self._exact, candidates)
-        folded = text.translate(_FOLD).lower()
+        candidates: _Candidates = []
+        parts = _SPLIT_WORDS.split(text)
+        words = parts[1::2]
+        if not self._exact_first.isdisjoint(words):
+            self._lookup(parts, self._exact, self._exact_first, candidates)
         # Only the _FOLD characters can add letters, and they are not ASCII.
-        folded_spans = spans if text.isascii() else _spans(_FOLDED_WORDS, folded)
-        self._lookup(folded, folded_spans, self._folded, candidates)
-        for k, (start, end) in enumerate(spans):
-            hits = self._ambiguous.get(text[start:end])
-            if hits and k and self._follows_capitalized(text, start, spans[k - 1]):
-                candidates.extend(
-                    (start - end, start, code, kind) for code, kind in hits
-                )
+        folded = text.lower() if text.isascii() else text.translate(_FOLD).lower()
+        folded_parts = _SPLIT_FOLDED.split(folded)
+        if not self._folded_first.isdisjoint(folded_parts[1::2]):
+            self._lookup(folded_parts, self._folded, self._folded_first, candidates)
+        if not self._ambiguous_codes.isdisjoint(words):
+            for i in range(3, len(parts), 2):
+                hits = self._ambiguous.get(parts[i])
+                if hits and self._follows_capitalized(parts[i - 2], parts[i - 1]):
+                    start = sum(map(len, parts[:i]))
+                    candidates.extend((-len(parts[i]), start, code, kind) for code, kind in hits)
         for pattern, entry in self._patterns:
             match = pattern.search(text)
             if match is not None:
@@ -174,32 +184,26 @@ class Gazetteer:
         return min(candidates)[2]
 
     def _lookup(
-        self,
-        text: str,
-        spans: list[tuple[int, int]],
-        index: _Hits,
-        candidates: list[tuple[int, int, str, str]],
+        self, parts: list[str], index: _Hits, first: frozenset[str], candidates: _Candidates
     ) -> None:
-        for i, (start, _) in enumerate(spans):
-            for _, end in spans[i : i + self._maxtok]:
-                hits = index.get(text[start:end])
+        """Probe the word runs of split text `parts` that start with a name's first word."""
+        for i in range(1, len(parts), 2):
+            if parts[i] not in first:
+                continue
+            name = parts[i]
+            for j in range(i, min(i + 2 * self._maxtok, len(parts)), 2):
+                if j > i:
+                    name += parts[j - 1] + parts[j]
+                hits = index.get(name)
                 if hits:
-                    candidates.extend(
-                        (start - end, start, code, kind) for code, kind in hits
-                    )
+                    start = sum(map(len, parts[:i]))
+                    candidates.extend((-len(name), start, code, kind) for code, kind in hits)
 
     @staticmethod
-    def _follows_capitalized(
-        text: str, start: int, previous: tuple[int, int]
-    ) -> bool:
-        """Whether text[:start] ends like r"[A-Z][A-Za-z]*(?:,\\s*|\\s+)"."""
-        i = start
-        while i and text[i - 1].isspace():
-            i -= 1
-        if text[i - 1] == ",":
-            i -= 1
-        word_start, word_end = previous
-        return word_end == i and not text[word_start:word_end].islower()
+    def _follows_capitalized(previous: str, separator: str) -> bool:
+        """Whether previous + separator ends like r"[A-Z][A-Za-z]*(?:,\\s*|\\s+)"."""
+        rest = separator[1:] if separator[:1] == "," else separator
+        return not previous.islower() and (not rest or rest.isspace())
 
 
 def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
@@ -221,7 +225,7 @@ def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
 
 
 def resolve_location(
-    post: Post, gazetteer: Gazetteer
+    post: Post | PostFields, gazetteer: Gazetteer
 ) -> tuple[str | None, LocationSource]:
     """Metadata-first, then text; (None, NONE) when nothing matches."""
     if post.location_metadata:
@@ -234,25 +238,24 @@ def resolve_location(
     return None, LocationSource.NONE
 
 
-@dataclass(frozen=True)
-class LocatedPost:
-    annotated: AnnotatedPost
-    state: str | None
-    source: LocationSource
+class Located(NamedTuple):
+    """What the roll-up keeps of one labelled post; state is None when unlocated."""
 
-    def __post_init__(self) -> None:
-        if (self.state is None) != (self.source is LocationSource.NONE):
-            raise ValueError("state and source must be absent together")
+    state: str | None
+    day: date
+    category: ImpactCategory
+    source: LocationSource
 
 
 def locate_posts(
-    annotated: Iterable[AnnotatedPost], gazetteer: Gazetteer
-) -> list[LocatedPost]:
-    out = []
-    for item in annotated:
-        state, source = resolve_location(item.post, gazetteer)
-        out.append(LocatedPost(annotated=item, state=state, source=source))
-    return out
+    labelled: Iterable[tuple[Post | PostFields, ImpactCategory]], gazetteer: Gazetteer
+) -> list[Located]:
+    """Resolve each (post, category) as it arrives, keeping only what aggregation reads."""
+    located = []
+    for post, category in labelled:
+        state, source = resolve_location(post, gazetteer)
+        located.append(Located(state, post.created_date, category, source))
+    return located
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,11 @@ class StateMonthIndex:
 class SpatialReport:
     unlocated: int = 0
     filtered_out: int = 0
-    irrelevant_skipped: int = 0
     suppressed_cells: list[tuple[str, date, int]] = field(default_factory=list)
 
 
 def aggregate_state_month(
-    located: Sequence[LocatedPost],
+    located: Iterable[Located],
     config: IndexConfig,
     source_filter: SourceFilter = SourceFilter.BOTH,
     min_posts: int = 1,
@@ -296,22 +298,20 @@ def aggregate_state_month(
     min_posts are suppressed into the report.
     """
     report = SpatialReport()
-    groups: dict[str, list[AnnotatedPost]] = {}
-    for item in located:
-        if item.source is LocationSource.NONE:
+    groups: dict[str, tuple[list[date], list[ImpactCategory]]] = {}
+    for state, day, category, source in located:
+        if state is None:
             report.unlocated += 1
             continue
-        if source_filter is not SourceFilter.BOTH and item.source.value != source_filter.value:
+        if source_filter is not SourceFilter.BOTH and source.value != source_filter.value:
             report.filtered_out += 1
             continue
-        if not item.annotated.relevant:
-            report.irrelevant_skipped += 1
-            continue
-        groups.setdefault(item.state, []).append(item.annotated)  # type: ignore[arg-type]
+        days, categories = groups.setdefault(state, ([], []))
+        days.append(day)
+        categories.append(category)
     rows: list[StateMonthIndex] = []
     for state in sorted(groups):
-        members = groups[state]
-        counts, _ = build_count_series(members, config)
+        counts, _ = build_count_series(*groups[state], config)
         series = compute_impact_series(counts, config)
         monthly: dict[date, tuple[list[float], list[float], int]] = {}
         for idx, week in enumerate(series.weeks):

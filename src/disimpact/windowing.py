@@ -6,11 +6,11 @@ import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
+from typing import Sequence
 
 from .core import (
     CATEGORIES,
     WEEK,
-    AnnotatedPost,
     ImpactCategory,
     IndexConfig,
     category_from_short_name,
@@ -54,31 +54,29 @@ class CountSeries:
 
 @dataclass(frozen=True)
 class WindowingReport:
-    outside_range: tuple[str, ...]
+    outside_range: int
 
 
 def build_count_series(
-    posts: list[AnnotatedPost],
+    days: Sequence[date],
+    categories: Sequence[ImpactCategory],
     config: IndexConfig,
     range_start: date | None = None,
     range_end: date | None = None,
 ) -> tuple[CountSeries, WindowingReport]:
-    """Count posts per (week, category) over [range_start, range_end).
+    """Count labelled posts per (week, category) over [range_start, range_end).
 
-    An open anchor becomes the Monday on or before the earliest post or
+    Post k was made on days[k] (UTC) and labelled categories[k]. An open
+    anchor becomes the Monday on or before the earliest post or
     range_start. A bound not given becomes the edge of the smallest
     aligned span covering every post; a bound given is always used and
     must be a whole number of weeks from the anchor. Empty windows appear
     zero-filled so the series is gap-free. Posts outside the range are
-    excluded and reported by id.
+    excluded and counted in the report.
     """
-    for p in posts:
-        if not p.relevant:
-            raise ValueError(f"post {p.post.id!r} is not relevant; filter first")
-    days = [p.post.created_date for p in posts]
     anchor = config.window_anchor
     if anchor is None:
-        candidates = days if range_start is None else days + [range_start]
+        candidates = days if range_start is None else [*days, range_start]
         if not candidates:
             raise ValueError("no posts and no range to derive a window anchor from")
         anchor = monday_on_or_before(min(candidates))
@@ -102,18 +100,18 @@ def build_count_series(
     n_windows = (range_end - range_start) // WEEK
 
     counts = [{c: 0 for c in CATEGORIES} for _ in range(n_windows)]
-    outside: list[str] = []
-    for p, day in zip(posts, days):
+    outside = 0
+    for day, category in zip(days, categories, strict=True):
         if not (range_start <= day < range_end):
-            outside.append(p.post.id)
+            outside += 1
             continue
-        counts[(day - range_start).days // WEEK.days][p.category] += 1
+        counts[(day - range_start).days // WEEK.days][category] += 1
 
     windows = tuple(
         WindowCounts(start=range_start + i * WEEK, n=n, total=sum(n.values()))
         for i, n in enumerate(counts)
     )
-    return CountSeries(windows=windows), WindowingReport(outside_range=tuple(outside))
+    return CountSeries(windows=windows), WindowingReport(outside_range=outside)
 
 
 def write_counts_csv(series: CountSeries, path: str | Path) -> None:
@@ -157,7 +155,9 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
                 raise MalformedCsv(f"{path}:{lineno}: window starts out of order")
             anchor = start if anchor is None else anchor
             if start < anchor or (start - anchor) % WEEK:
-                raise MisalignedRange(f"{path}: window {start} off the 7-day grid of {anchor}")
+                raise MalformedCsv(
+                    f"{path}:{lineno}: window {start} off the 7-day grid of {anchor}"
+                )
             if order and start != order[-1] + WEEK:
                 raise MalformedCsv(
                     f"{path}:{lineno}: window {start} leaves a gap after {order[-1]}"

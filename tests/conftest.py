@@ -82,6 +82,11 @@ def spread_posts(counts_by_week: dict[int, dict[int, int]]) -> list[AnnotatedPos
     return out
 
 
+def columns(posts: list[AnnotatedPost]) -> tuple[list[date], list[ImpactCategory]]:
+    """The post days and categories build_count_series counts."""
+    return [p.post.created_date for p in posts], [p.category for p in posts]
+
+
 def category(code: int) -> ImpactCategory:
     return category_from_code(code)
 

@@ -479,6 +479,34 @@ class TestSpatial:
             assert averaged[key] == pytest.approx((physical / 5, social / 5), abs=1e-9)
 
 
+# sha256 of the fixture outputs as the in-memory counts and spatial
+# wrote them, before either streamed the posts; every run must keep them.
+GOLDEN = {
+    "counts.csv": "4a093634ddb387b8c57ac0bf1fbedf190a4ba6d1661c078ac32da75495ead64c",
+    "both": "2b3ec6edb0b1f400ed716d9f6ebb2b2b49f56bb695df565fdaf53d3065fc20f7",
+    "metadata": "581ef455cd902cf65b27729ed44d76daa403578c874a6b7eb3c90266b4a7962b",
+    "text": "ebef8ce376966293db981269d6994ec52fd80bfed87ea32871bb0200d4e38548",
+}
+
+
+class TestGoldenOutputs:
+    def test_counts_csv(self, pipeline):
+        out, _ = pipeline
+        digest = hashlib.sha256((out / "counts.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN["counts.csv"]
+
+    @pytest.mark.parametrize("source_filter", ["both", "metadata", "text"])
+    def test_spatial_csv(self, pipeline, tmp_path, source_filter):
+        out, _ = pipeline
+        code, _, _ = run_cli(
+            ["spatial", "--in", POSTS, "--labels", out / "labels.csv",
+             "--source-filter", source_filter, "--out", tmp_path]
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "spatial.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN[source_filter]
+
+
 class TestChart:
     def test_writes_svg(self, pipeline):
         out, steps = pipeline
@@ -725,6 +753,18 @@ class TestFailures:
         )
         assert code == 2
         assert stderr.startswith("error:")
+        # A counts.csv whose second week starts a day late: it names its line.
+        off_grid = tmp_path / "counts.csv"
+        rows = ["window_start,category,count,total"]
+        for start in ("2024-09-02", "2024-09-10"):
+            rows += [f"{start},{cat.short_name},0,0" for cat in disimpact.CATEGORIES]
+        off_grid.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, _, stderr = run_cli(["index", "--in", off_grid, "--out", tmp_path])
+        assert code == 2
+        assert stderr == (
+            f"error: MalformedCsv: {off_grid}:13: "
+            "window 2024-09-10 off the 7-day grid of 2024-09-02\n"
+        )
 
     def test_unknown_post_id_exits_2(self, tmp_path):
         labels = tmp_path / "labels.csv"
@@ -946,6 +986,42 @@ def half_then_hang(series, path):
 cli.write_counts_csv = half_then_hang
 cli.main(sys.argv[1:])
 """
+
+
+# Faults counts and spatial find only once the posts are streamed, and
+# the label faults read before them; (posts, labels) edits and the error.
+STREAM_FAULTS = {
+    "unknown id": (b"", "ghost,3\n", "UnknownPostId: {labels}:5: unknown post id 'ghost'"),
+    "mostly malformed": (b"{not json\n" * 21, "", "MalformedInput: 21 of 41 lines are malformed"),
+    # Both stream-end checks fail: the posts' own check comes first.
+    "malformed and unknown": (b"{not json\n" * 21, "ghost,3\n", "MalformedInput: 21 of 41"),
+    # The labels are read whole before any post, so their own fault wins.
+    "unknown then duplicate": (b"", "ghost,3\nc01,4\n", "MalformedCsv: {labels}:6: duplicate"),
+}
+
+
+class TestStreamEndChecks:
+    @pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+    @pytest.mark.parametrize("command, output", [("counts", "counts.csv"), ("spatial", "spatial.csv")])
+    def test_fault_exits_2_and_keeps_the_earlier_run(self, tmp_path, command, output, fault):
+        posts, labels, out = tmp_path / "posts.jsonl", tmp_path / "labels.csv", tmp_path / "out"
+        posts.write_bytes(CLEAN20.read_bytes())
+        labels.write_text(COUNTS_LABELS, encoding="utf-8")
+        argv = [command, "--in", posts, "--labels", labels, "--out", out]
+        assert run_cli(argv)[0] == 0
+        kept = (output, f"manifest_{command}.json")
+        before = {name: (out / name).read_bytes() for name in kept}
+
+        extra_posts, extra_labels, error = STREAM_FAULTS[fault]
+        posts.write_bytes(CLEAN20.read_bytes() + extra_posts)
+        labels.write_text(COUNTS_LABELS + extra_labels, encoding="utf-8")
+        code, stdout, stderr = run_cli(argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: " + error.format(labels=labels))
+        assert stderr.count("\n") == 1
+        assert {name: (out / name).read_bytes() for name in kept} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(kept)
 
 
 class TestInterrupts:

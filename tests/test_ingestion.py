@@ -17,7 +17,9 @@ from disimpact.errors import (
     UnknownPostId,
 )
 from disimpact.ingestion import (
+    LoadReport,
     csv_rows,
+    join_labels,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -63,10 +65,17 @@ class TestLoadPosts:
 
     def test_malformed_line_isolated(self, tmp_path):
         path = tmp_path / "posts.jsonl"
-        write_jsonl(path, [_line("a"), "{not json"])
-        result = load_posts(path)
-        assert len(result.dataset) == 1
-        assert result.report.dropped_malformed == 1
+        # The last two leave the datetime range once shifted to UTC.
+        bad = [
+            "{not json",
+            _line("b", created_at="0001-01-01T00:30:00+01:00"),
+            _line("c", created_at="9999-12-31T23:30:00-01:00"),
+        ]
+        for line in bad:
+            write_jsonl(path, [_line("a"), line])
+            result = load_posts(path)
+            assert len(result.dataset) == 1
+            assert result.report.dropped_malformed == 1
 
     def test_majority_malformed_aborts(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -191,35 +200,37 @@ class TestLoadLabels:
         write_jsonl(path, [_line(i) for i in ids])
         return load_posts(path).dataset
 
+    def _join(self, dataset, labels):
+        report = LoadReport()
+        joined = list(join_labels(dataset.posts, load_labels(labels), labels, report))
+        return joined, report
+
     def test_join(self, tmp_path):
         dataset = self._dataset(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,3\n")
-        annotated, report = load_labels(labels, dataset)
-        assert len(annotated) == 1
-        assert annotated[0].category.short_name == "INFR"
-        assert report.unlabeled_ids == ("p2",)
+        assert load_labels(labels) == {"p1": (2, disimpact.INFR)}
+        joined, report = self._join(dataset, labels)
+        assert [(post.id, category.short_name) for post, category in joined] == [("p1", "INFR")]
+        assert report.unlabeled == 1
 
     def test_unknown_post_id(self, tmp_path):
         dataset = self._dataset(tmp_path)
         labels = tmp_path / "labels.csv"
-        labels.write_text("post_id,category_code\np9,3\n")
-        with pytest.raises(UnknownPostId):
-            load_labels(labels, dataset)
+        labels.write_text("post_id,category_code\np1,3\np9,3\np8,4\n")
+        with pytest.raises(UnknownPostId, match=r"labels.csv:3: unknown post id 'p9'"):
+            self._join(dataset, labels)
 
     def test_code_eleven_is_other(self, tmp_path):
-        dataset = self._dataset(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,11\n")
-        annotated, _ = load_labels(labels, dataset)
-        assert annotated[0].category.short_name == "OTHER"
+        assert load_labels(labels)["p1"][1].short_name == "OTHER"
 
     def test_out_of_range_code(self, tmp_path):
-        dataset = self._dataset(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,12\n")
         with pytest.raises(MalformedCsv):
-            load_labels(labels, dataset)
+            load_labels(labels)
 
     def test_writer_round_trip(self, tmp_path):
         dataset = self._dataset(tmp_path, ids=("p1", "p2", "p3"))
@@ -230,10 +241,10 @@ class TestLoadLabels:
         ]
         path = tmp_path / "labels.csv"
         write_labels_csv(annotated, path)
-        loaded, report = load_labels(path, dataset)
+        loaded, report = self._join(dataset, path)
         # the irrelevant post is not written, so it comes back unlabeled
-        assert [a.post.id for a in loaded] == ["p1", "p2"]
-        assert report.unlabeled_ids == ("p3",)
+        assert [post.id for post, _ in loaded] == ["p1", "p2"]
+        assert report.unlabeled == 1
 
 
 def test_load_posts_deterministic(tmp_path):

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHOR, RESOLUTION_CASES, make_annotated, make_post
+from conftest import ANCHOR, RESOLUTION_CASES, category, make_annotated, make_post
 
 from disimpact import (
     Gazetteer,
     GazetteerEntry,
     IndexConfig,
-    LocatedPost,
+    Located,
     LocationSource,
     MalformedCsv,
     SourceFilter,
@@ -36,12 +36,12 @@ def gazetteer() -> Gazetteer:
     return load_gazetteer()
 
 
-def located(code, state, source, post_id="p1", day=ANCHOR, relevant=True):
-    return LocatedPost(
-        annotated=make_annotated(code, post_id=post_id, day=day, relevant=relevant),
-        state=state,
-        source=LocationSource(source),
-    )
+def located(code, state, source, day=ANCHOR):
+    return Located(state, day, category(code), LocationSource(source))
+
+
+def labelled(annotated):
+    return [(item.post, item.category) for item in annotated]
 
 
 class TestResolutionSuite:
@@ -77,7 +77,9 @@ class TestResolutionSuite:
             make_annotated(3, post_id=p.id, text=p.text, metadata=p.location_metadata)
             for p in posts
         ]
-        assert locate_posts(annotated, gazetteer) == locate_posts(annotated, gazetteer)
+        assert locate_posts(labelled(annotated), gazetteer) == locate_posts(
+            labelled(annotated), gazetteer
+        )
 
     def test_empty_text_resolves_to_nothing(self, gazetteer):
         assert gazetteer.best_match("") is None
@@ -223,16 +225,6 @@ class TestRegexOracle:
 
 
 class TestLocatedPost:
-    def test_state_and_source_must_agree(self):
-        with pytest.raises(ValueError):
-            LocatedPost(
-                annotated=make_annotated(3), state=None, source=LocationSource.TEXT
-            )
-        with pytest.raises(ValueError):
-            LocatedPost(
-                annotated=make_annotated(3), state="FL", source=LocationSource.NONE
-            )
-
     def test_sources_partition_the_locatable_posts(self, gazetteer):
         annotated = [
             make_annotated(
@@ -240,7 +232,7 @@ class TestLocatedPost:
             )
             for i, (metadata, text, _, _) in enumerate(RESOLUTION_CASES)
         ]
-        out = locate_posts(annotated, gazetteer)
+        out = locate_posts(labelled(annotated), gazetteer)
         both = [p for p in out if p.source is not LocationSource.NONE]
         meta = [p for p in out if p.source is LocationSource.METADATA]
         text_only = [p for p in out if p.source is LocationSource.TEXT]
@@ -302,16 +294,16 @@ class TestAggregation:
     def test_two_states_two_months(self):
         posts = (
             [
-                located(3, "FL", "metadata", post_id=f"f{i}", day=ANCHOR)
-                for i in range(3)
+                located(3, "FL", "metadata", day=ANCHOR)
+                for _ in range(3)
             ]
             + [
-                located(2, "FL", "text", post_id=f"g{i}", day=ANCHOR + timedelta(days=35))
-                for i in range(2)
+                located(2, "FL", "text", day=ANCHOR + timedelta(days=35))
+                for _ in range(2)
             ]
             + [
-                located(7, "NC", "metadata", post_id=f"n{i}", day=ANCHOR)
-                for i in range(4)
+                located(7, "NC", "metadata", day=ANCHOR)
+                for _ in range(4)
             ]
         )
         rows, _ = aggregate_state_month(posts, CONFIG)
@@ -323,20 +315,23 @@ class TestAggregation:
 
     def test_monthly_value_is_the_mean_over_windows(self):
         posts = [
-            located(3, "FL", "metadata", post_id=f"f{i}", day=ANCHOR)
-            for i in range(3)
+            located(3, "FL", "metadata", day=ANCHOR)
+            for _ in range(3)
         ] + [
-            located(3, "FL", "metadata", post_id="late", day=ANCHOR + timedelta(days=35))
+            located(3, "FL", "metadata", day=ANCHOR + timedelta(days=35))
         ]
         rows, _ = aggregate_state_month(posts, CONFIG)
         september = rows[0]
         # September spans windows starting 09-02 through 09-30.
         from disimpact import build_count_series, compute_impact_series, Domain
 
-        members = [p.annotated for p in posts]
         resolved = IndexConfig(window_anchor=ANCHOR)
         counts, _ = build_count_series(
-            members, resolved, ANCHOR, ANCHOR + timedelta(days=42)
+            [p.day for p in posts],
+            [p.category for p in posts],
+            resolved,
+            ANCHOR,
+            ANCHOR + timedelta(days=42),
         )
         series = compute_impact_series(counts, resolved)
         expected = sum(series.domains[Domain.PHYSICAL][:5]) / 5
@@ -345,9 +340,9 @@ class TestAggregation:
 
     def test_source_filter_metadata_only(self):
         posts = [
-            located(3, "FL", "metadata", post_id="m1"),
-            located(3, "FL", "text", post_id="t1"),
-            located(3, "NC", "text", post_id="t2"),
+            located(3, "FL", "metadata"),
+            located(3, "FL", "text"),
+            located(3, "NC", "text"),
         ]
         rows, report = aggregate_state_month(
             posts, CONFIG, source_filter=SourceFilter.METADATA
@@ -356,27 +351,22 @@ class TestAggregation:
         assert report.filtered_out == 2
 
     def test_source_filter_with_no_matching_posts(self):
-        posts = [located(3, "FL", "text", post_id=f"t{i}") for i in range(4)]
+        posts = [located(3, "FL", "text") for _ in range(4)]
         rows, report = aggregate_state_month(
             posts, CONFIG, source_filter=SourceFilter.METADATA
         )
         assert rows == []
         assert report.filtered_out == 4
 
-    def test_unlocated_and_irrelevant_are_counted(self):
-        posts = [
-            located(3, "FL", "metadata", post_id="ok"),
-            located(3, None, "none", post_id="lost"),
-            located(3, "FL", "text", post_id="offtopic", relevant=False),
-        ]
+    def test_unlocated_are_counted(self):
+        posts = [located(3, "FL", "metadata"), located(3, None, "none")]
         rows, report = aggregate_state_month(posts, CONFIG)
         assert report.unlocated == 1
-        assert report.irrelevant_skipped == 1
         assert sum(r.post_count for r in rows) == 1
 
     def test_small_cells_are_suppressed(self):
         posts = [
-            located(3, "FL", "metadata", post_id=f"f{i}", day=ANCHOR) for i in range(2)
+            located(3, "FL", "metadata", day=ANCHOR) for _ in range(2)
         ]
         rows, report = aggregate_state_month(posts, CONFIG, min_posts=3)
         assert rows == []
@@ -385,19 +375,15 @@ class TestAggregation:
     def test_population_conservation(self):
         rng = random.Random(23)
         posts = []
-        for i in range(60):
+        for _ in range(60):
             roll = rng.random()
             if roll < 0.2:
-                posts.append(located(3, None, "none", post_id=f"p{i}"))
-            elif roll < 0.3:
-                posts.append(
-                    located(3, "GA", "text", post_id=f"p{i}", relevant=False)
-                )
+                posts.append(located(3, None, "none"))
             else:
                 state = rng.choice(["FL", "NC", "TX"])
                 source = rng.choice(["metadata", "text"])
                 day = ANCHOR + timedelta(days=7 * rng.randrange(6))
-                posts.append(located(3, state, source, post_id=f"p{i}", day=day))
+                posts.append(located(3, state, source, day=day))
         for source_filter in SourceFilter:
             rows, report = aggregate_state_month(
                 posts, CONFIG, source_filter=source_filter
@@ -407,7 +393,6 @@ class TestAggregation:
                 + sum(n for _, _, n in report.suppressed_cells)
                 + report.unlocated
                 + report.filtered_out
-                + report.irrelevant_skipped
             )
             assert accounted == len(posts)
 

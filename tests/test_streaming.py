@@ -1,0 +1,214 @@
+"""The streamed counts and spatial commands against the in-memory path.
+
+`counts` and `spatial` read the labels first and then stream posts.jsonl
+once, keeping only what they roll up. Here random posts and labels files
+(malformed and non-UTF-8 lines, repeated ids with other dates and
+places, unlabelled posts, posts outside the range, handles that name a
+place) go through both commands and through load_posts + load_labels +
+resolve_location, and every output byte, stderr line and exit code must
+agree.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
+
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from disimpact import (
+    DisimpactError,
+    IndexConfig,
+    Located,
+    SourceFilter,
+    UnknownPostId,
+    aggregate_state_month,
+    build_count_series,
+    load_gazetteer,
+    load_labels,
+    load_posts,
+    resolve_location,
+    write_counts_csv,
+    write_spatial_csv,
+)
+from disimpact.cli import main
+
+GAZETTEER = load_gazetteer()
+IDS = ["a", "b", "c", "d", "e"]
+TEXTS = [
+    "roads flooded downtown",
+    "@Texas_help needs water",
+    "thanks @Tampa_rescue and @fema",
+    "shelter lines in Tampa keep growing",
+    "Salem, OR is dry",
+    "donations pouring into western North Carolina",
+]
+METADATA = [None, None, "Tampa, FL", "Texas", "nowhere", "Asheville"]
+MALFORMED = [b"{not json", b"[]", b'{"id": ""}', b'{"id": "a", "text": 1}', b"\xff\xfe\x00"]
+MONDAYS = [None] + [date(2024, 9, 2) + timedelta(weeks=k) for k in range(5)]
+# --range-start and --range-end for counts, either one or both left out.
+bounds = st.sampled_from(
+    [(a, b) for a in MONDAYS for b in MONDAYS if None in (a, b) or a < b]
+)
+
+
+def line(post_id, stamp, text, metadata=None):
+    record = {"id": post_id, "platform": "reddit", "text": text, "created_at": stamp}
+    return json.dumps(record | {"location_metadata": metadata}).encode()
+
+
+post_line = st.builds(
+    lambda post_id, day, hour, text, metadata: line(
+        post_id, f"{date(2024, 9, 1) + timedelta(days=day)}T{hour:02d}:30:00Z", text, metadata
+    ),
+    st.sampled_from(IDS),
+    st.integers(0, 40),
+    st.sampled_from([0, 12, 23]),
+    st.sampled_from(TEXTS),
+    st.sampled_from(METADATA),
+)
+# Mostly posts, some malformed and blank lines.
+any_line = st.sampled_from([post_line] * 6 + [st.sampled_from(MALFORMED), st.just(b"")])
+posts_file = st.lists(any_line.flatmap(lambda kind: kind), min_size=2, max_size=14)
+
+# Every case at once: a Sunday-night post, a handle naming a place, a
+# repeated id with another date and place, an unlabelled post, a post
+# past --range-end, a malformed and a non-UTF-8 line.
+EVERY_CASE = (
+    [
+        line("a", "2024-09-08T23:30:00Z", "@Texas_help needs water"),
+        line("a", "2024-09-20T12:30:00Z", "shelter lines in Tampa", "Tampa, FL"),
+        line("b", "2024-09-21T00:30:00Z", "Salem, OR is dry"),
+        line("c", "2024-09-04T12:30:00Z", "roads flooded downtown", "Texas"),
+        b"{not json",
+        b"\xff\xfe\x00",
+    ],
+    [("a", 3), ("b", 7)],
+)
+
+
+def posted_id(raw):
+    """The id of a line that line() made, else None."""
+    try:
+        return json.loads(raw)["id"] if raw.startswith(b'{"id"') and b"platform" in raw else None
+    except ValueError:
+        return None
+
+
+@st.composite
+def inputs(draw):
+    """posts.jsonl lines and labels rows, the labels mostly naming posts that exist."""
+    lines = draw(posts_file)
+    present = sorted({posted_id(line) for line in lines} - {None})
+    names = st.sampled_from(present) if present else st.nothing()
+    ids = draw(st.lists(names, unique=True, min_size=min(len(present), 1), max_size=len(present)))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        ids.insert(draw(st.integers(0, len(ids))), "ghost")
+    return lines, [(i, draw(st.integers(1, 11))) for i in ids]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+def write_counts(joined, unlabeled, path, range_start, range_end):
+    """Write counts.csv from joined (post, category) pairs; its stderr lines."""
+    series, report = build_count_series(
+        [post.created_date for post, _ in joined],
+        [category for _, category in joined],
+        IndexConfig(),
+        range_start,
+        range_end,
+    )
+    write_counts_csv(series, path)
+    lines = [f"{unlabeled} posts had no label"] if unlabeled else []
+    return lines + ([f"{report.outside_range} posts outside range"] if report.outside_range else [])
+
+
+def write_spatial(joined, unlabeled, path, range_start, range_end):
+    """Write spatial.csv from joined (post, category) pairs; its stderr lines."""
+    located = [
+        Located(state, post.created_date, category, source)
+        for post, category in joined
+        for state, source in [resolve_location(post, GAZETTEER)]
+    ]
+    rows, report = aggregate_state_month(located, IndexConfig())
+    write_spatial_csv(rows, SourceFilter.BOTH, path)
+    return [f"{report.unlocated} posts could not be located"] if report.unlocated else []
+
+
+def in_memory(posts, labels, write, path, range_start=None, range_end=None):
+    """(exit code, stderr) of the in-memory path; it writes its output to path."""
+    lines = []
+    try:
+        loaded = load_posts(posts)
+        by_id = load_labels(labels)
+        known = {post.id for post in loaded.dataset.posts}
+        unknown = sorted((lineno, i) for i, (lineno, _) in by_id.items() if i not in known)
+        if unknown:
+            raise UnknownPostId(f"{labels}:{unknown[0][0]}: unknown post id {unknown[0][1]!r}")
+        report = loaded.report
+        if report.dropped_malformed or report.dropped_duplicate:
+            lines.append(
+                f"dropped {report.dropped_malformed} malformed, "
+                f"{report.dropped_duplicate} duplicate lines"
+            )
+        joined = [(post, by_id[post.id][1]) for post in loaded.dataset.posts if post.id in by_id]
+        unlabeled = len(loaded.dataset.posts) - len(joined)
+        lines += write(joined, unlabeled, path, range_start, range_end)
+    except (DisimpactError, ValueError) as exc:
+        lines.append(f"error: {type(exc).__name__}: {exc}")
+        return getattr(exc, "exit_code", 1), "".join(line + "\n" for line in lines)
+    return 0, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs(), bounds)
+@example(EVERY_CASE, (date(2024, 9, 2), date(2024, 9, 16)))
+@example(EVERY_CASE, (None, None))
+def test_streamed_commands_match_the_in_memory_path(files, range_bounds):
+    (lines, rows), (range_start, range_end) = files, range_bounds
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        posts, labels = tmp / "posts.jsonl", tmp / "labels.csv"
+        posts.write_bytes(b"".join(line + b"\n" for line in lines))
+        labels.write_text(
+            "post_id,category_code\n" + "".join(f"{i},{code}\n" for i, code in rows),
+            encoding="utf-8",
+        )
+        bounds = []
+        if range_start is not None:
+            bounds += ["--range-start", range_start]
+        if range_end is not None:
+            bounds += ["--range-end", range_end]
+        for command, output, write, extra in (
+            ("counts", "counts.csv", write_counts, bounds),
+            ("spatial", "spatial.csv", write_spatial, []),
+        ):
+            out = tmp / command
+            got = run_cli([command, "--in", posts, "--labels", labels, "--out", out, *extra])
+            expected_path = tmp / f"expected_{output}"
+            range_args = (range_start, range_end) if extra else ()
+            expected = in_memory(posts, labels, write, expected_path, *range_args)
+            assert got == expected, command
+            event(f"{command} exit {got[0]} {got[1].partition('error: ')[2].split(':')[0]}")
+            if got[0] == 0:
+                assert (out / output).read_bytes() == expected_path.read_bytes(), command
+            else:
+                assert not out.exists() or not any(out.iterdir()), command
+
+
+def test_a_handle_that_names_a_place_locates_nothing(tmp_path):
+    # Both paths share the scrub, so the comparison above cannot see it go.
+    posts, labels = tmp_path / "posts.jsonl", tmp_path / "labels.csv"
+    post = {"id": "h1", "platform": "reddit", "created_at": "2024-09-03T10:00:00Z"}
+    posts.write_text(json.dumps(post | {"text": "@Texas_help needs water"}) + "\n")
+    labels.write_text("post_id,category_code\nh1,5\n", encoding="utf-8")
+    code, stderr = run_cli(["spatial", "--in", posts, "--labels", labels, "--out", tmp_path])
+    assert (code, stderr) == (0, "1 posts could not be located\n")
