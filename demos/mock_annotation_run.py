@@ -8,7 +8,16 @@ import json
 import tempfile
 from pathlib import Path
 
-from disimpact import ClientPolicy, DisasterTag, MockBackend, annotate_dataset, clean_dataset, load_posts
+from disimpact import (
+    ClientPolicy,
+    DisasterTag,
+    LoadReport,
+    MockBackend,
+    annotate_dataset,
+    clean_dataset,
+    iter_posts,
+    load_posts,
+)
 
 # A tiny feed: some posts describe hurricane impacts, some are noise,
 # and one mentions a user handle that must never reach a backend.
@@ -54,10 +63,15 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
         print("  kept:", post.id, post.text[:46])
     print()
 
-    # Stage two assigns one impact category per relevant post. The cache
+    # Stage two assigns one impact category per relevant post. It streams
+    # the file and keeps only each post's id and verdicts. The cache
     # wrote stage-one verdicts already, so those calls are not repeated.
-    annotations, run = annotate_dataset(dataset, backend, policy, workdir / "cache.jsonl")
+    loaded = LoadReport()
+    posts = iter_posts(posts_path, loaded)
+    labels, run = annotate_dataset(
+        posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
+    )
     print("labels (cache hits:", run.cache_hits, "):")
-    for item in annotations:
+    for item in labels:
         label = item.category.short_name if item.relevant else "-"
-        print(f"  {item.post.id}  relevant={item.relevant!s:5}  {label}")
+        print(f"  {item.post_id}  relevant={item.relevant!s:5}  {label}")

@@ -56,6 +56,7 @@ from .core import (
     Domain,
     ImpactCategory,
     IndexConfig,
+    Label,
     Platform,
     Post,
     WeeklySeries,
@@ -159,7 +160,7 @@ __all__ = [
     "PUBH", "EMOT", "BIAS", "ASST", "SECO", "OTHER",
     "CATEGORIES", "PHYSICAL_CATEGORIES", "SOCIAL_CATEGORIES",
     "category_from_code", "category_from_short_name", "domain_of",
-    "Post", "AnnotatedPost", "IndexConfig", "WeeklySeries",
+    "Post", "AnnotatedPost", "Label", "IndexConfig", "WeeklySeries",
     # ingestion
     "Dataset", "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
     "PostFields", "iter_posts", "scrub_handles", "load_ground_truth",

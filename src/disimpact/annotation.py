@@ -21,18 +21,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .core import (
     OTHER,
-    AnnotatedPost,
     DisasterTag,
     ImpactCategory,
+    Label,
     Post,
     category_from_code,
 )
 from .errors import EmptyInput, MalformedResponse, OutOfRange, TransportError
-from .ingestion import Dataset, scrub_handles
+from .ingestion import Dataset, PostFields, scrub_handles
 
 
 class Task(Enum):
@@ -59,7 +59,7 @@ def load_prompt(template_id: str) -> str:
 
 @dataclass(frozen=True)
 class ClassifierRequest:
-    post: Post
+    post: Post | PostFields  # annotate sends the streamed PostFields
     task: Task
     prompt_template_id: str
 
@@ -151,6 +151,10 @@ class Backend(Protocol):
     verdict. ``in_process = True`` marks a CPU-bound backend that is
     called inline rather than from a pool of
     ``ClientPolicy.max_in_flight`` threads.
+
+    ``request.post`` is a Post, or for ``annotate_dataset`` on a stream
+    the PostFields that ``iter_posts`` yields, which reads the same
+    except that its platform is the string as written.
     """
 
     def complete(self, request: ClassifierRequest) -> str:
@@ -295,7 +299,7 @@ def _relevance_task(disaster: DisasterTag) -> Task:
 
 
 def _classify(
-    post: Post,
+    post: Post | PostFields,
     task: Task,
     backend: Backend,
     policy: ClientPolicy,
@@ -385,26 +389,33 @@ def _read_cache(path: Path) -> tuple[dict[str, bool | ImpactCategory], int]:
     return verdicts, invalid
 
 
-def _verdict_keys(posts: Sequence[Post], task: Task, backend: Backend) -> list[str]:
-    """The cache key of each post's verdict on a task.
+def _key_material(post: Post | PostFields) -> bytes:
+    """The bytes of a post that every cache key of its verdicts covers.
 
-    It is a digest of everything that decides the verdict: the post
-    (id, scrubbed text, media refs), the task, the prompt template id
-    and the sha256 of its text, and the backend's ``identity``.
+    Length-prefixed id and scrubbed text, then the media tuple's repr:
+    no two posts give the same bytes.
+    """
+    material = f"{len(post.id)}:{post.id}{len(post.text)}:{post.text}{post.media_refs!r}"
+    return material.encode("utf-8", "surrogatepass")
+
+
+def _question(task: Task, backend: Backend):
+    """The hash state every cache key of a task's verdicts starts from.
+
+    It covers the task, the prompt template id and the sha256 of its
+    text, and the backend's ``identity``; ``_key`` adds the post.
     """
     template_id = PROMPT_TEMPLATE_IDS[task]
     prompt = hashlib.sha256(load_prompt(template_id).encode("utf-8")).hexdigest()
     question = [task.value, template_id, prompt, getattr(backend, "identity", None)]
-    prefix = hashlib.blake2b(json.dumps(question).encode("utf-8"), digest_size=16)
-    keys = []
-    for post in posts:
-        # Length-prefixed id and text, then the media tuple's repr: no
-        # two posts give the same bytes.
-        material = f"{len(post.id)}:{post.id}{len(post.text)}:{post.text}{post.media_refs!r}"
-        digest = prefix.copy()
-        digest.update(material.encode("utf-8", "surrogatepass"))
-        keys.append(digest.hexdigest())
-    return keys
+    return hashlib.blake2b(json.dumps(question).encode("utf-8"), digest_size=16)
+
+
+def _key(question, material: bytes) -> str:
+    """The cache key of one post's verdict: a digest of all that decides it."""
+    digest = question.copy()
+    digest.update(material)
+    return digest.hexdigest()
 
 
 def _end_torn_line(fh) -> None:
@@ -435,15 +446,16 @@ class _StageLoop:
         self.policy = policy
         self.cache_path = Path(cache_path)
         self.sleep = sleep
-        self.cache, report.cache_invalid = _read_cache(self.cache_path)
+        cache, report.cache_invalid = _read_cache(self.cache_path)
+        # Without an identity, a cached verdict may be another backend's.
+        self.cache = cache if getattr(backend, "identity", None) is not None else {}
         self.asked: set[str] = set()
 
-    def run(self, posts: Sequence[Post], task: Task) -> list:
+    def run(self, posts: Sequence[Post | PostFields], task: Task) -> list:
         """The judgment for each post, None where the post failed."""
-        keys = _verdict_keys(posts, task, self.backend)
-        # Without an identity, a cached verdict may be another backend's.
-        reuse = getattr(self.backend, "identity", None) is not None
-        judgments = [self.cache.get(key) if reuse else None for key in keys]
+        question = _question(task, self.backend)
+        keys = [_key(question, _key_material(post)) for post in posts]
+        judgments = [self.cache.get(key) for key in keys]
         pending = [i for i, judgment in enumerate(judgments) if judgment is None]
         if not pending:
             return judgments
@@ -493,35 +505,62 @@ class _StageLoop:
 
 
 def annotate_dataset(
-    dataset: Dataset,
+    posts: Iterable[PostFields | Post],
+    disaster: DisasterTag,
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
-) -> tuple[list[AnnotatedPost], AnnotationReport]:
+) -> tuple[list[Label], AnnotationReport]:
     """Annotate every post: relevance, then the category of relevant posts.
 
-    Verdicts already in the JSONL cache cost zero backend calls, so a
-    relevance verdict cached by ``clean_dataset`` is not asked again.
-    Failures are collected per post and the rest of the batch
-    completes; a failed post is left out of the result and its missing
-    verdict is asked for on the next run.
+    The posts are read once, as a stream, after the cache. Of each it
+    keeps the id and the two verdicts the cache holds, and the post
+    itself only while a verdict is missing; the missing ones are then
+    asked for, relevance first, each stage in post order. Verdicts
+    already cached cost zero backend calls, so a relevance verdict
+    cached by ``clean_dataset`` is not asked again. Failures are
+    collected per post and the rest of the batch completes; a failed
+    post is left out of the labels and its missing verdict is asked
+    for on the next run. An irrelevant post is labelled OTHER.
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    posts = dataset.posts
-    relevance = loop.run(posts, _relevance_task(dataset.disaster_tag))
-    relevant = [post for post, flag in zip(posts, relevance) if flag]
-    categories = iter(loop.run(relevant, Task.IMPACT_CATEGORY))
-    annotations: list[AnnotatedPost] = []
-    for post, flag in zip(posts, relevance):
-        category = next(categories) if flag else OTHER
-        if flag is not None and category is not None:
-            annotations.append(
-                AnnotatedPost(post=post, category=category, relevant=flag)
-            )
-    loop.count(len(posts))
-    return annotations, report
+    relevance_task = _relevance_task(disaster)
+    relevance_question = _question(relevance_task, backend)
+    category_question = _question(Task.IMPACT_CATEGORY, backend)
+    ids: list[str] = []
+    relevance: list[bool | None] = []
+    categories: list[ImpactCategory | None] = []
+    waiting: dict[int, PostFields | Post] = {}  # by index, the posts missing a verdict
+    for post in posts:
+        material = _key_material(post)
+        flag = loop.cache.get(_key(relevance_question, material))
+        category = OTHER if flag is False else None
+        if flag:
+            category = loop.cache.get(_key(category_question, material))
+        if category is None:
+            waiting[len(ids)] = post
+        ids.append(post.id)
+        relevance.append(flag)
+        categories.append(category)
+    pending = [i for i in waiting if relevance[i] is None]
+    for i, flag in zip(pending, loop.run([waiting[i] for i in pending], relevance_task)):
+        relevance[i] = flag
+        if flag is False:
+            categories[i] = OTHER
+    pending = [i for i in waiting if relevance[i] and categories[i] is None]
+    for i, category in zip(
+        pending, loop.run([waiting[i] for i in pending], Task.IMPACT_CATEGORY)
+    ):
+        categories[i] = category
+    loop.count(len(ids))
+    labels = [
+        Label(post_id, category, flag)
+        for post_id, flag, category in zip(ids, relevance, categories)
+        if category is not None
+    ]
+    return labels, report
 
 
 def clean_dataset(

@@ -282,16 +282,23 @@ def cmd_clean(args: argparse.Namespace, run: Run) -> int:
     return _report_errors(report.errors)
 
 
+def _stream_posts(path: Path, report: LoadReport) -> Iterator[PostFields]:
+    """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
+    yield from iter_posts(path, report)
+    _report_dropped(report)
+
+
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
-    dataset = _load_posts(run.input(args.input), DisasterTag(args.disaster))
+    loaded = LoadReport()
+    posts = _stream_posts(run.input(args.input), loaded)
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
-    annotations, report = annotate_dataset(
-        dataset, make_backend(args), make_policy(args), cache_path
+    labels, report = annotate_dataset(
+        posts, DisasterTag(args.disaster), make_backend(args), make_policy(args), cache_path
     )
-    write_labels_csv(annotations, run.output("labels.csv"))
-    relevant = sum(1 for a in annotations if a.relevant)
+    write_labels_csv(labels, run.output("labels.csv"))
+    relevant = sum(1 for label in labels if label.relevant)
     print(
-        f"annotated {len(annotations)}/{len(dataset)} posts "
+        f"annotated {len(labels)}/{loaded.kept} posts "
         f"({relevant} relevant, {report.cache_hits} cache hits)"
     )
     return _report_errors(report.errors)

@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from typing import NamedTuple
 
 from .errors import EmptyInput, LengthMismatch, OutOfRange
 
@@ -148,6 +149,17 @@ class AnnotatedPost:
     """
 
     post: Post
+    category: ImpactCategory
+    relevant: bool = True
+
+
+class Label(NamedTuple):
+    """What annotation decides about one post, by id; labels.csv lists the relevant.
+
+    Irrelevant posts carry category OTHER, as in AnnotatedPost.
+    """
+
+    post_id: str
     category: ImpactCategory
     relevant: bool = True
 

@@ -6,8 +6,11 @@ through csv_rows (or csv_header first, where the header picks columns).
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
 posts.jsonl is read by one loop, iter_posts: load_posts keeps every post
-it yields, while counts and spatial stream it against labels read first
-(load_labels, join_labels) and keep only what they roll up.
+it yields (for clean, which writes them back out); annotate streams it
+after the annotation cache and keeps an id and two verdicts per post,
+holding a post only while a verdict is missing; counts and spatial
+stream it against labels read first (load_labels, join_labels) and keep
+only what they roll up.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     WEEK,
-    AnnotatedPost,
     DisasterTag,
     ImpactCategory,
+    Label,
     Platform,
     Post,
     WeeklySeries,
@@ -358,28 +361,29 @@ def join_labels(
 ) -> Iterator[tuple[PostFields | Post, ImpactCategory]]:
     """Pair each post that has a label with its category, in post order.
 
-    Posts without a label are counted in report, never silently dropped.
-    Once the posts run out (after their own end-of-stream check), the
-    first label line, at labels path:line, whose id never appeared
-    raises UnknownPostId.
+    It consumes labels: each label is popped as its post streams by, so
+    the caller's dict ends up holding only the labels whose post never
+    appeared. Posts without a label are counted in report, never
+    silently dropped. Once the posts run out (after their own
+    end-of-stream check), the first of those labels by line, at labels
+    path:line, raises UnknownPostId.
     """
-    pending = dict(labels)
     for post in posts:
-        label = pending.pop(post.id, None)
+        label = labels.pop(post.id, None)
         if label is None:
             report.unlabeled += 1
         else:
             yield post, label[1]
-    if pending:
-        post_id, (lineno, _) = min(pending.items(), key=lambda item: item[1][0])
+    if labels:
+        post_id, (lineno, _) = min(labels.items(), key=lambda item: item[1][0])
         raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
 
 
-def write_labels_csv(annotated: Iterable[AnnotatedPost], path: str | Path) -> None:
-    """Write relevant posts' labels, as load_labels reads them."""
+def write_labels_csv(labels: Iterable[Label], path: str | Path) -> None:
+    """Write the relevant posts' labels, as load_labels reads them."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["post_id", "category_code"])
-        for item in annotated:
-            if item.relevant:
-                writer.writerow([item.post.id, item.category.code])
+        for label in labels:
+            if label.relevant:
+                writer.writerow([label.post_id, label.category.code])

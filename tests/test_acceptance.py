@@ -360,7 +360,8 @@ def test_criterion_09_privacy_fuzz(tmp_path):
         dataset = load_posts(raw, DisasterTag.HURRICANE).dataset
         assert all("@user" in post.text for post in dataset.posts)
         annotate_dataset(
-            dataset,
+            dataset.posts,
+            dataset.disaster_tag,
             backend,
             ClientPolicy(max_in_flight=2, max_retries=1),
             tmp_path / "cache.jsonl",

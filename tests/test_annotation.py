@@ -57,6 +57,13 @@ def make_dataset(rows=SCRIPTED_POSTS, disaster=DisasterTag.HURRICANE) -> Dataset
     return Dataset(posts=posts, source_path="memory", disaster_tag=disaster)
 
 
+def annotate(dataset: Dataset, backend, *args, **kwargs):
+    """annotate_dataset on a dataset's posts and disaster tag."""
+    return annotate_dataset(
+        dataset.posts, dataset.disaster_tag, backend, *args, **kwargs
+    )
+
+
 class FlakyBackend:
     """Raises a scripted number of transport failures before delegating."""
 
@@ -369,7 +376,7 @@ class TestAnnotateDataset:
         dataset = make_dataset()
         backend = MockBackend()
         cache = tmp_path / "cache.jsonl"
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
         assert len(annotations) == 10
@@ -384,10 +391,10 @@ class TestAnnotateDataset:
 
     def test_expected_categories(self, tmp_path):
         dataset = make_dataset()
-        annotations, _ = annotate_dataset(
+        annotations, _ = annotate(
             dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
-        by_id = {a.post.id: a for a in annotations}
+        by_id = {a.post_id: a for a in annotations}
         for i, (_, relevant, code) in enumerate(SCRIPTED_POSTS):
             annotation = by_id[f"p{i}"]
             assert annotation.relevant is relevant
@@ -399,11 +406,11 @@ class TestAnnotateDataset:
     def test_warm_rerun_costs_zero_calls(self, tmp_path):
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
-        first, _ = annotate_dataset(
+        first, _ = annotate(
             dataset, MockBackend(), cache_path=cache, sleep=no_sleep
         )
         backend = MockBackend()
-        second, report = annotate_dataset(
+        second, report = annotate(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
         assert backend.calls == 0
@@ -413,14 +420,14 @@ class TestAnnotateDataset:
 
     def test_results_follow_dataset_order(self, tmp_path):
         dataset = make_dataset()
-        annotations, _ = annotate_dataset(
+        annotations, _ = annotate(
             dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
-        assert [a.post.id for a in annotations] == [f"p{i}" for i in range(10)]
+        assert [a.post_id for a in annotations] == [f"p{i}" for i in range(10)]
 
     def test_cache_appends_in_dataset_order(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        annotate_dataset(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
         relevant = [f"p{i}" for i, (_, flag, _) in enumerate(SCRIPTED_POSTS) if flag]
         # Each stage appends its verdicts in dataset order.
         assert [(line["task"], line["post_id"]) for line in cache_lines(cache)] == [
@@ -431,7 +438,7 @@ class TestAnnotateDataset:
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
         backend = SelectiveBackend(bad_ids={"p2"})
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
         assert len(annotations) == 9
@@ -443,7 +450,7 @@ class TestAnnotateDataset:
         assert "p2" not in cached_ids and len(cached_ids) == 9
 
         retry_backend = MockBackend()
-        retried, retry_report = annotate_dataset(
+        retried, retry_report = annotate(
             dataset, retry_backend, cache_path=cache, sleep=no_sleep
         )
         assert len(retried) == 10
@@ -457,7 +464,7 @@ class TestAnnotateDataset:
         clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
 
         backend = RecordingMock()
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
         relevant = sum(1 for _, flag, _ in SCRIPTED_POSTS if flag)
@@ -470,14 +477,14 @@ class TestAnnotateDataset:
     def test_torn_cache_lines_are_skipped_and_counted(self, tmp_path):
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
-        annotate_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
         out_of_range = dict(cache_lines(cache, "impact_category")[1], judgment=99)
         with cache.open("a", encoding="utf-8") as fh:
             fh.write('{"judgment": true, "key": "ab\n')  # torn write
             fh.write(json.dumps(out_of_range) + "\n")
             fh.write("\n")  # blank lines are not an error
         backend = MockBackend()
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             dataset, backend, cache_path=cache, sleep=no_sleep
         )
         assert report.cache_invalid == 2
@@ -487,21 +494,21 @@ class TestAnnotateDataset:
     def test_last_entry_wins(self, tmp_path):
         dataset = make_dataset()
         cache = tmp_path / "cache.jsonl"
-        annotate_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
         p0_category = cache_lines(cache, "impact_category")[0]
         assert p0_category["post_id"] == "p0"
         with cache.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(dict(p0_category, judgment=9, raw="")) + "\n")
-        annotations, _ = annotate_dataset(
+        annotations, _ = annotate(
             dataset, MockBackend(), cache_path=cache, sleep=no_sleep
         )
-        by_id = {a.post.id: a for a in annotations}
+        by_id = {a.post_id: a for a in annotations}
         assert by_id["p0"].category.short_name == "ASST"
 
     def test_empty_dataset(self, tmp_path):
         dataset = Dataset(posts=(), source_path="memory", disaster_tag=DisasterTag.HURRICANE)
         cache = tmp_path / "cache.jsonl"
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             dataset, MockBackend(), cache_path=cache, sleep=no_sleep
         )
         assert annotations == []
@@ -511,7 +518,7 @@ class TestAnnotateDataset:
     def test_all_failures_leave_no_cache(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         backend = SelectiveBackend(bad_ids={f"p{i}" for i in range(10)})
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             make_dataset(), backend, cache_path=cache, sleep=no_sleep
         )
         assert annotations == []
@@ -522,7 +529,7 @@ class TestAnnotateDataset:
         rows = [(f"storm surge report number {i}", True, 11) for i in range(12)]
         dataset = make_dataset(rows)
         backend = GaugeBackend()
-        annotate_dataset(
+        annotate(
             dataset,
             backend,
             ClientPolicy(max_in_flight=2),
@@ -534,7 +541,7 @@ class TestAnnotateDataset:
     def test_in_process_backend_runs_inline(self, tmp_path):
         backend = PooledMock()
         backend.in_process = True
-        annotate_dataset(
+        annotate(
             make_dataset(),
             backend,
             ClientPolicy(max_in_flight=4),
@@ -545,7 +552,7 @@ class TestAnnotateDataset:
 
     def test_other_backends_run_in_a_pool(self, tmp_path):
         backend = PooledMock()
-        annotate_dataset(
+        annotate(
             make_dataset(),
             backend,
             ClientPolicy(max_in_flight=4),
@@ -633,7 +640,7 @@ class TestCacheKeys:
     def annotate(self, backend_factory):
         def run(cache):
             backend = backend_factory()
-            annotations, _ = annotate_dataset(
+            annotations, _ = annotate(
                 make_dataset(), backend, cache_path=cache, sleep=no_sleep
             )
             return annotations, backend.calls
@@ -642,7 +649,7 @@ class TestCacheKeys:
 
     def test_post_content(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        annotate_dataset(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
         posts = list(make_dataset().posts)
         posts[0] = make_post(post_id="p0", text=posts[0].text, media=("img0.jpg",))
         posts[5] = make_post(post_id="p5", text="hurricane surge in Miami")
@@ -650,11 +657,11 @@ class TestCacheKeys:
             posts=tuple(posts), source_path="memory", disaster_tag=DisasterTag.HURRICANE
         )
         backend = MockBackend()
-        annotations, report = annotate_dataset(
+        annotations, report = annotate(
             changed, backend, cache_path=cache, sleep=no_sleep
         )
         assert (report.backend_posts, backend.calls) == (2, 4)
-        assert annotations[5].relevant and annotations[5].post.text.startswith("hurricane")
+        assert annotations[5].relevant and annotations[5].post_id == "p5"
 
     def test_backend_identity(self, tmp_path):
         class OtherModel(MockBackend):
@@ -754,14 +761,14 @@ class TestInterruptAndResume:
     def test_interrupt_keeps_finished_verdicts(self, tmp_path, in_flight):
         dataset = fixture_dataset()
         fresh = tmp_path / "fresh.jsonl"
-        expected, _ = annotate_dataset(dataset, MockBackend(), cache_path=fresh)
+        expected, _ = annotate(dataset, MockBackend(), cache_path=fresh)
         assert len(fresh.read_text().splitlines()) == 371
 
         cache = tmp_path / "cache.jsonl"
         interrupting = InterruptingBackend(interrupt_at=300)
         backend = interrupting if in_flight == 1 else PooledMock(interrupting)
         with pytest.raises(KeyboardInterrupt):
-            annotate_dataset(
+            annotate(
                 dataset, backend, ClientPolicy(max_in_flight=in_flight), cache_path=cache
             )
         kept = len(cache.read_text().splitlines())
@@ -772,7 +779,7 @@ class TestInterruptAndResume:
             assert abs(kept - 299) <= in_flight
 
         rerun = MockBackend()
-        annotations, report = annotate_dataset(dataset, rerun, cache_path=cache)
+        annotations, report = annotate(dataset, rerun, cache_path=cache)
         assert rerun.calls == 371 - kept
         assert report.errors == []
         assert annotations == expected
@@ -788,7 +795,7 @@ class TestInterruptAndResume:
                 on_disk.append(cache.read_bytes().count(b"\n") if cache.exists() else 0)
                 return super().complete(request)
 
-        annotate_dataset(fixture_dataset(), Probe(), cache_path=cache)
+        annotate(fixture_dataset(), Probe(), cache_path=cache)
         assert on_disk == list(range(371))
 
     def test_torn_last_line_keeps_the_next_verdict(self, tmp_path):
@@ -809,12 +816,12 @@ class TestPool:
     def test_many_threads_write_what_one_writes(self, tmp_path):
         dataset = fixture_dataset()
         inline = tmp_path / "inline.jsonl"
-        expected, _ = annotate_dataset(dataset, MockBackend(), cache_path=inline)
+        expected, _ = annotate(dataset, MockBackend(), cache_path=inline)
         backend = PooledMock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            annotations, report = annotate_dataset(
+            annotations, report = annotate(
                 dataset,
                 backend,
                 ClientPolicy(max_in_flight=8),
@@ -862,7 +869,7 @@ class TestPayloadPrivacy:
         ]
         rows = [(t, True, 11) for t in texts]
         backend = RecordingMock()
-        annotate_dataset(
+        annotate(
             make_dataset(rows), backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         assert backend.request_log

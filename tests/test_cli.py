@@ -283,6 +283,55 @@ class TestAnnotate:
         assert len(lines) == 1 + 171
 
 
+class TestAnnotateStreams:
+    def test_warm_run_loads_builds_and_holds_no_post(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_posts called")
+
+        monkeypatch.setattr(cli, "load_posts", refuse)
+        monkeypatch.setattr(disimpact.ingestion, "load_posts", refuse)
+        built = []
+        post_init = disimpact.Post.__post_init__
+        monkeypatch.setattr(
+            disimpact.Post, "__post_init__", lambda post: built.append(post) or post_init(post)
+        )
+        held = []  # the posts each stage is handed, kept while a verdict is missing
+        run = disimpact.annotation._StageLoop.run
+        monkeypatch.setattr(
+            disimpact.annotation._StageLoop,
+            "run",
+            lambda loop, posts, task: held.append(len(posts)) or run(loop, posts, task),
+        )
+        argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
+        assert run_cli(argv)[0] == 0
+        assert (built, held) == ([], [200, 171])  # the backend is sent the streamed fields
+        before = (tmp_path / "annotation_cache.jsonl").read_bytes()
+        held.clear()
+        assert run_cli(argv) == (
+            0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n", ""
+        )
+        assert (built, held) == ([], [0, 0])
+        assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
+
+    def test_mostly_malformed_posts_exit_2_before_any_call(self, tmp_path, backends):
+        made, _ = backends
+        posts, out = tmp_path / "posts.jsonl", tmp_path / "out"
+        posts.write_bytes(b"".join(CLEAN20.read_bytes().splitlines(keepends=True)[:10]))
+        argv = ["annotate", "--in", posts, "--disaster", "hurricane", "--out", out]
+        assert run_cli(argv)[0] == 0
+        cache = out / "annotation_cache.jsonl"
+        with cache.open("ab") as fh:
+            fh.write(b'{"judgment": true, "ke')  # a torn last line, ended only by an append
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        posts.write_bytes(CLEAN20.read_bytes() + b"{not json\n" * 21)
+        assert run_cli(argv) == (
+            2, "", f"error: MalformedInput: 21 of 41 lines are malformed in {posts}\n"
+        )
+        assert sum(backend.calls for backend in made[1:]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 class TestCounts:
     def test_window_summary(self, pipeline):
         _, steps = pipeline

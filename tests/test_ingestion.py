@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disimpact
-from disimpact.core import Platform
+from disimpact.core import Label, Platform
 from disimpact.errors import (
     MalformedCsv,
     MalformedInput,
@@ -28,7 +28,7 @@ from disimpact.ingestion import (
     write_posts_jsonl,
 )
 
-from conftest import make_annotated, make_post
+from conftest import category, make_post
 
 
 def _line(post_id="p1", **overrides):
@@ -214,6 +214,16 @@ class TestLoadLabels:
         assert [(post.id, category.short_name) for post, category in joined] == [("p1", "INFR")]
         assert report.unlabeled == 1
 
+    def test_join_consumes_the_labels_it_is_given(self, tmp_path):
+        dataset = self._dataset(tmp_path)
+        path = tmp_path / "labels.csv"
+        path.write_text("post_id,category_code\np1,3\np9,3\n")
+        labels = load_labels(path)
+        joined = join_labels(dataset.posts, labels, path, LoadReport())
+        with pytest.raises(UnknownPostId):
+            list(joined)
+        assert labels == {"p9": (3, disimpact.INFR)}  # popped, not copied
+
     def test_unknown_post_id(self, tmp_path):
         dataset = self._dataset(tmp_path)
         labels = tmp_path / "labels.csv"
@@ -234,13 +244,13 @@ class TestLoadLabels:
 
     def test_writer_round_trip(self, tmp_path):
         dataset = self._dataset(tmp_path, ids=("p1", "p2", "p3"))
-        annotated = [
-            make_annotated(3, post_id="p1"),
-            make_annotated(11, post_id="p2"),
-            make_annotated(5, post_id="p3", relevant=False),
+        labels = [
+            Label("p1", category(3)),
+            Label("p2", category(11)),
+            Label("p3", category(5), relevant=False),
         ]
         path = tmp_path / "labels.csv"
-        write_labels_csv(annotated, path)
+        write_labels_csv(labels, path)
         loaded, report = self._join(dataset, path)
         # the irrelevant post is not written, so it comes back unlabeled
         assert [post.id for post, _ in loaded] == ["p1", "p2"]

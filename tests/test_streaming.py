@@ -1,4 +1,4 @@
-"""The streamed counts and spatial commands against the in-memory path.
+"""The streamed annotate, counts and spatial commands against the in-memory path.
 
 `counts` and `spatial` read the labels first and then stream posts.jsonl
 once, keeping only what they roll up. Here random posts and labels files
@@ -7,23 +7,39 @@ places, unlabelled posts, posts outside the range, handles that name a
 place) go through both commands and through load_posts + load_labels +
 resolve_location, and every output byte, stderr line and exit code must
 agree.
+
+`annotate` reads the cache first and then streams posts.jsonl once,
+keeping an id and two verdicts per post. Random posts files, caches and
+backends go through it and through the two stages run over a loaded
+Dataset, and labels.csv, the cache bytes, stdout, stderr, the exit code
+and the number of backend calls must agree.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import time
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from disimpact import (
+    OTHER,
+    AnnotationReport,
+    ClientPolicy,
+    DisasterTag,
     DisimpactError,
     IndexConfig,
+    Label,
     Located,
+    MockBackend,
     SourceFilter,
+    Task,
+    TransportError,
     UnknownPostId,
     aggregate_state_month,
     build_count_series,
@@ -32,8 +48,10 @@ from disimpact import (
     load_posts,
     resolve_location,
     write_counts_csv,
+    write_labels_csv,
     write_spatial_csv,
 )
+from disimpact.annotation import _StageLoop
 from disimpact.cli import main
 
 GAZETTEER = load_gazetteer()
@@ -140,7 +158,10 @@ def write_spatial(joined, unlabeled, path, range_start, range_end):
     ]
     rows, report = aggregate_state_month(located, IndexConfig())
     write_spatial_csv(rows, SourceFilter.BOTH, path)
-    return [f"{report.unlocated} posts could not be located"] if report.unlocated else []
+    lines = [f"{report.unlocated} posts could not be located"] if report.unlocated else []
+    if report.suppressed_cells:
+        lines.append(f"{len(report.suppressed_cells)} cells under min_group_size suppressed")
+    return lines
 
 
 def in_memory(posts, labels, write, path, range_start=None, range_end=None):
@@ -172,6 +193,18 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
 @given(inputs(), bounds)
 @example(EVERY_CASE, (date(2024, 9, 2), date(2024, 9, 16)))
 @example(EVERY_CASE, (None, None))
+# A state with a month between its posts that has none: that month's
+# cell is suppressed.
+@example(
+    (
+        [
+            line("a", "2024-10-07T12:30:00Z", "shelter lines in Tampa", "Tampa, FL"),
+            line("b", "2024-09-01T12:30:00Z", "shelter lines in Tampa", "Tampa, FL"),
+        ],
+        [("a", 1), ("b", 1)],
+    ),
+    (None, None),
+)
 def test_streamed_commands_match_the_in_memory_path(files, range_bounds):
     (lines, rows), (range_start, range_end) = files, range_bounds
     with tempfile.TemporaryDirectory() as tmp:
@@ -212,3 +245,191 @@ def test_a_handle_that_names_a_place_locates_nothing(tmp_path):
     labels.write_text("post_id,category_code\nh1,5\n", encoding="utf-8")
     code, stderr = run_cli(["spatial", "--in", posts, "--labels", labels, "--out", tmp_path])
     assert (code, stderr) == (0, "1 posts could not be located\n")
+
+
+ANNOTATE_TEXTS = [
+    "hurricane flooded the roads",
+    "storm surge forced families to evacuate to the shelter",
+    "volunteers brought relief after the hurricane",
+    "thanks @fema for the hurricane supplies",
+    "Miami Hurricanes win the game",
+    "new pasta recipe dropped tonight",
+    "",
+]
+
+
+def annotate_line(post_id, text, media):
+    record = {
+        "id": post_id,
+        "platform": "tiktok",
+        "text": text,
+        "created_at": "2024-09-03T12:00:00Z",
+    }
+    return json.dumps(record | ({"media_refs": media} if media else {})).encode()
+
+
+annotate_post_line = st.builds(
+    annotate_line,
+    st.sampled_from(IDS),
+    st.sampled_from(ANNOTATE_TEXTS),
+    st.sampled_from([None, None, ["img.jpg"]]),
+)
+annotate_posts_file = st.lists(
+    st.sampled_from(
+        [annotate_post_line] * 6 + [st.sampled_from(MALFORMED), st.just(b"")]
+    ).flatmap(lambda kind: kind),
+    min_size=1,
+    max_size=12,
+)
+
+
+class Counting(MockBackend):
+    """The mock, counting every call in calls."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.tally = calls
+
+    def complete(self, request):
+        self.tally.append(request.task)
+        return super().complete(request)
+
+
+class Failing(Counting):
+    """Fails relevance for some ids (a hard outage) and category for others (garbage)."""
+
+    def __init__(self, calls, relevance_ids, category_ids):
+        super().__init__(calls)
+        self.relevance_ids, self.category_ids = relevance_ids, category_ids
+
+    def complete(self, request):
+        if request.task is Task.IMPACT_CATEGORY:
+            if request.post.id in self.category_ids:
+                self.tally.append(request.task)
+                return "no judgment here"
+        elif request.post.id in self.relevance_ids:
+            self.tally.append(request.task)
+            error = TransportError("scripted outage")
+            error.retryable = False
+            raise error
+        return super().complete(request)
+
+
+class Anonymous:
+    """The mock's answers from a backend with no identity, through the pool."""
+
+    def __init__(self, calls):
+        self.inner = Counting(calls)
+
+    def complete(self, request):
+        return self.inner.complete(request)
+
+
+@st.composite
+def backend_kinds(draw):
+    """A factory of fresh backends, all counting into the list it is given."""
+    kind = draw(st.sampled_from(["mock", "failing", "anonymous"]))
+    event(f"{kind} backend")
+    if kind == "mock":
+        return Counting
+    if kind == "anonymous":
+        return Anonymous
+    relevance_ids = draw(st.sets(st.sampled_from(IDS), max_size=2))
+    category_ids = draw(st.sets(st.sampled_from(IDS), max_size=2))
+    return lambda calls: Failing(calls, relevance_ids, category_ids)
+
+
+@st.composite
+def caches(draw, posts):
+    """The bytes of a cache to start from, or None: cold, warm, a clean run's, or part of one."""
+    kind = draw(st.sampled_from(["cold", "warm", "clean", "partial"]))
+    event(f"{kind} cache")
+    if kind == "cold":
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        command = "clean" if kind == "clean" else "annotate"
+        run_cli([command, "--in", posts, "--disaster", "hurricane", "--out", tmp])
+        cache = Path(tmp) / "annotation_cache.jsonl"
+        data = cache.read_bytes() if cache.exists() else None
+    if kind != "partial" or data is None:
+        return data
+    lines = data.splitlines(keepends=True)
+    kept = [line for line in lines if draw(st.booleans())]
+    torn = draw(st.sampled_from([b"", lines[-1][:20]]))
+    return b"".join(kept) + torn
+
+
+def annotate_in_memory(posts, cache, labels_path, backend):
+    """(exit code, stdout, stderr) of the two stages over a loaded Dataset."""
+    try:
+        loaded = load_posts(posts, DisasterTag.HURRICANE)
+    except DisimpactError as exc:
+        return exc.exit_code, "", f"error: {type(exc).__name__}: {exc}\n"
+    stderr = ""
+    if loaded.report.dropped_malformed or loaded.report.dropped_duplicate:
+        stderr += (
+            f"dropped {loaded.report.dropped_malformed} malformed, "
+            f"{loaded.report.dropped_duplicate} duplicate lines\n"
+        )
+    report = AnnotationReport()
+    loop = _StageLoop(report, backend, ClientPolicy(), cache, time.sleep)
+    posts = loaded.dataset.posts
+    relevance = loop.run(posts, Task.RELEVANCE_HURRICANE)
+    relevant = [post for post, flag in zip(posts, relevance) if flag]
+    categories = iter(loop.run(relevant, Task.IMPACT_CATEGORY))
+    labels = []
+    for post, flag in zip(posts, relevance):
+        category = next(categories) if flag else OTHER
+        if flag is not None and category is not None:
+            labels.append(Label(post.id, category, flag))
+    loop.count(len(posts))
+    write_labels_csv(labels, labels_path)
+    n_relevant = sum(1 for label in labels if label.relevant)
+    stdout = (
+        f"annotated {len(labels)}/{len(posts)} posts "
+        f"({n_relevant} relevant, {report.cache_hits} cache hits)\n"
+    )
+    for error in report.errors:
+        stderr += f"error: post {error.post_id}: {error.stage}: {error.message}\n"
+    stages = {error.stage for error in report.errors}
+    return (3 if "TransportError" in stages else 1 if stages else 0), stdout, stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), annotate_posts_file, backend_kinds())
+def test_streamed_annotate_matches_the_in_memory_path(data, lines, make_backend):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        posts, out, expected = tmp / "posts.jsonl", tmp / "out", tmp / "expected"
+        posts.write_bytes(b"".join(line + b"\n" for line in lines))
+        seed = data.draw(caches(posts))
+        for directory in (out, expected):
+            directory.mkdir()
+            if seed is not None:
+                (directory / "annotation_cache.jsonl").write_bytes(seed)
+
+        streamed_calls, in_memory_calls = [], []
+        with mock.patch("disimpact.cli.make_backend", lambda args: make_backend(streamed_calls)):
+            out_buffer, err_buffer = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out_buffer), contextlib.redirect_stderr(err_buffer):
+                code = main(["annotate", "--in", str(posts), "--disaster", "hurricane",
+                             "--out", str(out)])
+        got = code, out_buffer.getvalue(), err_buffer.getvalue()
+        want = annotate_in_memory(
+            posts,
+            expected / "annotation_cache.jsonl",
+            expected / "labels.csv",
+            make_backend(in_memory_calls),
+        )
+        assert got == want
+        assert streamed_calls == in_memory_calls
+        event(f"annotate exit {got[0]}, {len(streamed_calls)} calls")
+        cache = out / "annotation_cache.jsonl"
+        expected_cache = expected / "annotation_cache.jsonl"
+        assert cache.exists() == expected_cache.exists()
+        if cache.exists():
+            assert cache.read_bytes() == expected_cache.read_bytes()
+        if got[0] == 0:
+            assert (out / "labels.csv").read_bytes() == (expected / "labels.csv").read_bytes()
+        else:
+            assert not (out / "labels.csv").exists()
