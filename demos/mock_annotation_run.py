@@ -50,14 +50,16 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
             )
 
     # Ingestion scrubs handles before anything else sees the text.
-    dataset = load_posts(posts_path, DisasterTag.HURRICANE).dataset
-    print("scrubbed:", next(p.text for p in dataset.posts if p.id == "r05"))
+    posts, _ = load_posts(posts_path)
+    print("scrubbed:", next(p.text for p in posts if p.id == "r05"))
     print()
 
     # Stage one drops posts that are not about the disaster.
     backend = MockBackend()
     policy = ClientPolicy(max_in_flight=2)
-    kept, report = clean_dataset(dataset, backend, policy, workdir / "cache.jsonl")
+    kept, report = clean_dataset(
+        posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
+    )
     print("cleaning kept", report.summary())
     for post in kept:
         print("  kept:", post.id, post.text[:46])

@@ -8,7 +8,6 @@ from datetime import date, datetime, timezone
 
 from disimpact import (
     IndexConfig,
-    Platform,
     Post,
     SourceFilter,
     aggregate_state_month,
@@ -21,7 +20,7 @@ from disimpact import (
 def post(post_id, day, text, metadata=None):
     return Post(
         id=post_id,
-        platform=Platform.REDDIT,
+        platform="reddit",
         text=text,
         created_at=datetime(day.year, day.month, day.day, 12, tzinfo=timezone.utc),
         media_refs=(),

@@ -51,7 +51,6 @@ from .core import (
     RSRC,
     SECO,
     SOCIAL_CATEGORIES,
-    AnnotatedPost,
     DisasterTag,
     Domain,
     ImpactCategory,
@@ -99,10 +98,8 @@ from .impact import (
     write_index_csv,
 )
 from .ingestion import (
-    Dataset,
     LoadReport,
     LoadResult,
-    PostFields,
     iter_posts,
     join_labels,
     load_ground_truth,
@@ -160,10 +157,10 @@ __all__ = [
     "PUBH", "EMOT", "BIAS", "ASST", "SECO", "OTHER",
     "CATEGORIES", "PHYSICAL_CATEGORIES", "SOCIAL_CATEGORIES",
     "category_from_code", "category_from_short_name", "domain_of",
-    "Post", "AnnotatedPost", "Label", "IndexConfig", "WeeklySeries",
+    "Post", "Label", "IndexConfig", "WeeklySeries",
     # ingestion
-    "Dataset", "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
-    "PostFields", "iter_posts", "scrub_handles", "load_ground_truth",
+    "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
+    "iter_posts", "scrub_handles", "load_ground_truth",
     "load_labels", "join_labels", "write_labels_csv",
     # annotation
     "Task", "ClassifierRequest", "ClientPolicy",

@@ -32,7 +32,7 @@ from .core import (
     category_from_code,
 )
 from .errors import EmptyInput, MalformedResponse, OutOfRange, TransportError
-from .ingestion import Dataset, PostFields, scrub_handles
+from .ingestion import scrub_handles
 
 
 class Task(Enum):
@@ -59,7 +59,7 @@ def load_prompt(template_id: str) -> str:
 
 @dataclass(frozen=True)
 class ClassifierRequest:
-    post: Post | PostFields  # annotate sends the streamed PostFields
+    post: Post
     task: Task
     prompt_template_id: str
 
@@ -151,10 +151,6 @@ class Backend(Protocol):
     verdict. ``in_process = True`` marks a CPU-bound backend that is
     called inline rather than from a pool of
     ``ClientPolicy.max_in_flight`` threads.
-
-    ``request.post`` is a Post, or for ``annotate_dataset`` on a stream
-    the PostFields that ``iter_posts`` yields, which reads the same
-    except that its platform is the string as written.
     """
 
     def complete(self, request: ClassifierRequest) -> str:
@@ -290,16 +286,14 @@ def _call_with_retries(
     raise AssertionError("unreachable")
 
 
-def _relevance_task(disaster: DisasterTag) -> Task:
-    if disaster is DisasterTag.HURRICANE:
-        return Task.RELEVANCE_HURRICANE
-    if disaster is DisasterTag.WILDFIRE:
-        return Task.RELEVANCE_WILDFIRE
-    raise OutOfRange(f"no cleaning prompt for disaster tag {disaster}")
+_RELEVANCE_TASK = {
+    DisasterTag.HURRICANE: Task.RELEVANCE_HURRICANE,
+    DisasterTag.WILDFIRE: Task.RELEVANCE_WILDFIRE,
+}
 
 
 def _classify(
-    post: Post | PostFields,
+    post: Post,
     task: Task,
     backend: Backend,
     policy: ClientPolicy,
@@ -321,7 +315,7 @@ def classify_relevance(
     sleep: Callable[[float], None] = time.sleep,
 ) -> bool:
     """Judge whether a post is on-topic for the disaster type."""
-    return _classify(post, _relevance_task(disaster), backend, policy, sleep)
+    return _classify(post, _RELEVANCE_TASK[disaster], backend, policy, sleep)
 
 
 def classify_impact(
@@ -364,12 +358,12 @@ class CleanReport(AnnotationReport):
         return f"{self.kept:,}/{self.total:,} ({pct}%)"
 
 
-def _read_cache(path: Path) -> tuple[dict[str, bool | ImpactCategory], int]:
-    """Judgment by key of every readable cache line, and the unreadable count.
+def _read_cache(path: Path) -> tuple[dict[bytes, bool | ImpactCategory], int]:
+    """Judgment by key digest of every readable cache line, and the unreadable count.
 
-    A later line for the same key wins.
+    A later line for the same key wins; a key that is not hex is unreadable.
     """
-    verdicts: dict[str, bool | ImpactCategory] = {}
+    verdicts: dict[bytes, bool | ImpactCategory] = {}
     invalid = 0
     if not path.exists():
         return verdicts, invalid
@@ -380,16 +374,16 @@ def _read_cache(path: Path) -> tuple[dict[str, bool | ImpactCategory], int]:
             try:
                 data = json.loads(line.decode("utf-8"))
                 task = _TASKS[data["task"]]
-                verdicts[data["key"]] = _check_judgment(data["judgment"], task)
+                verdicts[bytes.fromhex(data["key"])] = _check_judgment(data["judgment"], task)
             except (KeyError, TypeError, ValueError, MalformedResponse):
-                # Torn writes, bytes that are not UTF-8 and lines in the
-                # old unkeyed format are recoverable: skip the line and
-                # ask the backend again.
+                # Torn writes, bytes that are not UTF-8, keys that are
+                # not hex and lines in the old unkeyed format are
+                # recoverable: skip the line and ask the backend again.
                 invalid += 1
     return verdicts, invalid
 
 
-def _key_material(post: Post | PostFields) -> bytes:
+def _key_material(post: Post) -> bytes:
     """The bytes of a post that every cache key of its verdicts covers.
 
     Length-prefixed id and scrubbed text, then the media tuple's repr:
@@ -411,11 +405,14 @@ def _question(task: Task, backend: Backend):
     return hashlib.blake2b(json.dumps(question).encode("utf-8"), digest_size=16)
 
 
-def _key(question, material: bytes) -> str:
-    """The cache key of one post's verdict: a digest of all that decides it."""
+def _key(question, material: bytes) -> bytes:
+    """The cache key of one post's verdict: a digest of all that decides it.
+
+    The cache file stores it as hex.
+    """
     digest = question.copy()
     digest.update(material)
-    return digest.hexdigest()
+    return digest.digest()
 
 
 def _end_torn_line(fh) -> None:
@@ -451,7 +448,7 @@ class _StageLoop:
         self.cache = cache if getattr(backend, "identity", None) is not None else {}
         self.asked: set[str] = set()
 
-    def run(self, posts: Sequence[Post | PostFields], task: Task) -> list:
+    def run(self, posts: Sequence[Post], task: Task) -> list:
         """The judgment for each post, None where the post failed."""
         question = _question(task, self.backend)
         keys = [_key(question, _key_material(post)) for post in posts]
@@ -491,7 +488,7 @@ class _StageLoop:
                 judgments[i] = answer
                 line = {
                     "judgment": getattr(answer, "code", answer),
-                    "key": keys[i],
+                    "key": keys[i].hex(),
                     "post_id": posts[i].id,
                     "task": task.value,
                 }
@@ -505,7 +502,7 @@ class _StageLoop:
 
 
 def annotate_dataset(
-    posts: Iterable[PostFields | Post],
+    posts: Iterable[Post],
     disaster: DisasterTag,
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
@@ -526,13 +523,13 @@ def annotate_dataset(
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    relevance_task = _relevance_task(disaster)
+    relevance_task = _RELEVANCE_TASK[disaster]
     relevance_question = _question(relevance_task, backend)
     category_question = _question(Task.IMPACT_CATEGORY, backend)
     ids: list[str] = []
     relevance: list[bool | None] = []
     categories: list[ImpactCategory | None] = []
-    waiting: dict[int, PostFields | Post] = {}  # by index, the posts missing a verdict
+    waiting: dict[int, Post] = {}  # by index, the posts missing a verdict
     for post in posts:
         material = _key_material(post)
         flag = loop.cache.get(_key(relevance_question, material))
@@ -564,22 +561,23 @@ def annotate_dataset(
 
 
 def clean_dataset(
-    dataset: Dataset,
+    posts: Sequence[Post],
+    disaster: DisasterTag,
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[Post], CleanReport]:
-    """Relevance-filter a dataset, caching each verdict for later stages.
+    """Relevance-filter posts for the disaster, caching each verdict for later stages.
 
-    Kept posts come back in dataset order. Cached relevance verdicts
+    Kept posts come back in input order. Cached relevance verdicts
     (from either command) are reused without backend calls, and
     ``annotate_dataset`` reuses the ones this writes.
     """
-    report = CleanReport(total=len(dataset.posts))
+    report = CleanReport(total=len(posts))
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    relevance = loop.run(dataset.posts, _relevance_task(dataset.disaster_tag))
-    kept = [post for post, flag in zip(dataset.posts, relevance) if flag]
+    relevance = loop.run(posts, _RELEVANCE_TASK[disaster])
+    kept = [post for post, flag in zip(posts, relevance) if flag]
     report.kept = len(kept)
     loop.count(report.total)
     return kept, report

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import date
 from importlib import resources
@@ -47,13 +48,12 @@ from .core import (
     Domain,
     ImpactCategory,
     IndexConfig,
+    Post,
 )
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
-    Dataset,
     LoadReport,
-    PostFields,
     csv_header,
     iter_labels,
     iter_posts,
@@ -266,23 +266,19 @@ def _report_dropped(report: LoadReport) -> None:
         )
 
 
-def _load_posts(path: Path, disaster: DisasterTag = DisasterTag.OTHER) -> Dataset:
-    """Load all of posts.jsonl, saying on stderr how many lines were dropped."""
-    result = load_posts(path, disaster)
-    _report_dropped(result.report)
-    return result.dataset
-
-
 def cmd_clean(args: argparse.Namespace, run: Run) -> int:
-    dataset = _load_posts(run.input(args.input), DisasterTag(args.disaster))
+    posts, loaded = load_posts(run.input(args.input))
+    _report_dropped(loaded)
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
-    kept, report = clean_dataset(dataset, make_backend(args), make_policy(args), cache_path)
+    kept, report = clean_dataset(
+        posts, DisasterTag(args.disaster), make_backend(args), make_policy(args), cache_path
+    )
     write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
     print(report.summary())
     return _report_errors(report.errors)
 
 
-def _stream_posts(path: Path, report: LoadReport) -> Iterator[PostFields]:
+def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
     """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
     yield from iter_posts(path, report)
     _report_dropped(report)
@@ -306,7 +302,7 @@ def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
 
 def _labelled_posts(
     args: argparse.Namespace, run: Run, report: LoadReport
-) -> Iterator[tuple[PostFields, ImpactCategory]]:
+) -> Iterator[tuple[Post, ImpactCategory]]:
     """Stream (post, category) for the labelled posts of --in; labels are read first.
 
     The stream ends with the posts' malformed-share check and then the
@@ -320,14 +316,11 @@ def _labelled_posts(
 
 def cmd_counts(args: argparse.Namespace, run: Run) -> int:
     loaded = LoadReport()
-    days, categories = [], []
-    for post, category in _labelled_posts(args, run, loaded):
-        days.append(post.created_date)
-        categories.append(category)
-    _report_dropped(loaded)
-    series, report = build_count_series(
-        days, categories, run.config, args.range_start, args.range_end
+    tally = Counter(
+        (post.created_date, category) for post, category in _labelled_posts(args, run, loaded)
     )
+    _report_dropped(loaded)
+    series, report = build_count_series(tally, run.config, args.range_start, args.range_end)
     write_counts_csv(series, run.output("counts.csv"))
     print(
         f"{len(series.windows)} windows from {series.windows[0].start} "

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from typing import NamedTuple
 
 from .errors import EmptyInput, LengthMismatch, OutOfRange
@@ -41,7 +41,6 @@ class Platform(enum.Enum):
 class DisasterTag(enum.Enum):
     HURRICANE = "hurricane"
     WILDFIRE = "wildfire"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -114,49 +113,33 @@ def domain_of(category: ImpactCategory) -> Domain:
     return category.domain
 
 
-@dataclass(frozen=True)
-class Post:
-    """One social-media post, platform-agnostic.
+class Post(NamedTuple):
+    """One social-media post, platform-agnostic: one valid posts.jsonl line.
 
     `text` is the pre-joined textual content (title + description);
     `media_refs` carries opaque URIs that are never fetched here.
+    `platform` is the string as written (write_posts_jsonl normalizes
+    it through Platform.parse). The posts.jsonl parser guarantees two
+    things: `created_at` is in UTC, and `text` is scrubbed of handles.
     """
 
     id: str
-    platform: Platform
+    platform: str
     text: str
     created_at: datetime
     media_refs: tuple[str, ...] = ()
     location_metadata: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("post id must be a nonempty string")
-        if self.created_at.tzinfo is None:
-            raise ValueError("created_at must be timezone-aware (UTC)")
-
     @property
     def created_date(self) -> date:
-        return self.created_at.astimezone(timezone.utc).date()
-
-
-@dataclass(frozen=True)
-class AnnotatedPost:
-    """A post plus its single impact-category label and relevance flag.
-
-    Irrelevant posts carry category OTHER by convention; their category
-    never feeds counting because the pipeline filters on `relevant`.
-    """
-
-    post: Post
-    category: ImpactCategory
-    relevant: bool = True
+        return self.created_at.date()
 
 
 class Label(NamedTuple):
     """What annotation decides about one post, by id; labels.csv lists the relevant.
 
-    Irrelevant posts carry category OTHER, as in AnnotatedPost.
+    Irrelevant posts carry category OTHER by convention; their category
+    never feeds counting, since labels.csv lists only relevant posts.
     """
 
     post_id: str

@@ -1,16 +1,16 @@
-"""Dataset loading: JSONL posts, label CSVs, weekly ground-truth CSVs.
+"""Input loading: JSONL posts, label CSVs, weekly ground-truth CSVs.
 
 Every CSV input of the package, here and in the other modules, is read
 through csv_rows (or csv_header first, where the header picks columns).
 
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
-posts.jsonl is read by one loop, iter_posts: load_posts keeps every post
-it yields (for clean, which writes them back out); annotate streams it
-after the annotation cache and keeps an id and two verdicts per post,
-holding a post only while a verdict is missing; counts and spatial
-stream it against labels read first (load_labels, join_labels) and keep
-only what they roll up.
+posts.jsonl is read by one loop, iter_posts, which yields each valid
+line as a core.Post: load_posts keeps every post it yields (for clean,
+which writes them back out); annotate streams it after the annotation
+cache and keeps an id and two verdicts per post, holding a post only
+while a verdict is missing; counts and spatial stream it against labels
+read first (load_labels, join_labels) and keep only what they roll up.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     WEEK,
-    DisasterTag,
     ImpactCategory,
     Label,
     Platform,
@@ -58,16 +57,6 @@ def scrub_handles(text: str) -> str:
     return HANDLE_RE.sub(SCRUB_REPLACEMENT, text) if "@" in text else text
 
 
-@dataclass(frozen=True)
-class Dataset:
-    posts: tuple[Post, ...]
-    source_path: str
-    disaster_tag: DisasterTag = DisasterTag.OTHER
-
-    def __len__(self) -> int:
-        return len(self.posts)
-
-
 @dataclass
 class LoadReport:
     lines_read: int = 0
@@ -77,9 +66,8 @@ class LoadReport:
     unlabeled: int = 0  # kept posts no label named; counted by join_labels
 
 
-@dataclass(frozen=True)
-class LoadResult:
-    dataset: Dataset
+class LoadResult(NamedTuple):
+    posts: tuple[Post, ...]
     report: LoadReport
 
 
@@ -93,26 +81,7 @@ def _parse_rfc3339(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-class PostFields(NamedTuple):
-    """One valid posts.jsonl line: a Post's fields, text already scrubbed.
-
-    The platform stays as written (load_posts parses it); created_at is
-    in UTC. Reads like a Post wherever only these attributes are used.
-    """
-
-    id: str
-    platform: str
-    text: str
-    created_at: datetime
-    media_refs: tuple[str, ...]
-    location_metadata: str | None
-
-    @property
-    def created_date(self) -> date:
-        return self.created_at.date()
-
-
-def _parse_post_line(line: str) -> PostFields:
+def _parse_post_line(line: str) -> Post:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -131,7 +100,7 @@ def _parse_post_line(line: str) -> PostFields:
     location = obj.get("location_metadata")
     if location is not None and not isinstance(location, str):
         raise ValueError("location_metadata must be a string or null")
-    return PostFields(
+    return Post(
         post_id,
         str(obj["platform"]),
         scrub_handles(text),
@@ -141,7 +110,7 @@ def _parse_post_line(line: str) -> PostFields:
     )
 
 
-def iter_posts(path: str | Path, report: LoadReport) -> Iterator[PostFields]:
+def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
     """Stream the valid posts of a posts.jsonl file, counting into report.
 
     Malformed lines, including lines that are not UTF-8, are counted and
@@ -180,27 +149,22 @@ def iter_posts(path: str | Path, report: LoadReport) -> Iterator[PostFields]:
         )
 
 
-def load_posts(
-    path: str | Path,
-    disaster_tag: DisasterTag = DisasterTag.OTHER,
-) -> LoadResult:
-    """Load a whole posts.jsonl file as Posts, by the rules of iter_posts."""
+def load_posts(path: str | Path) -> LoadResult:
+    """Load a whole posts.jsonl file, by the rules of iter_posts."""
     report = LoadReport()
-    posts = tuple(
-        Post(post_id, Platform.parse(platform), text, created_at, media, location)
-        for post_id, platform, text, created_at, media, location in iter_posts(path, report)
-    )
-    dataset = Dataset(posts=posts, source_path=str(path), disaster_tag=disaster_tag)
-    return LoadResult(dataset=dataset, report=report)
+    return LoadResult(tuple(iter_posts(path, report)), report)
 
 
 def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts one JSON object per line, round-trippable by load_posts."""
+    """Write posts one JSON object per line, as load_posts reads them.
+
+    The platform is written as Platform.parse normalizes it.
+    """
     with Path(path).open("w", encoding="utf-8") as fh:
         for post in posts:
             record = {
                 "id": post.id,
-                "platform": post.platform.value,
+                "platform": Platform.parse(post.platform).value,
                 "text": post.text,
                 "created_at": post.created_at.isoformat(),
                 "media_refs": list(post.media_refs),
@@ -354,11 +318,11 @@ def load_labels(path: str | Path) -> dict[str, tuple[int, ImpactCategory]]:
 
 
 def join_labels(
-    posts: Iterable[PostFields | Post],
+    posts: Iterable[Post],
     labels: dict[str, tuple[int, ImpactCategory]],
     path: str | Path,
     report: LoadReport,
-) -> Iterator[tuple[PostFields | Post, ImpactCategory]]:
+) -> Iterator[tuple[Post, ImpactCategory]]:
     """Pair each post that has a label with its category, in post order.
 
     It consumes labels: each label is popped as its post streams by, so

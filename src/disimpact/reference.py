@@ -51,8 +51,6 @@ def load_reference_distribution(disaster: DisasterTag) -> list[ReferenceRow]:
 
     Rows come back in file order: each platform lists all 11 categories.
     """
-    if disaster is DisasterTag.OTHER:
-        raise ValueError("no reference distribution for the generic disaster tag")
     name = f"data/{disaster.value}_category_counts.csv"
     ref = resources.files("disimpact").joinpath(name)
     with resources.as_file(ref) as concrete:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -38,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
-from .ingestion import PostFields, csv_rows
+from .ingestion import csv_rows
 from .windowing import build_count_series
 
 # Codes that read as ordinary words or titles when uppercased; these
@@ -225,7 +226,7 @@ def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
 
 
 def resolve_location(
-    post: Post | PostFields, gazetteer: Gazetteer
+    post: Post, gazetteer: Gazetteer
 ) -> tuple[str | None, LocationSource]:
     """Metadata-first, then text; (None, NONE) when nothing matches."""
     if post.location_metadata:
@@ -248,7 +249,7 @@ class Located(NamedTuple):
 
 
 def locate_posts(
-    labelled: Iterable[tuple[Post | PostFields, ImpactCategory]], gazetteer: Gazetteer
+    labelled: Iterable[tuple[Post, ImpactCategory]], gazetteer: Gazetteer
 ) -> list[Located]:
     """Resolve each (post, category) as it arrives, keeping only what aggregation reads."""
     located = []
@@ -298,7 +299,7 @@ def aggregate_state_month(
     min_posts are suppressed into the report.
     """
     report = SpatialReport()
-    groups: dict[str, tuple[list[date], list[ImpactCategory]]] = {}
+    groups: dict[str, Counter[tuple[date, ImpactCategory]]] = {}
     for state, day, category, source in located:
         if state is None:
             report.unlocated += 1
@@ -306,12 +307,10 @@ def aggregate_state_month(
         if source_filter is not SourceFilter.BOTH and source.value != source_filter.value:
             report.filtered_out += 1
             continue
-        days, categories = groups.setdefault(state, ([], []))
-        days.append(day)
-        categories.append(category)
+        groups.setdefault(state, Counter())[day, category] += 1
     rows: list[StateMonthIndex] = []
     for state in sorted(groups):
-        counts, _ = build_count_series(*groups[state], config)
+        counts, _ = build_count_series(groups[state], config)
         series = compute_impact_series(counts, config)
         monthly: dict[date, tuple[list[float], list[float], int]] = {}
         for idx, week in enumerate(series.weeks):

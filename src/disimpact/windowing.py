@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Sequence
 
 from .core import (
     CATEGORIES,
@@ -58,22 +58,22 @@ class WindowingReport:
 
 
 def build_count_series(
-    days: Sequence[date],
-    categories: Sequence[ImpactCategory],
+    tally: Counter[tuple[date, ImpactCategory]],
     config: IndexConfig,
     range_start: date | None = None,
     range_end: date | None = None,
 ) -> tuple[CountSeries, WindowingReport]:
     """Count labelled posts per (week, category) over [range_start, range_end).
 
-    Post k was made on days[k] (UTC) and labelled categories[k]. An open
-    anchor becomes the Monday on or before the earliest post or
-    range_start. A bound not given becomes the edge of the smallest
-    aligned span covering every post; a bound given is always used and
-    must be a whole number of weeks from the anchor. Empty windows appear
-    zero-filled so the series is gap-free. Posts outside the range are
-    excluded and counted in the report.
+    tally[day, category] is the number of posts made on that day (UTC)
+    and labelled that category. An open anchor becomes the Monday on or
+    before the earliest post or range_start. A bound not given becomes
+    the edge of the smallest aligned span covering every post; a bound
+    given is always used and must be a whole number of weeks from the
+    anchor. Empty windows appear zero-filled so the series is gap-free.
+    Posts outside the range are excluded and counted in the report.
     """
+    days = {day for day, _ in tally}
     anchor = config.window_anchor
     if anchor is None:
         candidates = days if range_start is None else [*days, range_start]
@@ -101,11 +101,11 @@ def build_count_series(
 
     counts = [{c: 0 for c in CATEGORIES} for _ in range(n_windows)]
     outside = 0
-    for day, category in zip(days, categories, strict=True):
+    for (day, category), n in tally.items():
         if not (range_start <= day < range_end):
-            outside += 1
+            outside += n
             continue
-        counts[(day - range_start).days // WEEK.days][category] += 1
+        counts[(day - range_start).days // WEEK.days][category] += n
 
     windows = tuple(
         WindowCounts(start=range_start + i * WEEK, n=n, total=sum(n.values()))

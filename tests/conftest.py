@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -10,13 +11,7 @@ import threading
 import pytest
 
 from disimpact.annotation import MockBackend
-from disimpact.core import (
-    AnnotatedPost,
-    ImpactCategory,
-    Platform,
-    Post,
-    category_from_code,
-)
+from disimpact.core import ImpactCategory, Post, category_from_code
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -33,7 +28,7 @@ def make_post(
     text: str = "hello",
     day: date = ANCHOR,
     hour: int = 12,
-    platform: Platform = Platform.REDDIT,
+    platform: str = "reddit",
     metadata: str | None = None,
     media: tuple[str, ...] = (),
 ) -> Post:
@@ -49,42 +44,20 @@ def make_post(
     )
 
 
-def make_annotated(
-    code: int,
-    post_id: str = "p1",
-    day: date = ANCHOR,
-    text: str = "hello",
-    metadata: str | None = None,
-    relevant: bool = True,
-) -> AnnotatedPost:
-    return AnnotatedPost(
-        post=make_post(post_id=post_id, text=text, day=day, metadata=metadata),
-        category=category_from_code(code),
-        relevant=relevant,
+def spread_posts(
+    counts_by_week: dict[int, dict[int, int]]
+) -> Counter[tuple[date, ImpactCategory]]:
+    """The (day, category) tally of posts laid out as {week_index: {category_code: count}}.
+
+    Each week's posts fall on its first day, counted from ANCHOR.
+    """
+    return Counter(
+        {
+            (ANCHOR + week * timedelta(days=7), category_from_code(code)): count
+            for week, by_code in counts_by_week.items()
+            for code, count in by_code.items()
+        }
     )
-
-
-def spread_posts(counts_by_week: dict[int, dict[int, int]]) -> list[AnnotatedPost]:
-    """Posts laid out as {week_index: {category_code: count}} from ANCHOR."""
-    out: list[AnnotatedPost] = []
-    serial = 0
-    for week, by_code in sorted(counts_by_week.items()):
-        for code, count in sorted(by_code.items()):
-            for _ in range(count):
-                serial += 1
-                out.append(
-                    make_annotated(
-                        code,
-                        post_id=f"w{week}c{code}n{serial}",
-                        day=ANCHOR + timedelta(days=7 * week),
-                    )
-                )
-    return out
-
-
-def columns(posts: list[AnnotatedPost]) -> tuple[list[date], list[ImpactCategory]]:
-    """The post days and categories build_count_series counts."""
-    return [p.post.created_date for p in posts], [p.category for p in posts]
 
 
 def category(code: int) -> ImpactCategory:

@@ -357,11 +357,11 @@ def test_criterion_09_privacy_fuzz(tmp_path):
             ),
             encoding="utf-8",
         )
-        dataset = load_posts(raw, DisasterTag.HURRICANE).dataset
-        assert all("@user" in post.text for post in dataset.posts)
+        posts, _ = load_posts(raw)
+        assert all("@user" in post.text for post in posts)
         annotate_dataset(
-            dataset.posts,
-            dataset.disaster_tag,
+            posts,
+            DisasterTag.HURRICANE,
             backend,
             ClientPolicy(max_in_flight=2, max_retries=1),
             tmp_path / "cache.jsonl",
@@ -382,7 +382,7 @@ def test_criterion_10_spatial_determinism():
                 f"metadata={metadata!r} text={text!r}"
             )
         by_source = {"metadata": set(), "text": set()}
-        for post in load_posts(POSTS).dataset.posts:
+        for post in load_posts(POSTS).posts:
             state, source = resolve_location(post, gazetteer)
             if state is not None and source.value in by_source:
                 by_source[source.value].add(post.id)

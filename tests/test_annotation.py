@@ -13,7 +13,6 @@ from conftest import FIXTURES, PooledMock, RecordingMock, make_post
 from disimpact import (
     ClassifierRequest,
     ClientPolicy,
-    Dataset,
     DisasterTag,
     EmptyInput,
     MalformedResponse,
@@ -50,18 +49,18 @@ SCRIPTED_POSTS = [
 ]
 
 
-def make_dataset(rows=SCRIPTED_POSTS, disaster=DisasterTag.HURRICANE) -> Dataset:
-    posts = tuple(
-        make_post(post_id=f"p{i}", text=text) for i, (text, _, _) in enumerate(rows)
-    )
-    return Dataset(posts=posts, source_path="memory", disaster_tag=disaster)
+def make_posts(rows=SCRIPTED_POSTS):
+    return tuple(make_post(post_id=f"p{i}", text=text) for i, (text, _, _) in enumerate(rows))
 
 
-def annotate(dataset: Dataset, backend, *args, **kwargs):
-    """annotate_dataset on a dataset's posts and disaster tag."""
-    return annotate_dataset(
-        dataset.posts, dataset.disaster_tag, backend, *args, **kwargs
-    )
+def annotate(posts, backend, *args, **kwargs):
+    """annotate_dataset on hurricane posts."""
+    return annotate_dataset(posts, DisasterTag.HURRICANE, backend, *args, **kwargs)
+
+
+def clean(posts, backend, *args, **kwargs):
+    """clean_dataset on hurricane posts."""
+    return clean_dataset(posts, DisasterTag.HURRICANE, backend, *args, **kwargs)
 
 
 class FlakyBackend:
@@ -373,11 +372,11 @@ class TestRetries:
 
 class TestAnnotateDataset:
     def test_cold_run_annotates_everything(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         backend = MockBackend()
         cache = tmp_path / "cache.jsonl"
         annotations, report = annotate(
-            dataset, backend, cache_path=cache, sleep=no_sleep
+            posts, backend, cache_path=cache, sleep=no_sleep
         )
         assert len(annotations) == 10
         assert report.backend_posts == 10
@@ -390,9 +389,9 @@ class TestAnnotateDataset:
         assert len(cache.read_text().splitlines()) == 10 + relevant
 
     def test_expected_categories(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         annotations, _ = annotate(
-            dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+            posts, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         by_id = {a.post_id: a for a in annotations}
         for i, (_, relevant, code) in enumerate(SCRIPTED_POSTS):
@@ -404,14 +403,14 @@ class TestAnnotateDataset:
                 assert annotation.category.short_name == "OTHER"
 
     def test_warm_rerun_costs_zero_calls(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
         first, _ = annotate(
-            dataset, MockBackend(), cache_path=cache, sleep=no_sleep
+            posts, MockBackend(), cache_path=cache, sleep=no_sleep
         )
         backend = MockBackend()
         second, report = annotate(
-            dataset, backend, cache_path=cache, sleep=no_sleep
+            posts, backend, cache_path=cache, sleep=no_sleep
         )
         assert backend.calls == 0
         assert report.cache_hits == 10
@@ -419,27 +418,27 @@ class TestAnnotateDataset:
         assert second == first
 
     def test_results_follow_dataset_order(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         annotations, _ = annotate(
-            dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+            posts, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         assert [a.post_id for a in annotations] == [f"p{i}" for i in range(10)]
 
     def test_cache_appends_in_dataset_order(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        annotate(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(make_posts(), MockBackend(), cache_path=cache, sleep=no_sleep)
         relevant = [f"p{i}" for i, (_, flag, _) in enumerate(SCRIPTED_POSTS) if flag]
-        # Each stage appends its verdicts in dataset order.
+        # Each stage appends its verdicts in post order.
         assert [(line["task"], line["post_id"]) for line in cache_lines(cache)] == [
             ("relevance_hurricane", f"p{i}") for i in range(10)
         ] + [("impact_category", post_id) for post_id in relevant]
 
     def test_failed_post_is_isolated_and_retried_later(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
         backend = SelectiveBackend(bad_ids={"p2"})
         annotations, report = annotate(
-            dataset, backend, cache_path=cache, sleep=no_sleep
+            posts, backend, cache_path=cache, sleep=no_sleep
         )
         assert len(annotations) == 9
         assert [e.post_id for e in report.errors] == ["p2"]
@@ -451,7 +450,7 @@ class TestAnnotateDataset:
 
         retry_backend = MockBackend()
         retried, retry_report = annotate(
-            dataset, retry_backend, cache_path=cache, sleep=no_sleep
+            posts, retry_backend, cache_path=cache, sleep=no_sleep
         )
         assert len(retried) == 10
         assert retry_report.cache_hits == 9
@@ -459,13 +458,13 @@ class TestAnnotateDataset:
         assert retry_backend.calls == 2  # relevance plus impact for one post
 
     def test_staged_resume_skips_the_cleaning_call(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
-        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
 
         backend = RecordingMock()
         annotations, report = annotate(
-            dataset, backend, cache_path=cache, sleep=no_sleep
+            posts, backend, cache_path=cache, sleep=no_sleep
         )
         relevant = sum(1 for _, flag, _ in SCRIPTED_POSTS if flag)
         assert len(annotations) == 10
@@ -475,9 +474,9 @@ class TestAnnotateDataset:
         assert templates.count("classify_impact") == relevant
 
     def test_torn_cache_lines_are_skipped_and_counted(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
-        annotate(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         out_of_range = dict(cache_lines(cache, "impact_category")[1], judgment=99)
         with cache.open("a", encoding="utf-8") as fh:
             fh.write('{"judgment": true, "key": "ab\n')  # torn write
@@ -485,31 +484,31 @@ class TestAnnotateDataset:
             fh.write("\n")  # blank lines are not an error
         backend = MockBackend()
         annotations, report = annotate(
-            dataset, backend, cache_path=cache, sleep=no_sleep
+            posts, backend, cache_path=cache, sleep=no_sleep
         )
         assert report.cache_invalid == 2
         assert len(annotations) == 10
         assert backend.calls == 0  # the original valid entries still win
 
     def test_last_entry_wins(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
-        annotate(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         p0_category = cache_lines(cache, "impact_category")[0]
         assert p0_category["post_id"] == "p0"
         with cache.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(dict(p0_category, judgment=9, raw="")) + "\n")
         annotations, _ = annotate(
-            dataset, MockBackend(), cache_path=cache, sleep=no_sleep
+            posts, MockBackend(), cache_path=cache, sleep=no_sleep
         )
         by_id = {a.post_id: a for a in annotations}
         assert by_id["p0"].category.short_name == "ASST"
 
     def test_empty_dataset(self, tmp_path):
-        dataset = Dataset(posts=(), source_path="memory", disaster_tag=DisasterTag.HURRICANE)
+        posts = ()
         cache = tmp_path / "cache.jsonl"
         annotations, report = annotate(
-            dataset, MockBackend(), cache_path=cache, sleep=no_sleep
+            posts, MockBackend(), cache_path=cache, sleep=no_sleep
         )
         assert annotations == []
         assert report.backend_posts == 0
@@ -519,7 +518,7 @@ class TestAnnotateDataset:
         cache = tmp_path / "cache.jsonl"
         backend = SelectiveBackend(bad_ids={f"p{i}" for i in range(10)})
         annotations, report = annotate(
-            make_dataset(), backend, cache_path=cache, sleep=no_sleep
+            make_posts(), backend, cache_path=cache, sleep=no_sleep
         )
         assert annotations == []
         assert len(report.errors) == 10
@@ -527,10 +526,10 @@ class TestAnnotateDataset:
 
     def test_concurrency_stays_under_the_cap(self, tmp_path):
         rows = [(f"storm surge report number {i}", True, 11) for i in range(12)]
-        dataset = make_dataset(rows)
+        posts = make_posts(rows)
         backend = GaugeBackend()
         annotate(
-            dataset,
+            posts,
             backend,
             ClientPolicy(max_in_flight=2),
             cache_path=tmp_path / "c.jsonl",
@@ -542,7 +541,7 @@ class TestAnnotateDataset:
         backend = PooledMock()
         backend.in_process = True
         annotate(
-            make_dataset(),
+            make_posts(),
             backend,
             ClientPolicy(max_in_flight=4),
             cache_path=tmp_path / "c.jsonl",
@@ -553,7 +552,7 @@ class TestAnnotateDataset:
     def test_other_backends_run_in_a_pool(self, tmp_path):
         backend = PooledMock()
         annotate(
-            make_dataset(),
+            make_posts(),
             backend,
             ClientPolicy(max_in_flight=4),
             cache_path=tmp_path / "c.jsonl",
@@ -564,9 +563,9 @@ class TestAnnotateDataset:
 
 class TestCleanDataset:
     def test_keeps_relevant_posts_in_order(self, tmp_path):
-        dataset = make_dataset()
-        kept, report = clean_dataset(
-            dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+        posts = make_posts()
+        kept, report = clean(
+            posts, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         expected = [f"p{i}" for i, (_, flag, _) in enumerate(SCRIPTED_POSTS) if flag]
         assert [p.id for p in kept] == expected
@@ -574,9 +573,9 @@ class TestCleanDataset:
         assert report.kept == len(expected)
 
     def test_summary_line(self, tmp_path):
-        dataset = make_dataset()
-        _, report = clean_dataset(
-            dataset, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+        posts = make_posts()
+        _, report = clean(
+            posts, MockBackend(), cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         assert report.summary() == "8/10 (80%)"
 
@@ -587,29 +586,29 @@ class TestCleanDataset:
         assert CleanReport(total=0, kept=0).summary() == "0/0"
 
     def test_rerun_reuses_cached_judgments(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "c.jsonl"
-        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         backend = MockBackend()
-        kept, report = clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        kept, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
         assert backend.calls == 0
         assert report.cache_hits == 10
         assert len(kept) == 8
 
     def test_failures_do_not_block_the_batch(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         backend = SelectiveBackend(bad_ids={"p0", "p5"})
-        kept, report = clean_dataset(
-            dataset, backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+        kept, report = clean(
+            posts, backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         assert {e.post_id for e in report.errors} == {"p0", "p5"}
         # p0 is relevant in the script, p5 is not; both are simply absent.
         assert len(kept) == 7
 
 
-def fixture_dataset(disaster=DisasterTag.HURRICANE) -> Dataset:
+def fixture_posts():
     # 200 posts; 171 are hurricane-relevant, none wildfire-relevant.
-    return load_posts(FIXTURES / "posts.jsonl", disaster).dataset
+    return load_posts(FIXTURES / "posts.jsonl").posts
 
 
 class TestCacheKeys:
@@ -622,18 +621,18 @@ class TestCacheKeys:
         return second(shared), second(fresh)
 
     def test_disaster(self, tmp_path):
-        def clean(disaster):
+        def clean_for(disaster):
             def run(cache):
                 backend = MockBackend()
                 kept, _ = clean_dataset(
-                    fixture_dataset(disaster), backend, cache_path=cache, sleep=no_sleep
+                    fixture_posts(), disaster, backend, cache_path=cache, sleep=no_sleep
                 )
                 return [post.id for post in kept], backend.calls
 
             return run
 
         after, alone = self.run_pair(
-            tmp_path, clean(DisasterTag.HURRICANE), clean(DisasterTag.WILDFIRE)
+            tmp_path, clean_for(DisasterTag.HURRICANE), clean_for(DisasterTag.WILDFIRE)
         )
         assert after == alone == ([], 200)
 
@@ -641,7 +640,7 @@ class TestCacheKeys:
         def run(cache):
             backend = backend_factory()
             annotations, _ = annotate(
-                make_dataset(), backend, cache_path=cache, sleep=no_sleep
+                make_posts(), backend, cache_path=cache, sleep=no_sleep
             )
             return annotations, backend.calls
 
@@ -649,13 +648,10 @@ class TestCacheKeys:
 
     def test_post_content(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        annotate(make_dataset(), MockBackend(), cache_path=cache, sleep=no_sleep)
-        posts = list(make_dataset().posts)
-        posts[0] = make_post(post_id="p0", text=posts[0].text, media=("img0.jpg",))
-        posts[5] = make_post(post_id="p5", text="hurricane surge in Miami")
-        changed = Dataset(
-            posts=tuple(posts), source_path="memory", disaster_tag=DisasterTag.HURRICANE
-        )
+        annotate(make_posts(), MockBackend(), cache_path=cache, sleep=no_sleep)
+        changed = list(make_posts())
+        changed[0] = make_post(post_id="p0", text=changed[0].text, media=("img0.jpg",))
+        changed[5] = make_post(post_id="p5", text="hurricane surge in Miami")
         backend = MockBackend()
         annotations, report = annotate(
             changed, backend, cache_path=cache, sleep=no_sleep
@@ -732,8 +728,8 @@ class TestCacheKeys:
             encoding="utf-8",
         )
         backend = MockBackend()
-        kept, report = clean_dataset(
-            make_dataset(), backend, cache_path=cache, sleep=no_sleep
+        kept, report = clean(
+            make_posts(), backend, cache_path=cache, sleep=no_sleep
         )
         assert report.cache_invalid == 10
         assert report.cache_hits == 0
@@ -741,14 +737,14 @@ class TestCacheKeys:
         assert len(kept) == 8
 
     def test_non_utf8_line_is_invalid_and_asked_again(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
-        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         lines = cache.read_bytes().splitlines(keepends=True)
         lines[3] = b"\xff" + lines[3]
         cache.write_bytes(b"".join(lines))
         backend = MockBackend()
-        kept, report = clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        kept, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
         assert report.cache_invalid == 1
         assert report.cache_hits == 9
         assert report.backend_posts == 1
@@ -756,12 +752,28 @@ class TestCacheKeys:
         assert len(kept) == 8
 
 
+    def test_non_hex_key_is_invalid_and_asked_again(self, tmp_path):
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["key"] = "zz" + record["key"][2:]
+        lines[3] = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        cache.write_bytes(b"".join(lines))
+        backend = MockBackend()
+        kept, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert report.cache_invalid == 1
+        assert (report.cache_hits, report.backend_posts, backend.calls) == (9, 1, 1)
+        assert len(kept) == 8
+
+
 class TestInterruptAndResume:
     @pytest.mark.parametrize("in_flight", [1, 3])
     def test_interrupt_keeps_finished_verdicts(self, tmp_path, in_flight):
-        dataset = fixture_dataset()
+        posts = fixture_posts()
         fresh = tmp_path / "fresh.jsonl"
-        expected, _ = annotate(dataset, MockBackend(), cache_path=fresh)
+        expected, _ = annotate(posts, MockBackend(), cache_path=fresh)
         assert len(fresh.read_text().splitlines()) == 371
 
         cache = tmp_path / "cache.jsonl"
@@ -769,7 +781,7 @@ class TestInterruptAndResume:
         backend = interrupting if in_flight == 1 else PooledMock(interrupting)
         with pytest.raises(KeyboardInterrupt):
             annotate(
-                dataset, backend, ClientPolicy(max_in_flight=in_flight), cache_path=cache
+                posts, backend, ClientPolicy(max_in_flight=in_flight), cache_path=cache
             )
         kept = len(cache.read_text().splitlines())
         if in_flight == 1:
@@ -779,7 +791,7 @@ class TestInterruptAndResume:
             assert abs(kept - 299) <= in_flight
 
         rerun = MockBackend()
-        annotations, report = annotate(dataset, rerun, cache_path=cache)
+        annotations, report = annotate(posts, rerun, cache_path=cache)
         assert rerun.calls == 371 - kept
         assert report.errors == []
         assert annotations == expected
@@ -795,34 +807,34 @@ class TestInterruptAndResume:
                 on_disk.append(cache.read_bytes().count(b"\n") if cache.exists() else 0)
                 return super().complete(request)
 
-        annotate(fixture_dataset(), Probe(), cache_path=cache)
+        annotate(fixture_posts(), Probe(), cache_path=cache)
         assert on_disk == list(range(371))
 
     def test_torn_last_line_keeps_the_next_verdict(self, tmp_path):
-        dataset = make_dataset()
+        posts = make_posts()
         cache = tmp_path / "cache.jsonl"
-        clean_dataset(dataset, MockBackend(), cache_path=cache, sleep=no_sleep)
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         lines = cache.read_bytes().splitlines(keepends=True)
         cache.write_bytes(b"".join(lines[:-1]) + lines[-1][:20])  # killed mid-write
         backend = MockBackend()
-        clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        clean(posts, backend, cache_path=cache, sleep=no_sleep)
         assert backend.calls == 1
         backend = MockBackend()
-        _, report = clean_dataset(dataset, backend, cache_path=cache, sleep=no_sleep)
+        _, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
         assert (backend.calls, report.cache_invalid) == (0, 1)
 
 
 class TestPool:
     def test_many_threads_write_what_one_writes(self, tmp_path):
-        dataset = fixture_dataset()
+        posts = fixture_posts()
         inline = tmp_path / "inline.jsonl"
-        expected, _ = annotate(dataset, MockBackend(), cache_path=inline)
+        expected, _ = annotate(posts, MockBackend(), cache_path=inline)
         backend = PooledMock()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             annotations, report = annotate(
-                dataset,
+                posts,
                 backend,
                 ClientPolicy(max_in_flight=8),
                 cache_path=tmp_path / "pool.jsonl",
@@ -842,8 +854,8 @@ class TestPool:
 
         backend = Slow()
         with pytest.raises(FileNotFoundError):
-            clean_dataset(
-                fixture_dataset(),
+            clean(
+                fixture_posts(),
                 backend,
                 ClientPolicy(max_in_flight=3),
                 cache_path=tmp_path / "missing" / "cache.jsonl",
@@ -870,7 +882,7 @@ class TestPayloadPrivacy:
         rows = [(t, True, 11) for t in texts]
         backend = RecordingMock()
         annotate(
-            make_dataset(rows), backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+            make_posts(rows), backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
         )
         assert backend.request_log
         for payload in backend.request_log:

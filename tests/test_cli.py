@@ -290,11 +290,6 @@ class TestAnnotateStreams:
 
         monkeypatch.setattr(cli, "load_posts", refuse)
         monkeypatch.setattr(disimpact.ingestion, "load_posts", refuse)
-        built = []
-        post_init = disimpact.Post.__post_init__
-        monkeypatch.setattr(
-            disimpact.Post, "__post_init__", lambda post: built.append(post) or post_init(post)
-        )
         held = []  # the posts each stage is handed, kept while a verdict is missing
         run = disimpact.annotation._StageLoop.run
         monkeypatch.setattr(
@@ -304,13 +299,13 @@ class TestAnnotateStreams:
         )
         argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
         assert run_cli(argv)[0] == 0
-        assert (built, held) == ([], [200, 171])  # the backend is sent the streamed fields
+        assert held == [200, 171]
         before = (tmp_path / "annotation_cache.jsonl").read_bytes()
         held.clear()
         assert run_cli(argv) == (
             0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n", ""
         )
-        assert (built, held) == ([], [0, 0])
+        assert held == [0, 0]
         assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
 
     def test_mostly_malformed_posts_exit_2_before_any_call(self, tmp_path, backends):
@@ -535,6 +530,10 @@ GOLDEN = {
     "both": "2b3ec6edb0b1f400ed716d9f6ebb2b2b49f56bb695df565fdaf53d3065fc20f7",
     "metadata": "581ef455cd902cf65b27729ed44d76daa403578c874a6b7eb3c90266b4a7962b",
     "text": "ebef8ce376966293db981269d6994ec52fd80bfed87ea32871bb0200d4e38548",
+    "labels.csv": "0d6dd805c0cfc6cf98352007f4ef5c058e18df883b96ad9e5815d89d621ccc7e",
+    "hurricane": "337b9bd7fed4723bd7d7d3e043b41f400b9b1078bed5facc54af68f88dab453b",
+    # The fixture holds no wildfire post: wildfire cleaning keeps none.
+    "wildfire": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 
@@ -554,6 +553,18 @@ class TestGoldenOutputs:
         assert code == 0
         digest = hashlib.sha256((tmp_path / "spatial.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN[source_filter]
+
+    def test_labels_csv(self, pipeline):
+        out, _ = pipeline
+        digest = hashlib.sha256((out / "labels.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN["labels.csv"]
+
+    @pytest.mark.parametrize("disaster", ["hurricane", "wildfire"])
+    def test_posts_clean_jsonl(self, tmp_path, disaster):
+        argv = ["clean", "--in", POSTS, "--disaster", disaster, "--out", tmp_path]
+        assert run_cli(argv)[0] == 0
+        digest = hashlib.sha256((tmp_path / "posts_clean.jsonl").read_bytes()).hexdigest()
+        assert digest == GOLDEN[disaster]
 
 
 class TestChart:

@@ -1,7 +1,6 @@
 """Taxonomy invariants: the 11-category bijection and domain partition."""
 
 import types
-from datetime import date, datetime, timezone
 
 import pytest
 
@@ -15,14 +14,11 @@ from disimpact.core import (
     ImpactCategory,
     IndexConfig,
     Platform,
-    Post,
     category_from_code,
     category_from_short_name,
     domain_of,
 )
 from disimpact.errors import OutOfRange
-
-from conftest import make_post
 
 
 def test_exactly_eleven_categories():
@@ -79,18 +75,6 @@ def test_platform_parse_open_enum():
     assert Platform.parse("Reddit") is Platform.REDDIT
     assert Platform.parse("TIKTOK") is Platform.TIKTOK
     assert Platform.parse("mastodon") is Platform.OTHER
-
-
-def test_post_validation():
-    with pytest.raises(ValueError):
-        Post(id="", platform=Platform.REDDIT, text="x",
-             created_at=datetime(2024, 9, 2, tzinfo=timezone.utc))
-    with pytest.raises(ValueError):
-        Post(id="p", platform=Platform.REDDIT, text="x",
-             created_at=datetime(2024, 9, 2))  # naive timestamp
-
-    post = make_post(day=date(2024, 9, 2), hour=23)
-    assert post.created_date == date(2024, 9, 2)
 
 
 def test_index_config_validation():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disimpact
-from disimpact.core import Label, Platform
+from disimpact.core import Label
 from disimpact.errors import (
     MalformedCsv,
     MalformedInput,
@@ -51,30 +51,32 @@ class TestLoadPosts:
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a"), _line("b"), _line("c")])
         result = load_posts(path)
-        assert len(result.dataset) == 3
-        assert [p.id for p in result.dataset.posts] == ["a", "b", "c"]
+        assert len(result.posts) == 3
+        assert [p.id for p in result.posts] == ["a", "b", "c"]
         assert result.report.kept == 3
 
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("abc", text="first"), _line("abc", text="second")])
         result = load_posts(path)
-        assert len(result.dataset) == 1
-        assert result.dataset.posts[0].text == "first"
+        assert len(result.posts) == 1
+        assert result.posts[0].text == "first"
         assert result.report.dropped_duplicate == 1
 
     def test_malformed_line_isolated(self, tmp_path):
         path = tmp_path / "posts.jsonl"
-        # The last two leave the datetime range once shifted to UTC.
+        # The two at the end leave the datetime range once shifted to UTC.
         bad = [
             "{not json",
+            _line(""),
+            _line("b", created_at="2024-09-02T10:00:00"),
             _line("b", created_at="0001-01-01T00:30:00+01:00"),
             _line("c", created_at="9999-12-31T23:30:00-01:00"),
         ]
         for line in bad:
             write_jsonl(path, [_line("a"), line])
             result = load_posts(path)
-            assert len(result.dataset) == 1
+            assert len(result.posts) == 1
             assert result.report.dropped_malformed == 1
 
     def test_majority_malformed_aborts(self, tmp_path):
@@ -87,7 +89,7 @@ class TestLoadPosts:
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a", text="thanks @john_doe for help")])
         result = load_posts(path)
-        assert result.dataset.posts[0].text == "thanks @user for help"
+        assert result.posts[0].text == "thanks @user for help"
 
     def test_z_suffix_and_offset_timestamps(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -99,14 +101,18 @@ class TestLoadPosts:
             ],
         )
         result = load_posts(path)
-        a, b = result.dataset.posts
+        a, b = result.posts
         assert a.created_at == b.created_at
 
     def test_unknown_platform_becomes_other(self, tmp_path):
         path = tmp_path / "posts.jsonl"
-        write_jsonl(path, [_line("a", platform="mastodon")])
+        write_jsonl(path, [_line("a", platform="Mastodon"), _line("b", platform=" Reddit ")])
         result = load_posts(path)
-        assert result.dataset.posts[0].platform is Platform.OTHER
+        assert [p.platform for p in result.posts] == ["Mastodon", " Reddit "]
+        written = tmp_path / "posts_clean.jsonl"
+        write_posts_jsonl(result.posts, written)
+        lines = written.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["platform"] for line in lines] == ["other", "reddit"]
 
     def test_round_trip_through_writer(self, tmp_path):
         first = tmp_path / "a.jsonl"
@@ -120,10 +126,10 @@ class TestLoadPosts:
             ],
         )
         loaded = load_posts(first)
-        write_posts_jsonl(loaded.dataset.posts, second)
+        write_posts_jsonl(loaded.posts, second)
         again = load_posts(second)
-        assert again.dataset.posts == loaded.dataset.posts
-        write_posts_jsonl(again.dataset.posts, first)
+        assert again.posts == loaded.posts
+        write_posts_jsonl(again.posts, first)
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -195,41 +201,41 @@ class TestGroundTruth:
 
 
 class TestLoadLabels:
-    def _dataset(self, tmp_path, ids=("p1", "p2")):
+    def _posts(self, tmp_path, ids=("p1", "p2")):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line(i) for i in ids])
-        return load_posts(path).dataset
+        return load_posts(path).posts
 
-    def _join(self, dataset, labels):
+    def _join(self, posts, labels):
         report = LoadReport()
-        joined = list(join_labels(dataset.posts, load_labels(labels), labels, report))
+        joined = list(join_labels(posts, load_labels(labels), labels, report))
         return joined, report
 
     def test_join(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        posts = self._posts(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,3\n")
         assert load_labels(labels) == {"p1": (2, disimpact.INFR)}
-        joined, report = self._join(dataset, labels)
+        joined, report = self._join(posts, labels)
         assert [(post.id, category.short_name) for post, category in joined] == [("p1", "INFR")]
         assert report.unlabeled == 1
 
     def test_join_consumes_the_labels_it_is_given(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        posts = self._posts(tmp_path)
         path = tmp_path / "labels.csv"
         path.write_text("post_id,category_code\np1,3\np9,3\n")
         labels = load_labels(path)
-        joined = join_labels(dataset.posts, labels, path, LoadReport())
+        joined = join_labels(posts, labels, path, LoadReport())
         with pytest.raises(UnknownPostId):
             list(joined)
         assert labels == {"p9": (3, disimpact.INFR)}  # popped, not copied
 
     def test_unknown_post_id(self, tmp_path):
-        dataset = self._dataset(tmp_path)
+        posts = self._posts(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,3\np9,3\np8,4\n")
         with pytest.raises(UnknownPostId, match=r"labels.csv:3: unknown post id 'p9'"):
-            self._join(dataset, labels)
+            self._join(posts, labels)
 
     def test_code_eleven_is_other(self, tmp_path):
         labels = tmp_path / "labels.csv"
@@ -243,7 +249,7 @@ class TestLoadLabels:
             load_labels(labels)
 
     def test_writer_round_trip(self, tmp_path):
-        dataset = self._dataset(tmp_path, ids=("p1", "p2", "p3"))
+        posts = self._posts(tmp_path, ids=("p1", "p2", "p3"))
         labels = [
             Label("p1", category(3)),
             Label("p2", category(11)),
@@ -251,7 +257,7 @@ class TestLoadLabels:
         ]
         path = tmp_path / "labels.csv"
         write_labels_csv(labels, path)
-        loaded, report = self._join(dataset, path)
+        loaded, report = self._join(posts, path)
         # the irrelevant post is not written, so it comes back unlabeled
         assert [post.id for post, _ in loaded] == ["p1", "p2"]
         assert report.unlabeled == 1
@@ -262,7 +268,7 @@ def test_load_posts_deterministic(tmp_path):
     write_jsonl(path, [_line("a"), _line("b")])
     first = load_posts(path)
     second = load_posts(path)
-    assert first.dataset.posts == second.dataset.posts
+    assert first.posts == second.posts
     assert first.report == second.report
 
 

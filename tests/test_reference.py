@@ -48,10 +48,6 @@ class TestLoading:
         counts = counts_by_category(rows, platform)
         assert sum(counts.values()) == total
 
-    def test_generic_tag_has_no_distribution(self):
-        with pytest.raises(ValueError):
-            load_reference_distribution(DisasterTag.OTHER)
-
     def test_known_cell_values(self):
         rows = load_reference_distribution(DisasterTag.HURRICANE)
         counts = counts_by_category(rows, Platform.REDDIT)

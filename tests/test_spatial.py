@@ -3,13 +3,14 @@
 import math
 import random
 import re
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHOR, RESOLUTION_CASES, category, make_annotated, make_post
+from conftest import ANCHOR, RESOLUTION_CASES, category, make_post
 
 from disimpact import (
     Gazetteer,
@@ -40,8 +41,8 @@ def located(code, state, source, day=ANCHOR):
     return Located(state, day, category(code), LocationSource(source))
 
 
-def labelled(annotated):
-    return [(item.post, item.category) for item in annotated]
+def labelled(posts, code=3):
+    return [(post, category(code)) for post in posts]
 
 
 class TestResolutionSuite:
@@ -73,12 +74,8 @@ class TestResolutionSuite:
             make_post(post_id=f"c{i}", text=text, metadata=metadata or None)
             for i, (metadata, text, _, _) in enumerate(RESOLUTION_CASES)
         ]
-        annotated = [
-            make_annotated(3, post_id=p.id, text=p.text, metadata=p.location_metadata)
-            for p in posts
-        ]
-        assert locate_posts(labelled(annotated), gazetteer) == locate_posts(
-            labelled(annotated), gazetteer
+        assert locate_posts(labelled(posts), gazetteer) == locate_posts(
+            labelled(posts), gazetteer
         )
 
     def test_empty_text_resolves_to_nothing(self, gazetteer):
@@ -226,13 +223,11 @@ class TestRegexOracle:
 
 class TestLocatedPost:
     def test_sources_partition_the_locatable_posts(self, gazetteer):
-        annotated = [
-            make_annotated(
-                3, post_id=f"c{i}", text=text, metadata=metadata or None
-            )
+        posts = [
+            make_post(post_id=f"c{i}", text=text, metadata=metadata or None)
             for i, (metadata, text, _, _) in enumerate(RESOLUTION_CASES)
         ]
-        out = locate_posts(labelled(annotated), gazetteer)
+        out = locate_posts(labelled(posts), gazetteer)
         both = [p for p in out if p.source is not LocationSource.NONE]
         meta = [p for p in out if p.source is LocationSource.METADATA]
         text_only = [p for p in out if p.source is LocationSource.TEXT]
@@ -327,8 +322,7 @@ class TestAggregation:
 
         resolved = IndexConfig(window_anchor=ANCHOR)
         counts, _ = build_count_series(
-            [p.day for p in posts],
-            [p.category for p in posts],
+            Counter((p.day, p.category) for p in posts),
             resolved,
             ANCHOR,
             ANCHOR + timedelta(days=42),

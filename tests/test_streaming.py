@@ -10,8 +10,8 @@ agree.
 
 `annotate` reads the cache first and then streams posts.jsonl once,
 keeping an id and two verdicts per post. Random posts files, caches and
-backends go through it and through the two stages run over a loaded
-Dataset, and labels.csv, the cache bytes, stdout, stderr, the exit code
+backends go through it and through the two stages run over the loaded
+posts, and labels.csv, the cache bytes, stdout, stderr, the exit code
 and the number of backend calls must agree.
 """
 
@@ -20,6 +20,7 @@ import io
 import json
 import tempfile
 import time
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,6 @@ from disimpact import (
     OTHER,
     AnnotationReport,
     ClientPolicy,
-    DisasterTag,
     DisimpactError,
     IndexConfig,
     Label,
@@ -138,8 +138,7 @@ def run_cli(argv):
 def write_counts(joined, unlabeled, path, range_start, range_end):
     """Write counts.csv from joined (post, category) pairs; its stderr lines."""
     series, report = build_count_series(
-        [post.created_date for post, _ in joined],
-        [category for _, category in joined],
+        Counter((post.created_date, category) for post, category in joined),
         IndexConfig(),
         range_start,
         range_end,
@@ -170,7 +169,7 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
     try:
         loaded = load_posts(posts)
         by_id = load_labels(labels)
-        known = {post.id for post in loaded.dataset.posts}
+        known = {post.id for post in loaded.posts}
         unknown = sorted((lineno, i) for i, (lineno, _) in by_id.items() if i not in known)
         if unknown:
             raise UnknownPostId(f"{labels}:{unknown[0][0]}: unknown post id {unknown[0][1]!r}")
@@ -180,8 +179,8 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
                 f"dropped {report.dropped_malformed} malformed, "
                 f"{report.dropped_duplicate} duplicate lines"
             )
-        joined = [(post, by_id[post.id][1]) for post in loaded.dataset.posts if post.id in by_id]
-        unlabeled = len(loaded.dataset.posts) - len(joined)
+        joined = [(post, by_id[post.id][1]) for post in loaded.posts if post.id in by_id]
+        unlabeled = len(loaded.posts) - len(joined)
         lines += write(joined, unlabeled, path, range_start, range_end)
     except (DisimpactError, ValueError) as exc:
         lines.append(f"error: {type(exc).__name__}: {exc}")
@@ -360,9 +359,9 @@ def caches(draw, posts):
 
 
 def annotate_in_memory(posts, cache, labels_path, backend):
-    """(exit code, stdout, stderr) of the two stages over a loaded Dataset."""
+    """(exit code, stdout, stderr) of the two stages over the loaded posts."""
     try:
-        loaded = load_posts(posts, DisasterTag.HURRICANE)
+        loaded = load_posts(posts)
     except DisimpactError as exc:
         return exc.exit_code, "", f"error: {type(exc).__name__}: {exc}\n"
     stderr = ""
@@ -373,7 +372,7 @@ def annotate_in_memory(posts, cache, labels_path, backend):
         )
     report = AnnotationReport()
     loop = _StageLoop(report, backend, ClientPolicy(), cache, time.sleep)
-    posts = loaded.dataset.posts
+    posts = loaded.posts
     relevance = loop.run(posts, Task.RELEVANCE_HURRICANE)
     relevant = [post for post, flag in zip(posts, relevance) if flag]
     categories = iter(loop.run(relevant, Task.IMPACT_CATEGORY))

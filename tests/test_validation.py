@@ -152,13 +152,13 @@ class TestWeeklySeries:
 
 class TestDomainSeries:
     def build_series(self):
-        from conftest import columns, spread_posts
+        from conftest import spread_posts
 
         from disimpact import build_count_series
 
         posts = spread_posts({0: {3: 4, 7: 1}, 1: {3: 1}, 2: {2: 2, 9: 3}})
         counts, _ = build_count_series(
-            *columns(posts),
+            posts,
             IndexConfig(window_anchor=ANCHOR),
             ANCHOR,
             ANCHOR + timedelta(days=21),

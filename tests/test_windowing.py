@@ -1,23 +1,24 @@
 """Tests for window assignment and per-window category counting."""
 
-from dataclasses import replace
-from datetime import date, datetime, timedelta, timezone
+from collections import Counter
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANCHOR, category, columns, make_annotated, spread_posts
+from conftest import ANCHOR, category, spread_posts
 
 from disimpact import (
-    AnnotatedPost,
     BeforeAnchor,
     CountSeries,
     IndexConfig,
+    LoadReport,
     MalformedCsv,
     MisalignedRange,
     WindowCounts,
     build_count_series,
+    iter_posts,
     monday_on_or_before,
     read_counts_csv,
     write_counts_csv,
@@ -33,19 +34,20 @@ DENSE_WINDOW = {
 }
 
 
-def utc(y, m, d, hour=0, minute=0, second=0):
-    return datetime(y, m, d, hour, minute, second, tzinfo=timezone.utc)
+def tally(*days, code=3):
+    """The (day, category) tally of one post labelled `code` on each day."""
+    return Counter((day, category(code)) for day in days)
 
 
-def week_of(stamp):
-    """Start of the one week spanning a single post made at stamp."""
-    template = make_annotated(3)
-    post = AnnotatedPost(
-        post=replace(template.post, created_at=stamp),
-        category=template.category,
-        relevant=True,
+def week_of(tmp_path, stamp):
+    """Start of the one week spanning a single posts.jsonl post made at stamp."""
+    path = tmp_path / "posts.jsonl"
+    path.write_text(
+        '{"id": "p1", "platform": "reddit", "text": "x", "created_at": "%s"}\n' % stamp,
+        encoding="utf-8",
     )
-    series, _ = build_count_series(*columns([post]), CONFIG)
+    (post,) = iter_posts(path, LoadReport())
+    series, _ = build_count_series(tally(post.created_date), CONFIG)
     (wc,) = series.windows
     assert wc.total == 1
     return wc.start
@@ -66,69 +68,65 @@ class TestMondayGrid:
         assert monday_on_or_before(date(2024, 9, 8)) == date(2024, 9, 2)
 
     def test_derive_anchor_uses_earliest_post(self):
-        posts = [
-            make_annotated(3, post_id="a", day=date(2024, 9, 12)),
-            make_annotated(3, post_id="b", day=date(2024, 9, 5)),
-        ]
-        series, _ = build_count_series(*columns(posts), IndexConfig())
+        posts = tally(date(2024, 9, 12), date(2024, 9, 5))
+        series, _ = build_count_series(posts, IndexConfig())
         assert series.windows[0].start == date(2024, 9, 2)
 
     def test_derive_anchor_needs_posts(self):
         with pytest.raises(ValueError):
-            build_count_series([], [], IndexConfig())
+            build_count_series(Counter(), IndexConfig())
 
 
 class TestAssignWindow:
-    def test_anchor_midnight_is_window_zero(self):
-        assert week_of(utc(2024, 9, 2)) == ANCHOR
+    def test_anchor_midnight_is_window_zero(self, tmp_path):
+        assert week_of(tmp_path, "2024-09-02T00:00:00Z") == ANCHOR
 
-    def test_last_second_of_first_window(self):
-        assert week_of(utc(2024, 9, 8, 23, 59, 59)) == ANCHOR
+    def test_last_second_of_first_window(self, tmp_path):
+        assert week_of(tmp_path, "2024-09-08T23:59:59Z") == ANCHOR
 
-    def test_next_midnight_starts_window_one(self):
-        assert week_of(utc(2024, 9, 9)) == ANCHOR + WEEK
+    def test_next_midnight_starts_window_one(self, tmp_path):
+        assert week_of(tmp_path, "2024-09-09T00:00:00Z") == ANCHOR + WEEK
 
-    def test_five_weeks_out(self):
-        assert week_of(utc(2024, 10, 7, 12, 0)) == ANCHOR + 5 * WEEK
+    def test_five_weeks_out(self, tmp_path):
+        assert week_of(tmp_path, "2024-10-07T12:00:00Z") == ANCHOR + 5 * WEEK
 
-    def test_before_anchor_is_rejected(self):
+    def test_before_anchor_is_rejected(self, tmp_path):
         with pytest.raises(BeforeAnchor):
-            week_of(utc(2024, 9, 1, 23, 59))
+            week_of(tmp_path, "2024-09-01T23:59:00Z")
 
-    def test_offsets_convert_to_utc_first(self):
+    def test_offsets_convert_to_utc_first(self, tmp_path):
         # 01:00+02:00 is 23:00 UTC the previous day, still window 0.
-        stamp = datetime(2024, 9, 9, 1, 0, tzinfo=timezone(timedelta(hours=2)))
-        assert week_of(stamp) == ANCHOR
+        assert week_of(tmp_path, "2024-09-09T01:00:00+02:00") == ANCHOR
 
 
 class TestResolveConfig:
     def test_explicit_anchor_passes_through(self):
-        posts = [make_annotated(3, day=date(2024, 9, 20))]
-        series, _ = build_count_series(*columns(posts), CONFIG)
+        posts = tally(date(2024, 9, 20))
+        series, _ = build_count_series(posts, CONFIG)
         assert series.windows[0].start == ANCHOR + 2 * WEEK
         assert span(series) == (date(2024, 9, 16), date(2024, 9, 23))
 
     def test_derives_monday_from_posts(self):
-        posts = [make_annotated(3, day=date(2024, 9, 5))]
-        series, _ = build_count_series(*columns(posts), IndexConfig())
+        posts = tally(date(2024, 9, 5))
+        series, _ = build_count_series(posts, IndexConfig())
         assert series.windows[0].start == date(2024, 9, 2)
 
     def test_range_start_joins_the_candidates(self):
-        posts = [make_annotated(3, day=date(2024, 9, 20))]
-        series, _ = build_count_series(*columns(posts), IndexConfig(), range_start=date(2024, 9, 9))
+        posts = tally(date(2024, 9, 20))
+        series, _ = build_count_series(posts, IndexConfig(), range_start=date(2024, 9, 9))
         assert span(series) == (date(2024, 9, 9), date(2024, 9, 23))
         assert series.totals == (0, 1)
 
     def test_nothing_to_derive_from(self):
         # range_end alone gives no anchor.
         with pytest.raises(ValueError):
-            build_count_series([], [], IndexConfig(), range_end=date(2024, 9, 9))
+            build_count_series(Counter(), IndexConfig(), range_end=date(2024, 9, 9))
 
 
 class TestBuildCountSeries:
     def test_zero_posts_give_zero_filled_windows(self):
         series, report = build_count_series(
-            [], [], CONFIG, ANCHOR, ANCHOR + timedelta(days=28)
+            Counter(), CONFIG, ANCHOR, ANCHOR + timedelta(days=28)
         )
         assert len(series.windows) == 4
         assert series.totals == (0, 0, 0, 0)
@@ -139,7 +137,7 @@ class TestBuildCountSeries:
 
     def test_counts_land_in_the_right_window(self):
         posts = spread_posts({0: {3: 3}, 2: {2: 1}})
-        series, _ = build_count_series(*columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=21))
+        series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=21))
         assert series.totals == (3, 0, 1)
         assert series.windows[0].n[category(3)] == 3
         assert series.windows[2].n[category(2)] == 1
@@ -147,7 +145,7 @@ class TestBuildCountSeries:
 
     def test_dense_single_window(self):
         posts = spread_posts({0: DENSE_WINDOW})
-        series, _ = build_count_series(*columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=7))
+        series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=7))
         (wc,) = series.windows
         assert wc.total == 9666
         assert wc.n[category(3)] == 1720
@@ -156,17 +154,14 @@ class TestBuildCountSeries:
     def test_window_indices_respect_the_anchor(self):
         posts = spread_posts({2: {3: 1}})
         start = ANCHOR + timedelta(days=14)
-        series, _ = build_count_series(*columns(posts), CONFIG, start, start + timedelta(days=7))
+        series, _ = build_count_series(posts, CONFIG, start, start + timedelta(days=7))
         assert series.windows[0].start == ANCHOR + 2 * WEEK
         assert series.totals == (1,)
 
     def test_posts_outside_range_are_reported(self):
-        posts = [
-            make_annotated(3, post_id="in", day=ANCHOR),
-            make_annotated(3, post_id="late", day=ANCHOR + timedelta(days=7)),
-        ]
+        posts = tally(ANCHOR, ANCHOR + timedelta(days=7))
         series, report = build_count_series(
-            *columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=7)
+            posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=7)
         )
         assert series.totals == (1,)
         assert report.outside_range == 1
@@ -174,21 +169,21 @@ class TestBuildCountSeries:
     def test_misaligned_start(self):
         with pytest.raises(MisalignedRange):
             build_count_series(
-                [], [], CONFIG, ANCHOR + timedelta(days=3), ANCHOR + timedelta(days=10)
+                Counter(), CONFIG, ANCHOR + timedelta(days=3), ANCHOR + timedelta(days=10)
             )
 
     def test_misaligned_end(self):
         with pytest.raises(MisalignedRange):
-            build_count_series([], [], CONFIG, ANCHOR, ANCHOR + timedelta(days=10))
+            build_count_series(Counter(), CONFIG, ANCHOR, ANCHOR + timedelta(days=10))
 
     def test_empty_range(self):
         with pytest.raises(MisalignedRange):
-            build_count_series([], [], CONFIG, ANCHOR, ANCHOR)
+            build_count_series(Counter(), CONFIG, ANCHOR, ANCHOR)
 
     def test_range_before_anchor(self):
         with pytest.raises(MisalignedRange):
             build_count_series(
-                [], [], CONFIG, ANCHOR - timedelta(days=7), ANCHOR + timedelta(days=7)
+                Counter(), CONFIG, ANCHOR - timedelta(days=7), ANCHOR + timedelta(days=7)
             )
 
     @given(
@@ -198,14 +193,13 @@ class TestBuildCountSeries:
     )
     @settings(max_examples=50, deadline=None)
     def test_conservation(self, placements):
-        posts = [
-            make_annotated(code, post_id=f"s{i}", day=ANCHOR + timedelta(days=7 * week))
-            for i, (week, code) in enumerate(placements)
-        ]
-        series, report = build_count_series(
-            *columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=42)
+        posts = Counter(
+            (ANCHOR + timedelta(days=7 * week), category(code)) for week, code in placements
         )
-        assert sum(series.totals) == len(posts)
+        series, report = build_count_series(
+            posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=42)
+        )
+        assert sum(series.totals) == len(placements)
         assert report.outside_range == 0
 
     @given(
@@ -217,21 +211,16 @@ class TestBuildCountSeries:
     @settings(max_examples=50, deadline=None)
     def test_shift_covariance(self, placements, shift_weeks):
         shift = timedelta(days=7 * shift_weeks)
-        posts = [
-            make_annotated(code, post_id=f"s{i}", day=ANCHOR + timedelta(days=7 * week))
-            for i, (week, code) in enumerate(placements)
-        ]
-        shifted = [
-            make_annotated(
-                code,
-                post_id=f"s{i}",
-                day=ANCHOR + shift + timedelta(days=7 * week),
-            )
-            for i, (week, code) in enumerate(placements)
-        ]
-        base, _ = build_count_series(*columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=28))
+        posts = Counter(
+            (ANCHOR + timedelta(days=7 * week), category(code)) for week, code in placements
+        )
+        shifted = Counter(
+            (ANCHOR + shift + timedelta(days=7 * week), category(code))
+            for week, code in placements
+        )
+        base, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=28))
         moved, _ = build_count_series(
-            *columns(shifted), CONFIG, ANCHOR + shift, ANCHOR + shift + timedelta(days=28)
+            shifted, CONFIG, ANCHOR + shift, ANCHOR + shift + timedelta(days=28)
         )
         assert moved.totals == base.totals
         assert [w.n for w in moved.windows] == [w.n for w in base.windows]
@@ -239,39 +228,36 @@ class TestBuildCountSeries:
 
 class TestFullRange:
     def test_spans_every_post(self):
-        posts = [
-            make_annotated(3, post_id="a", day=date(2024, 9, 3)),
-            make_annotated(3, post_id="b", day=date(2024, 9, 20)),
-        ]
-        series, report = build_count_series(*columns(posts), CONFIG)
+        posts = tally(date(2024, 9, 3), date(2024, 9, 20))
+        series, report = build_count_series(posts, CONFIG)
         assert span(series) == (ANCHOR, ANCHOR + timedelta(days=21))
         assert report.outside_range == 0
 
     def test_single_post_single_window(self):
-        posts = [make_annotated(3, day=ANCHOR + timedelta(days=6))]
-        series, _ = build_count_series(*columns(posts), CONFIG)
+        posts = tally(ANCHOR + timedelta(days=6))
+        series, _ = build_count_series(posts, CONFIG)
         assert span(series) == (ANCHOR, ANCHOR + timedelta(days=7))
 
     def test_derived_anchor(self):
-        posts = [make_annotated(3, day=date(2024, 9, 5))]
-        series, _ = build_count_series(*columns(posts), IndexConfig())
+        posts = tally(date(2024, 9, 5))
+        series, _ = build_count_series(posts, IndexConfig())
         assert span(series) == (date(2024, 9, 2), date(2024, 9, 9))
 
     def test_post_before_explicit_anchor(self):
-        posts = [make_annotated(3, day=ANCHOR - timedelta(days=1))]
+        posts = tally(ANCHOR - timedelta(days=1))
         with pytest.raises(BeforeAnchor):
-            build_count_series(*columns(posts), CONFIG)
+            build_count_series(posts, CONFIG)
 
     def test_no_posts(self):
         with pytest.raises(ValueError):
-            build_count_series([], [], CONFIG)
+            build_count_series(Counter(), CONFIG)
         with pytest.raises(ValueError):
-            build_count_series([], [], CONFIG, range_start=ANCHOR)
+            build_count_series(Counter(), CONFIG, range_start=ANCHOR)
 
     def test_given_start_is_kept_and_end_spans_the_posts(self):
         posts = spread_posts({0: {3: 1}, 2: {4: 1}, 3: {5: 1}})
         start = ANCHOR + timedelta(days=14)
-        series, report = build_count_series(*columns(posts), CONFIG, range_start=start)
+        series, report = build_count_series(posts, CONFIG, range_start=start)
         assert span(series) == (start, ANCHOR + timedelta(days=28))
         assert series.totals == (1, 1)
         assert report.outside_range == 1
@@ -279,7 +265,7 @@ class TestFullRange:
     def test_given_end_is_kept_and_start_spans_the_posts(self):
         posts = spread_posts({1: {3: 1}, 2: {4: 1}, 3: {5: 1}})
         end = ANCHOR + timedelta(days=21)
-        series, report = build_count_series(*columns(posts), IndexConfig(), range_end=end)
+        series, report = build_count_series(posts, IndexConfig(), range_end=end)
         assert span(series) == (ANCHOR + timedelta(days=7), end)
         assert series.totals == (1, 1)
         assert report.outside_range == 1
@@ -287,9 +273,9 @@ class TestFullRange:
     def test_given_bound_must_sit_on_the_grid(self):
         posts = spread_posts({0: {3: 1}})
         with pytest.raises(MisalignedRange):
-            build_count_series(*columns(posts), CONFIG, range_end=ANCHOR + timedelta(days=10))
+            build_count_series(posts, CONFIG, range_end=ANCHOR + timedelta(days=10))
         with pytest.raises(MisalignedRange):
-            build_count_series(*columns(posts), CONFIG, range_start=ANCHOR + timedelta(days=3))
+            build_count_series(posts, CONFIG, range_start=ANCHOR + timedelta(days=3))
 
 
 class TestCountsValidation:
@@ -315,7 +301,7 @@ class TestCountsValidation:
 class TestCountsCsv:
     def build(self):
         posts = spread_posts({0: {3: 3, 1: 1}, 1: {2: 2}})
-        series, _ = build_count_series(*columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=14))
+        series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=14))
         return series
 
     def test_round_trip(self, tmp_path):
@@ -402,7 +388,7 @@ class TestCountsCsv:
 
     def test_gap_between_windows(self, tmp_path):
         posts = spread_posts({0: {3: 1}})
-        series, _ = build_count_series(*columns(posts), CONFIG, ANCHOR, ANCHOR + timedelta(days=7))
+        series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=7))
         path = tmp_path / "counts.csv"
         write_counts_csv(series, path)
         far = ANCHOR + timedelta(days=21)
