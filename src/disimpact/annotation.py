@@ -32,7 +32,7 @@ from .core import (
     category_from_code,
 )
 from .errors import EmptyInput, MalformedResponse, OutOfRange, TransportError
-from .ingestion import scrub_handles
+from .ingestion import json_line, scrub_handles
 
 
 class Task(Enum):
@@ -103,18 +103,23 @@ _JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
 
 
 def _extract_judgment(raw: str):
+    """The Judgment field of the first {...} block of a reply.
+
+    A block that does not decode, nested past the recursion limit
+    included, raises MalformedResponse.
+    """
     block = _JSON_BLOCK.search(raw)
     if block is None:
         raise MalformedResponse(f"no judgment object in response: {raw!r}")
     text = block.group(0)
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
+        data = json_line(text)
+    except ValueError:
         # The response contract spells booleans in title case.
         patched = re.sub(r"\bTrue\b", "true", re.sub(r"\bFalse\b", "false", text))
         try:
-            data = json.loads(patched)
-        except json.JSONDecodeError as exc:
+            data = json_line(patched)
+        except ValueError as exc:
             raise MalformedResponse(f"unparseable response: {raw!r}") from exc
     if not isinstance(data, dict) or "Judgment" not in data:
         raise MalformedResponse(f"response lacks a Judgment field: {raw!r}")
@@ -361,7 +366,9 @@ class CleanReport(AnnotationReport):
 def _read_cache(path: Path) -> tuple[dict[bytes, bool | ImpactCategory], int]:
     """Judgment by key digest of every readable cache line, and the unreadable count.
 
-    A later line for the same key wins; a key that is not hex is unreadable.
+    A later line for the same key wins; a key that is not hex, a
+    judgment the task does not allow and a line nested past the
+    recursion limit are unreadable.
     """
     verdicts: dict[bytes, bool | ImpactCategory] = {}
     invalid = 0
@@ -372,9 +379,13 @@ def _read_cache(path: Path) -> tuple[dict[bytes, bool | ImpactCategory], int]:
             if not line.strip():
                 continue
             try:
-                data = json.loads(line.decode("utf-8"))
+                data = json_line(line.decode("utf-8"))
                 task = _TASKS[data["task"]]
-                verdicts[bytes.fromhex(data["key"])] = _check_judgment(data["judgment"], task)
+                judgment = data["judgment"]
+                # A bare true/false needs no check for a relevance task.
+                if not isinstance(judgment, bool) or task not in RELEVANCE_TASKS:
+                    judgment = _check_judgment(judgment, task)
+                verdicts[bytes.fromhex(data["key"])] = judgment
             except (KeyError, TypeError, ValueError, MalformedResponse):
                 # Torn writes, bytes that are not UTF-8, keys that are
                 # not hex and lines in the old unkeyed format are
@@ -457,6 +468,9 @@ class _StageLoop:
         if not pending:
             return judgments
         self.asked.update(posts[i].id for i in pending)
+        # The bytes json.dumps gives the line with sorted keys, formatted directly.
+        line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": %s}\n'
+        task_json = json.dumps(task.value)
 
         def ask(i: int) -> bool | ImpactCategory | AnnotationError:
             try:
@@ -486,13 +500,12 @@ class _StageLoop:
                     fh = stack.enter_context(self.cache_path.open("a+b"))
                     _end_torn_line(fh)
                 judgments[i] = answer
-                line = {
-                    "judgment": getattr(answer, "code", answer),
-                    "key": keys[i].hex(),
-                    "post_id": posts[i].id,
-                    "task": task.value,
-                }
-                fh.write(json.dumps(line, sort_keys=True).encode("utf-8") + b"\n")
+                if isinstance(answer, bool):
+                    judgment = "true" if answer else "false"
+                else:
+                    judgment = answer.code
+                post_id = json.dumps(posts[i].id)
+                fh.write((line % (judgment, keys[i].hex(), post_id, task_json)).encode())
                 fh.flush()
         return judgments
 

@@ -32,10 +32,12 @@ class Platform(enum.Enum):
 
     @classmethod
     def parse(cls, value: str) -> "Platform":
-        try:
-            return cls(value.strip().lower())
-        except ValueError:
-            return cls.OTHER
+        """The platform named by value, case and surrounding space ignored."""
+        return _PLATFORMS.get(value.strip().lower(), cls.OTHER)
+
+
+# Built once: a dict lookup costs a fraction of an Enum call by value.
+_PLATFORMS = {platform.value: platform for platform in Platform}
 
 
 class DisasterTag(enum.Enum):

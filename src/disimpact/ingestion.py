@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import json.scanner
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -81,31 +82,60 @@ def _parse_rfc3339(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+# Built once and called directly: the json module's loads wraps this same
+# C scanner in Python code that costs about as much again per line.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def json_line(text: str):
+    """Decode one JSON text as the json module's loads does, or raise ValueError.
+
+    Only JSON whitespace (space, tab, newline, carriage return) may
+    surround the value. A value nested past the recursion limit also
+    raises ValueError, where loads raises RecursionError.
+    """
+    text = text.strip(" \t\n\r")
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply") from None
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
+
+
 def _parse_post_line(line: str) -> Post:
-    obj = json.loads(line)
+    obj = json_line(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
-    for key in ("id", "platform", "text", "created_at"):
-        if key not in obj:
-            raise ValueError(f"missing required field {key!r}")
-    post_id = obj["id"]
+    try:
+        post_id, platform, text, created_at = (
+            obj["id"], obj["platform"], obj["text"], obj["created_at"]
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing required field {exc}") from None
     if not isinstance(post_id, str) or not post_id:
         raise ValueError("id must be a nonempty string")
-    text = obj["text"]
     if not isinstance(text, str):
         raise ValueError("text must be a string")
-    media = obj.get("media_refs") or []
-    if not isinstance(media, list) or any(not isinstance(m, str) for m in media):
-        raise ValueError("media_refs must be a list of strings")
+    media = obj.get("media_refs")
+    if media is None:
+        media = ()
+    elif isinstance(media, list) and all(isinstance(m, str) for m in media):
+        media = tuple(media)
+    else:
+        raise ValueError("media_refs must be null or a list of strings")
     location = obj.get("location_metadata")
     if location is not None and not isinstance(location, str):
         raise ValueError("location_metadata must be a string or null")
     return Post(
         post_id,
-        str(obj["platform"]),
+        str(platform),
         scrub_handles(text),
-        _parse_rfc3339(str(obj["created_at"])),
-        tuple(media),
+        _parse_rfc3339(str(created_at)),
+        media,
         location,
     )
 
@@ -113,11 +143,12 @@ def _parse_post_line(line: str) -> Post:
 def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
     """Stream the valid posts of a posts.jsonl file, counting into report.
 
-    Malformed lines, including lines that are not UTF-8, are counted and
-    skipped; duplicate ids keep the first occurrence. When the file is
-    exhausted the stream raises MalformedInput if more than half of the
-    non-blank lines were malformed, so a caller that writes only after
-    the stream ends writes nothing from such a file.
+    Malformed lines, including lines that are not UTF-8 and lines nested
+    past the recursion limit, are counted and skipped; duplicate ids
+    keep the first occurrence. When the file is exhausted the stream
+    raises MalformedInput if more than half of the non-blank lines were
+    malformed, so a caller that writes only after the stream ends
+    writes nothing from such a file.
     """
     path = Path(path)
     seen: set[str] = set()
@@ -155,10 +186,14 @@ def load_posts(path: str | Path) -> LoadResult:
     return LoadResult(tuple(iter_posts(path, report)), report)
 
 
+_POST_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
     """Write posts one JSON object per line, as load_posts reads them.
 
-    The platform is written as Platform.parse normalizes it.
+    Keys are sorted; the platform is written as Platform.parse
+    normalizes it.
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         for post in posts:
@@ -170,7 +205,7 @@ def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
                 "media_refs": list(post.media_refs),
                 "location_metadata": post.location_metadata,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_POST_ENCODER.encode(record) + "\n")
 
 
 def _undecodable_line(path: Path) -> str:
@@ -307,19 +342,18 @@ def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
         yield lineno, post_id, category
 
 
-def load_labels(path: str | Path) -> dict[str, tuple[int, ImpactCategory]]:
-    """Read a whole labels.csv as post id -> (line number, category).
+def load_labels(path: str | Path) -> dict[str, ImpactCategory]:
+    """Read a whole labels.csv as post id -> category.
 
     counts and spatial read it before they stream the posts, so its own
-    faults are reported first; the line number lets join_labels name a
-    label whose post never appears.
+    faults are reported first.
     """
-    return {post_id: (lineno, category) for lineno, post_id, category in iter_labels(path)}
+    return {post_id: category for _, post_id, category in iter_labels(path)}
 
 
 def join_labels(
     posts: Iterable[Post],
-    labels: dict[str, tuple[int, ImpactCategory]],
+    labels: dict[str, ImpactCategory],
     path: str | Path,
     report: LoadReport,
 ) -> Iterator[tuple[Post, ImpactCategory]]:
@@ -329,18 +363,21 @@ def join_labels(
     the caller's dict ends up holding only the labels whose post never
     appeared. Posts without a label are counted in report, never
     silently dropped. Once the posts run out (after their own
-    end-of-stream check), the first of those labels by line, at labels
-    path:line, raises UnknownPostId.
+    end-of-stream check), the first of those labels by line raises
+    UnknownPostId at labels path:line; labels.csv is read again to find
+    that line, and only when a label is left over.
     """
     for post in posts:
-        label = labels.pop(post.id, None)
-        if label is None:
+        category = labels.pop(post.id, None)
+        if category is None:
             report.unlabeled += 1
         else:
-            yield post, label[1]
+            yield post, category
     if labels:
-        post_id, (lineno, _) = min(labels.items(), key=lambda item: item[1][0])
-        raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
+        for lineno, post_id, _ in iter_labels(path):
+            if post_id in labels:
+                raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
+        raise UnknownPostId(f"{path}: unknown post id {next(iter(labels))!r}")
 
 
 def write_labels_csv(labels: Iterable[Label], path: str | Path) -> None:

@@ -31,7 +31,7 @@ from disimpact import (
     scrub_handles,
 )
 import disimpact.annotation
-from disimpact.annotation import PROMPT_TEMPLATE_IDS
+from disimpact.annotation import PROMPT_TEMPLATE_IDS, _key, _key_material, _question
 
 
 # Texts with a known deterministic mock outcome: (text, relevant, code).
@@ -111,6 +111,20 @@ class GarbageBackend:
     def complete(self, request: ClassifierRequest) -> str:
         self.calls += 1
         return "sorry, I cannot help with that"
+
+
+class NestingBackend(MockBackend):
+    """Replies for chosen post ids with a judgment nested 100,000 lists deep."""
+
+    def __init__(self, bad_ids):
+        super().__init__()
+        self.bad_ids = set(bad_ids)
+
+    def complete(self, request: ClassifierRequest) -> str:
+        answer = super().complete(request)
+        if request.post.id in self.bad_ids:
+            return '{"Judgment": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        return answer
 
 
 class GaugeBackend:
@@ -478,15 +492,17 @@ class TestAnnotateDataset:
         cache = tmp_path / "cache.jsonl"
         annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
         out_of_range = dict(cache_lines(cache, "impact_category")[1], judgment=99)
+        boolean = dict(cache_lines(cache, "impact_category")[2], judgment=True)
         with cache.open("a", encoding="utf-8") as fh:
             fh.write('{"judgment": true, "key": "ab\n')  # torn write
             fh.write(json.dumps(out_of_range) + "\n")
+            fh.write(json.dumps(boolean) + "\n")  # a category is never a boolean
             fh.write("\n")  # blank lines are not an error
         backend = MockBackend()
         annotations, report = annotate(
             posts, backend, cache_path=cache, sleep=no_sleep
         )
-        assert report.cache_invalid == 2
+        assert report.cache_invalid == 3
         assert len(annotations) == 10
         assert backend.calls == 0  # the original valid entries still win
 
@@ -603,6 +619,16 @@ class TestCleanDataset:
         )
         assert {e.post_id for e in report.errors} == {"p0", "p5"}
         # p0 is relevant in the script, p5 is not; both are simply absent.
+        assert len(kept) == 7
+
+    def test_deeply_nested_reply_fails_only_its_post(self, tmp_path):
+        posts = make_posts()
+        backend = NestingBackend(bad_ids={"p0"})
+        kept, report = clean(
+            posts, backend, cache_path=tmp_path / "c.jsonl", sleep=no_sleep
+        )
+        assert [(e.post_id, e.stage) for e in report.errors] == [("p0", "MalformedResponse")]
+        assert backend.calls == 10
         assert len(kept) == 7
 
 
@@ -766,6 +792,52 @@ class TestCacheKeys:
         assert report.cache_invalid == 1
         assert (report.cache_hits, report.backend_posts, backend.calls) == (9, 1, 1)
         assert len(kept) == 8
+
+    def test_deeply_nested_line_is_invalid_and_asked_again(self, tmp_path):
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        lines[3] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        cache.write_bytes(b"".join(lines))
+        backend = MockBackend()
+        kept, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert report.cache_invalid == 1
+        assert (report.cache_hits, report.backend_posts, backend.calls) == (9, 1, 1)
+        assert len(kept) == 8
+
+    def test_lines_are_the_bytes_json_dumps_gives(self, tmp_path):
+        # Ids that JSON must escape: a quote, a backslash, a control
+        # character, non-ASCII text and a lone surrogate.
+        ids = ['say "hi"', "back\\slash", "bell\x07", "café 漢字", "lone \ud800"]
+        texts = [text for text, _, _ in SCRIPTED_POSTS[:5]] + ["Miami Hurricanes win"]
+        posts = [make_post(post_id=i, text=t) for i, t in zip(ids + ["plain"], texts)]
+        backend = MockBackend()
+        cache = tmp_path / "cache.jsonl"
+        labels, _ = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert [label.relevant for label in labels] == [True] * 5 + [False]
+        by_id = {post.id: post for post in posts}
+        expected = []
+        for task, chosen in (
+            (Task.RELEVANCE_HURRICANE, labels),
+            (Task.IMPACT_CATEGORY, [label for label in labels if label.relevant]),
+        ):
+            question = _question(task, backend)
+            for label in chosen:
+                post = by_id[label.post_id]
+                relevance = task is Task.RELEVANCE_HURRICANE
+                judgment = label.relevant if relevance else label.category.code
+                line = {
+                    "judgment": judgment,
+                    "key": _key(question, _key_material(post)).hex(),
+                    "post_id": post.id,
+                    "task": task.value,
+                }
+                expected.append(json.dumps(line, sort_keys=True).encode() + b"\n")
+        assert cache.read_bytes() == b"".join(expected)
+        rerun = MockBackend()
+        again, report = annotate(posts, rerun, cache_path=cache, sleep=no_sleep)
+        assert (again, report.cache_invalid, rerun.calls) == (labels, 0, 0)
 
 
 class TestInterruptAndResume:

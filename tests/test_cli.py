@@ -213,6 +213,17 @@ class TestClean:
         cache_lines = (tmp_path / "annotation_cache.jsonl").read_text().splitlines()
         assert len(cache_lines) == 20
 
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        posts = tmp_path / "posts.jsonl"
+        nested = "[" * 100_000 + "]" * 100_000
+        posts.write_bytes(CLEAN20.read_bytes() + nested.encode() + b"\n")
+        code, stdout, stderr = run_cli(
+            ["clean", "--in", posts, "--disaster", "hurricane", "--out", tmp_path]
+        )
+        assert code == 0
+        assert stdout == "14/20 (70%)\n"
+        assert stderr == "dropped 1 malformed, 0 duplicate lines\n"
+
 
 @pytest.fixture
 def backends(monkeypatch):
@@ -523,8 +534,9 @@ class TestSpatial:
             assert averaged[key] == pytest.approx((physical / 5, social / 5), abs=1e-9)
 
 
-# sha256 of the fixture outputs as the in-memory counts and spatial
-# wrote them, before either streamed the posts; every run must keep them.
+# sha256 of the fixture outputs. counts.csv, the spatial.csv files and
+# labels.csv are as the in-memory counts and spatial wrote them, before
+# either streamed the posts; every run must keep them all.
 GOLDEN = {
     "counts.csv": "4a093634ddb387b8c57ac0bf1fbedf190a4ba6d1661c078ac32da75495ead64c",
     "both": "2b3ec6edb0b1f400ed716d9f6ebb2b2b49f56bb695df565fdaf53d3065fc20f7",
@@ -534,7 +546,19 @@ GOLDEN = {
     "hurricane": "337b9bd7fed4723bd7d7d3e043b41f400b9b1078bed5facc54af68f88dab453b",
     # The fixture holds no wildfire post: wildfire cleaning keeps none.
     "wildfire": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "annotation_cache.jsonl": "08569ce8065420bf8073491003f3d521845022627ac8d6c0d0e7bc6e75c70c6b",
+    "index.csv": "c281162f3a3d36faba651687dee2bf2958628641c8646a43190a8b51312d5c9d",
+    "domain.csv": "2d7f25c05872292c55add774ba7b64535bfde2f92aa2d0276c0eeb9a579efb89",
+    "leadlag.csv": "121f730e3ac345edbddaa9194931e72162b788573b940819ffc7f97971b2f48d",
+    "validate_report.json": "f4d11013f4dcff5d326ef1ae1fbeea7125e34965f7ecbaa18754f9ab9c459010",
+    "chart.svg": "ec27387c9379eb1af33c523fbe642525a4ab7a73ae75a7ec5b74951216af1d9b",
+    "agreement.json": "1820344cd54b428086b7ef8d453494f1ff1b26df5dc7be031afb9d50761d162a",
+    "agreement.json --labels": "587098555497d1d4cb26f9d5a79fb31c755d894caabf8c967007ff243b0622b7",
 }
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestGoldenOutputs:
@@ -565,6 +589,33 @@ class TestGoldenOutputs:
         assert run_cli(argv)[0] == 0
         digest = hashlib.sha256((tmp_path / "posts_clean.jsonl").read_bytes()).hexdigest()
         assert digest == GOLDEN[disaster]
+
+    @pytest.mark.parametrize(
+        "name", ["index.csv", "domain.csv", "leadlag.csv", "validate_report.json", "chart.svg"]
+    )
+    def test_pipeline_output(self, pipeline, name):
+        out, _ = pipeline
+        assert sha256_of(out / name) == GOLDEN[name]
+
+    def test_annotation_cache_after_clean_and_annotate(self, tmp_path):
+        for command in ("clean", "annotate"):
+            argv = [command, "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
+            assert run_cli(argv)[0] == 0
+        assert sha256_of(tmp_path / "annotation_cache.jsonl") == GOLDEN["annotation_cache.jsonl"]
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    def test_agreement_json(self, tmp_path, with_labels):
+        argv = ["agreement", "--in", ANNOTATIONS, "--out", tmp_path]
+        name = "agreement.json"
+        if with_labels:
+            labels = tmp_path / "model.csv"
+            labels.write_text(
+                "post_id,category_code\ni1,1\ni2,2\ni3,2\ni4,2\n", encoding="utf-8"
+            )
+            argv += ["--labels", labels]
+            name += " --labels"
+        assert run_cli(argv)[0] == 0
+        assert sha256_of(tmp_path / "agreement.json") == GOLDEN[name]
 
 
 class TestChart:

@@ -20,6 +20,7 @@ from disimpact.ingestion import (
     LoadReport,
     csv_rows,
     join_labels,
+    json_line,
     load_ground_truth,
     load_labels,
     load_posts,
@@ -65,13 +66,19 @@ class TestLoadPosts:
 
     def test_malformed_line_isolated(self, tmp_path):
         path = tmp_path / "posts.jsonl"
-        # The two at the end leave the datetime range once shifted to UTC.
+        # The two timestamps leave the datetime range once shifted to UTC.
         bad = [
             "{not json",
+            "[" * 100_000 + "]" * 100_000,
             _line(""),
             _line("b", created_at="2024-09-02T10:00:00"),
             _line("b", created_at="0001-01-01T00:30:00+01:00"),
             _line("c", created_at="9999-12-31T23:30:00-01:00"),
+            _line("b", media_refs=False),
+            _line("b", media_refs=0),
+            _line("b", media_refs=""),
+            _line("b", media_refs={}),
+            _line("b", media_refs=["m", 1]),
         ]
         for line in bad:
             write_jsonl(path, [_line("a"), line])
@@ -131,6 +138,50 @@ class TestLoadPosts:
         assert again.posts == loaded.posts
         write_posts_jsonl(again.posts, first)
         assert first.read_bytes() == second.read_bytes()
+
+
+# Pieces of JSON texts, valid or not, and whitespace JSON does and does
+# not allow around a value (form feed, no-break space, ideographic space
+# and a byte order mark are not JSON whitespace).
+JSON_PIECES = [
+    "{", "}", "[", "]", ":", ",", '"', "\\", "-", ".", "e", "0", "1", "01", "-0", "1.5e3",
+    "true", "false", "null", "tru", "NaN", "Infinity", "-Infinity", '"a"', '"\\u00e9"',
+    '"\\ud800"', '"\\n"', '"\x01"', '"é漢"', '"Judgment"', "{}", "[]",
+]
+WHITESPACE = [" ", "\t", "\r", "\n", "\x0c", "\xa0", "\u3000", "\ufeff"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+json_texts = st.one_of(
+    st.lists(st.sampled_from(JSON_PIECES + WHITESPACE), max_size=10).map("".join),
+    st.tuples(
+        st.lists(st.sampled_from(WHITESPACE), max_size=3).map("".join),
+        json_values.map(json.dumps),
+        st.lists(st.sampled_from(WHITESPACE), max_size=3).map("".join),
+    ).map("".join),
+    st.text(max_size=12),
+)
+
+
+class TestJsonLine:
+    @settings(max_examples=500, deadline=None)
+    @given(json_texts)
+    def test_decodes_as_loads_does(self, text):
+        try:
+            expected = json.loads(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                json_line(text)
+        else:
+            # repr tells 1 from 1.0 and 0.0 from -0.0, and equates nan with nan.
+            assert repr(json_line(text)) == repr(expected)
+
+    def test_deep_nesting_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            json_line("[" * 100_000 + "]" * 100_000)
 
 
 class TestScrubHandles:
@@ -215,7 +266,7 @@ class TestLoadLabels:
         posts = self._posts(tmp_path)
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,3\n")
-        assert load_labels(labels) == {"p1": (2, disimpact.INFR)}
+        assert load_labels(labels) == {"p1": disimpact.INFR}
         joined, report = self._join(posts, labels)
         assert [(post.id, category.short_name) for post, category in joined] == [("p1", "INFR")]
         assert report.unlabeled == 1
@@ -228,7 +279,7 @@ class TestLoadLabels:
         joined = join_labels(posts, labels, path, LoadReport())
         with pytest.raises(UnknownPostId):
             list(joined)
-        assert labels == {"p9": (3, disimpact.INFR)}  # popped, not copied
+        assert labels == {"p9": disimpact.INFR}  # popped, not copied
 
     def test_unknown_post_id(self, tmp_path):
         posts = self._posts(tmp_path)
@@ -237,10 +288,18 @@ class TestLoadLabels:
         with pytest.raises(UnknownPostId, match=r"labels.csv:3: unknown post id 'p9'"):
             self._join(posts, labels)
 
+    def test_leftover_label_missing_from_the_file_still_raises(self, tmp_path):
+        posts = self._posts(tmp_path)
+        path = tmp_path / "labels.csv"
+        path.write_text("post_id,category_code\np1,3\n")
+        joined = join_labels(posts, {"p9": disimpact.INFR}, path, LoadReport())
+        with pytest.raises(UnknownPostId, match=r"labels.csv: unknown post id 'p9'"):
+            list(joined)
+
     def test_code_eleven_is_other(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text("post_id,category_code\np1,11\n")
-        assert load_labels(labels)["p1"][1].short_name == "OTHER"
+        assert load_labels(labels)["p1"].short_name == "OTHER"
 
     def test_out_of_range_code(self, tmp_path):
         labels = tmp_path / "labels.csv"

@@ -52,6 +52,7 @@ from disimpact import (
     write_spatial_csv,
 )
 from disimpact.annotation import _StageLoop
+from disimpact.ingestion import iter_labels
 from disimpact.cli import main
 
 GAZETTEER = load_gazetteer()
@@ -170,7 +171,7 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
         loaded = load_posts(posts)
         by_id = load_labels(labels)
         known = {post.id for post in loaded.posts}
-        unknown = sorted((lineno, i) for i, (lineno, _) in by_id.items() if i not in known)
+        unknown = [(n, i) for n, i, _ in iter_labels(labels) if i not in known]
         if unknown:
             raise UnknownPostId(f"{labels}:{unknown[0][0]}: unknown post id {unknown[0][1]!r}")
         report = loaded.report
@@ -179,7 +180,7 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
                 f"dropped {report.dropped_malformed} malformed, "
                 f"{report.dropped_duplicate} duplicate lines"
             )
-        joined = [(post, by_id[post.id][1]) for post in loaded.posts if post.id in by_id]
+        joined = [(post, by_id[post.id]) for post in loaded.posts if post.id in by_id]
         unlabeled = len(loaded.posts) - len(joined)
         lines += write(joined, unlabeled, path, range_start, range_end)
     except (DisimpactError, ValueError) as exc:
