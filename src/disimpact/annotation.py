@@ -381,11 +381,7 @@ def _read_cache(path: Path) -> tuple[dict[bytes, bool | ImpactCategory], int]:
             try:
                 data = json_line(line.decode("utf-8"))
                 task = _TASKS[data["task"]]
-                judgment = data["judgment"]
-                # A bare true/false needs no check for a relevance task.
-                if not isinstance(judgment, bool) or task not in RELEVANCE_TASKS:
-                    judgment = _check_judgment(judgment, task)
-                verdicts[bytes.fromhex(data["key"])] = judgment
+                verdicts[bytes.fromhex(data["key"])] = _check_judgment(data["judgment"], task)
             except (KeyError, TypeError, ValueError, MalformedResponse):
                 # Torn writes, bytes that are not UTF-8, keys that are
                 # not hex and lines in the old unkeyed format are

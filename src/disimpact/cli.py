@@ -55,6 +55,7 @@ from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
     LoadReport,
     csv_header,
+    iter_labels,
     iter_posts,
     join_labels,
     load_ground_truth,
@@ -349,7 +350,9 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
     table = load_annotations_csv(run.input(args.input))
     model_labels = None
     if args.labels:
-        model_labels = load_labels(run.input(args.labels))
+        model_labels = {
+            post_id: category for _, post_id, category in iter_labels(run.input(args.labels))
+        }
     report = agreement_report(table, model_labels)
     report = {key: _round9(value) for key, value in report.items()}
     write_json(report, run.output("agreement.json"))
