@@ -7,6 +7,8 @@ statistics, lead-lag validation against external weekly signals, and
 state-month spatial aggregation on top.
 """
 
+import types as _types
+
 from .agreement import (
     AgreementTable,
     ConsensusItem,
@@ -29,8 +31,6 @@ from .annotation import (
     RemoteBackend,
     Task,
     annotate_dataset,
-    classify_impact,
-    classify_relevance,
     clean_dataset,
     load_prompt,
     parse_judgment,
@@ -61,7 +61,6 @@ from .core import (
     WeeklySeries,
     category_from_code,
     category_from_short_name,
-    domain_of,
 )
 from .errors import (
     AllLagsUndefined,
@@ -109,11 +108,7 @@ from .ingestion import (
     write_labels_csv,
     write_posts_jsonl,
 )
-from .reference import (
-    ReferenceRow,
-    counts_by_category,
-    load_reference_distribution,
-)
+from .reference import ReferenceRow, counts_by_category, load_reference_distribution
 from .spatial import (
     Gazetteer,
     GazetteerEntry,
@@ -130,7 +125,6 @@ from .spatial import (
 )
 from .validation import (
     LagCorrelationProfile,
-    domain_weekly_series,
     interpret_profile,
     lead_lag_profile,
     read_domain_csv,
@@ -149,54 +143,8 @@ from .windowing import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # core vocabulary
-    "Domain", "Platform", "DisasterTag", "ImpactCategory",
-    "CINJ", "EVAC", "INFR", "ENVD", "RSRC",
-    "PUBH", "EMOT", "BIAS", "ASST", "SECO", "OTHER",
-    "CATEGORIES", "PHYSICAL_CATEGORIES", "SOCIAL_CATEGORIES",
-    "category_from_code", "category_from_short_name", "domain_of",
-    "Post", "Label", "IndexConfig", "WeeklySeries",
-    # ingestion
-    "LoadReport", "LoadResult", "load_posts", "write_posts_jsonl",
-    "iter_posts", "scrub_handles", "load_ground_truth",
-    "load_labels", "join_labels", "write_labels_csv",
-    # annotation
-    "Task", "ClassifierRequest", "ClientPolicy",
-    "Backend", "MockBackend", "RemoteBackend", "load_prompt", "parse_judgment",
-    "classify_relevance", "classify_impact",
-    "AnnotationError", "AnnotationReport", "annotate_dataset",
-    "CleanReport", "clean_dataset",
-    # windowing
-    "monday_on_or_before", "WindowCounts", "CountSeries", "WindowingReport",
-    "build_count_series", "write_counts_csv", "read_counts_csv",
-    # impact index
-    "smoothed_proportion", "compute_iqr", "SeriesStats", "intensity_weight",
-    "impact_index", "IndexPoint", "ImpactSeries", "compute_impact_series",
-    "write_index_csv", "write_domain_csv",
-    # agreement
-    "AgreementTable", "consistency", "KappaDetail", "fleiss_kappa",
-    "cohen_kappa", "ConsensusItem", "human_consensus",
-    "load_annotations_csv", "agreement_report",
-    # validation
-    "domain_weekly_series", "read_domain_csv", "spearman_rho",
-    "LagCorrelationProfile", "lead_lag_profile", "interpret_profile",
-    "write_leadlag_csv",
-    # spatial
-    "GazetteerEntry", "Gazetteer", "load_gazetteer", "LocationSource",
-    "SourceFilter", "resolve_location", "Located", "locate_posts",
-    "StateMonthIndex", "SpatialReport", "aggregate_state_month",
-    "write_spatial_csv",
-    # chart
-    "ChartData", "read_chart_csv", "render_chart", "chart_csv_to_svg",
-    # bundled reference distributions
-    "ReferenceRow", "load_reference_distribution", "counts_by_category",
-    # errors
-    "DisimpactError", "OutOfRange", "MalformedInput", "MalformedCsv",
-    "NegativeValue", "UnknownPostId", "TransportError",
-    "MalformedResponse", "BeforeAnchor", "MisalignedRange", "InvalidCounts",
-    "EmptyInput", "EmptyTable", "DegenerateExpected", "LengthMismatch",
-    "EvenRaterCount", "ConstantInput", "MisalignedGrids", "AllLagsUndefined",
-    "UnknownColumn",
+# Every public name imported above, and the version: listed once, here.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

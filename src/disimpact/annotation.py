@@ -312,27 +312,6 @@ def _classify(
     return parse_judgment(_call_with_retries(backend, request, policy, sleep), task)
 
 
-def classify_relevance(
-    post: Post,
-    disaster: DisasterTag,
-    backend: Backend,
-    policy: ClientPolicy = ClientPolicy(),
-    sleep: Callable[[float], None] = time.sleep,
-) -> bool:
-    """Judge whether a post is on-topic for the disaster type."""
-    return _classify(post, _RELEVANCE_TASK[disaster], backend, policy, sleep)
-
-
-def classify_impact(
-    post: Post,
-    backend: Backend,
-    policy: ClientPolicy = ClientPolicy(),
-    sleep: Callable[[float], None] = time.sleep,
-) -> ImpactCategory:
-    """Assign the single dominant impact category to a relevant post."""
-    return _classify(post, Task.IMPACT_CATEGORY, backend, policy, sleep)
-
-
 @dataclass(frozen=True)
 class AnnotationError:
     post_id: str

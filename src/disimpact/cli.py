@@ -447,13 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, help="flat key=value config file")
     common.add_argument("--out", type=Path, default=Path("."), help="output directory")
     common.add_argument("--seed", type=int, default=0, help="recorded in the manifest")
-    common.add_argument(
-        "--backend", choices=("mock", "remote"), default="mock",
-        help="classifier backend (clean/annotate only)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     backend_flags = argparse.ArgumentParser(add_help=False)
+    backend_flags.add_argument(
+        "--backend", choices=("mock", "remote"), default="mock",
+        help="classifier backend",
+    )
     backend_flags.add_argument("--endpoint", help="remote backend URL")
     backend_flags.add_argument("--cache", type=Path, help="annotation cache JSONL")
     backend_flags.add_argument("--max-in-flight", type=int, default=4)

@@ -111,18 +111,16 @@ def category_from_short_name(name: str) -> ImpactCategory:
     return cat
 
 
-def domain_of(category: ImpactCategory) -> Domain:
-    return category.domain
-
-
 class Post(NamedTuple):
     """One social-media post, platform-agnostic: one valid posts.jsonl line.
 
     `text` is the pre-joined textual content (title + description);
     `media_refs` carries opaque URIs that are never fetched here.
     `platform` is the string as written (write_posts_jsonl normalizes
-    it through Platform.parse). The posts.jsonl parser guarantees two
-    things: `created_at` is in UTC, and `text` is scrubbed of handles.
+    it through Platform.parse). The posts.jsonl parser guarantees three
+    things: `id` survives a labels.csv round trip (non-empty, UTF-8
+    encodable, no CR, no surrounding whitespace), `created_at` is in
+    UTC, and `text` is scrubbed of handles.
     """
 
     id: str

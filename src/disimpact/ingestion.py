@@ -118,6 +118,11 @@ def _parse_post_line(line: str) -> Post:
         raise ValueError(f"missing required field {exc}") from None
     if not isinstance(post_id, str) or not post_id:
         raise ValueError("id must be a nonempty string")
+    # An id must be writable to labels.csv as UTF-8 and read back unchanged:
+    # its reader strips each cell, and its writer does not quote a CR.
+    if post_id != post_id.strip() or "\r" in post_id:
+        raise ValueError("id must hold no CR and no surrounding whitespace")
+    post_id.encode("utf-8")  # UnicodeEncodeError, a ValueError, on a lone surrogate
     if not isinstance(text, str):
         raise ValueError("text must be a string")
     media = obj.get("media_refs")

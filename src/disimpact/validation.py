@@ -27,21 +27,10 @@ from .errors import (
     MisalignedGrids,
     OutOfRange,
 )
-from .impact import ImpactSeries
 from .ingestion import csv_rows
 
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
-
-
-def domain_weekly_series(series: ImpactSeries, domain: Domain) -> WeeklySeries:
-    """Weekly domain-composite view of an impact series."""
-    if domain not in series.domains:
-        raise OutOfRange(f"no composite for domain {domain}")
-    return WeeklySeries(
-        weeks=series.weeks,
-        values=series.domains[domain],
-    )
 
 
 def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:

@@ -14,7 +14,6 @@ from disimpact import (
     ClassifierRequest,
     ClientPolicy,
     DisasterTag,
-    EmptyInput,
     MalformedResponse,
     MockBackend,
     OutOfRange,
@@ -22,8 +21,6 @@ from disimpact import (
     Task,
     TransportError,
     annotate_dataset,
-    classify_impact,
-    classify_relevance,
     clean_dataset,
     load_posts,
     load_prompt,
@@ -70,10 +67,12 @@ class FlakyBackend:
         self.failures = failures
         self.retryable = retryable
         self.calls = 0
+        self.tasks = []
         self.inner = MockBackend()
 
     def complete(self, request: ClassifierRequest) -> str:
         self.calls += 1
+        self.tasks.append(request.task)
         if self.calls <= self.failures:
             error = TransportError("scripted failure")
             error.retryable = self.retryable
@@ -102,15 +101,18 @@ class SelectiveBackend:
         return self.inner.complete(request)
 
 
-class GarbageBackend:
-    """Returns output with no judgment object in it."""
+class GarbageBackend(MockBackend):
+    """Returns output with no judgment object in it for one task, mock verdicts otherwise."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, task: Task):
+        super().__init__()
+        self.task = task
+        self.tasks = []
 
     def complete(self, request: ClassifierRequest) -> str:
-        self.calls += 1
-        return "sorry, I cannot help with that"
+        self.tasks.append(request.task)
+        answer = super().complete(request)
+        return "sorry, I cannot help with that" if request.task is self.task else answer
 
 
 class NestingBackend(MockBackend):
@@ -302,77 +304,60 @@ class TestMockBackend:
 
 
 class TestRetries:
-    def test_retryable_failures_then_success(self):
-        backend = FlakyBackend(failures=2)
+    """The client policy, through annotate_dataset; a failure is an error stage."""
+
+    def run(self, backend, tmp_path, text="storm surge at the pier", **policy):
         sleeps = []
-        policy = ClientPolicy(max_retries=2, backoff_base=0.5)
-        judgment = classify_relevance(
-            make_post(text="storm surge at the pier"),
-            DisasterTag.HURRICANE,
+        labels, report = annotate(
+            [make_post(text=text)],
             backend,
-            policy,
+            ClientPolicy(**policy),
+            cache_path=tmp_path / "cache.jsonl",
             sleep=sleeps.append,
         )
-        assert judgment is True
-        assert backend.calls == 3
+        return labels, [(e.post_id, e.stage) for e in report.errors], sleeps
+
+    def test_retryable_failures_then_success(self, tmp_path):
+        backend = FlakyBackend(failures=2)
+        labels, errors, sleeps = self.run(
+            backend, tmp_path, max_retries=2, backoff_base=0.5
+        )
+        assert [label.relevant for label in labels] == [True]
+        assert errors == []
+        assert backend.tasks == [Task.RELEVANCE_HURRICANE] * 3 + [Task.IMPACT_CATEGORY]
         assert sleeps == [0.5, 1.0]
 
-    def test_attempts_capped_at_one_plus_max_retries(self):
+    def test_attempts_capped_at_one_plus_max_retries(self, tmp_path):
         backend = FlakyBackend(failures=99)
-        policy = ClientPolicy(max_retries=2, backoff_base=0.0)
-        with pytest.raises(TransportError):
-            classify_relevance(
-                make_post(text="storm surge"),
-                DisasterTag.HURRICANE,
-                backend,
-                policy,
-                sleep=no_sleep,
-            )
+        labels, errors, _ = self.run(backend, tmp_path, max_retries=2, backoff_base=0.0)
+        assert (labels, errors) == ([], [("p1", "TransportError")])
         assert backend.calls == 3
 
-    def test_non_retryable_failure_is_immediate(self):
+    def test_non_retryable_failure_is_immediate(self, tmp_path):
         backend = FlakyBackend(failures=1, retryable=False)
-        sleeps = []
-        with pytest.raises(TransportError):
-            classify_relevance(
-                make_post(text="storm surge"),
-                DisasterTag.HURRICANE,
-                backend,
-                ClientPolicy(max_retries=5),
-                sleep=sleeps.append,
-            )
+        labels, errors, sleeps = self.run(backend, tmp_path, max_retries=5)
+        assert (labels, errors) == ([], [("p1", "TransportError")])
         assert backend.calls == 1
         assert sleeps == []
 
-    def test_zero_retries_means_single_attempt(self):
+    def test_zero_retries_means_single_attempt(self, tmp_path):
         backend = FlakyBackend(failures=1)
-        with pytest.raises(TransportError):
-            classify_relevance(
-                make_post(text="storm surge"),
-                DisasterTag.HURRICANE,
-                backend,
-                ClientPolicy(max_retries=0),
-                sleep=no_sleep,
-            )
+        labels, errors, sleeps = self.run(backend, tmp_path, max_retries=0)
+        assert (labels, errors) == ([], [("p1", "TransportError")])
         assert backend.calls == 1
+        assert sleeps == []
 
-    def test_malformed_output_is_not_retried(self):
-        backend = GarbageBackend()
-        with pytest.raises(MalformedResponse):
-            classify_impact(
-                make_post(text="storm surge"),
-                backend,
-                ClientPolicy(max_retries=5),
-                sleep=no_sleep,
-            )
-        assert backend.calls == 1
+    def test_malformed_output_is_not_retried(self, tmp_path):
+        backend = GarbageBackend(Task.IMPACT_CATEGORY)
+        labels, errors, sleeps = self.run(backend, tmp_path, max_retries=5)
+        assert (labels, errors) == ([], [("p1", "MalformedResponse")])
+        assert backend.tasks == [Task.RELEVANCE_HURRICANE, Task.IMPACT_CATEGORY]
+        assert sleeps == []
 
-    def test_empty_post_rejected_before_any_call(self):
+    def test_empty_post_rejected_before_any_call(self, tmp_path):
         backend = MockBackend()
-        with pytest.raises(EmptyInput):
-            classify_relevance(
-                make_post(text=""), DisasterTag.HURRICANE, backend, sleep=no_sleep
-            )
+        labels, errors, _ = self.run(backend, tmp_path, text="")
+        assert (labels, errors) == ([], [("p1", "EmptyInput")])
         assert backend.calls == 0
 
     def test_policy_validation(self):

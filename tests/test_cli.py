@@ -810,6 +810,25 @@ class TestFailures:
             assert code == 0, argv
             assert stderr.startswith("dropped 1 malformed, 1 duplicate lines\n"), argv
 
+    @pytest.mark.parametrize("post_id", ["lone \ud800", "cr\rz", " lead"])
+    def test_id_labels_csv_cannot_carry_is_one_malformed_line(self, tmp_path, post_id):
+        # labels.csv must give back every id annotate writes to it.
+        lines = CLEAN20.read_bytes().splitlines(keepends=True)[:5]
+        lines[2] = json.dumps(json.loads(lines[2]) | {"id": post_id}).encode() + b"\n"
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes(b"".join(lines))
+        labels = tmp_path / "labels.csv"
+        for argv in (
+            ["annotate", "--disaster", "hurricane"],
+            ["counts", "--labels", labels],
+        ):
+            code, _, stderr = run_cli(argv + ["--in", posts, "--out", tmp_path])
+            assert code == 0, argv
+            assert stderr == "dropped 1 malformed, 0 duplicate lines\n", argv
+        assert labels.read_text(encoding="utf-8").splitlines()[1:] == [
+            "c01,1", "c02,2", "c04,4", "c05,5"
+        ]
+
     @pytest.mark.parametrize(
         "row, problem",
         [
@@ -929,6 +948,18 @@ class TestFailures:
         )
         assert code == 1
         assert "endpoint" in stderr
+
+    def test_backend_is_refused_where_no_backend_runs(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "counts", "--in", str(POSTS), "--labels", str(tmp_path / "labels.csv"),
+                    "--out", str(tmp_path), "--backend", "mock",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend mock" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreachable_endpoint_exits_3(self, tmp_path):
         code, _, stderr = run_cli(

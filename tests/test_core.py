@@ -16,7 +16,6 @@ from disimpact.core import (
     Platform,
     category_from_code,
     category_from_short_name,
-    domain_of,
 )
 from disimpact.errors import OutOfRange
 
@@ -66,9 +65,9 @@ def test_round_trip_all_codes():
 
 
 def test_domain_of_examples():
-    assert domain_of(category_from_short_name("ENVD")) is Domain.PHYSICAL
-    assert domain_of(category_from_short_name("ASST")) is Domain.SOCIAL
-    assert domain_of(OTHER) is Domain.NONE
+    assert category_from_short_name("ENVD").domain is Domain.PHYSICAL
+    assert category_from_short_name("ASST").domain is Domain.SOCIAL
+    assert OTHER.domain is Domain.NONE
 
 
 def test_platform_parse_open_enum():

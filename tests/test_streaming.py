@@ -67,6 +67,13 @@ TEXTS = [
 ]
 METADATA = [None, None, "Tampa, FL", "Texas", "nowhere", "Asheville"]
 MALFORMED = [b"{not json", b"[]", b'{"id": ""}', b'{"id": "a", "text": 1}', b"\xff\xfe\x00"]
+# Ids that labels.csv could not give back; "platform" leads, so posted_id
+# does not take these lines for posts.
+MALFORMED += [
+    b'{"platform": "reddit", "id": "%s", "text": "hurricane flooded the roads", '
+    b'"created_at": "2024-09-03T12:00:00Z"}' % post_id
+    for post_id in (rb"lone \ud800", rb"cr\rz", b" lead")
+]
 MONDAYS = [None] + [date(2024, 9, 2) + timedelta(weeks=k) for k in range(5)]
 # --range-start and --range-end for counts, either one or both left out.
 bounds = st.sampled_from(

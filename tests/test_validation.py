@@ -24,7 +24,6 @@ from disimpact import (
     OutOfRange,
     WeeklySeries,
     compute_impact_series,
-    domain_weekly_series,
     interpret_profile,
     lead_lag_profile,
     read_domain_csv,
@@ -164,12 +163,6 @@ class TestDomainSeries:
             ANCHOR + timedelta(days=21),
         )
         return compute_impact_series(counts, IndexConfig(window_anchor=ANCHOR))
-
-    def test_weekly_view_matches_the_composites(self):
-        series = self.build_series()
-        view = domain_weekly_series(series, Domain.PHYSICAL)
-        assert view.weeks == series.weeks
-        assert view.values == series.domains[Domain.PHYSICAL]
 
     def test_csv_round_trip_by_domain(self, tmp_path):
         series = self.build_series()
