@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
+from .core import WEEK
 from .errors import MalformedCsv, MalformedInput, UnknownColumn
 from .ingestion import csv_header, csv_rows
 
@@ -54,7 +55,8 @@ def read_chart_csv(path: str | Path) -> ChartData:
     """Load plottable series from an index or domain export.
 
     Index exports plot the index column per category; domain exports
-    plot the composite column per domain. Any other header is refused.
+    plot the composite column per domain. Any other header is refused,
+    as are non-finite values and weeks that are not 7 days apart.
     """
     header = csv_header(path)
     if header[:2] == ["window_start", "category"] and "index" in header:
@@ -77,6 +79,8 @@ def read_chart_csv(path: str | Path) -> ChartData:
             value = float(row[value_col])
         except ValueError as exc:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise MalformedCsv(f"{path}:{lineno}: value must be finite")
         name = row[key_col]
         if name not in series:
             fault = _xml_fault(name)
@@ -88,6 +92,9 @@ def read_chart_csv(path: str | Path) -> ChartData:
             weeks.append(week)
         series[name][week] = value
     weeks.sort()
+    for prev, week in zip(weeks, weeks[1:]):
+        if week - prev != WEEK:
+            raise MalformedCsv(f"{path}: week {week} is not 7 days after {prev}")
     packed = []
     for name in order:
         points = series[name]

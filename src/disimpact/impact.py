@@ -14,7 +14,6 @@ empty windows included.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -31,6 +30,7 @@ from .core import (
     IndexConfig,
 )
 from .errors import EmptyInput, InvalidCounts, OutOfRange
+from .ingestion import write_csv
 from .windowing import CountSeries
 
 # Fallback width when every window has the same total: wide enough that
@@ -175,36 +175,20 @@ def compute_impact_series(counts: CountSeries, config: IndexConfig) -> ImpactSer
 
 def write_index_csv(series: ImpactSeries, path: str | Path) -> None:
     """Export header window_start,category,n,total,p,w,index."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_start", "category", "n", "total", "p", "w", "index"])
-        for t, wc in enumerate(series.counts.windows):
-            for cat in CATEGORIES:
-                pt = series.per_category[cat][t]
-                writer.writerow(
-                    [
-                        wc.start.isoformat(),
-                        cat.short_name,
-                        wc.n[cat],
-                        wc.total,
-                        f"{pt.p:.9f}",
-                        f"{pt.w:.9f}",
-                        f"{pt.index:.9f}",
-                    ]
-                )
+    rows = (
+        (wc.start.isoformat(), c.short_name, wc.n[c], wc.total, pt.p, pt.w, pt.index)
+        for t, wc in enumerate(series.counts.windows)
+        for c in CATEGORIES
+        for pt in [series.per_category[c][t]]
+    )
+    write_csv(path, ("window_start", "category", "n", "total", "p", "w", "index"), rows)
 
 
 def write_domain_csv(series: ImpactSeries, path: str | Path) -> None:
     """Export header window_start,domain,composite."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_start", "domain", "composite"])
-        for t, week in enumerate(series.weeks):
-            for domain in (Domain.PHYSICAL, Domain.SOCIAL):
-                writer.writerow(
-                    [
-                        week.isoformat(),
-                        domain.value,
-                        f"{series.domains[domain][t]:.9f}",
-                    ]
-                )
+    rows = (
+        (week.isoformat(), d.value, series.domains[d][t])
+        for t, week in enumerate(series.weeks)
+        for d in (Domain.PHYSICAL, Domain.SOCIAL)
+    )
+    write_csv(path, ("window_start", "domain", "composite"), rows)

@@ -1,7 +1,7 @@
 """Input loading: JSONL posts, label CSVs, weekly ground-truth CSVs.
 
-Every CSV input of the package, here and in the other modules, is read
-through csv_rows (or csv_header first, where the header picks columns).
+Every CSV input of the package is read through csv_rows (or csv_header
+first, where the header picks columns); every CSV output, by write_csv.
 
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
@@ -278,6 +278,19 @@ def csv_rows(
         yield lineno, fields
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: UTF-8, "\\n" line ends, csv quoting.
+
+    A float is written at nine decimals and None as an empty cell; any
+    other value as str() gives it.
+    """
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.9f" % v if isinstance(v, float) else v for v in row])
+
+
 @dataclass(frozen=True)
 class GroundTruthReport:
     filled_weeks: tuple[date, ...]
@@ -387,9 +400,5 @@ def join_labels(
 
 def write_labels_csv(labels: Iterable[Label], path: str | Path) -> None:
     """Write the relevant posts' labels, as load_labels reads them."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["post_id", "category_code"])
-        for label in labels:
-            if label.relevant:
-                writer.writerow([label.post_id, label.category.code])
+    rows = ((label.post_id, label.category.code) for label in labels if label.relevant)
+    write_csv(path, ("post_id", "category_code"), rows)

@@ -26,7 +26,6 @@ counts those per state and week, then averages by state-month.
 
 from __future__ import annotations
 
-import csv
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
-from .ingestion import csv_rows
+from .ingestion import csv_rows, write_csv
 from .windowing import build_count_series
 
 # Codes that read as ordinary words or titles when uppercased; these
@@ -342,18 +341,12 @@ def write_spatial_csv(
     path: str | Path,
 ) -> None:
     """Write state,month,source,physical,social,post_count rows."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "month", "source", "physical", "social", "post_count"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.state,
-                    row.month.strftime("%Y-%m"),
-                    source_filter.value,
-                    "%.9f" % row.physical,
-                    "%.9f" % row.social,
-                    row.post_count,
-                ]
-            )
+    source = source_filter.value
+    write_csv(
+        path,
+        ("state", "month", "source", "physical", "social", "post_count"),
+        (
+            (r.state, r.month.strftime("%Y-%m"), source, r.physical, r.social, r.post_count)
+            for r in rows
+        ),
+    )

@@ -10,7 +10,6 @@ interpret_profile reports both readings instead of silently picking one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -27,7 +26,7 @@ from .errors import (
     MisalignedGrids,
     OutOfRange,
 )
-from .ingestion import csv_rows
+from .ingestion import csv_rows, write_csv
 
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
@@ -200,12 +199,5 @@ def interpret_profile(profile: LagCorrelationProfile) -> dict:
 
 def write_leadlag_csv(profile: LagCorrelationProfile, path: str | Path) -> None:
     """Write lag_weeks,rho,overlap rows; undefined rho as empty field."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lag_weeks", "rho", "overlap"])
-        for lag in profile.lags:
-            value = profile.rho[lag]
-            writer.writerow(
-                [lag, "" if value is None else "%.9f" % value, profile.overlap[lag]]
-            )
+    rows = ((lag, profile.rho[lag], profile.overlap[lag]) for lag in profile.lags)
+    write_csv(path, ("lag_weeks", "rho", "overlap"), rows)

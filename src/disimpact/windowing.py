@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -16,7 +15,7 @@ from .core import (
     category_from_short_name,
 )
 from .errors import BeforeAnchor, MalformedCsv, MisalignedRange, OutOfRange
-from .ingestion import csv_rows
+from .ingestion import csv_rows, write_csv
 
 
 def monday_on_or_before(day: date) -> date:
@@ -116,14 +115,12 @@ def build_count_series(
 
 def write_counts_csv(series: CountSeries, path: str | Path) -> None:
     """Export header window_start,category,count,total."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_start", "category", "count", "total"])
-        for wc in series.windows:
-            for cat in CATEGORIES:
-                writer.writerow(
-                    [wc.start.isoformat(), cat.short_name, wc.n[cat], wc.total]
-                )
+    rows = (
+        (wc.start.isoformat(), c.short_name, wc.n[c], wc.total)
+        for wc in series.windows
+        for c in CATEGORIES
+    )
+    write_csv(path, ("window_start", "category", "count", "total"), rows)
 
 
 def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:

@@ -119,11 +119,25 @@ class TestReadChartCsv:
 
     def test_unparsable_value(self, tmp_path):
         path = tmp_path / "bad.csv"
+        for value in ("high", "inf", "-inf", "nan"):
+            path.write_text(
+                f"window_start,domain,composite\n2024-09-02,physical,{value}\n",
+                encoding="utf-8",
+            )
+            with pytest.raises(MalformedCsv, match=r"bad\.csv:2: "):
+                read_chart_csv(path)
+
+    def test_weeks_with_a_gap(self, tmp_path):
+        # Points are spaced by index, so a missing week would be drawn as
+        # one step: the reader refuses it instead.
+        path = tmp_path / "gap.csv"
         path.write_text(
-            "window_start,domain,composite\n2024-09-02,physical,high\n",
+            "window_start,domain,composite\n"
+            "2024-09-02,physical,0.2\n"
+            "2024-09-23,physical,0.8\n",
             encoding="utf-8",
         )
-        with pytest.raises(MalformedCsv):
+        with pytest.raises(MalformedCsv, match="2024-09-23 is not 7 days after"):
             read_chart_csv(path)
 
     def test_unparsable_date(self, tmp_path):

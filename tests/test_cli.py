@@ -774,6 +774,22 @@ class TestFailures:
         assert "U+0001" in stderr
         assert list(out.iterdir()) == []
 
+    def test_chart_of_a_non_finite_value_exits_2(self, tmp_path):
+        series = tmp_path / "domain.csv"
+        series.write_text(
+            "window_start,domain,composite\n"
+            "2024-09-02,physical,inf\n"
+            "2024-09-02,social,0.5\n"
+            "2024-09-09,physical,1.0\n"
+            "2024-09-09,social,nan\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["chart", "--in", series, "--out", out])
+        assert code == 2
+        assert stderr == f"error: MalformedCsv: {series}:2: value must be finite\n"
+        assert list(out.iterdir()) == []
+
     def test_duplicate_model_label_exits_2(self, tmp_path):
         labels = tmp_path / "model.csv"
         labels.write_text("post_id,category_code\ni1,1\ni1,5\n", encoding="utf-8")

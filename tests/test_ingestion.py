@@ -19,12 +19,14 @@ from disimpact.errors import (
 from disimpact.ingestion import (
     LoadReport,
     csv_rows,
+    iter_labels,
     join_labels,
     json_line,
     load_ground_truth,
     load_labels,
     load_posts,
     scrub_handles,
+    write_csv,
     write_labels_csv,
     write_posts_jsonl,
 )
@@ -351,6 +353,46 @@ class TestCsvRows:
         )
         with pytest.raises(MalformedCsv, match=r"counts.csv:2002: "):
             list(csv_rows(path, header))
+
+
+class TestWriteCsv:
+    def test_reals_are_written_at_nine_decimals(self, tmp_path):
+        path = tmp_path / "reals.csv"
+        write_csv(path, ("x",), [(1 / 3,), (1e6 + 0.5,), (2.0,), (-0.25,)])
+        assert path.read_bytes() == (
+            b"x\n0.333333333\n1000000.500000000\n2.000000000\n-0.250000000\n"
+        )
+
+    def test_ints_and_strings_are_written_as_given_and_none_is_empty(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("a", "b", "c"), [(7, "0.1", None), (10**20, "", -3)])
+        assert path.read_bytes() == b"a,b,c\n7,0.1,\n100000000000000000000,,-3\n"
+
+    def test_lines_end_in_lf_and_the_file_is_utf8(self, tmp_path):
+        path = tmp_path / "text.csv"
+        write_csv(path, ("name", "note"), [("Zürich ☂", "a,b"), ('say "hi"', "x")])
+        assert path.read_bytes() == (
+            'name,note\nZürich ☂,"a,b"\n"say ""hi""",x\n'.encode("utf-8")
+        )
+
+    # Any id the posts parser keeps: no CR and no surrounding whitespace.
+    @pytest.mark.parametrize("post_id", ["a,b", 'say "hi"', "line\nfeed", "tab\there", ',"\n\t#'])
+    def test_ids_round_trip_through_labels_csv(self, tmp_path, post_id):
+        path = tmp_path / "labels.csv"
+        labels = [Label(post_id, category(3)), Label("plain", category(11))]
+        write_labels_csv(labels, path)
+        assert [(i, c.code) for _, i, c in iter_labels(path)] == [(post_id, 3), ("plain", 11)]
+
+
+def test_only_ingestion_calls_csv_writer():
+    """Every CSV output goes through write_csv; no module forks its own writer."""
+    package = Path(disimpact.__file__).parent
+    callers = sorted(
+        module.name
+        for module in package.glob("*.py")
+        if "csv.writer(" in module.read_text(encoding="utf-8")
+    )
+    assert callers == ["ingestion.py"]
 
 
 def test_only_ingestion_calls_csv_reader():

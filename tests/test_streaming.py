@@ -13,6 +13,10 @@ keeping an id and two verdicts per post. Random posts files, caches and
 backends go through it and through the two stages run over the loaded
 posts, and labels.csv, the cache bytes, stdout, stderr, the exit code
 and the number of backend calls must agree.
+
+Ids and texts drawn from all of Unicode go through clean, annotate,
+counts and spatial: each exits cleanly, and every id written to the
+cache, labels.csv and posts_clean.jsonl reads back equal.
 """
 
 import contextlib
@@ -40,6 +44,7 @@ from disimpact import (
     SourceFilter,
     Task,
     TransportError,
+    MalformedInput,
     UnknownPostId,
     aggregate_state_month,
     build_count_series,
@@ -52,7 +57,7 @@ from disimpact import (
     write_spatial_csv,
 )
 from disimpact.annotation import _StageLoop
-from disimpact.ingestion import iter_labels
+from disimpact.ingestion import LoadReport, csv_rows, iter_labels, iter_posts
 from disimpact.cli import main
 
 GAZETTEER = load_gazetteer()
@@ -440,3 +445,87 @@ def test_streamed_annotate_matches_the_in_memory_path(data, lines, make_backend)
             assert (out / "labels.csv").read_bytes() == (expected / "labels.csv").read_bytes()
         else:
             assert not (out / "labels.csv").exists()
+
+
+# Ids and texts from the whole of Unicode, lone surrogates included, with
+# the characters a CSV or JSON writer must quote or escape drawn often.
+AWKWARD = st.sampled_from(list(',"\n\r\t #@\ufeff\x00é☂\ud800\udfff'))
+drawn_chars = st.text(st.one_of(AWKWARD, st.characters(exclude_categories=())), max_size=5)
+drawn_id = st.one_of(
+    st.sampled_from(IDS),
+    drawn_chars,
+    # Awkward inside but not at the ends, so more of them are kept.
+    st.builds(lambda inner: f"<{inner}>", drawn_chars),
+)
+drawn_text = st.builds(
+    lambda known, extra: f"{known} {extra}", st.sampled_from(TEXTS + ANNOTATE_TEXTS), drawn_chars
+)
+drawn_posts = st.lists(
+    st.builds(
+        lambda post_id, day, text, metadata: line(
+            post_id, f"{date(2024, 9, 1) + timedelta(days=day)}T12:30:00Z", text, metadata
+        ),
+        drawn_id,
+        st.integers(0, 30),
+        drawn_text,
+        st.sampled_from(METADATA),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+RELEVANT = ("2024-09-03T12:30:00Z", "hurricane flooded the roads")
+
+
+def ids_of_posts(path):
+    return [post.id for post in iter_posts(path, LoadReport())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_posts)
+# The ids that once broke labels.csv, each on a relevant post.
+@example([line("lone \ud800", *RELEVANT), line("a", *RELEVANT)])
+@example([line("cr\rz", *RELEVANT), line("a", *RELEVANT)])
+@example([line(" lead", *RELEVANT), line("a", *RELEVANT)])
+def test_drawn_ids_and_texts_survive_clean_annotate_counts_and_spatial(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        posts, cleaned, out = tmp / "posts.jsonl", tmp / "clean", tmp / "out"
+        posts.write_bytes(b"".join(line + b"\n" for line in lines))
+        labels = out / "labels.csv"
+        steps = {
+            "clean": ["clean", "--in", posts, "--disaster", "hurricane", "--out", cleaned],
+            "annotate": ["annotate", "--in", posts, "--disaster", "hurricane", "--out", out],
+            "counts": ["counts", "--in", posts, "--labels", labels, "--out", tmp / "counts"],
+            "spatial": ["spatial", "--in", posts, "--labels", labels, "--out", tmp / "spatial"],
+        }
+        codes = {}
+        for command, argv in steps.items():
+            codes[command], stderr = run_cli(argv)
+            assert codes[command] in {0, 1, 2, 3}, command
+            # Each error is one line, the last; a message never spans lines.
+            errors = [n for n, text in enumerate(stderr.split("\n")) if text.startswith("error: ")]
+            assert errors == ([] if codes[command] == 0 else [stderr.count("\n") - 1]), stderr
+        assert list(tmp.rglob(".*.tmp")) == []
+        try:
+            kept = ids_of_posts(posts)
+        except MalformedInput:
+            # No labels.csv is written, so counts and spatial fail too.
+            assert codes["clean"] == codes["annotate"] == MalformedInput.exit_code
+            return
+        assert codes["clean"] == codes["annotate"] == 0
+        relevant = ids_of_posts(cleaned / "posts_clean.jsonl")
+        event(f"{len(kept)} posts kept, {len(relevant)} relevant")
+        assert [post_id for _, post_id, _ in iter_labels(labels)] == relevant
+        assert [post_id for post_id in kept if post_id in relevant] == relevant
+        for cache in (cleaned / "annotation_cache.jsonl", out / "annotation_cache.jsonl"):
+            if kept:
+                entries = cache.read_bytes().splitlines()
+                assert {json.loads(entry)["post_id"] for entry in entries} == set(kept)
+        if relevant:
+            # Every labelled post is joined: counts rolls up exactly them.
+            assert codes["counts"] == codes["spatial"] == 0
+            header = ("window_start", "category", "count", "total")
+            rows = csv_rows(tmp / "counts" / "counts.csv", header)
+            assert sum(int(count) for _, (_, _, count, _) in rows) == len(relevant)
