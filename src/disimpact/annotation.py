@@ -247,6 +247,7 @@ class RemoteBackend:
 
     def complete(self, request: ClassifierRequest) -> str:
         # Imported here: the HTTP stack costs every other command about 3 MB of RSS.
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -262,16 +263,23 @@ class RemoteBackend:
         )
         try:
             with urllib.request.urlopen(http_request, timeout=self.timeout) as reply:
-                return reply.read().decode("utf-8")
+                raw = reply.read()
         except urllib.error.HTTPError as exc:
             retryable = exc.code == 429 or exc.code >= 500
             error = TransportError(f"HTTP {exc.code} from {self.endpoint}")
             error.retryable = retryable
             raise error from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        # A reply cut short raises IncompleteRead, an HTTPException but no OSError.
+        except (
+            urllib.error.URLError, TimeoutError, OSError, http.client.HTTPException
+        ) as exc:
             error = TransportError(f"transport failure: {exc}")
             error.retryable = True
             raise error from exc
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedResponse(f"response is not UTF-8: {exc}") from exc
 
 
 def _call_with_retries(
@@ -489,6 +497,11 @@ class _StageLoop:
         self.report.cache_hits = total - len(self.asked)
 
 
+# A post's state in annotate_dataset, one byte each: relevance unknown,
+# irrelevant, or relevant; a relevant post's category adds its code.
+_UNKNOWN, _IRRELEVANT, _RELEVANT = 0, 1, 2
+
+
 def annotate_dataset(
     posts: Iterable[Post],
     disaster: DisasterTag,
@@ -500,14 +513,18 @@ def annotate_dataset(
     """Annotate every post: relevance, then the category of relevant posts.
 
     The posts are read once, as a stream, after the cache. Of each it
-    keeps the id and the two verdicts the cache holds, and the post
-    itself only while a verdict is missing; the missing ones are then
-    asked for, relevance first, each stage in post order. Verdicts
-    already cached cost zero backend calls, so a relevance verdict
-    cached by ``clean_dataset`` is not asked again. Failures are
-    collected per post and the rest of the batch completes; a failed
-    post is left out of the labels and its missing verdict is asked
-    for on the next run. An irrelevant post is labelled OTHER.
+    keeps the id and one byte of state, and the post itself only while
+    a verdict is missing; the missing ones are then asked for,
+    relevance first, each stage in post order. A cached verdict leaves
+    the in-memory cache when its post streams by, and what is left of
+    the cache is released before the labels are built. So post ids
+    must be distinct, as iter_posts yields them: a repeated post would
+    be asked again. Verdicts already cached cost zero backend calls,
+    so a relevance verdict cached by ``clean_dataset`` is not asked
+    again. Failures are collected per post and the rest of the batch
+    completes; a failed post is left out of the labels and its missing
+    verdict is asked for on the next run. An irrelevant post is
+    labelled OTHER.
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
@@ -515,35 +532,40 @@ def annotate_dataset(
     relevance_question = _question(relevance_task, backend)
     category_question = _question(Task.IMPACT_CATEGORY, backend)
     ids: list[str] = []
-    relevance: list[bool | None] = []
-    categories: list[ImpactCategory | None] = []
+    states = bytearray()
     waiting: dict[int, Post] = {}  # by index, the posts missing a verdict
     for post in posts:
         material = _key_material(post)
-        flag = loop.cache.get(_key(relevance_question, material))
-        category = OTHER if flag is False else None
-        if flag:
-            category = loop.cache.get(_key(category_question, material))
-        if category is None:
+        flag = loop.cache.pop(_key(relevance_question, material), None)
+        if flag is None:
+            state = _UNKNOWN
+        elif not flag:
+            state = _IRRELEVANT
+        else:
+            category = loop.cache.pop(_key(category_question, material), None)
+            state = _RELEVANT if category is None else _RELEVANT + category.code
+        if state == _UNKNOWN or state == _RELEVANT:
             waiting[len(ids)] = post
         ids.append(post.id)
-        relevance.append(flag)
-        categories.append(category)
-    pending = [i for i in waiting if relevance[i] is None]
+        states.append(state)
+    pending = [i for i in waiting if states[i] == _UNKNOWN]
     for i, flag in zip(pending, loop.run([waiting[i] for i in pending], relevance_task)):
-        relevance[i] = flag
-        if flag is False:
-            categories[i] = OTHER
-    pending = [i for i in waiting if relevance[i] and categories[i] is None]
+        if flag is not None:
+            states[i] = _RELEVANT if flag else _IRRELEVANT
+    pending = [i for i in waiting if states[i] == _RELEVANT]
     for i, category in zip(
         pending, loop.run([waiting[i] for i in pending], Task.IMPACT_CATEGORY)
     ):
-        categories[i] = category
+        if category is not None:
+            states[i] = _RELEVANT + category.code
     loop.count(len(ids))
+    loop.cache.clear()
     labels = [
-        Label(post_id, category, flag)
-        for post_id, flag, category in zip(ids, relevance, categories)
-        if category is not None
+        Label(post_id, OTHER, False)
+        if state == _IRRELEVANT
+        else Label(post_id, category_from_code(state - _RELEVANT))
+        for post_id, state in zip(ids, states)
+        if state != _UNKNOWN and state != _RELEVANT
     ]
     return labels, report
 

@@ -8,15 +8,17 @@ privacy-scrubbing happens here, before any other module sees the text.
 posts.jsonl is read by one loop, iter_posts, which yields each valid
 line as a core.Post: load_posts keeps every post it yields (for clean,
 which writes them back out); annotate streams it after the annotation
-cache and keeps an id and two verdicts per post, holding a post only
-while a verdict is missing; counts and spatial stream it against labels
-read first (load_labels, join_labels) and keep only what they roll up.
+cache and keeps an id and one byte of state per post, holding a post
+only while a verdict is missing; counts and spatial stream it against
+labels read first (load_labels, join_labels) and keep only what they
+roll up.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import json.encoder
 import json.scanner
 import re
 from dataclasses import dataclass
@@ -191,26 +193,32 @@ def load_posts(path: str | Path) -> LoadResult:
     return LoadResult(tuple(iter_posts(path, report)), report)
 
 
-_POST_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
     """Write posts one JSON object per line, as load_posts reads them.
 
-    Keys are sorted; the platform is written as Platform.parse
+    Each line is the bytes json.dumps(record, sort_keys=True) gives,
+    formatted directly; the platform is written as Platform.parse
     normalizes it.
     """
+    quote = json.encoder.encode_basestring_ascii
+    line = (
+        '{"created_at": %s, "id": %s, "location_metadata": %s, '
+        '"media_refs": [%s], "platform": %s, "text": %s}\n'
+    )
     with Path(path).open("w", encoding="utf-8") as fh:
         for post in posts:
-            record = {
-                "id": post.id,
-                "platform": Platform.parse(post.platform).value,
-                "text": post.text,
-                "created_at": post.created_at.isoformat(),
-                "media_refs": list(post.media_refs),
-                "location_metadata": post.location_metadata,
-            }
-            fh.write(_POST_ENCODER.encode(record) + "\n")
+            location = post.location_metadata
+            fh.write(
+                line
+                % (
+                    quote(post.created_at.isoformat()),
+                    quote(post.id),
+                    "null" if location is None else quote(location),
+                    ", ".join(map(quote, post.media_refs)),
+                    quote(Platform.parse(post.platform).value),
+                    quote(post.text),
+                )
+            )
 
 
 def _undecodable_line(path: Path) -> str:

@@ -416,6 +416,36 @@ class TestAnnotateDataset:
         assert report.backend_posts == 0
         assert second == first
 
+    def test_cache_is_used_up_then_released(self, tmp_path, monkeypatch):
+        posts = make_posts(SCRIPTED_POSTS[4:8])  # relevant, irrelevant twice, relevant
+        cache = tmp_path / "cache.jsonl"
+        first, _ = annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        # A verdict that answers none of the hurricane questions.
+        clean_dataset(
+            posts[:1], DisasterTag.WILDFIRE, MockBackend(), cache_path=cache, sleep=no_sleep
+        )
+        [unmatched] = cache_lines(cache, "relevance_wildfire")
+        assert len(cache_lines(cache)) == 7
+
+        held = []
+        count = disimpact.annotation._StageLoop.count
+
+        def spy(loop, total):
+            held.append((loop.cache, dict(loop.cache)))
+            count(loop, total)
+
+        monkeypatch.setattr(disimpact.annotation._StageLoop, "count", spy)
+        backend = MockBackend()
+        second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+        [(in_memory, after_the_stages)] = held
+        # Each matched verdict left the cache as its post streamed by ...
+        assert after_the_stages == {bytes.fromhex(unmatched["key"]): False}
+        # ... and the rest was released before the call returned.
+        assert in_memory == {}
+        assert second == first
+        assert report == disimpact.annotation.AnnotationReport(cache_hits=4)
+        assert backend.calls == 0
+
     def test_results_follow_dataset_order(self, tmp_path):
         posts = make_posts()
         annotations, _ = annotate(

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import http.server
 import io
 import json
 import os
@@ -1124,6 +1125,83 @@ class TestCommitOnSuccess:
         assert set(modes) == {"index.csv", "domain.csv", "manifest_index.json", "plain.txt"}
         assert set(modes.values()) == {modes["plain.txt"]}
 
+
+
+class BadReplyHandler(http.server.BaseHTTPRequestHandler):
+    """Judges every post relevant, but answers post p3 as the server's `bad` says."""
+
+    def do_POST(self):
+        post_id = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["post"]["id"]
+        self.server.asked.append(post_id)
+        reply, length = b'{"Judgment": true}', None
+        if post_id == "p3" and self.server.bad == "undecodable":
+            reply = b'{"Judgment": tru\xff}'
+        elif post_id == "p3":  # cut short: fewer bytes than Content-Length, then closed
+            reply, length = b'{"Judgment"', 100
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(length or len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def bad_reply_server(monkeypatch):
+    monkeypatch.setenv("DISIMPACT_MLLM_API_KEY", "k")
+    server = http.server.HTTPServer(("127.0.0.1", 0), BadReplyHandler)
+    server.asked = []
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestRemoteReplies:
+    """A bad reply to one post fails that post; its neighbours are still asked."""
+
+    @pytest.mark.parametrize(
+        "bad, exit_code, stage, asks",
+        [("undecodable", 1, "MalformedResponse", 1), ("cut short", 3, "TransportError", 2)],
+    )
+    def test_bad_reply_fails_only_its_post(
+        self, tmp_path, bad_reply_server, bad, exit_code, stage, asks
+    ):
+        ids = [f"p{n}" for n in range(6)]
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text(
+            "".join(
+                json.dumps({"id": post_id, "platform": "reddit", "text": "hurricane flood",
+                            "created_at": "2024-09-27T12:00:00Z"}) + "\n"
+                for post_id in ids
+            ),
+            encoding="utf-8",
+        )
+        bad_reply_server.bad = bad
+        host, port = bad_reply_server.server_address
+        code, stdout, stderr = run_cli(
+            [
+                "clean", "--in", posts, "--disaster", "hurricane", "--out", tmp_path / "out",
+                "--backend", "remote", "--endpoint", f"http://{host}:{port}/classify",
+                "--max-retries", "1",
+            ]
+        )
+        assert code == exit_code
+        assert stdout == "5/6 (83%)\n"
+        assert stderr.startswith(f"error: post p3: {stage}: ")
+        assert stderr.count("\n") == 1
+        cache = (tmp_path / "out" / "annotation_cache.jsonl").read_text(encoding="utf-8")
+        assert sorted(json.loads(line)["post_id"] for line in cache.splitlines()) == [
+            post_id for post_id in ids if post_id != "p3"
+        ]
+        assert sorted(bad_reply_server.asked) == sorted(ids + ["p3"] * (asks - 1))
 
 COUNTS_LABELS = "post_id,category_code\nc01,1\nc02,5\nc05,7\n"
 

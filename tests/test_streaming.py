@@ -9,10 +9,11 @@ resolve_location, and every output byte, stderr line and exit code must
 agree.
 
 `annotate` reads the cache first and then streams posts.jsonl once,
-keeping an id and two verdicts per post. Random posts files, caches and
-backends go through it and through the two stages run over the loaded
-posts, and labels.csv, the cache bytes, stdout, stderr, the exit code
-and the number of backend calls must agree.
+keeping an id and one byte of state per post. Random posts files,
+caches and backends, and one post in each of those states, go through
+it and through the two stages run over the loaded posts, and
+labels.csv, the cache bytes, stdout, stderr, the exit code and the
+number of backend calls must agree.
 
 Ids and texts drawn from all of Unicode go through clean, annotate,
 counts and spatial: each exits cleanly, and every id written to the
@@ -29,6 +30,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -351,6 +353,14 @@ def backend_kinds(draw):
     return lambda calls: Failing(calls, relevance_ids, category_ids)
 
 
+def cache_after(command, posts):
+    """The cache bytes a mock `clean` or `annotate` of posts leaves, or None."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli([command, "--in", posts, "--disaster", "hurricane", "--out", tmp])
+        cache = Path(tmp) / "annotation_cache.jsonl"
+        return cache.read_bytes() if cache.exists() else None
+
+
 @st.composite
 def caches(draw, posts):
     """The bytes of a cache to start from, or None: cold, warm, a clean run's, or part of one."""
@@ -358,11 +368,7 @@ def caches(draw, posts):
     event(f"{kind} cache")
     if kind == "cold":
         return None
-    with tempfile.TemporaryDirectory() as tmp:
-        command = "clean" if kind == "clean" else "annotate"
-        run_cli([command, "--in", posts, "--disaster", "hurricane", "--out", tmp])
-        cache = Path(tmp) / "annotation_cache.jsonl"
-        data = cache.read_bytes() if cache.exists() else None
+    data = cache_after("clean" if kind == "clean" else "annotate", posts)
     if kind != "partial" or data is None:
         return data
     lines = data.splitlines(keepends=True)
@@ -407,44 +413,109 @@ def annotate_in_memory(posts, cache, labels_path, backend):
     return (3 if "TransportError" in stages else 1 if stages else 0), stdout, stderr
 
 
+def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend):
+    """Annotate tmp/posts.jsonl from the cache bytes seed (None: no cache) both ways.
+
+    labels.csv, the cache bytes, stdout, stderr, the exit code and the
+    backend calls must agree; returns the exit code and the calls.
+    """
+    posts, out, expected = tmp / "posts.jsonl", tmp / "out", tmp / "expected"
+    for directory in (out, expected):
+        directory.mkdir()
+        if seed is not None:
+            (directory / "annotation_cache.jsonl").write_bytes(seed)
+
+    streamed_calls, in_memory_calls = [], []
+    with mock.patch("disimpact.cli.make_backend", lambda args: make_backend(streamed_calls)):
+        out_buffer, err_buffer = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out_buffer), contextlib.redirect_stderr(err_buffer):
+            code = main(["annotate", "--in", str(posts), "--disaster", "hurricane",
+                         "--out", str(out)])
+    got = code, out_buffer.getvalue(), err_buffer.getvalue()
+    want = annotate_in_memory(
+        posts,
+        expected / "annotation_cache.jsonl",
+        expected / "labels.csv",
+        make_backend(in_memory_calls),
+    )
+    assert got == want
+    assert streamed_calls == in_memory_calls
+    cache = out / "annotation_cache.jsonl"
+    expected_cache = expected / "annotation_cache.jsonl"
+    assert cache.exists() == expected_cache.exists()
+    if cache.exists():
+        assert cache.read_bytes() == expected_cache.read_bytes()
+    if got[0] == 0:
+        assert (out / "labels.csv").read_bytes() == (expected / "labels.csv").read_bytes()
+    else:
+        assert not (out / "labels.csv").exists()
+    return got[0], streamed_calls
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), annotate_posts_file, backend_kinds())
 def test_streamed_annotate_matches_the_in_memory_path(data, lines, make_backend):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        posts, out, expected = tmp / "posts.jsonl", tmp / "out", tmp / "expected"
+        posts = tmp / "posts.jsonl"
         posts.write_bytes(b"".join(line + b"\n" for line in lines))
         seed = data.draw(caches(posts))
-        for directory in (out, expected):
-            directory.mkdir()
-            if seed is not None:
-                (directory / "annotation_cache.jsonl").write_bytes(seed)
+        code, calls = assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend)
+        event(f"annotate exit {code}, {len(calls)} calls")
 
-        streamed_calls, in_memory_calls = [], []
-        with mock.patch("disimpact.cli.make_backend", lambda args: make_backend(streamed_calls)):
-            out_buffer, err_buffer = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out_buffer), contextlib.redirect_stderr(err_buffer):
-                code = main(["annotate", "--in", str(posts), "--disaster", "hurricane",
-                             "--out", str(out)])
-        got = code, out_buffer.getvalue(), err_buffer.getvalue()
-        want = annotate_in_memory(
-            posts,
-            expected / "annotation_cache.jsonl",
-            expected / "labels.csv",
-            make_backend(in_memory_calls),
-        )
-        assert got == want
-        assert streamed_calls == in_memory_calls
-        event(f"annotate exit {got[0]}, {len(streamed_calls)} calls")
-        cache = out / "annotation_cache.jsonl"
-        expected_cache = expected / "annotation_cache.jsonl"
-        assert cache.exists() == expected_cache.exists()
-        if cache.exists():
-            assert cache.read_bytes() == expected_cache.read_bytes()
-        if got[0] == 0:
-            assert (out / "labels.csv").read_bytes() == (expected / "labels.csv").read_bytes()
-        else:
-            assert not (out / "labels.csv").exists()
+
+RELEVANCE, CATEGORY = Task.RELEVANCE_HURRICANE, Task.IMPACT_CATEGORY
+
+
+# One post in each state annotate keeps per post, from a given cache.
+@pytest.mark.parametrize(
+    "text, seed, make_backend, code, calls, labels",
+    [
+        pytest.param(
+            "Miami Hurricanes win the game", "clean", Counting, 0, [], "",
+            id="relevance cached False",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", "clean", Counting, 0, [CATEGORY], "a,3\n",
+            id="relevance cached True, category missing",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", "category only", Counting, 0, [RELEVANCE],
+            "a,3\n", id="relevance missing, category cached",
+        ),
+        pytest.param(
+            "hurricane photos from the pier", "annotate", Counting, 0, [], "a,11\n",
+            id="relevant and categorized OTHER",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", None,
+            lambda calls: Failing(calls, {"a"}, set()), 3, [RELEVANCE], None,
+            id="relevance call failed",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", "clean",
+            lambda calls: Failing(calls, set(), {"a"}), 1, [CATEGORY], None,
+            id="category call failed",
+        ),
+    ],
+)
+def test_each_post_state_matches_the_in_memory_path(
+    tmp_path, text, seed, make_backend, code, calls, labels
+):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_bytes(annotate_line("a", text, None) + b"\n")
+    if seed == "category only":
+        lines = cache_after("annotate", posts).splitlines(keepends=True)
+        seed = b"".join(line for line in lines if b'"task": "impact_category"' in line)
+        assert len(lines) == 2 and seed in lines
+    elif seed is not None:
+        seed = cache_after(seed, posts)
+    assert assert_annotate_matches_the_in_memory_path(tmp_path, seed, make_backend) == (
+        code, calls
+    )
+    if labels is not None:
+        labels_csv = (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8")
+        assert labels_csv == "post_id,category_code\n" + labels
 
 
 # Ids and texts from the whole of Unicode, lone surrogates included, with
