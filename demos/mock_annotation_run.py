@@ -16,7 +16,6 @@ from disimpact import (
     annotate_dataset,
     clean_dataset,
     iter_posts,
-    load_posts,
 )
 
 # A tiny feed: some posts describe hurricane impacts, some are noise,
@@ -50,7 +49,7 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
             )
 
     # Ingestion scrubs handles before anything else sees the text.
-    posts, _ = load_posts(posts_path)
+    posts = list(iter_posts(posts_path, LoadReport()))
     print("scrubbed:", next(p.text for p in posts if p.id == "r05"))
     print()
 

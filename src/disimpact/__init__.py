@@ -98,12 +98,10 @@ from .impact import (
 )
 from .ingestion import (
     LoadReport,
-    LoadResult,
     iter_posts,
     join_labels,
     load_ground_truth,
     load_labels,
-    load_posts,
     scrub_handles,
     write_labels_csv,
     write_posts_jsonl,

@@ -239,8 +239,9 @@ class RemoteBackend:
             api_key = os.environ.get(self.ENV_KEY)
         if not api_key:
             raise TransportError(f"no API key: set {self.ENV_KEY} or pass api_key")
-        if timeout <= 0:
-            raise OutOfRange("timeout must be > 0")
+        # NaN fails every comparison; inf overflows the socket's timeout.
+        if not 0 < timeout < float("inf"):
+            raise OutOfRange(f"timeout must be > 0 and finite, got {timeout}")
         self.endpoint = self.identity = endpoint
         self._api_key = api_key
         self.timeout = timeout
@@ -422,7 +423,7 @@ def _end_torn_line(fh) -> None:
 
 
 class _StageLoop:
-    """The one annotation loop: answers one task for a list of posts.
+    """The cache and stages of _run_stages; run answers one task for a list of posts.
 
     Verdicts missing from the cache are asked for inline for an
     in-process backend, otherwise from a pool of ``max_in_flight``
@@ -440,7 +441,6 @@ class _StageLoop:
         cache, report.cache_invalid = _read_cache(self.cache_path)
         # Without an identity, a cached verdict may be another backend's.
         self.cache = cache if getattr(backend, "identity", None) is not None else {}
-        self.asked: set[str] = set()
 
     def run(self, posts: Sequence[Post], task: Task) -> list:
         """The judgment for each post, None where the post failed."""
@@ -450,7 +450,6 @@ class _StageLoop:
         pending = [i for i, judgment in enumerate(judgments) if judgment is None]
         if not pending:
             return judgments
-        self.asked.update(posts[i].id for i in pending)
         # The bytes json.dumps gives the line with sorted keys, formatted directly.
         line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": %s}\n'
         task_json = json.dumps(task.value)
@@ -492,14 +491,64 @@ class _StageLoop:
                 fh.flush()
         return judgments
 
-    def count(self, total: int) -> None:
-        self.report.backend_posts = len(self.asked)
-        self.report.cache_hits = total - len(self.asked)
 
-
-# A post's state in annotate_dataset, one byte each: relevance unknown,
+# A post's state in _run_stages, one byte each: relevance unknown,
 # irrelevant, or relevant; a relevant post's category adds its code.
 _UNKNOWN, _IRRELEVANT, _RELEVANT = 0, 1, 2
+
+
+def _run_stages(
+    posts: Iterable[Post], disaster: DisasterTag, loop: _StageLoop, categorize: bool
+) -> tuple[list[str], bytearray, dict[int, Post]]:
+    """The one annotation driver: each post's id, its state, and the posts held.
+
+    The posts are read once, as a stream, after the cache. Of each it
+    keeps the id and one byte of state, and the post itself while a
+    verdict is missing or, without the category stage, once it is
+    relevant; the missing verdicts are then asked for, relevance first,
+    each stage in post order. A cached verdict leaves the in-memory
+    cache when its post streams by, and what is left of the cache is
+    released before this returns. So post ids must be distinct, as
+    iter_posts yields them: a repeated post would be asked again.
+    """
+    relevance_task = _RELEVANCE_TASK[disaster]
+    relevance_question = _question(relevance_task, loop.backend)
+    category_question = _question(Task.IMPACT_CATEGORY, loop.backend)
+    ids: list[str] = []
+    states = bytearray()
+    held: dict[int, Post] = {}  # by index
+    for post in posts:
+        material = _key_material(post)
+        flag = loop.cache.pop(_key(relevance_question, material), None)
+        if flag is None:
+            state = _UNKNOWN
+        elif not flag:
+            state = _IRRELEVANT
+        elif categorize:
+            category = loop.cache.pop(_key(category_question, material), None)
+            state = _RELEVANT if category is None else _RELEVANT + category.code
+        else:
+            state = _RELEVANT
+        if state == _UNKNOWN or state == _RELEVANT:
+            held[len(ids)] = post
+        ids.append(post.id)
+        states.append(state)
+    pending = [i for i in held if states[i] == _UNKNOWN]
+    # Each held post is asked at least once, unless only clean's relevance stage runs.
+    loop.report.backend_posts = len(held) if categorize else len(pending)
+    loop.report.cache_hits = len(ids) - loop.report.backend_posts
+    for i, flag in zip(pending, loop.run([held[i] for i in pending], relevance_task)):
+        if flag is not None:
+            states[i] = _RELEVANT if flag else _IRRELEVANT
+    if categorize:
+        pending = [i for i in held if states[i] == _RELEVANT]
+        for i, category in zip(
+            pending, loop.run([held[i] for i in pending], Task.IMPACT_CATEGORY)
+        ):
+            if category is not None:
+                states[i] = _RELEVANT + category.code
+    loop.cache.clear()
+    return ids, states, held
 
 
 def annotate_dataset(
@@ -512,54 +561,15 @@ def annotate_dataset(
 ) -> tuple[list[Label], AnnotationReport]:
     """Annotate every post: relevance, then the category of relevant posts.
 
-    The posts are read once, as a stream, after the cache. Of each it
-    keeps the id and one byte of state, and the post itself only while
-    a verdict is missing; the missing ones are then asked for,
-    relevance first, each stage in post order. A cached verdict leaves
-    the in-memory cache when its post streams by, and what is left of
-    the cache is released before the labels are built. So post ids
-    must be distinct, as iter_posts yields them: a repeated post would
-    be asked again. Verdicts already cached cost zero backend calls,
-    so a relevance verdict cached by ``clean_dataset`` is not asked
-    again. Failures are collected per post and the rest of the batch
-    completes; a failed post is left out of the labels and its missing
-    verdict is asked for on the next run. An irrelevant post is
-    labelled OTHER.
+    Verdicts already cached, relevance verdicts from ``clean_dataset``
+    included, cost zero backend calls. Failures are collected per post
+    and the rest of the batch completes; a failed post is left out of
+    the labels and its missing verdict is asked for on the next run. An
+    irrelevant post is labelled OTHER.
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    relevance_task = _RELEVANCE_TASK[disaster]
-    relevance_question = _question(relevance_task, backend)
-    category_question = _question(Task.IMPACT_CATEGORY, backend)
-    ids: list[str] = []
-    states = bytearray()
-    waiting: dict[int, Post] = {}  # by index, the posts missing a verdict
-    for post in posts:
-        material = _key_material(post)
-        flag = loop.cache.pop(_key(relevance_question, material), None)
-        if flag is None:
-            state = _UNKNOWN
-        elif not flag:
-            state = _IRRELEVANT
-        else:
-            category = loop.cache.pop(_key(category_question, material), None)
-            state = _RELEVANT if category is None else _RELEVANT + category.code
-        if state == _UNKNOWN or state == _RELEVANT:
-            waiting[len(ids)] = post
-        ids.append(post.id)
-        states.append(state)
-    pending = [i for i in waiting if states[i] == _UNKNOWN]
-    for i, flag in zip(pending, loop.run([waiting[i] for i in pending], relevance_task)):
-        if flag is not None:
-            states[i] = _RELEVANT if flag else _IRRELEVANT
-    pending = [i for i in waiting if states[i] == _RELEVANT]
-    for i, category in zip(
-        pending, loop.run([waiting[i] for i in pending], Task.IMPACT_CATEGORY)
-    ):
-        if category is not None:
-            states[i] = _RELEVANT + category.code
-    loop.count(len(ids))
-    loop.cache.clear()
+    ids, states, _ = _run_stages(posts, disaster, loop, categorize=True)
     labels = [
         Label(post_id, OTHER, False)
         if state == _IRRELEVANT
@@ -571,7 +581,7 @@ def annotate_dataset(
 
 
 def clean_dataset(
-    posts: Sequence[Post],
+    posts: Iterable[Post],
     disaster: DisasterTag,
     backend: Backend,
     policy: ClientPolicy = ClientPolicy(),
@@ -584,10 +594,9 @@ def clean_dataset(
     (from either command) are reused without backend calls, and
     ``annotate_dataset`` reuses the ones this writes.
     """
-    report = CleanReport(total=len(posts))
+    report = CleanReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    relevance = loop.run(posts, _RELEVANCE_TASK[disaster])
-    kept = [post for post, flag in zip(posts, relevance) if flag]
-    report.kept = len(kept)
-    loop.count(report.total)
+    ids, states, held = _run_stages(posts, disaster, loop, categorize=False)
+    kept = [post for i, post in held.items() if states[i] == _RELEVANT]
+    report.total, report.kept = len(ids), len(kept)
     return kept, report

@@ -60,7 +60,6 @@ from .ingestion import (
     join_labels,
     load_ground_truth,
     load_labels,
-    load_posts,
     write_labels_csv,
     write_posts_jsonl,
 )
@@ -187,6 +186,7 @@ class Run:
         self.inputs: dict[str, str] = {}
         self.staged: dict[Path, Path] = {}
         self.recorded: list[Path] = []
+        self.manifest = args.out / f"manifest_{args.command}.json"
 
     def input(self, path: Path) -> Path:
         self.inputs[str(path)] = sha256_file(path)
@@ -195,7 +195,10 @@ class Run:
     def output(self, name: str) -> Path:
         if name in ("", ".", "..") or Path(name).name != name:
             raise MalformedInput(f"output name {name!r} must be a plain file name")
-        return self._stage(self.args.out / name)
+        final = self.args.out / name
+        if final.resolve() in {Path(p).resolve() for p in (self.manifest, *self.inputs)}:
+            raise MalformedInput(f"output {final} would replace this run's manifest or an input")
+        return self._stage(final)
 
     def record(self, path: Path) -> Path:
         """A file written in place (the annotation cache), listed if it exists."""
@@ -216,10 +219,9 @@ class Run:
             for final, temp in self.staged.items():
                 os.replace(temp, final)
                 moved.append(final)
-            manifest = self.args.out / f"manifest_{self.args.command}.json"
-            temp = self._stage(manifest)
+            temp = self._stage(self.manifest)
             write_manifest(self, moved + [p for p in self.recorded if p.exists()], temp)
-            os.replace(temp, manifest)
+            os.replace(temp, self.manifest)
         except BaseException:
             for path in moved:
                 path.unlink(missing_ok=True)
@@ -266,9 +268,14 @@ def _report_dropped(report: LoadReport) -> None:
         )
 
 
+def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
+    """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
+    yield from iter_posts(path, report)
+    _report_dropped(report)
+
+
 def cmd_clean(args: argparse.Namespace, run: Run) -> int:
-    posts, loaded = load_posts(run.input(args.input))
-    _report_dropped(loaded)
+    posts = _stream_posts(run.input(args.input), LoadReport())
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     kept, report = clean_dataset(
         posts, DisasterTag(args.disaster), make_backend(args), make_policy(args), cache_path
@@ -276,12 +283,6 @@ def cmd_clean(args: argparse.Namespace, run: Run) -> int:
     write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
     print(report.summary())
     return _report_errors(report.errors)
-
-
-def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
-    """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
-    yield from iter_posts(path, report)
-    _report_dropped(report)
 
 
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
@@ -427,8 +428,9 @@ def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
 
 
 def cmd_chart(args: argparse.Namespace, run: Run) -> int:
+    series = run.input(args.input)
     out_chart = run.output(args.outfile)
-    svg, warnings = chart_csv_to_svg(run.input(args.input), title=args.title)
+    svg, warnings = chart_csv_to_svg(series, title=args.title)
     out_chart.write_text(svg, encoding="utf-8")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

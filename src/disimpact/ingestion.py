@@ -6,12 +6,11 @@ first, where the header picks columns); every CSV output, by write_csv.
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
 posts.jsonl is read by one loop, iter_posts, which yields each valid
-line as a core.Post: load_posts keeps every post it yields (for clean,
-which writes them back out); annotate streams it after the annotation
-cache and keeps an id and one byte of state per post, holding a post
-only while a verdict is missing; counts and spatial stream it against
-labels read first (load_labels, join_labels) and keep only what they
-roll up.
+line as a core.Post. clean and annotate stream it after the annotation
+cache, holding a post only while a verdict is missing (clean also each
+relevant post, to write it back out); counts and spatial stream it
+against labels read first (load_labels, join_labels) and keep only
+what they roll up.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     WEEK,
@@ -67,11 +66,6 @@ class LoadReport:
     dropped_duplicate: int = 0
     dropped_malformed: int = 0
     unlabeled: int = 0  # kept posts no label named; counted by join_labels
-
-
-class LoadResult(NamedTuple):
-    posts: tuple[Post, ...]
-    report: LoadReport
 
 
 def _parse_rfc3339(value: str) -> datetime:
@@ -187,14 +181,8 @@ def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
         )
 
 
-def load_posts(path: str | Path) -> LoadResult:
-    """Load a whole posts.jsonl file, by the rules of iter_posts."""
-    report = LoadReport()
-    return LoadResult(tuple(iter_posts(path, report)), report)
-
-
 def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts one JSON object per line, as load_posts reads them.
+    """Write posts one JSON object per line, as iter_posts reads them.
 
     Each line is the bytes json.dumps(record, sort_keys=True) gives,
     formatted directly; the platform is written as Platform.parse

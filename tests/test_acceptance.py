@@ -38,6 +38,7 @@ from disimpact import (
     CountSeries,
     DisasterTag,
     IndexConfig,
+    LoadReport,
     Platform,
     SeriesStats,
     WeeklySeries,
@@ -49,9 +50,9 @@ from disimpact import (
     counts_by_category,
     fleiss_kappa,
     intensity_weight,
+    iter_posts,
     lead_lag_profile,
     load_gazetteer,
-    load_posts,
     load_reference_distribution,
     read_counts_csv,
     resolve_location,
@@ -357,7 +358,7 @@ def test_criterion_09_privacy_fuzz(tmp_path):
             ),
             encoding="utf-8",
         )
-        posts, _ = load_posts(raw)
+        posts = tuple(iter_posts(raw, LoadReport()))
         assert all("@user" in post.text for post in posts)
         annotate_dataset(
             posts,
@@ -382,7 +383,7 @@ def test_criterion_10_spatial_determinism():
                 f"metadata={metadata!r} text={text!r}"
             )
         by_source = {"metadata": set(), "text": set()}
-        for post in load_posts(POSTS).posts:
+        for post in iter_posts(POSTS, LoadReport()):
             state, source = resolve_location(post, gazetteer)
             if state is not None and source.value in by_source:
                 by_source[source.value].add(post.id)

@@ -14,6 +14,7 @@ from disimpact import (
     ClassifierRequest,
     ClientPolicy,
     DisasterTag,
+    LoadReport,
     MalformedResponse,
     MockBackend,
     OutOfRange,
@@ -22,7 +23,7 @@ from disimpact import (
     TransportError,
     annotate_dataset,
     clean_dataset,
-    load_posts,
+    iter_posts,
     load_prompt,
     parse_judgment,
     scrub_handles,
@@ -428,16 +429,17 @@ class TestAnnotateDataset:
         assert len(cache_lines(cache)) == 7
 
         held = []
-        count = disimpact.annotation._StageLoop.count
+        run = disimpact.annotation._StageLoop.run
 
-        def spy(loop, total):
+        def spy(loop, stage_posts, task):
+            judgments = run(loop, stage_posts, task)
             held.append((loop.cache, dict(loop.cache)))
-            count(loop, total)
+            return judgments
 
-        monkeypatch.setattr(disimpact.annotation._StageLoop, "count", spy)
+        monkeypatch.setattr(disimpact.annotation._StageLoop, "run", spy)
         backend = MockBackend()
         second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
-        [(in_memory, after_the_stages)] = held
+        [_, (in_memory, after_the_stages)] = held
         # Each matched verdict left the cache as its post streamed by ...
         assert after_the_stages == {bytes.fromhex(unmatched["key"]): False}
         # ... and the rest was released before the call returned.
@@ -603,6 +605,16 @@ class TestCleanDataset:
         assert report.total == 10
         assert report.kept == len(expected)
 
+    def test_a_one_shot_generator_gives_what_a_list_gives(self, tmp_path):
+        posts = make_posts()
+        results = []
+        for name, stream in (("list", list), ("generator", lambda p: (post for post in p))):
+            cache = tmp_path / f"{name}.jsonl"
+            clean(posts[::2], MockBackend(), cache_path=cache, sleep=no_sleep)
+            results.append(clean(stream(posts), MockBackend(), cache_path=cache, sleep=no_sleep))
+        assert results[0] == results[1]
+        assert results[0][1].cache_hits == 5
+
     def test_summary_line(self, tmp_path):
         posts = make_posts()
         _, report = clean(
@@ -649,7 +661,7 @@ class TestCleanDataset:
 
 def fixture_posts():
     # 200 posts; 171 are hurricane-relevant, none wildfire-relevant.
-    return load_posts(FIXTURES / "posts.jsonl").posts
+    return tuple(iter_posts(FIXTURES / "posts.jsonl", LoadReport()))
 
 
 class TestCacheKeys:

@@ -296,12 +296,8 @@ class TestAnnotate:
 
 
 class TestAnnotateStreams:
-    def test_warm_run_loads_builds_and_holds_no_post(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("load_posts called")
-
-        monkeypatch.setattr(cli, "load_posts", refuse)
-        monkeypatch.setattr(disimpact.ingestion, "load_posts", refuse)
+    def test_warm_run_loads_builds_and_holds_no_post(self, tmp_path, monkeypatch, backends):
+        made, _ = backends
         held = []  # the posts each stage is handed, kept while a verdict is missing
         run = disimpact.annotation._StageLoop.run
         monkeypatch.setattr(
@@ -309,7 +305,13 @@ class TestAnnotateStreams:
             "run",
             lambda loop, posts, task: held.append(len(posts)) or run(loop, posts, task),
         )
+        argv = ["clean", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path / "clean"]
+        for warm in (False, True):
+            held.clear()
+            assert run_cli(argv) == (0, "171/200 (86%)\n", "")
+            assert (held, made[-1].calls) == (([0], 0) if warm else ([200], 200))
         argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
+        held.clear()
         assert run_cli(argv)[0] == 0
         assert held == [200, 171]
         before = (tmp_path / "annotation_cache.jsonl").read_bytes()
@@ -317,26 +319,28 @@ class TestAnnotateStreams:
         assert run_cli(argv) == (
             0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n", ""
         )
-        assert held == [0, 0]
+        assert (held, made[-1].calls) == ([0, 0], 0)
         assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
 
     def test_mostly_malformed_posts_exit_2_before_any_call(self, tmp_path, backends):
         made, _ = backends
-        posts, out = tmp_path / "posts.jsonl", tmp_path / "out"
-        posts.write_bytes(b"".join(CLEAN20.read_bytes().splitlines(keepends=True)[:10]))
-        argv = ["annotate", "--in", posts, "--disaster", "hurricane", "--out", out]
-        assert run_cli(argv)[0] == 0
-        cache = out / "annotation_cache.jsonl"
-        with cache.open("ab") as fh:
-            fh.write(b'{"judgment": true, "ke')  # a torn last line, ended only by an append
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        for command in ("clean", "annotate"):
+            posts, out = tmp_path / "posts.jsonl", tmp_path / command
+            posts.write_bytes(b"".join(CLEAN20.read_bytes().splitlines(keepends=True)[:10]))
+            argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out]
+            assert run_cli(argv)[0] == 0
+            cache = out / "annotation_cache.jsonl"
+            with cache.open("ab") as fh:
+                fh.write(b'{"judgment": true, "ke')  # a torn last line, ended only by an append
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
 
-        posts.write_bytes(CLEAN20.read_bytes() + b"{not json\n" * 21)
-        assert run_cli(argv) == (
-            2, "", f"error: MalformedInput: 21 of 41 lines are malformed in {posts}\n"
-        )
-        assert sum(backend.calls for backend in made[1:]) == 0
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+            posts.write_bytes(CLEAN20.read_bytes() + b"{not json\n" * 21)
+            calls = len(made)
+            assert run_cli(argv) == (
+                2, "", f"error: MalformedInput: 21 of 41 lines are malformed in {posts}\n"
+            )
+            assert sum(backend.calls for backend in made[calls:]) == 0
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestCounts:
@@ -790,6 +794,25 @@ class TestFailures:
         assert code == 2
         assert stderr == f"error: MalformedCsv: {series}:2: value must be finite\n"
         assert list(out.iterdir()) == []
+
+    def chart_over(self, tmp_path, outfile):
+        """Chart with --outfile over a finished run; every file keeps its bytes."""
+        out = tmp_path / "run"
+        assert run_cli(["index", "--in", TABLE_COUNTS, "--out", out])[0] == 0
+        argv = ["chart", "--in", out / "index.csv", "--out", out]
+        assert run_cli(argv)[0] == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run_cli(argv + ["--outfile", outfile]) == (
+            2, "", f"error: MalformedInput: output {out / outfile} would replace "
+            "this run's manifest or an input\n",
+        )
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_chart_outfile_cannot_replace_the_manifest(self, tmp_path):
+        self.chart_over(tmp_path, "manifest_chart.json")
+
+    def test_chart_outfile_cannot_replace_its_input(self, tmp_path):
+        self.chart_over(tmp_path, "index.csv")
 
     def test_duplicate_model_label_exits_2(self, tmp_path):
         labels = tmp_path / "model.csv"
@@ -1318,13 +1341,14 @@ class TestTimeout:
 
     def test_remote_rejects_nonpositive_timeout(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DISIMPACT_MLLM_API_KEY", "k")
-        code, _, stderr = run_cli(
-            [
-                "clean", "--in", CLEAN20, "--disaster", "hurricane", "--out", tmp_path,
-                "--backend", "remote", "--endpoint", "http://127.0.0.1:9/x",
-                "--timeout", "0",
-            ]
-        )
-        assert code == 1
-        assert stderr.startswith("error: OutOfRange: timeout must be > 0")
-        assert list(tmp_path.iterdir()) == []
+        for timeout in ("0", "-1", "nan", "inf"):
+            code, stdout, stderr = run_cli(
+                [
+                    "clean", "--in", CLEAN20, "--disaster", "hurricane", "--out", tmp_path,
+                    "--backend", "remote", "--endpoint", "http://127.0.0.1:9/x",
+                    "--timeout", timeout,
+                ]
+            )
+            assert (code, stdout, stderr.count("\n")) == (1, "", 1)
+            assert stderr.startswith("error: OutOfRange: timeout must be > 0")
+            assert list(tmp_path.iterdir()) == []

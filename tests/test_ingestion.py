@@ -20,11 +20,11 @@ from disimpact.ingestion import (
     LoadReport,
     csv_rows,
     iter_labels,
+    iter_posts,
     join_labels,
     json_line,
     load_ground_truth,
     load_labels,
-    load_posts,
     scrub_handles,
     write_csv,
     write_labels_csv,
@@ -49,22 +49,28 @@ def write_jsonl(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_posts(path):
+    """Every post iter_posts yields from path, and its report."""
+    report = LoadReport()
+    return tuple(iter_posts(path, report)), report
+
+
 class TestLoadPosts:
     def test_three_valid_lines(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a"), _line("b"), _line("c")])
-        result = load_posts(path)
-        assert len(result.posts) == 3
-        assert [p.id for p in result.posts] == ["a", "b", "c"]
-        assert result.report.kept == 3
+        posts, report = read_posts(path)
+        assert len(posts) == 3
+        assert [p.id for p in posts] == ["a", "b", "c"]
+        assert report.kept == 3
 
     def test_duplicate_ids_keep_first(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("abc", text="first"), _line("abc", text="second")])
-        result = load_posts(path)
-        assert len(result.posts) == 1
-        assert result.posts[0].text == "first"
-        assert result.report.dropped_duplicate == 1
+        posts, report = read_posts(path)
+        assert len(posts) == 1
+        assert posts[0].text == "first"
+        assert report.dropped_duplicate == 1
 
     def test_malformed_line_isolated(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -84,21 +90,21 @@ class TestLoadPosts:
         ]
         for line in bad:
             write_jsonl(path, [_line("a"), line])
-            result = load_posts(path)
-            assert len(result.posts) == 1
-            assert result.report.dropped_malformed == 1
+            posts, report = read_posts(path)
+            assert len(posts) == 1
+            assert report.dropped_malformed == 1
 
     def test_majority_malformed_aborts(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a"), "{bad", "{worse"])
         with pytest.raises(MalformedInput):
-            load_posts(path)
+            read_posts(path)
 
     def test_text_scrubbed_on_load(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a", text="thanks @john_doe for help")])
-        result = load_posts(path)
-        assert result.posts[0].text == "thanks @user for help"
+        posts, _ = read_posts(path)
+        assert posts[0].text == "thanks @user for help"
 
     def test_z_suffix_and_offset_timestamps(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -109,17 +115,16 @@ class TestLoadPosts:
                 _line("b", created_at="2024-09-02T10:00:00+00:00"),
             ],
         )
-        result = load_posts(path)
-        a, b = result.posts
+        (a, b), _ = read_posts(path)
         assert a.created_at == b.created_at
 
     def test_unknown_platform_becomes_other(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line("a", platform="Mastodon"), _line("b", platform=" Reddit ")])
-        result = load_posts(path)
-        assert [p.platform for p in result.posts] == ["Mastodon", " Reddit "]
+        posts, _ = read_posts(path)
+        assert [p.platform for p in posts] == ["Mastodon", " Reddit "]
         written = tmp_path / "posts_clean.jsonl"
-        write_posts_jsonl(result.posts, written)
+        write_posts_jsonl(posts, written)
         lines = written.read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["platform"] for line in lines] == ["other", "reddit"]
 
@@ -134,11 +139,11 @@ class TestLoadPosts:
                 _line("b"),
             ],
         )
-        loaded = load_posts(first)
-        write_posts_jsonl(loaded.posts, second)
-        again = load_posts(second)
-        assert again.posts == loaded.posts
-        write_posts_jsonl(again.posts, first)
+        loaded, _ = read_posts(first)
+        write_posts_jsonl(loaded, second)
+        again, _ = read_posts(second)
+        assert again == loaded
+        write_posts_jsonl(again, first)
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -257,7 +262,7 @@ class TestLoadLabels:
     def _posts(self, tmp_path, ids=("p1", "p2")):
         path = tmp_path / "posts.jsonl"
         write_jsonl(path, [_line(i) for i in ids])
-        return load_posts(path).posts
+        return read_posts(path)[0]
 
     def _join(self, posts, labels):
         report = LoadReport()
@@ -324,13 +329,10 @@ class TestLoadLabels:
         assert report.unlabeled == 1
 
 
-def test_load_posts_deterministic(tmp_path):
+def test_iter_posts_deterministic(tmp_path):
     path = tmp_path / "posts.jsonl"
     write_jsonl(path, [_line("a"), _line("b")])
-    first = load_posts(path)
-    second = load_posts(path)
-    assert first.posts == second.posts
-    assert first.report == second.report
+    assert read_posts(path) == read_posts(path)
 
 
 class TestCsvRows:

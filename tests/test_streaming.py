@@ -4,7 +4,7 @@
 once, keeping only what they roll up. Here random posts and labels files
 (malformed and non-UTF-8 lines, repeated ids with other dates and
 places, unlabelled posts, posts outside the range, handles that name a
-place) go through both commands and through load_posts + load_labels +
+place) go through both commands and through iter_posts + load_labels +
 resolve_location, and every output byte, stderr line and exit code must
 agree.
 
@@ -52,13 +52,12 @@ from disimpact import (
     build_count_series,
     load_gazetteer,
     load_labels,
-    load_posts,
     resolve_location,
     write_counts_csv,
     write_labels_csv,
     write_spatial_csv,
 )
-from disimpact.annotation import _StageLoop
+from disimpact.annotation import _StageLoop, _key, _key_material, _question
 from disimpact.ingestion import LoadReport, csv_rows, iter_labels, iter_posts
 from disimpact.cli import main
 
@@ -182,20 +181,20 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
     """(exit code, stderr) of the in-memory path; it writes its output to path."""
     lines = []
     try:
-        loaded = load_posts(posts)
+        report = LoadReport()
+        loaded = tuple(iter_posts(posts, report))
         by_id = load_labels(labels)
-        known = {post.id for post in loaded.posts}
+        known = {post.id for post in loaded}
         unknown = [(n, i) for n, i, _ in iter_labels(labels) if i not in known]
         if unknown:
             raise UnknownPostId(f"{labels}:{unknown[0][0]}: unknown post id {unknown[0][1]!r}")
-        report = loaded.report
         if report.dropped_malformed or report.dropped_duplicate:
             lines.append(
                 f"dropped {report.dropped_malformed} malformed, "
                 f"{report.dropped_duplicate} duplicate lines"
             )
-        joined = [(post, by_id[post.id]) for post in loaded.posts if post.id in by_id]
-        unlabeled = len(loaded.posts) - len(joined)
+        joined = [(post, by_id[post.id]) for post in loaded if post.id in by_id]
+        unlabeled = len(loaded) - len(joined)
         lines += write(joined, unlabeled, path, range_start, range_end)
     except (DisimpactError, ValueError) as exc:
         lines.append(f"error: {type(exc).__name__}: {exc}")
@@ -379,33 +378,42 @@ def caches(draw, posts):
 
 def annotate_in_memory(posts, cache, labels_path, backend):
     """(exit code, stdout, stderr) of the two stages over the loaded posts."""
+    dropped = LoadReport()
     try:
-        loaded = load_posts(posts)
+        posts = tuple(iter_posts(posts, dropped))
     except DisimpactError as exc:
         return exc.exit_code, "", f"error: {type(exc).__name__}: {exc}\n"
     stderr = ""
-    if loaded.report.dropped_malformed or loaded.report.dropped_duplicate:
+    if dropped.dropped_malformed or dropped.dropped_duplicate:
         stderr += (
-            f"dropped {loaded.report.dropped_malformed} malformed, "
-            f"{loaded.report.dropped_duplicate} duplicate lines\n"
+            f"dropped {dropped.dropped_malformed} malformed, "
+            f"{dropped.dropped_duplicate} duplicate lines\n"
         )
     report = AnnotationReport()
     loop = _StageLoop(report, backend, ClientPolicy(), cache, time.sleep)
-    posts = loaded.posts
-    relevance = loop.run(posts, Task.RELEVANCE_HURRICANE)
+    asked = set()  # the ids of posts a stage found no cached verdict for
+
+    def stage(stage_posts, task):
+        question = _question(task, backend)
+        asked.update(
+            post.id for post in stage_posts
+            if _key(question, _key_material(post)) not in loop.cache
+        )
+        return loop.run(stage_posts, task)
+
+    relevance = stage(posts, Task.RELEVANCE_HURRICANE)
     relevant = [post for post, flag in zip(posts, relevance) if flag]
-    categories = iter(loop.run(relevant, Task.IMPACT_CATEGORY))
+    categories = iter(stage(relevant, Task.IMPACT_CATEGORY))
     labels = []
     for post, flag in zip(posts, relevance):
         category = next(categories) if flag else OTHER
         if flag is not None and category is not None:
             labels.append(Label(post.id, category, flag))
-    loop.count(len(posts))
     write_labels_csv(labels, labels_path)
     n_relevant = sum(1 for label in labels if label.relevant)
     stdout = (
         f"annotated {len(labels)}/{len(posts)} posts "
-        f"({n_relevant} relevant, {report.cache_hits} cache hits)\n"
+        f"({n_relevant} relevant, {len(posts) - len(asked)} cache hits)\n"
     )
     for error in report.errors:
         stderr += f"error: post {error.post_id}: {error.stage}: {error.message}\n"
