@@ -53,24 +53,30 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
     print("scrubbed:", next(p.text for p in posts if p.id == "r05"))
     print()
 
-    # Stage one drops posts that are not about the disaster.
+    # Stage one drops posts that are not about the disaster. The posts
+    # are read once per stage, so they must be re-iterable: a list here.
+    # keep gets each relevant post, in order, as its verdict comes in.
     backend = MockBackend()
     policy = ClientPolicy(max_in_flight=2)
-    kept, report = clean_dataset(
-        posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
+    kept = []
+    _, report = clean_dataset(
+        posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl", keep=kept.append
     )
     print("cleaning kept", report.summary())
     for post in kept:
         print("  kept:", post.id, post.text[:46])
     print()
 
-    # Stage two assigns one impact category per relevant post. It streams
-    # the file and keeps only each post's id and verdicts. The cache
-    # wrote stage-one verdicts already, so those calls are not repeated.
-    loaded = LoadReport()
-    posts = iter_posts(posts_path, loaded)
+    # Stage two assigns one impact category per relevant post. This
+    # source streams the file anew on each read, and the loop keeps
+    # only each post's id and verdicts. The cache wrote stage-one
+    # verdicts already, so those calls are not repeated.
+    class PostsFile:
+        def __iter__(self):
+            return iter_posts(posts_path, LoadReport())
+
     labels, run = annotate_dataset(
-        posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
+        PostsFile(), DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
     )
     print("labels (cache hits:", run.cache_hits, "):")
     for item in labels:

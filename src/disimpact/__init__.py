@@ -71,6 +71,7 @@ from .errors import (
     EmptyInput,
     EmptyTable,
     EvenRaterCount,
+    InputChanged,
     InvalidCounts,
     LengthMismatch,
     MalformedCsv,
@@ -102,9 +103,9 @@ from .ingestion import (
     join_labels,
     load_ground_truth,
     load_labels,
+    post_line,
     scrub_handles,
     write_labels_csv,
-    write_posts_jsonl,
 )
 from .reference import ReferenceRow, counts_by_category, load_reference_distribution
 from .spatial import (

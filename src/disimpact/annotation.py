@@ -6,22 +6,29 @@ transparent keyword table meant for offline tests and demos; it makes
 no claim of fidelity to any hosted model. The remote backend speaks a
 minimal JSON-over-HTTP contract (template id plus post payload in,
 judgment JSON out) and leaves vendor specifics to adapter code.
+
+clean_dataset and annotate_dataset share one loop, _run_stages. It
+reads the posts once per stage, from a source that can be read again,
+and holds no post past its read: per post it keeps the id and one byte
+of state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import json.encoder
 import os
 import re
 import threading
 import time
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .core import (
     OTHER,
@@ -31,7 +38,13 @@ from .core import (
     Post,
     category_from_code,
 )
-from .errors import EmptyInput, MalformedResponse, OutOfRange, TransportError
+from .errors import (
+    EmptyInput,
+    InputChanged,
+    MalformedResponse,
+    OutOfRange,
+    TransportError,
+)
 from .ingestion import json_line, scrub_handles
 
 
@@ -209,15 +222,21 @@ class MockBackend:
         with self._lock:
             self.calls += 1
         text = request.post.text.lower()
+        # Plain loops over the tables: a generator per any() call, or a
+        # regex alternation per rule, costs about twice as much per call.
         if request.task in RELEVANCE_TASKS:
             counters, on_topic = MOCK_RELEVANCE_RULES[request.task]
-            if any(pattern in text for pattern in counters):
-                return '{"Judgment": false}'
-            relevant = any(pattern in text for pattern in on_topic)
-            return '{"Judgment": true}' if relevant else '{"Judgment": false}'
+            for pattern in counters:
+                if pattern in text:
+                    return '{"Judgment": false}'
+            for pattern in on_topic:
+                if pattern in text:
+                    return '{"Judgment": true}'
+            return '{"Judgment": false}'
         for code, keywords in MOCK_IMPACT_KEYWORDS:
-            if any(keyword in text for keyword in keywords):
-                return '{"Judgment": %d}' % code
+            for keyword in keywords:
+                if keyword in text:
+                    return '{"Judgment": %d}' % code
         return '{"Judgment": %d}' % OTHER.code
 
 
@@ -423,13 +442,14 @@ def _end_torn_line(fh) -> None:
 
 
 class _StageLoop:
-    """The cache and stages of _run_stages; run answers one task for a list of posts.
+    """The cache and backend of _run_stages; run asks one task for a stream of posts.
 
     Verdicts missing from the cache are asked for inline for an
     in-process backend, otherwise from a pool of ``max_in_flight``
-    threads. Each new verdict is appended in post order and flushed as
-    soon as it and every verdict before it are done, so an interrupted
-    run keeps the work it finished.
+    threads with at most twice that many requests submitted at once.
+    Each new verdict is appended in post order and flushed as soon as
+    it and every verdict before it are done, so an interrupted run
+    keeps the work it finished.
     """
 
     def __init__(self, report, backend, policy, cache_path, sleep) -> None:
@@ -442,54 +462,83 @@ class _StageLoop:
         # Without an identity, a cached verdict may be another backend's.
         self.cache = cache if getattr(backend, "identity", None) is not None else {}
 
-    def run(self, posts: Sequence[Post], task: Task) -> list:
-        """The judgment for each post, None where the post failed."""
-        question = _question(task, self.backend)
-        keys = [_key(question, _key_material(post)) for post in posts]
-        judgments = [self.cache.get(key) for key in keys]
-        pending = [i for i, judgment in enumerate(judgments) if judgment is None]
-        if not pending:
-            return judgments
+    def run(
+        self,
+        items: Iterable[tuple[int, Post, bytes | None]],
+        task: Task,
+        done: Callable[[int, Post, bool | ImpactCategory | None], object],
+    ) -> None:
+        """Ask task for each (index, post, key) item that has a key.
+
+        done(index, post, judgment) is called for every item, in order;
+        the judgment is None for an item without a key and for a post
+        that failed.
+        """
         # The bytes json.dumps gives the line with sorted keys, formatted directly.
         line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": %s}\n'
         task_json = json.dumps(task.value)
+        quote = json.encoder.encode_basestring_ascii
+        fh = None
 
-        def ask(i: int) -> bool | ImpactCategory | AnnotationError:
+        def ask(post: Post) -> bool | ImpactCategory | AnnotationError:
             try:
-                return _classify(posts[i], task, self.backend, self.policy, self.sleep)
+                return _classify(post, task, self.backend, self.policy, self.sleep)
             except (TransportError, MalformedResponse, EmptyInput) as exc:
                 return AnnotationError(
-                    post_id=posts[i].id, stage=type(exc).__name__, message=str(exc)
+                    post_id=post.id, stage=type(exc).__name__, message=str(exc)
                 )
 
-        with ExitStack() as stack:
-            if getattr(self.backend, "in_process", False):
-                answers = map(ask, pending)
-            else:
-                # Imported here: in-process backends, the common case, need no pool.
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
-                # If writing the cache fails, send none of the queued requests.
-                stack.callback(pool.shutdown, cancel_futures=True)
-                answers = pool.map(ask, pending)
-            fh = None
-            for i, answer in zip(pending, answers):
-                if isinstance(answer, AnnotationError):
-                    self.report.errors.append(answer)
-                    continue
+        def finish(i: int, post: Post, key: bytes | None, answer) -> None:
+            nonlocal fh
+            if isinstance(answer, AnnotationError):
+                self.report.errors.append(answer)
+                answer = None
+            elif answer is not None:
                 if fh is None:
                     fh = stack.enter_context(self.cache_path.open("a+b"))
                     _end_torn_line(fh)
-                judgments[i] = answer
                 if isinstance(answer, bool):
                     judgment = "true" if answer else "false"
                 else:
                     judgment = answer.code
-                post_id = json.dumps(posts[i].id)
-                fh.write((line % (judgment, keys[i].hex(), post_id, task_json)).encode())
+                fh.write((line % (judgment, key.hex(), quote(post.id), task_json)).encode())
                 fh.flush()
-        return judgments
+            done(i, post, answer)
+
+        with ExitStack() as stack:
+            if getattr(self.backend, "in_process", False):
+                for i, post, key in items:
+                    finish(i, post, key, None if key is None else ask(post))
+                return
+            # Imported here: in-process backends, the common case, need no pool.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
+            # If writing the cache or reading the posts fails, send none of the queued requests.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            window: deque = deque()  # (index, post, key, future or None), in post order
+
+            def finish_first() -> None:
+                i, post, key, future = window.popleft()
+                finish(i, post, key, None if future is None else future.result())
+
+            for i, post, key in items:
+                window.append((i, post, key, None if key is None else pool.submit(ask, post)))
+                if len(window) == 2 * self.policy.max_in_flight:
+                    finish_first()
+            while window:
+                finish_first()
+
+
+def _reread(posts: Iterable[Post], ids: list[str]) -> Iterator[tuple[int, Post]]:
+    """(index, post) for each post of a later pass; it must give the first pass's ids."""
+    n = 0
+    for n, post in enumerate(posts, 1):
+        if n > len(ids) or post.id != ids[n - 1]:
+            raise InputChanged(f"the posts changed between passes: post {n} is {post.id!r}")
+        yield n - 1, post
+    if n != len(ids):
+        raise InputChanged(f"the posts changed between passes: {n} posts, not {len(ids)}")
 
 
 # A post's state in _run_stages, one byte each: relevance unknown,
@@ -498,57 +547,99 @@ _UNKNOWN, _IRRELEVANT, _RELEVANT = 0, 1, 2
 
 
 def _run_stages(
-    posts: Iterable[Post], disaster: DisasterTag, loop: _StageLoop, categorize: bool
-) -> tuple[list[str], bytearray, dict[int, Post]]:
-    """The one annotation driver: each post's id, its state, and the posts held.
+    posts: Iterable[Post],
+    disaster: DisasterTag,
+    loop: _StageLoop,
+    keep: Callable[[Post], object] | None = None,
+) -> tuple[list[str], bytearray]:
+    """The one annotation loop: each post's id and its state.
 
-    The posts are read once, as a stream, after the cache. Of each it
-    keeps the id and one byte of state, and the post itself while a
-    verdict is missing or, without the category stage, once it is
-    relevant; the missing verdicts are then asked for, relevance first,
-    each stage in post order. A cached verdict leaves the in-memory
-    cache when its post streams by, and what is left of the cache is
-    released before this returns. So post ids must be distinct, as
+    posts is read once per stage, as a stream, so it must be
+    re-iterable (a list, or a file source) and give the same posts each
+    time. A pass holds only the posts of its window: the one asked about
+    inline, or at most 2 x max_in_flight for a pool backend.
+
+    - Pass 1 comes after the cache is read. It keeps each post's id and
+      one byte of state, and takes each cached verdict out of the
+      in-memory cache as its post streams by. No backend call is made
+      before it ends.
+    - The relevance pass asks, in post order, for each missing
+      relevance verdict. With keep (clean), only this stage runs, and
+      keep gets each relevant post in post order, from this same pass.
+    - Without keep (annotate), the category pass then asks for each
+      relevant post's missing category.
+
+    A later pass runs only when it has a verdict to ask for or a post
+    to keep, so a warm annotate reads the posts once. A later pass that
+    gives other ids raises InputChanged. What is left of the cache is
+    released before this returns. Post ids must be distinct, as
     iter_posts yields them: a repeated post would be asked again.
     """
+    if isinstance(posts, Iterator):
+        raise TypeError("posts must be re-iterable, such as a list, not a one-shot iterator")
     relevance_task = _RELEVANCE_TASK[disaster]
     relevance_question = _question(relevance_task, loop.backend)
     category_question = _question(Task.IMPACT_CATEGORY, loop.backend)
     ids: list[str] = []
     states = bytearray()
-    held: dict[int, Post] = {}  # by index
     for post in posts:
-        material = _key_material(post)
-        flag = loop.cache.pop(_key(relevance_question, material), None)
+        flag = None
+        if loop.cache:  # an empty cache, as on a cold run, matches no key
+            material = _key_material(post)
+            flag = loop.cache.pop(_key(relevance_question, material), None)
         if flag is None:
             state = _UNKNOWN
         elif not flag:
             state = _IRRELEVANT
-        elif categorize:
+        elif keep is None:
             category = loop.cache.pop(_key(category_question, material), None)
             state = _RELEVANT if category is None else _RELEVANT + category.code
         else:
             state = _RELEVANT
-        if state == _UNKNOWN or state == _RELEVANT:
-            held[len(ids)] = post
         ids.append(post.id)
         states.append(state)
-    pending = [i for i in held if states[i] == _UNKNOWN]
-    # Each held post is asked at least once, unless only clean's relevance stage runs.
-    loop.report.backend_posts = len(held) if categorize else len(pending)
-    loop.report.cache_hits = len(ids) - loop.report.backend_posts
-    for i, flag in zip(pending, loop.run([held[i] for i in pending], relevance_task)):
+    post = None  # pass 1 is over; hold its last post no longer
+    # A post missing a verdict is asked at least once; clean asks only relevance.
+    missing = states.count(_UNKNOWN)
+    if keep is None:
+        missing += states.count(_RELEVANT)
+    loop.report.backend_posts = missing
+    loop.report.cache_hits = len(ids) - missing
+
+    def relevance_items():
+        for i, post in _reread(posts, ids):
+            if states[i] == _UNKNOWN:
+                yield i, post, _key(relevance_question, _key_material(post))
+            elif keep is not None and states[i] == _RELEVANT:
+                yield i, post, None
+
+    def relevance_done(i: int, post: Post, flag) -> None:
         if flag is not None:
             states[i] = _RELEVANT if flag else _IRRELEVANT
-    if categorize:
-        pending = [i for i in held if states[i] == _RELEVANT]
-        for i, category in zip(
-            pending, loop.run([held[i] for i in pending], Task.IMPACT_CATEGORY)
-        ):
-            if category is not None:
-                states[i] = _RELEVANT + category.code
+        if keep is not None and states[i] == _RELEVANT:
+            keep(post)
+
+    if _UNKNOWN in states or (keep is not None and _RELEVANT in states):
+        loop.run(relevance_items(), relevance_task, relevance_done)
+
+    def category_items():
+        for i, post in _reread(posts, ids):
+            if states[i] == _RELEVANT:
+                key = _key(category_question, _key_material(post))
+                category = loop.cache.pop(key, None)
+                if category is None:
+                    yield i, post, key
+                else:
+                    states[i] = _RELEVANT + category.code
+
+    def category_done(i: int, post: Post, category) -> None:
+        if category is not None:
+            states[i] = _RELEVANT + category.code
+
+    if keep is None and _RELEVANT in states:
+        loop.run(category_items(), Task.IMPACT_CATEGORY, category_done)
     loop.cache.clear()
-    return ids, states, held
+    return ids, states
 
 
 def annotate_dataset(
@@ -561,6 +652,10 @@ def annotate_dataset(
 ) -> tuple[list[Label], AnnotationReport]:
     """Annotate every post: relevance, then the category of relevant posts.
 
+    posts is read once, then once more per stage that has a verdict to
+    ask for, so it must be re-iterable: a list, or a source each
+    iteration of which streams the same posts anew (a one-shot iterator
+    raises TypeError). No post is held past the read it came from.
     Verdicts already cached, relevance verdicts from ``clean_dataset``
     included, cost zero backend calls. Failures are collected per post
     and the rest of the batch completes; a failed post is left out of
@@ -569,7 +664,7 @@ def annotate_dataset(
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    ids, states, _ = _run_stages(posts, disaster, loop, categorize=True)
+    ids, states = _run_stages(posts, disaster, loop)
     labels = [
         Label(post_id, OTHER, False)
         if state == _IRRELEVANT
@@ -587,16 +682,19 @@ def clean_dataset(
     policy: ClientPolicy = ClientPolicy(),
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
-) -> tuple[list[Post], CleanReport]:
+    keep: Callable[[Post], object] = lambda post: None,
+) -> tuple[int, CleanReport]:
     """Relevance-filter posts for the disaster, caching each verdict for later stages.
 
-    Kept posts come back in input order. Cached relevance verdicts
-    (from either command) are reused without backend calls, and
-    ``annotate_dataset`` reuses the ones this writes.
+    posts is read at most twice, so it must be re-iterable, as for
+    ``annotate_dataset``. keep gets each relevant post, in input order,
+    during the second read; nothing else holds a post past its read.
+    Returns how many posts keep got, and the report. Cached relevance
+    verdicts (from either command) are reused without backend calls,
+    and ``annotate_dataset`` reuses the ones this writes.
     """
     report = CleanReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    ids, states, held = _run_stages(posts, disaster, loop, categorize=False)
-    kept = [post for i, post in held.items() if states[i] == _RELEVANT]
-    report.total, report.kept = len(ids), len(kept)
-    return kept, report
+    ids, states = _run_stages(posts, disaster, loop, keep)
+    report.total, report.kept = len(ids), states.count(_RELEVANT)
+    return report.kept, report

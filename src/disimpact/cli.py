@@ -60,8 +60,8 @@ from .ingestion import (
     join_labels,
     load_ground_truth,
     load_labels,
+    post_line,
     write_labels_csv,
-    write_posts_jsonl,
 )
 from .spatial import (
     SourceFilter,
@@ -172,6 +172,10 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
+def _resolved(*paths: str | Path) -> set[Path]:
+    return {Path(p).resolve() for p in paths}
+
+
 class Run:
     """One command's inputs and outputs, committed together on exit 0.
 
@@ -196,12 +200,22 @@ class Run:
         if name in ("", ".", "..") or Path(name).name != name:
             raise MalformedInput(f"output name {name!r} must be a plain file name")
         final = self.args.out / name
-        if final.resolve() in {Path(p).resolve() for p in (self.manifest, *self.inputs)}:
+        if final.resolve() in _resolved(self.manifest, *self.inputs):
             raise MalformedInput(f"output {final} would replace this run's manifest or an input")
+        if final.resolve() in _resolved(*self.recorded):
+            raise MalformedInput(f"output {final} would replace the annotation cache")
         return self._stage(final)
 
     def record(self, path: Path) -> Path:
-        """A file written in place (the annotation cache), listed if it exists."""
+        """A file written in place (the annotation cache), listed if it exists.
+
+        It may not be the manifest, an input or an output, so a command
+        records it before any backend call and stages its outputs too.
+        """
+        if path.resolve() in _resolved(self.manifest, *self.inputs, *self.staged):
+            raise MalformedInput(
+                f"cache {path} would replace this run's manifest, an input or an output"
+            )
         self.recorded.append(path)
         return path
 
@@ -268,6 +282,27 @@ def _report_dropped(report: LoadReport) -> None:
         )
 
 
+class _PostsFile:
+    """posts.jsonl as the annotation loop reads it: once per stage.
+
+    The first read counts into report and ends by saying on stderr how
+    many lines were dropped. Each later read must give the bytes whose
+    sha256 run.input recorded, or it raises InputChanged at its end.
+    """
+
+    def __init__(self, path: Path, run: Run, report: LoadReport) -> None:
+        self.path = run.input(path)
+        self.sha256 = run.inputs[str(path)]
+        self.report = report
+        self.read = False
+
+    def __iter__(self) -> Iterator[Post]:
+        if self.read:
+            return iter_posts(self.path, LoadReport(), self.sha256)
+        self.read = True
+        return _stream_posts(self.path, self.report)
+
+
 def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
     """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
     yield from iter_posts(path, report)
@@ -275,24 +310,26 @@ def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
 
 
 def cmd_clean(args: argparse.Namespace, run: Run) -> int:
-    posts = _stream_posts(run.input(args.input), LoadReport())
+    posts = _PostsFile(args.input, run, LoadReport())
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
-    kept, report = clean_dataset(
-        posts, DisasterTag(args.disaster), make_backend(args), make_policy(args), cache_path
-    )
-    write_posts_jsonl(kept, run.output("posts_clean.jsonl"))
+    with run.output("posts_clean.jsonl").open("w", encoding="utf-8") as fh:
+        _, report = clean_dataset(
+            posts, DisasterTag(args.disaster), make_backend(args), make_policy(args),
+            cache_path, keep=lambda post: fh.write(post_line(post)),
+        )
     print(report.summary())
     return _report_errors(report.errors)
 
 
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
     loaded = LoadReport()
-    posts = _stream_posts(run.input(args.input), loaded)
+    posts = _PostsFile(args.input, run, loaded)
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
+    out = run.output("labels.csv")
     labels, report = annotate_dataset(
         posts, DisasterTag(args.disaster), make_backend(args), make_policy(args), cache_path
     )
-    write_labels_csv(labels, run.output("labels.csv"))
+    write_labels_csv(labels, out)
     relevant = sum(1 for label in labels if label.relevant)
     print(
         f"annotated {len(labels)}/{loaded.kept} posts "

@@ -116,7 +116,7 @@ class Post(NamedTuple):
 
     `text` is the pre-joined textual content (title + description);
     `media_refs` carries opaque URIs that are never fetched here.
-    `platform` is the string as written (write_posts_jsonl normalizes
+    `platform` is the string as written (ingestion.post_line normalizes
     it through Platform.parse). The posts.jsonl parser guarantees three
     things: `id` survives a labels.csv round trip (non-empty, UTF-8
     encodable, no CR, no surrounding whitespace), `created_at` is in

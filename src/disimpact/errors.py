@@ -29,6 +29,10 @@ class UnknownPostId(MalformedInput):
     """A label referenced a post id that is not in the dataset."""
 
 
+class InputChanged(DisimpactError):
+    """An input file changed while a command was reading it."""
+
+
 class TransportError(DisimpactError):
     """A classifier backend failed at the transport level (after retries)."""
 

@@ -6,16 +6,17 @@ first, where the header picks columns); every CSV output, by write_csv.
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
 posts.jsonl is read by one loop, iter_posts, which yields each valid
-line as a core.Post. clean and annotate stream it after the annotation
-cache, holding a post only while a verdict is missing (clean also each
-relevant post, to write it back out); counts and spatial stream it
-against labels read first (load_labels, join_labels) and keep only
-what they roll up.
+line as a core.Post, and written back by post_line. clean and annotate
+stream it once per annotation stage, after the annotation cache, and
+hold no post past its stage; counts and spatial stream it once against
+labels read first (load_labels, join_labels) and keep only what they
+roll up.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import json.encoder
 import json.scanner
@@ -36,6 +37,7 @@ from .core import (
 )
 from .errors import (
     EmptyInput,
+    InputChanged,
     MalformedCsv,
     MalformedInput,
     NegativeValue,
@@ -73,6 +75,8 @@ def _parse_rfc3339(value: str) -> datetime:
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)
+    if ts.tzinfo is timezone.utc:
+        return ts
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {value!r} has no UTC offset")
     return ts.astimezone(timezone.utc)
@@ -122,7 +126,7 @@ def _parse_post_line(line: str) -> Post:
     if not isinstance(text, str):
         raise ValueError("text must be a string")
     media = obj.get("media_refs")
-    if media is None:
+    if media is None or media == []:
         media = ()
     elif isinstance(media, list) and all(isinstance(m, str) for m in media):
         media = tuple(media)
@@ -141,23 +145,29 @@ def _parse_post_line(line: str) -> Post:
     )
 
 
-def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
+def iter_posts(
+    path: str | Path, report: LoadReport, sha256: str | None = None
+) -> Iterator[Post]:
     """Stream the valid posts of a posts.jsonl file, counting into report.
 
     Malformed lines, including lines that are not UTF-8 and lines nested
     past the recursion limit, are counted and skipped; duplicate ids
     keep the first occurrence. When the file is exhausted the stream
-    raises MalformedInput if more than half of the non-blank lines were
-    malformed, so a caller that writes only after the stream ends
-    writes nothing from such a file.
+    raises InputChanged if sha256 is given and the bytes read have
+    another digest, then MalformedInput if more than half of the
+    non-blank lines were malformed, so a caller that writes only after
+    the stream ends writes nothing from such a file.
     """
     path = Path(path)
     seen: set[str] = set()
+    digest = hashlib.sha256() if sha256 is not None else None
     # Decoded per line, so a bad byte costs one line (UnicodeDecodeError
     # is a ValueError), not the whole load; so does a timestamp whose UTC
     # shift leaves the datetime range (OverflowError).
     with path.open("rb") as fh:
         for raw in fh:
+            if digest is not None:
+                digest.update(raw)
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
@@ -174,6 +184,8 @@ def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
             seen.add(post.id)
             report.kept += 1
             yield post
+    if digest is not None and digest.hexdigest() != sha256:
+        raise InputChanged(f"{path} changed while it was read")
     if report.lines_read and report.dropped_malformed * 2 > report.lines_read:
         raise MalformedInput(
             f"{report.dropped_malformed} of {report.lines_read} lines are "
@@ -181,32 +193,29 @@ def iter_posts(path: str | Path, report: LoadReport) -> Iterator[Post]:
         )
 
 
-def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts one JSON object per line, as iter_posts reads them.
+_quote = json.encoder.encode_basestring_ascii
+_POST_LINE = (
+    '{"created_at": %s, "id": %s, "location_metadata": %s, '
+    '"media_refs": [%s], "platform": %s, "text": %s}\n'
+)
 
-    Each line is the bytes json.dumps(record, sort_keys=True) gives,
+
+def post_line(post: Post) -> str:
+    """post as one posts.jsonl line, as iter_posts reads it; clean writes these.
+
+    The line is the bytes json.dumps(record, sort_keys=True) gives,
     formatted directly; the platform is written as Platform.parse
     normalizes it.
     """
-    quote = json.encoder.encode_basestring_ascii
-    line = (
-        '{"created_at": %s, "id": %s, "location_metadata": %s, '
-        '"media_refs": [%s], "platform": %s, "text": %s}\n'
+    location = post.location_metadata
+    return _POST_LINE % (
+        _quote(post.created_at.isoformat()),
+        _quote(post.id),
+        "null" if location is None else _quote(location),
+        ", ".join(map(_quote, post.media_refs)),
+        _quote(Platform.parse(post.platform).value),
+        _quote(post.text),
     )
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for post in posts:
-            location = post.location_metadata
-            fh.write(
-                line
-                % (
-                    quote(post.created_at.isoformat()),
-                    quote(post.id),
-                    "null" if location is None else quote(location),
-                    ", ".join(map(quote, post.media_refs)),
-                    quote(Platform.parse(post.platform).value),
-                    quote(post.text),
-                )
-            )
 
 
 def _undecodable_line(path: Path) -> str:

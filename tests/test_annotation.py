@@ -57,8 +57,12 @@ def annotate(posts, backend, *args, **kwargs):
 
 
 def clean(posts, backend, *args, **kwargs):
-    """clean_dataset on hurricane posts."""
-    return clean_dataset(posts, DisasterTag.HURRICANE, backend, *args, **kwargs)
+    """clean_dataset on hurricane posts: the posts it keeps, in order, and its report."""
+    kept = []
+    _, report = clean_dataset(
+        posts, DisasterTag.HURRICANE, backend, *args, keep=kept.append, **kwargs
+    )
+    return kept, report
 
 
 class FlakyBackend:
@@ -428,22 +432,27 @@ class TestAnnotateDataset:
         [unmatched] = cache_lines(cache, "relevance_wildfire")
         assert len(cache_lines(cache)) == 7
 
-        held = []
-        run = disimpact.annotation._StageLoop.run
+        released, loops = [], []
 
-        def spy(loop, stage_posts, task):
-            judgments = run(loop, stage_posts, task)
-            held.append((loop.cache, dict(loop.cache)))
-            return judgments
+        class Cache(dict):
+            def clear(self):
+                released.append(dict(self))
+                super().clear()
 
-        monkeypatch.setattr(disimpact.annotation._StageLoop, "run", spy)
+        init = disimpact.annotation._StageLoop.__init__
+
+        def spy(loop, *args):
+            init(loop, *args)
+            loop.cache = Cache(loop.cache)
+            loops.append(loop)
+
+        monkeypatch.setattr(disimpact.annotation._StageLoop, "__init__", spy)
         backend = MockBackend()
         second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
-        [_, (in_memory, after_the_stages)] = held
         # Each matched verdict left the cache as its post streamed by ...
-        assert after_the_stages == {bytes.fromhex(unmatched["key"]): False}
+        assert released == [{bytes.fromhex(unmatched["key"]): False}]
         # ... and the rest was released before the call returned.
-        assert in_memory == {}
+        assert [loop.cache for loop in loops] == [{}]
         assert second == first
         assert report == disimpact.annotation.AnnotationReport(cache_hits=4)
         assert backend.calls == 0
@@ -605,15 +614,28 @@ class TestCleanDataset:
         assert report.total == 10
         assert report.kept == len(expected)
 
-    def test_a_one_shot_generator_gives_what_a_list_gives(self, tmp_path):
+    def test_a_reopenable_source_gives_what_a_list_gives(self, tmp_path):
         posts = make_posts()
+        reads = []
+
+        class Source:
+            """A fresh stream of the posts on each read, as the posts.jsonl source gives."""
+
+            def __iter__(self):
+                reads.append(len(reads))
+                yield from posts
+
         results = []
-        for name, stream in (("list", list), ("generator", lambda p: (post for post in p))):
+        for name, source in (("list", list(posts)), ("source", Source())):
             cache = tmp_path / f"{name}.jsonl"
             clean(posts[::2], MockBackend(), cache_path=cache, sleep=no_sleep)
-            results.append(clean(stream(posts), MockBackend(), cache_path=cache, sleep=no_sleep))
+            results.append(clean(source, MockBackend(), cache_path=cache, sleep=no_sleep))
         assert results[0] == results[1]
         assert results[0][1].cache_hits == 5
+        assert reads == [0, 1]  # the cache, then the relevance stage
+        # A one-shot stream cannot be read once per stage.
+        with pytest.raises(TypeError, match="re-iterable"):
+            clean((post for post in posts), MockBackend(), cache_path=cache, sleep=no_sleep)
 
     def test_summary_line(self, tmp_path):
         posts = make_posts()
@@ -677,8 +699,10 @@ class TestCacheKeys:
         def clean_for(disaster):
             def run(cache):
                 backend = MockBackend()
-                kept, _ = clean_dataset(
-                    fixture_posts(), disaster, backend, cache_path=cache, sleep=no_sleep
+                kept = []
+                clean_dataset(
+                    fixture_posts(), disaster, backend, cache_path=cache, sleep=no_sleep,
+                    keep=kept.append,
                 )
                 return [post.id for post in kept], backend.calls
 
@@ -944,6 +968,31 @@ class TestPool:
         assert backend.inner.calls == report.backend_posts + 171 == 371
         assert annotations == expected
         assert (tmp_path / "pool.jsonl").read_bytes() == inline.read_bytes()
+
+    def test_at_most_twice_max_in_flight_requests_are_submitted(self, tmp_path, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        cache = tmp_path / "cache.jsonl"
+        outstanding = []  # at each submit: requests submitted whose verdict is not yet written
+        submit = ThreadPoolExecutor.submit
+
+        def spy(pool, fn, *args):
+            written = cache.read_bytes().count(b"\n") if cache.exists() else 0
+            outstanding.append(len(outstanding) + 1 - written)
+            return submit(pool, fn, *args)
+
+        class Slow(PooledMock):
+            def complete(self, request):
+                time.sleep(0.001)
+                return super().complete(request)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        backend = Slow()
+        policy = ClientPolicy(max_in_flight=3)
+        labels, _ = annotate(fixture_posts(), backend, policy, cache_path=cache)
+        assert len(outstanding) == backend.inner.calls == 371
+        assert max(outstanding) == 6
+        assert labels == annotate(fixture_posts(), MockBackend(), cache_path=tmp_path / "c")[0]
 
     def test_cache_write_failure_cancels_queued_requests(self, tmp_path):
         class Slow(PooledMock):

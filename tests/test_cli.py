@@ -280,6 +280,56 @@ class TestAnnotationCache:
         assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
 
 
+    @pytest.mark.parametrize(
+        "command, cache, error",
+        [
+            ("clean", "{out}/posts_clean.jsonl",
+             "output {out}/posts_clean.jsonl would replace the annotation cache"),
+            ("annotate", "{out}/labels.csv",
+             "output {out}/labels.csv would replace the annotation cache"),
+            ("clean", "{posts}",
+             "cache {posts} would replace this run's manifest, an input or an output"),
+            ("annotate", "{posts}",
+             "cache {posts} would replace this run's manifest, an input or an output"),
+            ("annotate", "{out}/manifest_annotate.json",
+             "cache {out}/manifest_annotate.json would replace this run's manifest, "
+             "an input or an output"),
+        ],
+    )
+    def test_cache_may_name_no_output_input_or_manifest(
+        self, tmp_path, backends, command, cache, error
+    ):
+        made, _ = backends
+        posts, out = tmp_path / "posts.jsonl", tmp_path / "out"
+        posts.write_bytes(CLEAN20.read_bytes())
+        cache = cache.format(out=out, posts=posts)
+        argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out, "--cache", cache]
+        error = error.format(out=out, posts=posts)
+        assert run_cli(argv) == (2, "", f"error: MalformedInput: {error}\n")
+        assert made == []  # refused before the backend is made
+        assert list(out.iterdir()) == []
+        assert posts.read_bytes() == CLEAN20.read_bytes()
+
+
+class CountedPost(disimpact.Post):
+    """A Post that counts how many are alive now, and at most."""
+
+    __slots__ = ()
+    live = peak = 0
+    lock = threading.Lock()
+
+    def __new__(cls, *fields):
+        post = super().__new__(cls, *fields)
+        with cls.lock:
+            CountedPost.live += 1
+            CountedPost.peak = max(CountedPost.peak, CountedPost.live)
+        return post
+
+    def __del__(self):
+        with self.lock:
+            CountedPost.live -= 1
+
+
 class TestAnnotate:
     def test_cold_run_summary(self, pipeline):
         _, steps = pipeline
@@ -297,30 +347,89 @@ class TestAnnotate:
 
 class TestAnnotateStreams:
     def test_warm_run_loads_builds_and_holds_no_post(self, tmp_path, monkeypatch, backends):
+        made, factory = backends
+        monkeypatch.setattr(disimpact.ingestion, "Post", CountedPost)
+        reads = []  # one entry per read of posts.jsonl
+        iter_posts = cli.iter_posts
+        monkeypatch.setattr(cli, "iter_posts", lambda *args: reads.append(1) or iter_posts(*args))
+        cold = "annotated 200/200 posts (171 relevant, 0 cache hits)\n"
+        warm = "annotated 200/200 posts (171 relevant, 200 cache hits)\n"
+        steps = (  # command, stdout, reads of posts.jsonl, backend calls
+            # pass 1, then the relevance pass, which asks and writes the kept posts
+            ("clean", "171/200 (86%)\n", 2, 200),
+            # nothing to ask, but the kept posts are written from a second read
+            ("clean", "171/200 (86%)\n", 2, 0),
+            # pass 1, the relevance pass and the category pass
+            ("annotate", cold, 3, 371),
+            # every verdict cached: pass 1 only
+            ("annotate", warm, 1, 0),
+        )
+        # The window is the posts asked about at once: one for the inline mock,
+        # at most 2 x --max-in-flight for a pool. A pass also holds the post it
+        # last read while it parses the next.
+        for make, in_flight, window in ((disimpact.MockBackend, 4, 1), (PooledMock, 3, 6)):
+            factory["make"] = make
+            for command, stdout, n_reads, calls in steps:
+                out = tmp_path / make.__name__ / command
+                argv = [command, "--in", POSTS, "--disaster", "hurricane", "--out", out]
+                before = list(out.glob("annotation_cache.jsonl"))
+                before = before and before[0].read_bytes()
+                reads.clear()
+                CountedPost.peak = CountedPost.live = 0
+                assert run_cli(argv + ["--max-in-flight", in_flight]) == (0, stdout, "")
+                backend = getattr(made[-1], "inner", made[-1])
+                assert (len(reads), backend.calls) == (n_reads, calls), (make, command)
+                assert 1 <= CountedPost.peak <= window + 2, (make, command)
+                if not calls:
+                    assert (out / "annotation_cache.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["clean", "annotate"])
+    def test_posts_edited_between_passes_exit_1_and_commit_nothing(
+        self, tmp_path, monkeypatch, backends, command
+    ):
         made, _ = backends
-        held = []  # the posts each stage is handed, kept while a verdict is missing
-        run = disimpact.annotation._StageLoop.run
-        monkeypatch.setattr(
-            disimpact.annotation._StageLoop,
-            "run",
-            lambda loop, posts, task: held.append(len(posts)) or run(loop, posts, task),
-        )
-        argv = ["clean", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path / "clean"]
-        for warm in (False, True):
-            held.clear()
-            assert run_cli(argv) == (0, "171/200 (86%)\n", "")
-            assert (held, made[-1].calls) == (([0], 0) if warm else ([200], 200))
-        argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
-        held.clear()
-        assert run_cli(argv)[0] == 0
-        assert held == [200, 171]
-        before = (tmp_path / "annotation_cache.jsonl").read_bytes()
-        held.clear()
-        assert run_cli(argv) == (
-            0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n", ""
-        )
-        assert (held, made[-1].calls) == ([0, 0], 0)
-        assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
+        lines = CLEAN20.read_bytes().splitlines(keepends=True)
+        last = json.loads(lines[-1])
+        edited = json.dumps(last | {"text": "edited: " + last["text"]}).encode() + b"\n"
+        swapped = lines[:-2] + lines[:-3:-1]
+        # The file as the second read finds it, the error, and the verdicts asked first.
+        edits = {
+            "text": (lines[:-1] + [edited], "{posts} changed while it was read", 20),
+            "order": (
+                swapped, f"the posts changed between passes: post 19 is {last['id']!r}", 18
+            ),
+        }
+        iter_posts = cli.iter_posts
+        for edit, (new_lines, error, asked) in edits.items():
+            posts, out = tmp_path / edit / "posts.jsonl", tmp_path / edit / "out"
+            posts.parent.mkdir()
+            posts.write_bytes(CLEAN20.read_bytes())
+            reads = []
+
+            def read(path, *args):
+                reads.append(path)
+                if len(reads) == 2:
+                    posts.write_bytes(b"".join(new_lines))
+                return iter_posts(path, *args)
+
+            monkeypatch.setattr(cli, "iter_posts", read)
+            argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out]
+            assert run_cli(argv) == (
+                1, "", f"error: InputChanged: {error.format(posts=posts)}\n"
+            ), edit
+            # Every relevance verdict the second read asked for stays cached ...
+            assert [path.name for path in out.iterdir()] == ["annotation_cache.jsonl"]
+            cached = (out / "annotation_cache.jsonl").read_bytes().count(b"\n")
+            assert cached == made[-1].calls == asked, edit
+            # ... and a rerun on the file as it now is asks only for the rest.
+            monkeypatch.setattr(cli, "iter_posts", iter_posts)
+            assert run_cli(argv)[0] == 0
+            fresh = tmp_path / edit / "fresh"
+            assert run_cli(argv[:-1] + [fresh])[0] == 0
+            assert made[-2].calls == made[-1].calls - cached, edit
+            assert (out / "annotation_cache.jsonl").read_bytes() == (
+                fresh / "annotation_cache.jsonl"
+            ).read_bytes()
 
     def test_mostly_malformed_posts_exit_2_before_any_call(self, tmp_path, backends):
         made, _ = backends

@@ -25,10 +25,10 @@ from disimpact.ingestion import (
     json_line,
     load_ground_truth,
     load_labels,
+    post_line,
     scrub_handles,
     write_csv,
     write_labels_csv,
-    write_posts_jsonl,
 )
 
 from conftest import category, make_post
@@ -123,9 +123,7 @@ class TestLoadPosts:
         write_jsonl(path, [_line("a", platform="Mastodon"), _line("b", platform=" Reddit ")])
         posts, _ = read_posts(path)
         assert [p.platform for p in posts] == ["Mastodon", " Reddit "]
-        written = tmp_path / "posts_clean.jsonl"
-        write_posts_jsonl(posts, written)
-        lines = written.read_text(encoding="utf-8").splitlines()
+        lines = [post_line(post) for post in posts]
         assert [json.loads(line)["platform"] for line in lines] == ["other", "reddit"]
 
     def test_round_trip_through_writer(self, tmp_path):
@@ -140,10 +138,10 @@ class TestLoadPosts:
             ],
         )
         loaded, _ = read_posts(first)
-        write_posts_jsonl(loaded, second)
+        second.write_text("".join(map(post_line, loaded)), encoding="utf-8")
         again, _ = read_posts(second)
         assert again == loaded
-        write_posts_jsonl(again, first)
+        first.write_text("".join(map(post_line, again)), encoding="utf-8")
         assert first.read_bytes() == second.read_bytes()
 
 

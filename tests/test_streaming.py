@@ -394,12 +394,14 @@ def annotate_in_memory(posts, cache, labels_path, backend):
     asked = set()  # the ids of posts a stage found no cached verdict for
 
     def stage(stage_posts, task):
+        """Each post's judgment: cached, or asked in post order; None where it failed."""
         question = _question(task, backend)
-        asked.update(
-            post.id for post in stage_posts
-            if _key(question, _key_material(post)) not in loop.cache
-        )
-        return loop.run(stage_posts, task)
+        keys = [_key(question, _key_material(post)) for post in stage_posts]
+        judgments = [loop.cache.get(key) for key in keys]
+        missing = [(i, stage_posts[i], key) for i, key in enumerate(keys) if judgments[i] is None]
+        asked.update(post.id for _, post, _ in missing)
+        loop.run(missing, task, lambda i, _post, judgment: judgments.__setitem__(i, judgment))
+        return judgments
 
     relevance = stage(posts, Task.RELEVANCE_HURRICANE)
     relevant = [post for post, flag in zip(posts, relevance) if flag]
