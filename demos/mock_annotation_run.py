@@ -54,8 +54,9 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
     print()
 
     # Stage one drops posts that are not about the disaster. The posts
-    # are read once per stage, so they must be re-iterable: a list here.
-    # keep gets each relevant post, in order, as its verdict comes in.
+    # are read twice, once to look up the cache and once to ask, so they
+    # must be re-iterable: a list here. keep gets each relevant post, in
+    # order, as its verdict comes in.
     backend = MockBackend()
     policy = ClientPolicy(max_in_flight=2)
     kept = []
@@ -67,10 +68,12 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
         print("  kept:", post.id, post.text[:46])
     print()
 
-    # Stage two assigns one impact category per relevant post. This
-    # source streams the file anew on each read, and the loop keeps
-    # only each post's id and verdicts. The cache wrote stage-one
-    # verdicts already, so those calls are not repeated.
+    # Stage two assigns one impact category per relevant post. One
+    # asking read takes each post in turn: its relevance, if that is
+    # missing, then a relevant post's category. This source streams the
+    # file anew on each read, and the loop keeps only each post's id and
+    # verdicts. The cache holds the stage-one verdicts already, so only
+    # the category calls are made.
     class PostsFile:
         def __iter__(self):
             return iter_posts(posts_path, LoadReport())

@@ -8,9 +8,11 @@ minimal JSON-over-HTTP contract (template id plus post payload in,
 judgment JSON out) and leaves vendor specifics to adapter code.
 
 clean_dataset and annotate_dataset share one loop, _run_stages. It
-reads the posts once per stage, from a source that can be read again,
-and holds no post past its read: per post it keeps the id and one byte
-of state.
+reads the posts at most twice, from a source that can be read again:
+once to look up the cache, and once to ask, post by post, for every
+verdict still missing (relevance, then a relevant post's category). It
+holds no post past its read: per post it keeps the id and one byte of
+state.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ class ClassifierRequest:
         )
 
 
+# A pool starts a thread for each post submitted until it is full.
+MAX_IN_FLIGHT = 64
+
+
 @dataclass(frozen=True)
 class ClientPolicy:
     max_in_flight: int = 4
@@ -104,8 +110,10 @@ class ClientPolicy:
     backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise OutOfRange("max_in_flight must be positive")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise OutOfRange(
+                f"max_in_flight must be 1 to {MAX_IN_FLIGHT}, got {self.max_in_flight}"
+            )
         if self.max_retries < 0:
             raise OutOfRange("max_retries must be >= 0")
         if self.backoff_base < 0:
@@ -319,12 +327,6 @@ def _call_with_retries(
     raise AssertionError("unreachable")
 
 
-_RELEVANCE_TASK = {
-    DisasterTag.HURRICANE: Task.RELEVANCE_HURRICANE,
-    DisasterTag.WILDFIRE: Task.RELEVANCE_WILDFIRE,
-}
-
-
 def _classify(
     post: Post,
     task: Task,
@@ -442,14 +444,15 @@ def _end_torn_line(fh) -> None:
 
 
 class _StageLoop:
-    """The cache and backend of _run_stages; run asks one task for a stream of posts.
+    """The cache and backend of _run_stages; run asks each post for the verdicts it lacks.
 
-    Verdicts missing from the cache are asked for inline for an
-    in-process backend, otherwise from a pool of ``max_in_flight``
-    threads with at most twice that many requests submitted at once.
-    Each new verdict is appended in post order and flushed as soon as
-    it and every verdict before it are done, so an interrupted run
-    keeps the work it finished.
+    A post's verdicts are asked for in turn, relevance before category:
+    inline for an in-process backend, otherwise in one task of a pool of
+    ``max_in_flight`` threads, with at most twice that many posts
+    submitted at once. Each new verdict is appended to the cache in post
+    order, and flushed inline before the next backend call, or with a
+    pool as soon as its post and every post before it are done. So an
+    interrupted run keeps the work it finished.
     """
 
     def __init__(self, report, backend, policy, cache_path, sleep) -> None:
@@ -458,57 +461,71 @@ class _StageLoop:
         self.policy = policy
         self.cache_path = Path(cache_path)
         self.sleep = sleep
+        # Each task's question, and its name as a cache line spells it.
+        self.questions = {task: (_question(task, backend), task.value) for task in Task}
         cache, report.cache_invalid = _read_cache(self.cache_path)
         # Without an identity, a cached verdict may be another backend's.
         self.cache = cache if getattr(backend, "identity", None) is not None else {}
 
-    def run(
-        self,
-        items: Iterable[tuple[int, Post, bytes | None]],
-        task: Task,
-        done: Callable[[int, Post, bool | ImpactCategory | None], object],
-    ) -> None:
-        """Ask task for each (index, post, key) item that has a key.
+    def ask(self, post: Post, tasks: tuple[Task, ...]):
+        """Yield (task name, key, verdict) for each of tasks in turn, while the verdicts are True.
 
-        done(index, post, judgment) is called for every item, in order;
-        the judgment is None for an item without a key and for a post
-        that failed.
+        A verdict still in the cache is taken out of it and costs no
+        call; its key is None, as it needs no new line. A failed call's
+        verdict is an AnnotationError.
+        """
+        material = _key_material(post)
+        for task in tasks:
+            question, name = self.questions[task]
+            key = _key(question, material)
+            verdict = self.cache.pop(key, None)
+            if verdict is not None:
+                key = None
+            else:
+                try:
+                    verdict = _classify(post, task, self.backend, self.policy, self.sleep)
+                except (TransportError, MalformedResponse, EmptyInput) as exc:
+                    verdict = AnnotationError(
+                        post_id=post.id, stage=type(exc).__name__, message=str(exc)
+                    )
+            yield name, key, verdict
+            if verdict is not True:
+                return
+
+    def run(self, items: Iterable[tuple[int, Post, tuple[Task, ...]]], done: Callable) -> None:
+        """Ask for the tasks of each (index, post, tasks) item, then call done.
+
+        done(index, post, verdict) is called for every item, in order,
+        with the last of its verdicts that did not fail, or None.
         """
         # The bytes json.dumps gives the line with sorted keys, formatted directly.
-        line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": %s}\n'
-        task_json = json.dumps(task.value)
+        line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": "%s"}\n'
         quote = json.encoder.encode_basestring_ascii
         fh = None
 
-        def ask(post: Post) -> bool | ImpactCategory | AnnotationError:
-            try:
-                return _classify(post, task, self.backend, self.policy, self.sleep)
-            except (TransportError, MalformedResponse, EmptyInput) as exc:
-                return AnnotationError(
-                    post_id=post.id, stage=type(exc).__name__, message=str(exc)
-                )
-
-        def finish(i: int, post: Post, key: bytes | None, answer) -> None:
+        def finish(i: int, post: Post, verdicts) -> None:
             nonlocal fh
-            if isinstance(answer, AnnotationError):
-                self.report.errors.append(answer)
-                answer = None
-            elif answer is not None:
+            last = None
+            for name, key, verdict in verdicts:
+                if isinstance(verdict, AnnotationError):
+                    self.report.errors.append(verdict)
+                    continue
+                last = verdict
+                if key is None:
+                    continue
                 if fh is None:
                     fh = stack.enter_context(self.cache_path.open("a+b"))
                     _end_torn_line(fh)
-                if isinstance(answer, bool):
-                    judgment = "true" if answer else "false"
-                else:
-                    judgment = answer.code
-                fh.write((line % (judgment, key.hex(), quote(post.id), task_json)).encode())
+                judgment = str(verdict).lower() if isinstance(verdict, bool) else verdict.code
+                fh.write((line % (judgment, key.hex(), quote(post.id), name)).encode())
                 fh.flush()
-            done(i, post, answer)
+            done(i, post, last)
 
         with ExitStack() as stack:
             if getattr(self.backend, "in_process", False):
-                for i, post, key in items:
-                    finish(i, post, key, None if key is None else ask(post))
+                # Each line is on disk before the generator makes its next call.
+                for i, post, tasks in items:
+                    finish(i, post, self.ask(post, tasks))
                 return
             # Imported here: in-process backends, the common case, need no pool.
             from concurrent.futures import ThreadPoolExecutor
@@ -516,14 +533,15 @@ class _StageLoop:
             pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
             # If writing the cache or reading the posts fails, send none of the queued requests.
             stack.callback(pool.shutdown, cancel_futures=True)
-            window: deque = deque()  # (index, post, key, future or None), in post order
+            window: deque = deque()  # (index, post, future or None), in post order
 
             def finish_first() -> None:
-                i, post, key, future = window.popleft()
-                finish(i, post, key, None if future is None else future.result())
+                i, post, future = window.popleft()
+                finish(i, post, () if future is None else future.result())
 
-            for i, post, key in items:
-                window.append((i, post, key, None if key is None else pool.submit(ask, post)))
+            for i, post, tasks in items:
+                future = pool.submit(list, self.ask(post, tasks)) if tasks else None
+                window.append((i, post, future))
                 if len(window) == 2 * self.policy.max_in_flight:
                     finish_first()
             while window:
@@ -554,32 +572,28 @@ def _run_stages(
 ) -> tuple[list[str], bytearray]:
     """The one annotation loop: each post's id and its state.
 
-    posts is read once per stage, as a stream, so it must be
-    re-iterable (a list, or a file source) and give the same posts each
-    time. A pass holds only the posts of its window: the one asked about
-    inline, or at most 2 x max_in_flight for a pool backend.
+    posts is read at most twice, as a stream, so it must be re-iterable
+    (a list, or a file source) and give the same posts each time. A
+    pass holds only the posts of its window: the one asked about inline,
+    or at most 2 x max_in_flight for a pool backend.
 
-    - Pass 1 comes after the cache is read. It keeps each post's id and
-      one byte of state, and takes each cached verdict out of the
-      in-memory cache as its post streams by. No backend call is made
-      before it ends.
-    - The relevance pass asks, in post order, for each missing
-      relevance verdict. With keep (clean), only this stage runs, and
-      keep gets each relevant post in post order, from this same pass.
-    - Without keep (annotate), the category pass then asks for each
-      relevant post's missing category.
-
-    A later pass runs only when it has a verdict to ask for or a post
-    to keep, so a warm annotate reads the posts once. A later pass that
-    gives other ids raises InputChanged. What is left of the cache is
-    released before this returns. Post ids must be distinct, as
-    iter_posts yields them: a repeated post would be asked again.
+    Pass 1 comes after the cache is read. It keeps each post's id and
+    one byte of state, and takes each cached verdict out of the
+    in-memory cache as its post streams by; it makes no backend call.
+    The asking pass then goes through the posts in order. For each it
+    asks for the missing relevance verdict and, without keep
+    (annotate), a relevant post's missing category. With keep (clean),
+    keep gets each relevant post. It runs only when it has a verdict to
+    ask for or a post to keep, so a warm annotate reads the posts once,
+    and raises InputChanged if it gives other ids. What is left of the
+    cache is released before this returns. Post ids must be distinct,
+    as iter_posts yields them: a repeated post would be asked again.
     """
     if isinstance(posts, Iterator):
         raise TypeError("posts must be re-iterable, such as a list, not a one-shot iterator")
-    relevance_task = _RELEVANCE_TASK[disaster]
-    relevance_question = _question(relevance_task, loop.backend)
-    category_question = _question(Task.IMPACT_CATEGORY, loop.backend)
+    relevance_task = Task(f"relevance_{disaster.value}")
+    relevance_question = loop.questions[relevance_task][0]
+    category_question = loop.questions[Task.IMPACT_CATEGORY][0]
     ids: list[str] = []
     states = bytearray()
     for post in posts:
@@ -599,45 +613,26 @@ def _run_stages(
         ids.append(post.id)
         states.append(state)
     post = None  # pass 1 is over; hold its last post no longer
-    # A post missing a verdict is asked at least once; clean asks only relevance.
-    missing = states.count(_UNKNOWN)
-    if keep is None:
-        missing += states.count(_RELEVANT)
+    # The tasks a post in each state lacks, asked in turn while each
+    # verdict is True; clean asks no category, but keeps each relevant post.
+    category = (Task.IMPACT_CATEGORY,) if keep is None else ()
+    lacking = {_UNKNOWN: (relevance_task, *category), _RELEVANT: category}
+    # A post missing a verdict is asked at least once.
+    missing = sum(states.count(state) for state, tasks in lacking.items() if tasks)
     loop.report.backend_posts = missing
     loop.report.cache_hits = len(ids) - missing
 
-    def relevance_items():
-        for i, post in _reread(posts, ids):
-            if states[i] == _UNKNOWN:
-                yield i, post, _key(relevance_question, _key_material(post))
-            elif keep is not None and states[i] == _RELEVANT:
-                yield i, post, None
-
-    def relevance_done(i: int, post: Post, flag) -> None:
-        if flag is not None:
-            states[i] = _RELEVANT if flag else _IRRELEVANT
+    def done(i: int, post: Post, verdict) -> None:
+        if isinstance(verdict, bool):
+            states[i] = _RELEVANT if verdict else _IRRELEVANT
+        elif verdict is not None:
+            states[i] = _RELEVANT + verdict.code
         if keep is not None and states[i] == _RELEVANT:
             keep(post)
 
-    if _UNKNOWN in states or (keep is not None and _RELEVANT in states):
-        loop.run(relevance_items(), relevance_task, relevance_done)
-
-    def category_items():
-        for i, post in _reread(posts, ids):
-            if states[i] == _RELEVANT:
-                key = _key(category_question, _key_material(post))
-                category = loop.cache.pop(key, None)
-                if category is None:
-                    yield i, post, key
-                else:
-                    states[i] = _RELEVANT + category.code
-
-    def category_done(i: int, post: Post, category) -> None:
-        if category is not None:
-            states[i] = _RELEVANT + category.code
-
-    if keep is None and _RELEVANT in states:
-        loop.run(category_items(), Task.IMPACT_CATEGORY, category_done)
+    if _UNKNOWN in states or _RELEVANT in states:
+        reread = _reread(posts, ids)
+        loop.run(((i, p, lacking[states[i]]) for i, p in reread if states[i] in lacking), done)
     loop.cache.clear()
     return ids, states
 
@@ -650,17 +645,19 @@ def annotate_dataset(
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[list[Label], AnnotationReport]:
-    """Annotate every post: relevance, then the category of relevant posts.
+    """Annotate every post: relevance, then the category of a relevant post.
 
-    posts is read once, then once more per stage that has a verdict to
-    ask for, so it must be re-iterable: a list, or a source each
-    iteration of which streams the same posts anew (a one-shot iterator
-    raises TypeError). No post is held past the read it came from.
-    Verdicts already cached, relevance verdicts from ``clean_dataset``
-    included, cost zero backend calls. Failures are collected per post
-    and the rest of the batch completes; a failed post is left out of
-    the labels and its missing verdict is asked for on the next run. An
-    irrelevant post is labelled OTHER.
+    posts is read once, then once more if a verdict is missing, so it
+    must be re-iterable: a list, or a source each iteration of which
+    streams the same posts anew (a one-shot iterator raises TypeError).
+    The second read asks for each post's missing verdicts, relevance
+    before category, before it moves to the next post. No post is held
+    past the read it came from. Verdicts already cached, relevance
+    verdicts from ``clean_dataset`` included, cost zero backend calls.
+    Failures are collected per post and the rest of the batch
+    completes; a failed post is left out of the labels and its missing
+    verdict is asked for on the next run. An irrelevant post is
+    labelled OTHER.
     """
     report = AnnotationReport()
     loop = _StageLoop(report, backend, policy, cache_path, sleep)
@@ -687,8 +684,9 @@ def clean_dataset(
     """Relevance-filter posts for the disaster, caching each verdict for later stages.
 
     posts is read at most twice, so it must be re-iterable, as for
-    ``annotate_dataset``. keep gets each relevant post, in input order,
-    during the second read; nothing else holds a post past its read.
+    ``annotate_dataset``. The second read asks for each missing
+    relevance verdict, and keep gets each relevant post, in input order,
+    during it; nothing else holds a post past its read.
     Returns how many posts keep got, and the report. Cached relevance
     verdicts (from either command) are reused without backend calls,
     and ``annotate_dataset`` reuses the ones this writes.

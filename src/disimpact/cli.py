@@ -180,8 +180,12 @@ class Run:
     """One command's inputs and outputs, committed together on exit 0.
 
     Each output is written to a hidden temp file in ``--out`` and moved
-    into place by ``commit``, which writes the manifest last. ``discard``
-    removes this run's temp files and touches nothing under a final name.
+    into place by ``commit``, which writes the manifest last. A commit
+    that fails puts every earlier file back. A process killed during
+    ``commit`` may leave some outputs new and the rest, with the
+    manifest, from the earlier run, and hidden ``.<name>.*.old`` links
+    holding the earlier bytes. ``discard`` removes this run's temp files
+    and touches nothing under a final name.
     """
 
     def __init__(self, args: argparse.Namespace, config: RunConfig) -> None:
@@ -227,19 +231,52 @@ class Run:
         return self.staged[final]
 
     def commit(self) -> None:
-        """Move the outputs into place, then write the manifest; undo the moves on failure."""
+        """Move the outputs into place, then write the manifest; undo the moves on failure.
+
+        Each earlier file a move replaces is first kept under a hidden
+        ``.<name>.*.old`` link, removed once the manifest is in place.
+        """
         moved: list[Path] = []
+        kept: dict[Path, Path] = {}  # final name -> the link to its earlier file
         try:
             for final, temp in self.staged.items():
+                old = temp.with_suffix(".old")
+                try:
+                    os.link(final, old, follow_symlinks=False)
+                    kept[final] = old
+                except FileNotFoundError:
+                    pass  # no earlier file
+                except PermissionError:
+                    if not final.is_dir():  # the move below fails on a directory
+                        raise
                 os.replace(temp, final)
                 moved.append(final)
             temp = self._stage(self.manifest)
             write_manifest(self, moved + [p for p in self.recorded if p.exists()], temp)
             os.replace(temp, self.manifest)
         except BaseException:
-            for path in moved:
-                path.unlink(missing_ok=True)
+            self._undo(moved, kept)
             raise
+        for old in kept.values():
+            old.unlink()
+
+    def _undo(self, moved: list[Path], kept: dict[Path, Path]) -> None:
+        """Put back each earlier file a move replaced, and remove the other moved outputs.
+
+        An earlier file that cannot be put back stays under its hidden
+        name, and the manifest goes, so no manifest lists bytes that are
+        not on disk.
+        """
+        for final in moved:
+            try:
+                if final in kept:
+                    os.replace(kept.pop(final), final)
+                else:
+                    final.unlink(missing_ok=True)
+            except OSError:
+                self.manifest.unlink(missing_ok=True)
+        for old in kept.values():  # its move failed, so the earlier file is in place
+            old.unlink(missing_ok=True)
 
     def discard(self) -> None:
         for temp in self.staged.values():
@@ -283,7 +320,7 @@ def _report_dropped(report: LoadReport) -> None:
 
 
 class _PostsFile:
-    """posts.jsonl as the annotation loop reads it: once per stage.
+    """posts.jsonl as the annotation loop reads it: once, then once to ask.
 
     The first read counts into report and ends by saying on stderr how
     many lines were dropped. Each later read must give the bytes whose

@@ -33,8 +33,10 @@ from .errors import EmptyInput, InvalidCounts, OutOfRange
 from .ingestion import write_csv
 from .windowing import CountSeries
 
-# Fallback width when every window has the same total: wide enough that
-# w collapses to pi/2 instead of dividing by zero.
+# When the IQR of the window totals is 0, max(1.0, N_mean * IQR_EPSILON)
+# stands in for it, so w never divides by zero. w is pi/2 only where
+# every total is equal: with unequal totals a window one post off the
+# mean usually moves w by pi/4, and a few posts take it close to 0 or pi.
 IQR_EPSILON = 1e-6
 
 
@@ -79,7 +81,12 @@ def compute_iqr(values: Sequence[float], method: str = "linear") -> float:
 
 @dataclass(frozen=True)
 class SeriesStats:
-    """Batch statistics of the window totals {N_t}."""
+    """Batch statistics of the window totals {N_t}.
+
+    An IQR of 0 is replaced by max(1.0, n_mean * IQR_EPSILON), and
+    iqr_degenerate is set. The weight is then pi/2 only if every total
+    is equal; unequal totals still spread it across (0, pi).
+    """
 
     n_mean: float
     iqr: float

@@ -368,6 +368,9 @@ class TestRetries:
     def test_policy_validation(self):
         with pytest.raises(OutOfRange):
             ClientPolicy(max_in_flight=0)
+        assert ClientPolicy(max_in_flight=64).max_in_flight == 64
+        with pytest.raises(OutOfRange, match="max_in_flight must be 1 to 64, got 65"):
+            ClientPolicy(max_in_flight=65)
         with pytest.raises(OutOfRange):
             ClientPolicy(max_retries=-1)
         with pytest.raises(OutOfRange):
@@ -467,11 +470,13 @@ class TestAnnotateDataset:
     def test_cache_appends_in_dataset_order(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         annotate(make_posts(), MockBackend(), cache_path=cache, sleep=no_sleep)
-        relevant = [f"p{i}" for i, (_, flag, _) in enumerate(SCRIPTED_POSTS) if flag]
-        # Each stage appends its verdicts in post order.
+        # Verdicts are appended in post order, a relevant post's category
+        # right after its relevance.
         assert [(line["task"], line["post_id"]) for line in cache_lines(cache)] == [
-            ("relevance_hurricane", f"p{i}") for i in range(10)
-        ] + [("impact_category", post_id) for post_id in relevant]
+            (task, f"p{i}")
+            for i, (_, flag, _) in enumerate(SCRIPTED_POSTS)
+            for task in ("relevance_hurricane", "impact_category")[: 1 + flag]
+        ]
 
     def test_failed_post_is_isolated_and_retried_later(self, tmp_path):
         posts = make_posts()
@@ -869,18 +874,15 @@ class TestCacheKeys:
         assert [label.relevant for label in labels] == [True] * 5 + [False]
         by_id = {post.id: post for post in posts}
         expected = []
-        for task, chosen in (
-            (Task.RELEVANCE_HURRICANE, labels),
-            (Task.IMPACT_CATEGORY, [label for label in labels if label.relevant]),
-        ):
-            question = _question(task, backend)
-            for label in chosen:
-                post = by_id[label.post_id]
-                relevance = task is Task.RELEVANCE_HURRICANE
-                judgment = label.relevant if relevance else label.category.code
+        for label in labels:
+            post = by_id[label.post_id]
+            verdicts = [(Task.RELEVANCE_HURRICANE, label.relevant)]
+            if label.relevant:
+                verdicts.append((Task.IMPACT_CATEGORY, label.category.code))
+            for task, judgment in verdicts:
                 line = {
                     "judgment": judgment,
-                    "key": _key(question, _key_material(post)).hex(),
+                    "key": _key(_question(task, backend), _key_material(post)).hex(),
                     "post_id": post.id,
                     "task": task.value,
                 }
@@ -969,16 +971,42 @@ class TestPool:
         assert annotations == expected
         assert (tmp_path / "pool.jsonl").read_bytes() == inline.read_bytes()
 
+    def test_many_threads_take_each_cached_category_once(self, tmp_path):
+        posts = fixture_posts()
+        inline = tmp_path / "inline.jsonl"
+        expected, _ = annotate(posts, MockBackend(), cache_path=inline)
+        # Categories only: each worker asks relevance, then takes the
+        # category out of the shared cache.
+        cache = tmp_path / "categories.jsonl"
+        cache.write_bytes(b"".join(
+            line for line in inline.read_bytes().splitlines(keepends=True)
+            if b'"impact_category"' in line
+        ))
+        backend = PooledMock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            annotations, report = annotate(
+                posts, backend, ClientPolicy(max_in_flight=8), cache_path=cache
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(backend.threads) > 1
+        assert backend.inner.calls == report.backend_posts == 200
+        assert annotations == expected
+        assert sorted(cache.read_bytes().splitlines()) == sorted(inline.read_bytes().splitlines())
+
     def test_at_most_twice_max_in_flight_requests_are_submitted(self, tmp_path, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
         cache = tmp_path / "cache.jsonl"
-        outstanding = []  # at each submit: requests submitted whose verdict is not yet written
+        outstanding = []  # at each submit: posts submitted whose verdicts are not yet written
         submit = ThreadPoolExecutor.submit
 
         def spy(pool, fn, *args):
-            written = cache.read_bytes().count(b"\n") if cache.exists() else 0
-            outstanding.append(len(outstanding) + 1 - written)
+            # A post's lines are written together, between two submits.
+            written = {line["post_id"] for line in cache_lines(cache)} if cache.exists() else ()
+            outstanding.append(len(outstanding) + 1 - len(written))
             return submit(pool, fn, *args)
 
         class Slow(PooledMock):
@@ -990,7 +1018,8 @@ class TestPool:
         backend = Slow()
         policy = ClientPolicy(max_in_flight=3)
         labels, _ = annotate(fixture_posts(), backend, policy, cache_path=cache)
-        assert len(outstanding) == backend.inner.calls == 371
+        # Each post's relevance and category are asked in one task.
+        assert (len(outstanding), backend.inner.calls) == (200, 371)
         assert max(outstanding) == 6
         assert labels == annotate(fixture_posts(), MockBackend(), cache_path=tmp_path / "c")[0]
 

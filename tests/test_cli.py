@@ -355,12 +355,12 @@ class TestAnnotateStreams:
         cold = "annotated 200/200 posts (171 relevant, 0 cache hits)\n"
         warm = "annotated 200/200 posts (171 relevant, 200 cache hits)\n"
         steps = (  # command, stdout, reads of posts.jsonl, backend calls
-            # pass 1, then the relevance pass, which asks and writes the kept posts
+            # pass 1, then the asking pass, which asks and writes the kept posts
             ("clean", "171/200 (86%)\n", 2, 200),
             # nothing to ask, but the kept posts are written from a second read
             ("clean", "171/200 (86%)\n", 2, 0),
-            # pass 1, the relevance pass and the category pass
-            ("annotate", cold, 3, 371),
+            # pass 1, then the asking pass: relevance, and each relevant post's category
+            ("annotate", cold, 2, 371),
             # every verdict cached: pass 1 only
             ("annotate", warm, 1, 0),
         )
@@ -392,11 +392,15 @@ class TestAnnotateStreams:
         last = json.loads(lines[-1])
         edited = json.dumps(last | {"text": "edited: " + last["text"]}).encode() + b"\n"
         swapped = lines[:-2] + lines[:-3:-1]
-        # The file as the second read finds it, the error, and the verdicts asked first.
+        # The file as the second read finds it, the error, and the verdicts asked first:
+        # annotate asks each relevant post's category too, 14 of the first 18 and of all 20.
+        categories = 0 if command == "clean" else 14
         edits = {
-            "text": (lines[:-1] + [edited], "{posts} changed while it was read", 20),
+            "text": (lines[:-1] + [edited], "{posts} changed while it was read", 20 + categories),
             "order": (
-                swapped, f"the posts changed between passes: post 19 is {last['id']!r}", 18
+                swapped,
+                f"the posts changed between passes: post 19 is {last['id']!r}",
+                18 + categories,
             ),
         }
         iter_posts = cli.iter_posts
@@ -417,7 +421,7 @@ class TestAnnotateStreams:
             assert run_cli(argv) == (
                 1, "", f"error: InputChanged: {error.format(posts=posts)}\n"
             ), edit
-            # Every relevance verdict the second read asked for stays cached ...
+            # Every verdict the second read asked for stays cached ...
             assert [path.name for path in out.iterdir()] == ["annotation_cache.jsonl"]
             cached = (out / "annotation_cache.jsonl").read_bytes().count(b"\n")
             assert cached == made[-1].calls == asked, edit
@@ -1250,6 +1254,73 @@ class TestCommitOnSuccess:
         assert stderr.startswith("error: MalformedInput: output name ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out"]
 
+    def test_a_directory_in_the_way_keeps_the_earlier_run(self, tmp_path):
+        argv = ["index", "--in", TABLE_COUNTS, "--out", tmp_path]
+        assert run_cli(argv)[0] == 0
+        kept = ("index.csv", "manifest_index.json")
+        before = {name: (tmp_path / name).read_bytes() for name in kept}
+        (tmp_path / "domain.csv").unlink()
+        (tmp_path / "domain.csv").mkdir()
+        code, _, stderr = run_cli(argv + ["--alpha", "2"])
+        assert (code, stderr.partition(":")[2][:19]) == (2, " IsADirectoryError:")
+        assert {name: (tmp_path / name).read_bytes() for name in kept} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["domain.csv", *kept]
+
+    @pytest.mark.parametrize(
+        "command, changed", [("index", ["--alpha", "2"]), ("validate", ["--max-lag", "2"])]
+    )
+    def test_a_failed_move_keeps_the_earlier_run(self, tmp_path, monkeypatch, command, changed):
+        argv = {
+            "index": ["index", "--in", TABLE_COUNTS],
+            "validate": ["validate", "--in", TRUTH, "--truth", TRUTH],
+        }[command]
+        replace = os.replace
+        for k in (1, 2, 3):  # each of the two outputs, then the manifest
+            out = tmp_path / f"fault{k}"
+            assert run_cli(argv + ["--out", out])[0] == 0
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            calls = []
+
+            def full_at_k(*args):
+                calls.append(args)
+                if len(calls) == k:
+                    raise OSError(28, "No space left on device")
+                return replace(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", full_at_k)
+                code, _, stderr = run_cli(argv + ["--out", out, *changed])
+            assert (code, stderr) == (2, "error: OSError: [Errno 28] No space left on device\n")
+            # Every final name holds the earlier bytes, and no hidden file is left.
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before, k
+        # Without a fault, the rerun replaces every file.
+        assert run_cli(argv + ["--out", out, *changed])[0] == 0
+        after = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert after.keys() == before.keys()
+        assert all(after[name] != before[name] for name in before)
+
+    def test_a_failed_undo_removes_the_manifest(self, tmp_path, monkeypatch):
+        argv = ["index", "--in", TABLE_COUNTS, "--out", tmp_path]
+        assert run_cli(argv)[0] == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        replace, calls = os.replace, []
+
+        def full_from_the_second(*args):
+            calls.append(args)
+            if len(calls) >= 2:  # domain.csv's move, then index.csv's way back
+                raise OSError(28, "No space left on device")
+            return replace(*args)
+
+        monkeypatch.setattr(os, "replace", full_from_the_second)
+        assert run_cli(argv + ["--alpha", "2"])[0] == 2
+        assert len(calls) == 3
+        names = sorted(path.name for path in tmp_path.iterdir())
+        # index.csv is new, and its earlier bytes wait under a hidden name.
+        [old] = [name for name in names if name.startswith(".index.csv.")]
+        assert names == [old, "domain.csv", "index.csv"]
+        assert old.endswith(".old") and (tmp_path / old).read_bytes() == before["index.csv"]
+        assert (tmp_path / "domain.csv").read_bytes() == before["domain.csv"]
+
     def test_outputs_get_the_mode_open_gives(self, tmp_path):
         assert run_cli(["index", "--in", TABLE_COUNTS, "--out", tmp_path])[0] == 0
         (tmp_path / "plain.txt").write_text("x")
@@ -1441,6 +1512,21 @@ class TestInterrupts:
         assert {name: (out / name).read_bytes() for name in before} == before
         leftovers = set(p.name for p in out.iterdir()) - set(before)
         assert all(n.startswith(".counts.csv.") and n.endswith(".tmp") for n in leftovers)
+
+
+class TestMaxInFlight:
+    def test_above_the_limit_exits_1_before_any_call(self, tmp_path, backends):
+        # The in-process mock starts no pool, so no thread is started either way.
+        made, _ = backends
+        for command in ("clean", "annotate"):
+            out = tmp_path / command
+            argv = [command, "--in", CLEAN20, "--disaster", "hurricane", "--out", out]
+            assert run_cli(argv + ["--max-in-flight", "100000"]) == (
+                1, "", "error: OutOfRange: max_in_flight must be 1 to 64, got 100000\n"
+            )
+            assert list(out.iterdir()) == []
+        assert [backend.calls for backend in made] == [0, 0]
+        assert run_cli(argv + ["--max-in-flight", "64"])[0] == 0
 
 
 class TestTimeout:

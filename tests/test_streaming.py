@@ -11,9 +11,9 @@ agree.
 `annotate` reads the cache first and then streams posts.jsonl once,
 keeping an id and one byte of state per post. Random posts files,
 caches and backends, and one post in each of those states, go through
-it and through the two stages run over the loaded posts, and
-labels.csv, the cache bytes, stdout, stderr, the exit code and the
-number of backend calls must agree.
+it and through a plain loop over the loaded posts that shares none of
+its code, and labels.csv, the cache bytes, stdout, stderr, the exit
+code and the backend calls must agree.
 
 Ids and texts drawn from all of Unicode go through clean, annotate,
 counts and spatial: each exits cleanly, and every id written to the
@@ -36,12 +36,13 @@ from hypothesis import strategies as st
 
 from disimpact import (
     OTHER,
-    AnnotationReport,
     ClientPolicy,
     DisimpactError,
+    EmptyInput,
     IndexConfig,
     Label,
     Located,
+    MalformedResponse,
     MockBackend,
     SourceFilter,
     Task,
@@ -50,6 +51,7 @@ from disimpact import (
     UnknownPostId,
     aggregate_state_month,
     build_count_series,
+    category_from_code,
     load_gazetteer,
     load_labels,
     resolve_location,
@@ -57,7 +59,7 @@ from disimpact import (
     write_labels_csv,
     write_spatial_csv,
 )
-from disimpact.annotation import _StageLoop, _key, _key_material, _question
+from disimpact.annotation import _classify, _key, _key_material, _question
 from disimpact.ingestion import LoadReport, csv_rows, iter_labels, iter_posts
 from disimpact.cli import main
 
@@ -297,15 +299,21 @@ annotate_posts_file = st.lists(
 
 
 class Counting(MockBackend):
-    """The mock, counting every call in calls."""
+    """The mock, recording the post id and task of every call in calls."""
 
     def __init__(self, calls):
         super().__init__()
         self.tally = calls
 
     def complete(self, request):
-        self.tally.append(request.task)
+        self.tally.append((request.post.id, request.task))
         return super().complete(request)
+
+
+class PooledCounting(Counting):
+    """The counting mock, with its identity, called from the pool."""
+
+    in_process = False
 
 
 class Failing(Counting):
@@ -318,10 +326,10 @@ class Failing(Counting):
     def complete(self, request):
         if request.task is Task.IMPACT_CATEGORY:
             if request.post.id in self.category_ids:
-                self.tally.append(request.task)
+                self.tally.append((request.post.id, request.task))
                 return "no judgment here"
         elif request.post.id in self.relevance_ids:
-            self.tally.append(request.task)
+            self.tally.append((request.post.id, request.task))
             error = TransportError("scripted outage")
             error.retryable = False
             raise error
@@ -376,8 +384,28 @@ def caches(draw, posts):
     return b"".join(kept) + torn
 
 
+def read_cache(path):
+    """Each judgment of the cache at path by its key; a line that does not decode is skipped."""
+    verdicts = {}
+    for raw in path.read_bytes().splitlines() if path.exists() else ():
+        try:
+            entry = json.loads(raw)
+        except ValueError:
+            continue
+        judgment = entry["judgment"]
+        if not isinstance(judgment, bool):
+            judgment = category_from_code(judgment)
+        verdicts[bytes.fromhex(entry["key"])] = judgment
+    return verdicts
+
+
 def annotate_in_memory(posts, cache, labels_path, backend):
-    """(exit code, stdout, stderr) of the two stages over the loaded posts."""
+    """(exit code, stdout, stderr) of annotate as a plain loop over the loaded posts.
+
+    Post by post, it takes each verdict from the cache or asks for it:
+    relevance, then a relevant post's category. Each new verdict's line
+    is appended as json.dumps gives it.
+    """
     dropped = LoadReport()
     try:
         posts = tuple(iter_posts(posts, dropped))
@@ -389,45 +417,61 @@ def annotate_in_memory(posts, cache, labels_path, backend):
             f"dropped {dropped.dropped_malformed} malformed, "
             f"{dropped.dropped_duplicate} duplicate lines\n"
         )
-    report = AnnotationReport()
-    loop = _StageLoop(report, backend, ClientPolicy(), cache, time.sleep)
-    asked = set()  # the ids of posts a stage found no cached verdict for
+    # A backend without an identity reuses no cached verdict.
+    cached = read_cache(cache) if getattr(backend, "identity", None) else {}
+    new_lines, failures, labels = [], [], []
+    asked = set()  # the ids of posts that needed a backend call
 
-    def stage(stage_posts, task):
-        """Each post's judgment: cached, or asked in post order; None where it failed."""
-        question = _question(task, backend)
-        keys = [_key(question, _key_material(post)) for post in stage_posts]
-        judgments = [loop.cache.get(key) for key in keys]
-        missing = [(i, stage_posts[i], key) for i, key in enumerate(keys) if judgments[i] is None]
-        asked.update(post.id for _, post, _ in missing)
-        loop.run(missing, task, lambda i, _post, judgment: judgments.__setitem__(i, judgment))
-        return judgments
+    def verdict(post, task):
+        """The post's cached verdict for task, else the backend's; None if the call failed."""
+        key = _key(_question(task, backend), _key_material(post))
+        if key in cached:
+            return cached[key]
+        asked.add(post.id)
+        try:
+            judgment = _classify(post, task, backend, ClientPolicy(), time.sleep)
+        except (TransportError, MalformedResponse, EmptyInput) as exc:
+            failures.append((post.id, exc))
+            return None
+        line = {
+            "judgment": judgment if isinstance(judgment, bool) else judgment.code,
+            "key": key.hex(),
+            "post_id": post.id,
+            "task": task.value,
+        }
+        new_lines.append(json.dumps(line, sort_keys=True).encode() + b"\n")
+        return judgment
 
-    relevance = stage(posts, Task.RELEVANCE_HURRICANE)
-    relevant = [post for post, flag in zip(posts, relevance) if flag]
-    categories = iter(stage(relevant, Task.IMPACT_CATEGORY))
-    labels = []
-    for post, flag in zip(posts, relevance):
-        category = next(categories) if flag else OTHER
+    for post in posts:
+        flag = verdict(post, Task.RELEVANCE_HURRICANE)
+        category = verdict(post, Task.IMPACT_CATEGORY) if flag else OTHER
         if flag is not None and category is not None:
             labels.append(Label(post.id, category, flag))
+    if new_lines:
+        seed = cache.read_bytes() if cache.exists() else b""
+        with cache.open("ab") as fh:
+            if seed and not seed.endswith(b"\n"):
+                fh.write(b"\n")  # a torn last line stays one line
+            fh.write(b"".join(new_lines))
     write_labels_csv(labels, labels_path)
     n_relevant = sum(1 for label in labels if label.relevant)
     stdout = (
         f"annotated {len(labels)}/{len(posts)} posts "
         f"({n_relevant} relevant, {len(posts) - len(asked)} cache hits)\n"
     )
-    for error in report.errors:
-        stderr += f"error: post {error.post_id}: {error.stage}: {error.message}\n"
-    stages = {error.stage for error in report.errors}
-    return (3 if "TransportError" in stages else 1 if stages else 0), stdout, stderr
+    for post_id, exc in failures:
+        stderr += f"error: post {post_id}: {type(exc).__name__}: {exc}\n"
+    if any(isinstance(exc, TransportError) for _, exc in failures):
+        return 3, stdout, stderr
+    return (1 if failures else 0), stdout, stderr
 
 
-def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend):
+def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend, extra=()):
     """Annotate tmp/posts.jsonl from the cache bytes seed (None: no cache) both ways.
 
     labels.csv, the cache bytes, stdout, stderr, the exit code and the
-    backend calls must agree; returns the exit code and the calls.
+    backend calls must agree; returns the exit code and the tasks called.
+    extra is added to the streamed command's arguments.
     """
     posts, out, expected = tmp / "posts.jsonl", tmp / "out", tmp / "expected"
     for directory in (out, expected):
@@ -440,15 +484,17 @@ def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend):
         out_buffer, err_buffer = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out_buffer), contextlib.redirect_stderr(err_buffer):
             code = main(["annotate", "--in", str(posts), "--disaster", "hurricane",
-                         "--out", str(out)])
+                         "--out", str(out), *extra])
     got = code, out_buffer.getvalue(), err_buffer.getvalue()
+    backend = make_backend(in_memory_calls)
     want = annotate_in_memory(
-        posts,
-        expected / "annotation_cache.jsonl",
-        expected / "labels.csv",
-        make_backend(in_memory_calls),
+        posts, expected / "annotation_cache.jsonl", expected / "labels.csv", backend
     )
     assert got == want
+    if not getattr(backend, "in_process", False):
+        # Pool threads may interleave the posts; each post's calls keep their order.
+        for calls in (streamed_calls, in_memory_calls):
+            calls.sort(key=lambda call: call[0])
     assert streamed_calls == in_memory_calls
     cache = out / "annotation_cache.jsonl"
     expected_cache = expected / "annotation_cache.jsonl"
@@ -459,7 +505,7 @@ def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend):
         assert (out / "labels.csv").read_bytes() == (expected / "labels.csv").read_bytes()
     else:
         assert not (out / "labels.csv").exists()
-    return got[0], streamed_calls
+    return got[0], [task for _, task in streamed_calls]
 
 
 @settings(max_examples=60, deadline=None)
@@ -477,40 +523,54 @@ def test_streamed_annotate_matches_the_in_memory_path(data, lines, make_backend)
 RELEVANCE, CATEGORY = Task.RELEVANCE_HURRICANE, Task.IMPACT_CATEGORY
 
 
-# One post in each state annotate keeps per post, from a given cache.
+# One post in each state annotate keeps per post, from a given cache: the
+# calls it makes, its labels and the tasks of the cache lines after it.
 @pytest.mark.parametrize(
-    "text, seed, make_backend, code, calls, labels",
+    "text, seed, make_backend, code, calls, labels, cached",
     [
         pytest.param(
-            "Miami Hurricanes win the game", "clean", Counting, 0, [], "",
+            "Miami Hurricanes win the game", "clean", Counting, 0, [], "", [RELEVANCE],
             id="relevance cached False",
         ),
         pytest.param(
             "hurricane flooded the roads", "clean", Counting, 0, [CATEGORY], "a,3\n",
-            id="relevance cached True, category missing",
+            [RELEVANCE, CATEGORY], id="relevance cached True, category missing",
         ),
         pytest.param(
             "hurricane flooded the roads", "category only", Counting, 0, [RELEVANCE],
-            "a,3\n", id="relevance missing, category cached",
+            "a,3\n", [CATEGORY, RELEVANCE], id="relevance missing, category cached",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", "category only", PooledCounting, 0, [RELEVANCE],
+            "a,3\n", [CATEGORY, RELEVANCE], id="relevance missing, category cached, pool",
         ),
         pytest.param(
             "hurricane photos from the pier", "annotate", Counting, 0, [], "a,11\n",
-            id="relevant and categorized OTHER",
+            [RELEVANCE, CATEGORY], id="relevant and categorized OTHER",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", None, PooledCounting, 0, [RELEVANCE, CATEGORY],
+            "a,3\n", [RELEVANCE, CATEGORY], id="empty cache, pool",
         ),
         pytest.param(
             "hurricane flooded the roads", None,
-            lambda calls: Failing(calls, {"a"}, set()), 3, [RELEVANCE], None,
+            lambda calls: Failing(calls, {"a"}, set()), 3, [RELEVANCE], None, [],
             id="relevance call failed",
         ),
         pytest.param(
             "hurricane flooded the roads", "clean",
-            lambda calls: Failing(calls, set(), {"a"}), 1, [CATEGORY], None,
+            lambda calls: Failing(calls, set(), {"a"}), 1, [CATEGORY], None, [RELEVANCE],
             id="category call failed",
+        ),
+        pytest.param(
+            "hurricane flooded the roads", None,
+            lambda calls: Failing(calls, set(), {"a"}), 1, [RELEVANCE, CATEGORY], None,
+            [RELEVANCE], id="category call failed after relevance",
         ),
     ],
 )
 def test_each_post_state_matches_the_in_memory_path(
-    tmp_path, text, seed, make_backend, code, calls, labels
+    tmp_path, text, seed, make_backend, code, calls, labels, cached
 ):
     posts = tmp_path / "posts.jsonl"
     posts.write_bytes(annotate_line("a", text, None) + b"\n")
@@ -520,9 +580,16 @@ def test_each_post_state_matches_the_in_memory_path(
         assert len(lines) == 2 and seed in lines
     elif seed is not None:
         seed = cache_after(seed, posts)
-    assert assert_annotate_matches_the_in_memory_path(tmp_path, seed, make_backend) == (
+    extra = ["--max-in-flight", "8"]
+    assert assert_annotate_matches_the_in_memory_path(tmp_path, seed, make_backend, extra) == (
         code, calls
     )
+    cache = tmp_path / "out" / "annotation_cache.jsonl"
+    lines = cache.read_bytes().splitlines() if cache.exists() else []
+    assert [json.loads(line)["task"] for line in lines] == [task.value for task in cached]
+    if seed is None and code == 0:
+        # The pool writes the bytes the inline mock writes.
+        assert cache.read_bytes() == cache_after("annotate", posts)
     if labels is not None:
         labels_csv = (tmp_path / "out" / "labels.csv").read_text(encoding="utf-8")
         assert labels_csv == "post_id,category_code\n" + labels
