@@ -5,7 +5,7 @@ Checking whether an index moves before an external weekly signal
 """
 
 import random
-from datetime import date, timedelta
+from datetime import date
 
 from disimpact import WeeklySeries, interpret_profile, lead_lag_profile
 
@@ -19,10 +19,10 @@ truth_values = [index_values[0] * 0.8] + [
     v + rng.uniform(-0.05, 0.05) for v in index_values[:-1]
 ]
 
+# Both series start on the same Monday, one value per week.
 start = date(2024, 9, 2)
-weeks = tuple(start + timedelta(days=7 * i) for i in range(len(index_values)))
-index = WeeklySeries(weeks=weeks, values=tuple(index_values))
-truth = WeeklySeries(weeks=weeks, values=tuple(truth_values))
+index = WeeklySeries(start, tuple(index_values))
+truth = WeeklySeries(start, tuple(truth_values))
 
 # Rank-correlate the two series at every offset from -3 to +3 weeks.
 # Positive lags pair this week's index with later ground truth.

@@ -35,7 +35,7 @@ from .annotation import (
     load_prompt,
     parse_judgment,
 )
-from .chart import ChartData, chart_csv_to_svg, read_chart_csv, render_chart
+from .chart import chart_csv_to_svg, read_chart_csv, render_chart
 from .core import (
     ASST,
     BIAS,
@@ -87,7 +87,6 @@ from .errors import (
 )
 from .impact import (
     ImpactSeries,
-    IndexPoint,
     SeriesStats,
     compute_impact_series,
     compute_iqr,
@@ -131,9 +130,6 @@ from .validation import (
     write_leadlag_csv,
 )
 from .windowing import (
-    CountSeries,
-    WindowCounts,
-    WindowingReport,
     build_count_series,
     monday_on_or_before,
     read_counts_csv,

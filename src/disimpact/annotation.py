@@ -451,8 +451,10 @@ class _StageLoop:
     ``max_in_flight`` threads, with at most twice that many posts
     submitted at once. Each new verdict is appended to the cache in post
     order, and flushed inline before the next backend call, or with a
-    pool as soon as its post and every post before it are done. So an
-    interrupted run keeps the work it finished.
+    pool as soon as its post and every post before it are done. A pool
+    task cut short by an exception hands back the verdicts it got, which
+    are written before the exception is raised again. So an interrupted
+    run keeps the work it finished.
     """
 
     def __init__(self, report, backend, policy, cache_path, sleep) -> None:
@@ -507,6 +509,8 @@ class _StageLoop:
             nonlocal fh
             last = None
             for name, key, verdict in verdicts:
+                if isinstance(verdict, BaseException):  # a pool task cut short
+                    raise verdict
                 if isinstance(verdict, AnnotationError):
                     self.report.errors.append(verdict)
                     continue
@@ -540,12 +544,23 @@ class _StageLoop:
                 finish(i, post, () if future is None else future.result())
 
             for i, post, tasks in items:
-                future = pool.submit(list, self.ask(post, tasks)) if tasks else None
+                future = pool.submit(_gather, self.ask(post, tasks)) if tasks else None
                 window.append((i, post, future))
                 if len(window) == 2 * self.policy.max_in_flight:
                     finish_first()
             while window:
                 finish_first()
+
+
+def _gather(verdicts: Iterator) -> list:
+    """A pool task: the verdicts it got, then the exception that cut it short, if any."""
+    got: list = []
+    try:
+        for verdict in verdicts:
+            got.append(verdict)
+    except BaseException as exc:
+        got.append((None, None, exc))
+    return got
 
 
 def _reread(posts: Iterable[Post], ids: list[str]) -> Iterator[tuple[int, Post]]:

@@ -4,18 +4,20 @@ Hand-rolled on purpose: the chart is a reproducibility artifact, so
 every coordinate is formatted at fixed precision and the output
 contains nothing run-dependent (no timestamps, no random ids). The
 y-axis is pinned to (0, pi), the codomain of the weekly intensity
-weight, so charts from different runs are visually comparable.
+weight, so charts from different runs are visually comparable. The
+series come in as a name -> core.WeeklySeries mapping, plotted in its
+order.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Mapping
 
-from .core import WEEK
+from .core import WEEK, WeeklySeries
 from .errors import MalformedCsv, MalformedInput, UnknownColumn
 from .ingestion import csv_header, csv_rows
 
@@ -44,35 +46,26 @@ Y_TICKS = (
 _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-@dataclass(frozen=True)
-class ChartData:
-    weeks: tuple[date, ...]
-    series: tuple[tuple[str, tuple[float, ...]], ...]
-    value_label: str
-
-
-def read_chart_csv(path: str | Path) -> ChartData:
-    """Load plottable series from an index or domain export.
+def read_chart_csv(path: str | Path) -> dict[str, WeeklySeries[float]]:
+    """Load plottable series, by name in first-appearance order, from an index or domain export.
 
     Index exports plot the index column per category; domain exports
     plot the composite column per domain. Any other header is refused,
-    as are non-finite values and weeks that are not 7 days apart.
+    as are non-finite values, a repeated (week, series) row, weeks that
+    are not 7 days apart, and a series that misses a week. A file with
+    no data rows gives no series.
     """
     header = csv_header(path)
     if header[:2] == ["window_start", "category"] and "index" in header:
-        key_col, value_col = 1, header.index("index")
-        value_label = "index"
+        value_col = header.index("index")
     elif header[:2] == ["window_start", "domain"] and "composite" in header:
-        key_col, value_col = 1, header.index("composite")
-        value_label = "composite"
+        value_col = header.index("composite")
     else:
         raise UnknownColumn(
             f"{path}: need window_start,category,...,index or "
             f"window_start,domain,...,composite columns"
         )
-    weeks: list[date] = []
-    series: dict[str, dict[date, float]] = {}
-    order: list[str] = []
+    points: dict[str, dict[date, float]] = {}
     for lineno, row in csv_rows(path, header):
         try:
             week = date.fromisoformat(row[0])
@@ -81,27 +74,25 @@ def read_chart_csv(path: str | Path) -> ChartData:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
         if not math.isfinite(value):
             raise MalformedCsv(f"{path}:{lineno}: value must be finite")
-        name = row[key_col]
-        if name not in series:
+        name = row[1]
+        if name not in points:
             fault = _xml_fault(name)
             if fault:
                 raise MalformedCsv(f"{path}:{lineno}: series name {name!r}: {fault}")
-            series[name] = {}
-            order.append(name)
-        if week not in weeks:
-            weeks.append(week)
-        series[name][week] = value
-    weeks.sort()
+            points[name] = {}
+        if week in points[name]:
+            raise MalformedCsv(f"{path}:{lineno}: repeated row for week {week}, series {name}")
+        points[name][week] = value
+    weeks = sorted({week for by_week in points.values() for week in by_week})
     for prev, week in zip(weeks, weeks[1:]):
         if week - prev != WEEK:
             raise MalformedCsv(f"{path}: week {week} is not 7 days after {prev}")
-    packed = []
-    for name in order:
-        points = series[name]
-        if set(points) != set(weeks):
+    series = {}
+    for name, by_week in points.items():
+        if len(by_week) != len(weeks):
             raise MalformedCsv(f"{path}: series {name} misses some weeks")
-        packed.append((name, tuple(points[w] for w in weeks)))
-    return ChartData(weeks=tuple(weeks), series=tuple(packed), value_label=value_label)
+        series[name] = WeeklySeries(weeks[0], tuple(by_week[w] for w in weeks))
+    return series
 
 
 def _xml_fault(text: str) -> str | None:
@@ -124,8 +115,10 @@ def _fmt(value: float) -> str:
     return "%.2f" % value
 
 
-def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
-    """Render an SVG string; returns it with any degeneracy warnings."""
+def render_chart(
+    series: Mapping[str, WeeklySeries[float]], title: str = ""
+) -> tuple[str, list[str]]:
+    """Render named series on the weeks of the first; returns the SVG and any warnings."""
     fault = _xml_fault(title)
     if fault:
         raise MalformedInput(f"chart title {title!r}: {fault}")
@@ -173,19 +166,21 @@ def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
         f'<line x1="{MARGIN_LEFT}" y1="{bottom}" x2="{MARGIN_LEFT + plot_w}" '
         f'y2="{bottom}" stroke="#333" stroke-width="1"/>'
     )
-    count = len(data.weeks)
-    if count == 0 or not data.series:
+    if not series:
         warnings.append("no data rows; rendering axes only")
     else:
+        weeks = next(iter(series.values())).weeks
+        count = len(weeks)
         step = max(1, math.ceil(count / 8))
         for i in range(0, count, step):
             x = _fmt(x_of(i, count))
             parts.append(
                 f'<text x="{x}" y="{bottom + 18}" font-family="sans-serif" '
                 f'font-size="11" fill="#333" text-anchor="middle">'
-                f"{data.weeks[i].isoformat()}</text>"
+                f"{weeks[i].isoformat()}</text>"
             )
-        for index, (name, values) in enumerate(data.series):
+        for index, (name, line) in enumerate(series.items()):
+            values = line.windows
             color = PALETTE[index % len(PALETTE)]
             if count == 1:
                 parts.append(
@@ -216,5 +211,4 @@ def render_chart(data: ChartData, title: str = "") -> tuple[str, list[str]]:
 
 
 def chart_csv_to_svg(csv_path: str | Path, title: str = "") -> tuple[str, list[str]]:
-    data = read_chart_csv(csv_path)
-    return render_chart(data, title=title)
+    return render_chart(read_chart_csv(csv_path), title=title)

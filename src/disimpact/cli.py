@@ -395,16 +395,17 @@ def cmd_counts(args: argparse.Namespace, run: Run) -> int:
         (post.created_date, category) for post, category in _labelled_posts(args, run, loaded)
     )
     _report_dropped(loaded)
-    series, report = build_count_series(tally, run.config, args.range_start, args.range_end)
+    series, outside = build_count_series(tally, run.config, args.range_start, args.range_end)
     write_counts_csv(series, run.output("counts.csv"))
+    n_windows = len(series.windows)
     print(
-        f"{len(series.windows)} windows from {series.windows[0].start} "
-        f"to {series.windows[-1].start + WEEK}, {sum(series.totals)} posts"
+        f"{n_windows} windows from {series.start} to {series.start + n_windows * WEEK}, "
+        f"{sum(map(sum, series.windows))} posts"
     )
     if loaded.unlabeled:
         print(f"{loaded.unlabeled} posts had no label", file=sys.stderr)
-    if report.outside_range:
-        print(f"{report.outside_range} posts outside range", file=sys.stderr)
+    if outside:
+        print(f"{outside} posts outside range", file=sys.stderr)
     return 0
 
 
@@ -413,11 +414,16 @@ def cmd_index(args: argparse.Namespace, run: Run) -> int:
     series = compute_impact_series(counts, run.config)
     write_index_csv(series, run.output("index.csv"))
     write_domain_csv(series, run.output("domain.csv"))
-    weights = series.weights
+    weights = series.weights.windows
     print(
-        f"{len(series.weeks)} windows; weight range "
+        f"{len(weights)} windows; weight range "
         f"[{min(weights):.6f}, {max(weights):.6f}]"
     )
+    if series.weights_use_fallback_iqr:
+        print(
+            f"IQR of 0 in the weekly totals; the weight uses {series.stats.iqr:g} in its place",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -496,6 +502,12 @@ def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
     if report.suppressed_cells:
         print(
             f"{len(report.suppressed_cells)} cells under min_group_size suppressed",
+            file=sys.stderr,
+        )
+    if report.zero_iqr_states:
+        print(
+            f"IQR of 0 in the weekly totals of {report.zero_iqr_states} state series; "
+            "max(1, mean * 1e-6) stands in for it",
             file=sys.stderr,
         )
     return 0

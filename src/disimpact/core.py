@@ -11,9 +11,9 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import NamedTuple
+from typing import Generic, NamedTuple, TypeVar
 
-from .errors import EmptyInput, LengthMismatch, OutOfRange
+from .errors import EmptyInput, OutOfRange
 
 
 class Domain(enum.Enum):
@@ -152,26 +152,33 @@ class Label(NamedTuple):
 WEEK = timedelta(days=7)
 
 
-@dataclass(frozen=True)
-class WeeklySeries:
-    """Contiguous weekly value series keyed by week-start dates."""
+V = TypeVar("V")
 
-    weeks: tuple[date, ...]
-    values: tuple[float, ...]
+
+@dataclass(frozen=True)
+class WeeklySeries(Generic[V]):
+    """One value per week: window t starts on start + t * WEEK.
+
+    The one container of weekly data: counts (an 11-tuple per window,
+    in CATEGORIES order), weights, shares, indices, domain composites
+    and ground truth. A series holds only its first week, so it cannot
+    have a gap.
+    """
+
+    start: date
+    windows: tuple[V, ...]
 
     def __post_init__(self) -> None:
-        if not self.weeks:
+        if not self.windows:
             raise EmptyInput("weekly series needs at least one week")
-        if len(self.weeks) != len(self.values):
-            raise LengthMismatch(
-                f"{len(self.weeks)} weeks vs {len(self.values)} values"
-            )
-        for prev, cur in zip(self.weeks, self.weeks[1:]):
-            if cur - prev != WEEK:
-                raise ValueError(f"weeks must step by 7 days: {prev} -> {cur}")
-        for value in self.values:
-            if not math.isfinite(value):
-                raise ValueError("series values must be finite")
+        if not isinstance(self.windows[0], tuple) and not all(
+            map(math.isfinite, self.windows)
+        ):
+            raise ValueError("series values must be finite")
+
+    @property
+    def weeks(self) -> tuple[date, ...]:
+        return tuple(self.start + t * WEEK for t in range(len(self.windows)))
 
 
 # The numpy.percentile methods that impact.compute_iqr reproduces without numpy.

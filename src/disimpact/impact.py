@@ -10,13 +10,15 @@ P sums to 1 over the C categories, w lies in (0, pi), so every index
 lies in (0, pi) and the per-window indices sum exactly to w_t. N_mean
 and IQR are batch quantities over all window totals in the series,
 empty windows included.
+
+Every weekly quantity is a core.WeeklySeries on the count series' weeks:
+the weights w_t, and per category the shares P_t(c) and indices I_t(c).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Sequence
 
@@ -24,14 +26,13 @@ from .core import (
     CATEGORIES,
     PHYSICAL_CATEGORIES,
     QUANTILE_METHODS,
-    SOCIAL_CATEGORIES,
     Domain,
     ImpactCategory,
     IndexConfig,
+    WeeklySeries,
 )
 from .errors import EmptyInput, InvalidCounts, OutOfRange
 from .ingestion import write_csv
-from .windowing import CountSeries
 
 # When the IQR of the window totals is 0, max(1.0, N_mean * IQR_EPSILON)
 # stands in for it, so w never divides by zero. w is pi/2 only where
@@ -120,82 +121,89 @@ def impact_index(p: float, w: float) -> float:
 
 
 @dataclass(frozen=True)
-class IndexPoint:
-    p: float
-    w: float
-    index: float
-
-
-@dataclass(frozen=True)
 class ImpactSeries:
-    """Per-category (P, w, I) triples plus physical/social composites."""
+    """The index stage over one count series; each weekly field starts at counts.start.
 
-    weeks: tuple[date, ...]
-    per_category: dict[ImpactCategory, tuple[IndexPoint, ...]]
-    domains: dict[Domain, tuple[float, ...]]
+    shares and indices map each category to its P_t(c) and I_t(c);
+    domains maps PHYSICAL and SOCIAL to their composites.
+    """
+
+    counts: WeeklySeries[tuple[int, ...]]
     stats: SeriesStats
-    counts: CountSeries
+    weights: WeeklySeries[float]
+    shares: dict[ImpactCategory, WeeklySeries[float]]
+    indices: dict[ImpactCategory, WeeklySeries[float]]
+    domains: dict[Domain, WeeklySeries[float]]
 
     @property
-    def weights(self) -> tuple[float, ...]:
-        first = next(iter(self.per_category.values()))
-        return tuple(pt.w for pt in first)
+    def weights_use_fallback_iqr(self) -> bool:
+        """Whether the IQR stand-in shapes w_t: an IQR of 0 over totals that differ."""
+        totals = [sum(window) for window in self.counts.windows]
+        return self.stats.iqr_degenerate and min(totals) != max(totals)
 
 
-def compute_impact_series(counts: CountSeries, config: IndexConfig) -> ImpactSeries:
-    """Run the full index stage over a gap-free count series.
+def compute_impact_series(
+    counts: WeeklySeries[tuple[int, ...]], config: IndexConfig
+) -> ImpactSeries:
+    """Run the full index stage over a count series.
 
     Composites combine the five member categories per domain (OTHER
     belongs to neither) under config.composite_operator; "sum" keeps
-    sum-of-all-indices = w_t exact, "mean" divides by five.
+    sum-of-all-indices = w_t exact, "mean" divides by five. A window
+    that is not 11 counts long raises ValueError.
     """
-    if not counts.windows:
-        raise EmptyInput("cannot index an empty count series")
-    stats = SeriesStats.from_totals(counts.totals, method=config.quantile_method)
-
-    per_category: dict[ImpactCategory, list[IndexPoint]] = {c: [] for c in CATEGORIES}
-    composites: dict[Domain, list[float]] = {Domain.PHYSICAL: [], Domain.SOCIAL: []}
+    for window in counts.windows:
+        if len(window) != len(CATEGORIES):
+            raise ValueError(f"a window needs {len(CATEGORIES)} counts, got {len(window)}")
+    start = counts.start
+    totals = [sum(window) for window in counts.windows]
+    stats = SeriesStats.from_totals(totals, method=config.quantile_method)
+    weights = [intensity_weight(total, stats) for total in totals]
+    shares = [
+        [smoothed_proportion(n, total, config) for n in window]
+        for window, total in zip(counts.windows, totals)
+    ]
+    indices = [[impact_index(p, w) for p in row] for row, w in zip(shares, weights)]
     scale = 1.0 if config.composite_operator == "sum" else 1.0 / len(PHYSICAL_CATEGORIES)
-    for wc in counts.windows:
-        w = intensity_weight(wc.total, stats)
-        indices: dict[ImpactCategory, float] = {}
-        for cat in CATEGORIES:
-            p = smoothed_proportion(wc.n[cat], wc.total, config)
-            idx = impact_index(p, w)
-            indices[cat] = idx
-            per_category[cat].append(IndexPoint(p=p, w=w, index=idx))
-        composites[Domain.PHYSICAL].append(
-            scale * sum(indices[c] for c in PHYSICAL_CATEGORIES)
-        )
-        composites[Domain.SOCIAL].append(
-            scale * sum(indices[c] for c in SOCIAL_CATEGORIES)
-        )
+    # CATEGORIES lists the five physical categories, then the five social ones.
+    physical = tuple(scale * sum(row[:5]) for row in indices)
+    social = tuple(scale * sum(row[5:10]) for row in indices)
+
+    def by_category(rows: list[list[float]]) -> dict[ImpactCategory, WeeklySeries[float]]:
+        return {c: WeeklySeries(start, column) for c, column in zip(CATEGORIES, zip(*rows))}
 
     return ImpactSeries(
-        weeks=tuple(wc.start for wc in counts.windows),
-        per_category={c: tuple(points) for c, points in per_category.items()},
-        domains={d: tuple(vals) for d, vals in composites.items()},
-        stats=stats,
         counts=counts,
+        stats=stats,
+        weights=WeeklySeries(start, tuple(weights)),
+        shares=by_category(shares),
+        indices=by_category(indices),
+        domains={
+            Domain.PHYSICAL: WeeklySeries(start, physical),
+            Domain.SOCIAL: WeeklySeries(start, social),
+        },
     )
 
 
 def write_index_csv(series: ImpactSeries, path: str | Path) -> None:
     """Export header window_start,category,n,total,p,w,index."""
-    rows = (
-        (wc.start.isoformat(), c.short_name, wc.n[c], wc.total, pt.p, pt.w, pt.index)
-        for t, wc in enumerate(series.counts.windows)
-        for c in CATEGORIES
-        for pt in [series.per_category[c][t]]
-    )
-    write_csv(path, ("window_start", "category", "n", "total", "p", "w", "index"), rows)
+
+    def rows():
+        counts = series.counts
+        for t, (week, window) in enumerate(zip(counts.weeks, counts.windows)):
+            total, w = sum(window), series.weights.windows[t]
+            for c, n in zip(CATEGORIES, window):
+                p, index = series.shares[c].windows[t], series.indices[c].windows[t]
+                yield week.isoformat(), c.short_name, n, total, p, w, index
+
+    write_csv(path, ("window_start", "category", "n", "total", "p", "w", "index"), rows())
 
 
 def write_domain_csv(series: ImpactSeries, path: str | Path) -> None:
     """Export header window_start,domain,composite."""
     rows = (
-        (week.isoformat(), d.value, series.domains[d][t])
-        for t, week in enumerate(series.weeks)
+        (week.isoformat(), d.value, series.domains[d].windows[t])
+        for t, week in enumerate(series.counts.weeks)
         for d in (Domain.PHYSICAL, Domain.SOCIAL)
     )
     write_csv(path, ("window_start", "domain", "composite"), rows)

@@ -301,7 +301,7 @@ class GroundTruthReport:
     filled_weeks: tuple[date, ...]
 
 
-def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport]:
+def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTruthReport]:
     """Load a groundtruth.csv (header week_start,value).
 
     Rows are sorted by week; interior gaps must be whole weeks and are
@@ -331,20 +331,10 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries, GroundTruthReport
         if week in by_week:
             raise MalformedCsv(f"{path}: duplicate week {week}")
         by_week[week] = value
-    last = rows[-1][0]
-    weeks: list[date] = []
-    filled: list[date] = []
-    week = first
-    while week <= last:
-        weeks.append(week)
-        if week not in by_week:
-            filled.append(week)
-        week += WEEK
+    weeks = [first + t * WEEK for t in range((rows[-1][0] - first) // WEEK + 1)]
     return (
-        WeeklySeries(
-            weeks=tuple(weeks), values=tuple(by_week.get(w, 0.0) for w in weeks)
-        ),
-        GroundTruthReport(filled_weeks=tuple(filled)),
+        WeeklySeries(first, tuple(by_week.get(w, 0.0) for w in weeks)),
+        GroundTruthReport(filled_weeks=tuple(w for w in weeks if w not in by_week)),
     )
 
 

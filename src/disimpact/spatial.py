@@ -277,9 +277,12 @@ class StateMonthIndex:
 
 @dataclass
 class SpatialReport:
+    """What aggregation left out, and how many state series' weights rest on the IQR stand-in."""
+
     unlocated: int = 0
     filtered_out: int = 0
     suppressed_cells: list[tuple[str, date, int]] = field(default_factory=list)
+    zero_iqr_states: int = 0
 
 
 def aggregate_state_month(
@@ -311,13 +314,19 @@ def aggregate_state_month(
     for state in sorted(groups):
         counts, _ = build_count_series(groups[state], config)
         series = compute_impact_series(counts, config)
+        report.zero_iqr_states += series.weights_use_fallback_iqr
         monthly: dict[date, tuple[list[float], list[float], int]] = {}
-        for idx, week in enumerate(series.weeks):
+        for week, window, physical, social in zip(
+            counts.weeks,
+            counts.windows,
+            series.domains[Domain.PHYSICAL].windows,
+            series.domains[Domain.SOCIAL].windows,
+        ):
             month = week.replace(day=1)
             phys, soc, n_posts = monthly.setdefault(month, ([], [], 0))
-            phys.append(series.domains[Domain.PHYSICAL][idx])
-            soc.append(series.domains[Domain.SOCIAL][idx])
-            monthly[month] = (phys, soc, n_posts + counts.windows[idx].total)
+            phys.append(physical)
+            soc.append(social)
+            monthly[month] = (phys, soc, n_posts + sum(window))
         for month in sorted(monthly):
             phys, soc, n_posts = monthly[month]
             if n_posts < max(min_posts, 1):

@@ -6,6 +6,7 @@ Narration of what a negative lag *means* is kept separate, because the
 published labeling reads negative lags as the index leading the ground
 truth while the literal pairing puts earlier truth against the index.
 interpret_profile reports both readings instead of silently picking one.
+The index and the truth are both core.WeeklySeries of floats.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
 
 
-def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:
+def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries[float]:
     """Load one domain's composite series from a domain export."""
     weeks: list[date] = []
     values: list[float] = []
@@ -54,7 +55,7 @@ def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries:
         values.append(value)
     if not weeks:
         raise EmptyInput(f"{path}: no rows for domain {domain.value}")
-    return WeeklySeries(weeks=tuple(weeks), values=tuple(values))
+    return WeeklySeries(weeks[0], tuple(values))
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
@@ -105,31 +106,30 @@ class LagCorrelationProfile:
 
 
 def lead_lag_profile(
-    index: WeeklySeries, truth: WeeklySeries, max_lag: int
+    index: WeeklySeries[float], truth: WeeklySeries[float], max_lag: int
 ) -> LagCorrelationProfile:
     """Correlate (index_t, truth_{t+lag}) for every lag in [-L, L].
 
-    A lag with fewer than 3 overlapping weeks, or whose paired values
-    are constant on either side, is recorded as undefined.
+    The two series are aligned by their first weeks. A lag with fewer
+    than 3 overlapping weeks, or whose paired values are constant on
+    either side, is recorded as undefined.
     """
     if max_lag < 0:
         raise OutOfRange(f"max_lag must be >= 0, got {max_lag}")
-    if (truth.weeks[0] - index.weeks[0]) % WEEK:
-        raise MisalignedGrids(
-            f"week grids differ: {index.weeks[0]} vs {truth.weeks[0]}"
-        )
-    truth_by_week = dict(zip(truth.weeks, truth.values))
+    if (truth.start - index.start) % WEEK:
+        raise MisalignedGrids(f"week grids differ: {index.start} vs {truth.start}")
+    # Truth window j is index week j + offset, so a lag pairs index week t
+    # with truth window t + lag - offset.
+    offset = (truth.start - index.start) // WEEK
     lags = tuple(range(-max_lag, max_lag + 1))
     rho: dict[int, float | None] = {}
     overlap: dict[int, int] = {}
     for lag in lags:
-        xs: list[float] = []
-        ys: list[float] = []
-        for week, value in zip(index.weeks, index.values):
-            shifted = week + lag * WEEK
-            if shifted in truth_by_week:
-                xs.append(value)
-                ys.append(truth_by_week[shifted])
+        shift = lag - offset
+        first = max(0, -shift)
+        last = max(first, min(len(index.windows), len(truth.windows) - shift))
+        xs = index.windows[first:last]
+        ys = truth.windows[first + shift:last + shift]
         overlap[lag] = len(xs)
         if len(xs) < 3:
             rho[lag] = None

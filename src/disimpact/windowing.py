@@ -1,9 +1,12 @@
-"""Weekly windows and per-week category counts."""
+"""Weekly windows and per-week category counts.
+
+A count series is a WeeklySeries whose window t is the 11-tuple of
+n_t(c) in CATEGORIES order; its total N_t is the tuple's sum.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from .core import (
     WEEK,
     ImpactCategory,
     IndexConfig,
+    WeeklySeries,
     category_from_short_name,
 )
 from .errors import BeforeAnchor, MalformedCsv, MisalignedRange, OutOfRange
@@ -22,46 +26,12 @@ def monday_on_or_before(day: date) -> date:
     return day - timedelta(days=day.weekday())
 
 
-@dataclass(frozen=True)
-class WindowCounts:
-    """Category counts of the week starting at `start`; every category key is present."""
-
-    start: date
-    n: dict[ImpactCategory, int]
-    total: int
-
-    def __post_init__(self) -> None:
-        if set(self.n) != set(CATEGORIES):
-            raise ValueError("n must carry all categories (zero-filled)")
-        if self.total != sum(self.n.values()):
-            raise ValueError("total must equal the sum over categories")
-
-
-@dataclass(frozen=True)
-class CountSeries:
-    windows: tuple[WindowCounts, ...]
-
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.windows, self.windows[1:]):
-            if cur.start - prev.start != WEEK:
-                raise ValueError("count series windows must be contiguous")
-
-    @property
-    def totals(self) -> tuple[int, ...]:
-        return tuple(w.total for w in self.windows)
-
-
-@dataclass(frozen=True)
-class WindowingReport:
-    outside_range: int
-
-
 def build_count_series(
     tally: Counter[tuple[date, ImpactCategory]],
     config: IndexConfig,
     range_start: date | None = None,
     range_end: date | None = None,
-) -> tuple[CountSeries, WindowingReport]:
+) -> tuple[WeeklySeries[tuple[int, ...]], int]:
     """Count labelled posts per (week, category) over [range_start, range_end).
 
     tally[day, category] is the number of posts made on that day (UTC)
@@ -70,7 +40,8 @@ def build_count_series(
     the edge of the smallest aligned span covering every post; a bound
     given is always used and must be a whole number of weeks from the
     anchor. Empty windows appear zero-filled so the series is gap-free.
-    Posts outside the range are excluded and counted in the report.
+    Posts outside the range are excluded, and their number is returned
+    with the series.
     """
     days = {day for day, _ in tally}
     anchor = config.window_anchor
@@ -98,33 +69,30 @@ def build_count_series(
         )
     n_windows = (range_end - range_start) // WEEK
 
-    counts = [{c: 0 for c in CATEGORIES} for _ in range(n_windows)]
+    counts = [[0] * len(CATEGORIES) for _ in range(n_windows)]
     outside = 0
     for (day, category), n in tally.items():
         if not (range_start <= day < range_end):
             outside += n
             continue
-        counts[(day - range_start).days // WEEK.days][category] += n
-
-    windows = tuple(
-        WindowCounts(start=range_start + i * WEEK, n=n, total=sum(n.values()))
-        for i, n in enumerate(counts)
-    )
-    return CountSeries(windows=windows), WindowingReport(outside_range=outside)
+        # Codes 1-11 number CATEGORIES in order.
+        counts[(day - range_start).days // WEEK.days][category.code - 1] += n
+    return WeeklySeries(range_start, tuple(map(tuple, counts))), outside
 
 
-def write_counts_csv(series: CountSeries, path: str | Path) -> None:
+def write_counts_csv(series: WeeklySeries[tuple[int, ...]], path: str | Path) -> None:
     """Export header window_start,category,count,total."""
     rows = (
-        (wc.start.isoformat(), c.short_name, wc.n[c], wc.total)
-        for wc in series.windows
-        for c in CATEGORIES
+        (week.isoformat(), c.short_name, n, total)
+        for week, window in zip(series.weeks, series.windows)
+        for total in [sum(window)]
+        for c, n in zip(CATEGORIES, window)
     )
     write_csv(path, ("window_start", "category", "count", "total"), rows)
 
 
-def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
-    """Load a counts export back into a contiguous series.
+def read_counts_csv(path: str | Path, config: IndexConfig) -> WeeklySeries[tuple[int, ...]]:
+    """Load a counts export back into a count series.
 
     Every window must carry all 11 categories with a consistent total,
     and window starts must be whole weeks from the configured anchor
@@ -134,7 +102,7 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
     """
     per_window: dict[date, dict[ImpactCategory, int]] = {}
     stated_totals: dict[date, int] = {}
-    order: list[date] = []
+    last: date | None = None
     anchor = config.window_anchor
     header = ("window_start", "category", "count", "total")
     for lineno, row in csv_rows(path, header):
@@ -148,33 +116,31 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> CountSeries:
         if count < 0:
             raise MalformedCsv(f"{path}:{lineno}: negative count")
         if start not in per_window:
-            if order and start < order[-1]:
+            if last is not None and start < last:
                 raise MalformedCsv(f"{path}:{lineno}: window starts out of order")
             anchor = start if anchor is None else anchor
             if start < anchor or (start - anchor) % WEEK:
                 raise MalformedCsv(
                     f"{path}:{lineno}: window {start} off the 7-day grid of {anchor}"
                 )
-            if order and start != order[-1] + WEEK:
+            if last is not None and start != last + WEEK:
                 raise MalformedCsv(
-                    f"{path}:{lineno}: window {start} leaves a gap after {order[-1]}"
+                    f"{path}:{lineno}: window {start} leaves a gap after {last}"
                 )
             per_window[start] = {}
             stated_totals[start] = total
-            order.append(start)
+            last = start
         if stated_totals[start] != total:
             raise MalformedCsv(f"{path}:{lineno}: total differs within window")
         if category in per_window[start]:
             raise MalformedCsv(f"{path}:{lineno}: duplicate category row")
         per_window[start][category] = count
-    if not order:
+    if not per_window:
         raise MalformedCsv(f"{path}: no data rows")
-    windows = []
-    for start in order:
-        n = per_window[start]
+    for start, n in per_window.items():
         if set(n) != set(CATEGORIES):
             raise MalformedCsv(f"{path}: window {start} misses categories")
         if sum(n.values()) != stated_totals[start]:
             raise MalformedCsv(f"{path}: window {start} total mismatch")
-        windows.append(WindowCounts(start=start, n=n, total=stated_totals[start]))
-    return CountSeries(windows=tuple(windows))
+    windows = tuple(tuple(n[c] for c in CATEGORIES) for n in per_window.values())
+    return WeeklySeries(next(iter(per_window)), windows)

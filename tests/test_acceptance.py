@@ -35,14 +35,12 @@ from conftest import (
 from disimpact import (
     AgreementTable,
     ClientPolicy,
-    CountSeries,
     DisasterTag,
     IndexConfig,
     LoadReport,
     Platform,
     SeriesStats,
     WeeklySeries,
-    WindowCounts,
     annotate_dataset,
     cohen_kappa,
     compute_impact_series,
@@ -61,7 +59,7 @@ from disimpact import (
     spearman_rho,
 )
 from disimpact.cli import main
-from disimpact.core import CATEGORIES, WEEK
+from disimpact.core import CATEGORIES
 
 POSTS = FIXTURES / "posts.jsonl"
 TRUTH = FIXTURES / "groundtruth.csv"
@@ -79,18 +77,8 @@ def criterion(tag: str):
     print(f"[criterion {tag}] PASS")
 
 
-def make_count_series(vectors) -> CountSeries:
-    windows = []
-    for i, vec in enumerate(vectors):
-        n = {cat: int(vec[j]) for j, cat in enumerate(CATEGORIES)}
-        windows.append(
-            WindowCounts(
-                start=ANCHOR + i * WEEK,
-                n=n,
-                total=sum(n.values()),
-            )
-        )
-    return CountSeries(windows=tuple(windows))
+def make_count_series(vectors) -> WeeklySeries:
+    return WeeklySeries(ANCHOR, tuple(tuple(int(n) for n in vec) for vec in vectors))
 
 
 def agreement_table(rows) -> AgreementTable:
@@ -102,10 +90,7 @@ def agreement_table(rows) -> AgreementTable:
 
 
 def weekly(values) -> WeeklySeries:
-    return WeeklySeries(
-        weeks=tuple(ANCHOR + i * WEEK for i in range(len(values))),
-        values=tuple(float(v) for v in values),
-    )
+    return WeeklySeries(ANCHOR, tuple(float(v) for v in values))
 
 
 def brute_midranks(values):
@@ -167,8 +152,8 @@ def test_criterion_03_index_bounds_and_additivity():
                 for _ in range(rng.randint(2, 8))
             ]
             series = compute_impact_series(make_count_series(vectors), CONFIG)
-            for t, weight in enumerate(series.weights):
-                indices = [series.per_category[cat][t].index for cat in CATEGORIES]
+            for t, weight in enumerate(series.weights.windows):
+                indices = [series.indices[cat].windows[t] for cat in CATEGORIES]
                 assert all(0.0 < value < math.pi for value in indices)
                 assert math.fsum(indices) == pytest.approx(weight, abs=1e-9)
 
@@ -176,9 +161,10 @@ def test_criterion_03_index_bounds_and_additivity():
 def test_criterion_04a_published_percentages():
     with criterion("04a"):
         window = read_counts_csv(TABLE_COUNTS, CONFIG).windows[0]
+        n, total = dict(zip(CATEGORIES, window)), sum(window)
         rows = load_reference_distribution(DisasterTag.HURRICANE)
-        assert window.n == counts_by_category(rows, Platform.REDDIT)
-        assert window.total == 9666
+        assert n == counts_by_category(rows, Platform.REDDIT)
+        assert total == 9666
         published = {
             row.category: row.published_pct
             for row in rows
@@ -190,11 +176,11 @@ def test_criterion_04a_published_percentages():
         nearest_total = 0
         off_nearest = 0
         for cat in CATEGORIES:
-            scaled = 100 * window.n[cat]
-            low = scaled // window.total
-            high = -(-scaled // window.total)
-            nearest = (2 * scaled + window.total) // (2 * window.total)
-            raw = scaled / window.total
+            scaled = 100 * n[cat]
+            low = scaled // total
+            high = -(-scaled // total)
+            nearest = (2 * scaled + total) // (2 * total)
+            raw = scaled / total
             assert low <= published[cat] <= high, (
                 f"{cat.short_name}: raw {raw:.4f}% vs published {published[cat]}%"
             )
@@ -211,7 +197,7 @@ def test_criterion_04a_published_percentages():
 def test_criterion_04b_exact_smoothed_share():
     with criterion("04b"):
         window = read_counts_csv(TABLE_COUNTS, CONFIG).windows[0]
-        share = smoothed_proportion(window.n[category(3)], window.total, CONFIG)
+        share = smoothed_proportion(window[category(3).code - 1], sum(window), CONFIG)
         assert share == pytest.approx(1720.5 / 9671.5, abs=1e-9)
 
 

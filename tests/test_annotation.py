@@ -923,6 +923,31 @@ class TestInterruptAndResume:
         assert cache.read_bytes() == fresh.read_bytes()
 
 
+    def test_pool_keeps_the_relevance_verdict_of_a_cut_short_post(self, tmp_path):
+        posts = fixture_posts()
+        fresh = tmp_path / "fresh.jsonl"
+        annotate(posts, MockBackend(), cache_path=fresh)
+        lines = fresh.read_bytes().splitlines(keepends=True)
+        relevant = {line["post_id"] for line in cache_lines(fresh, Task.IMPACT_CATEGORY.value)}
+        cut = [post.id for post in posts if post.id in relevant][40]
+
+        class CategoryInterrupt(MockBackend):
+            def complete(self, request):
+                if request.post.id == cut and request.task is Task.IMPACT_CATEGORY:
+                    raise KeyboardInterrupt
+                return super().complete(request)
+
+        cache = tmp_path / "cache.jsonl"
+        backend = PooledMock(CategoryInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            annotate(posts, backend, ClientPolicy(max_in_flight=3), cache_path=cache)
+        # Every line up to and including the cut post's relevance verdict.
+        (end,) = [
+            n for n, line in enumerate(cache_lines(fresh))
+            if (line["post_id"], line["task"]) == (cut, Task.RELEVANCE_HURRICANE.value)
+        ]
+        assert cache.read_bytes() == b"".join(lines[: end + 1])
+
     def test_each_verdict_is_on_disk_before_the_next_call(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         on_disk = []

@@ -10,13 +10,11 @@ import pytest
 from conftest import ANCHOR
 
 from disimpact import (
-    ChartData,
-    CountSeries,
     IndexConfig,
     MalformedCsv,
     MalformedInput,
     UnknownColumn,
-    WindowCounts,
+    WeeklySeries,
     chart_csv_to_svg,
     compute_impact_series,
     read_chart_csv,
@@ -30,17 +28,10 @@ CONFIG = IndexConfig(window_anchor=ANCHOR)
 
 
 def make_series(n_weeks: int):
-    windows = []
-    for i in range(n_weeks):
-        n = {cat: (i * 7 + j * 3) % 13 for j, cat in enumerate(CATEGORIES)}
-        windows.append(
-            WindowCounts(
-                start=ANCHOR + timedelta(days=7 * i),
-                n=n,
-                total=sum(n.values()),
-            )
-        )
-    return compute_impact_series(CountSeries(windows=tuple(windows)), CONFIG)
+    windows = tuple(
+        tuple((i * 7 + j * 3) % 13 for j in range(len(CATEGORIES))) for i in range(n_weeks)
+    )
+    return compute_impact_series(WeeklySeries(ANCHOR, windows), CONFIG)
 
 
 @pytest.fixture()
@@ -60,28 +51,22 @@ def domain_csv(tmp_path):
 class TestReadChartCsv:
     def test_index_export_detected(self, index_csv):
         data = read_chart_csv(index_csv)
-        assert data.value_label == "index"
-        assert [name for name, _ in data.series] == [
-            cat.short_name for cat in CATEGORIES
-        ]
-        assert data.weeks == tuple(
-            ANCHOR + timedelta(days=7 * i) for i in range(10)
-        )
+        assert list(data) == [cat.short_name for cat in CATEGORIES]
+        for series in data.values():
+            assert series.weeks == tuple(ANCHOR + timedelta(days=7 * i) for i in range(10))
 
     def test_domain_export_detected(self, domain_csv):
         data = read_chart_csv(domain_csv)
-        assert data.value_label == "composite"
-        assert [name for name, _ in data.series] == ["physical", "social"]
-        assert all(len(values) == 10 for _, values in data.series)
+        assert list(data) == ["physical", "social"]
+        assert all(len(series.windows) == 10 for series in data.values())
 
     def test_values_round_trip(self, index_csv):
         series = make_series(10)
         data = read_chart_csv(index_csv)
-        by_name = dict(data.series)
         for cat in CATEGORIES:
-            points = by_name[cat.short_name]
+            points = data[cat.short_name].windows
             for t in range(10):
-                expected = series.per_category[cat][t].index
+                expected = series.indices[cat].windows[t]
                 assert points[t] == pytest.approx(expected, abs=1e-9)
 
     def test_foreign_header_refused(self, tmp_path):
@@ -104,12 +89,31 @@ class TestReadChartCsv:
         with pytest.raises(MalformedCsv):
             read_chart_csv(path)
 
+    def test_header_only_file_gives_no_series(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("window_start,domain,composite\n", encoding="utf-8")
+        assert read_chart_csv(path) == {}
+
+    def test_repeated_week_of_a_series_is_refused(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text(
+            "window_start,domain,composite\n"
+            "2024-09-02,physical,0.2\n"
+            "2024-09-02,social,0.1\n"
+            "2024-09-02,physical,0.9\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            MalformedCsv, match=re.escape(f"{path}:4: repeated row for week 2024-09-02")
+        ):
+            read_chart_csv(path)
+
     def test_blank_lines_are_skipped(self, domain_csv):
         lines = domain_csv.read_text(encoding="utf-8").splitlines()
         lines.insert(3, "")
         domain_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         data = read_chart_csv(domain_csv)
-        assert len(data.weeks) == 10
+        assert [len(series.weeks) for series in data.values()] == [10, 10]
 
     def test_ragged_row(self, domain_csv):
         with domain_csv.open("a", encoding="utf-8") as fh:
@@ -167,9 +171,10 @@ class TestReadChartCsv:
             encoding="utf-8",
         )
         data = read_chart_csv(path)
-        assert data.weeks == (date(2024, 9, 2), date(2024, 9, 9))
-        assert dict(data.series)["physical"] == (0.2, 0.8)
-        assert dict(data.series)["social"] == (0.1, 0.4)
+        assert data == {
+            "physical": WeeklySeries(date(2024, 9, 2), (0.2, 0.8)),
+            "social": WeeklySeries(date(2024, 9, 2), (0.1, 0.4)),
+        }
 
 
 class TestRenderChart:
@@ -199,7 +204,7 @@ class TestRenderChart:
         assert "<polyline" not in svg
 
     def test_empty_data_renders_axes_with_warning(self):
-        svg, warnings = render_chart(ChartData(weeks=(), series=(), value_label="index"))
+        svg, warnings = render_chart({})
         assert warnings == ["no data rows; rendering axes only"]
         assert "<polyline" not in svg
         assert "<circle" not in svg
@@ -295,12 +300,7 @@ class TestRenderChart:
 
     def test_scaling_is_exact_at_known_values(self):
         # pi/2 maps to the vertical midpoint of the plot band.
-        data = ChartData(
-            weeks=(date(2024, 9, 2),),
-            series=(("physical", (math.pi / 2,)),),
-            value_label="composite",
-        )
-        svg, _ = render_chart(data)
+        svg, _ = render_chart({"physical": WeeklySeries(date(2024, 9, 2), (math.pi / 2,))})
         match = re.search(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
         assert match is not None
         assert float(match.group(2)) == pytest.approx((32 + 492) / 2, abs=0.01)

@@ -513,6 +513,20 @@ class TestIndex:
             "2024-09-02,INFR,1720,9666,0.177893812,1.570796327,0.279434946" in rows
         )
 
+    def test_zero_iqr_over_unequal_totals_is_said(self, tmp_path):
+        # Totals 1, 1, 1, 1, 2: both quartiles are 1, yet the weights differ.
+        counts = disimpact.WeeklySeries(
+            date(2024, 9, 2), ((1,) + (0,) * 10,) * 4 + ((2,) + (0,) * 10,)
+        )
+        disimpact.write_counts_csv(counts, tmp_path / "counts.csv")
+        code, _, stderr = run_cli(["index", "--in", tmp_path / "counts.csv", "--out", tmp_path])
+        assert code == 0
+        assert stderr == "IQR of 0 in the weekly totals; the weight uses 1 in its place\n"
+
+    def test_real_spread_says_nothing(self, pipeline):
+        _, steps = pipeline
+        assert steps["index"][2] == ""
+
     def test_outputs_are_reproducible(self, pipeline, tmp_path):
         out, _ = pipeline
         code, _, _ = run_cli(["index", "--in", out / "counts.csv", "--out", tmp_path])
@@ -621,6 +635,21 @@ class TestSpatial:
         assert code == 0
         assert stdout == "13 state-month cells across 5 states\n"
         assert "99 posts could not be located" in stderr
+
+    @pytest.mark.parametrize("source_filter, states", [("both", 1), ("metadata", 1), ("text", 0)])
+    def test_zero_iqr_states_are_counted(self, pipeline, tmp_path, source_filter, states):
+        out, _ = pipeline
+        code, _, stderr = run_cli(
+            ["spatial", "--in", POSTS, "--labels", out / "labels.csv",
+             "--source-filter", source_filter, "--out", tmp_path]
+        )
+        assert code == 0
+        said = [line for line in stderr.splitlines() if "IQR" in line]
+        expected = (
+            f"IQR of 0 in the weekly totals of {states} state series; "
+            "max(1, mean * 1e-6) stands in for it"
+        )
+        assert said == ([expected] if states else [])
 
     def test_spatial_csv_header(self, pipeline):
         out, _ = pipeline
@@ -746,6 +775,20 @@ class TestChart:
         svg = (out / "chart.svg").read_text()
         assert svg.startswith("<svg ")
         assert "Weekly" in svg
+
+    def test_repeated_week_of_a_series_is_refused(self, pipeline, tmp_path):
+        out, _ = pipeline
+        lines = (out / "domain.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[3].startswith("2024-09-09,physical,")
+        twice = tmp_path / "domain.csv"
+        twice.write_text("\n".join(lines + [lines[3]]) + "\n", encoding="utf-8")
+        code, _, stderr = run_cli(["chart", "--in", twice, "--out", tmp_path])
+        assert code == 2
+        assert stderr.startswith(f"error: MalformedCsv: {twice}:{len(lines) + 1}: repeated row")
+        assert not (tmp_path / "chart.svg").exists()
+        # validate refuses the same file the same way.
+        code, _, _ = run_cli(["validate", "--in", twice, "--truth", TRUTH, "--out", tmp_path])
+        assert code == 2
 
     def test_axes_only_warning(self, tmp_path):
         empty = tmp_path / "domain.csv"

@@ -1,7 +1,6 @@
 """Tests for smoothed proportions, intensity weights, and impact indices."""
 
 import math
-from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import ANCHOR
 
 from disimpact import (
-    CountSeries,
     Domain,
     EmptyInput,
     ImpactSeries,
@@ -20,7 +18,7 @@ from disimpact import (
     InvalidCounts,
     OutOfRange,
     SeriesStats,
-    WindowCounts,
+    WeeklySeries,
     compute_impact_series,
     compute_iqr,
     impact_index,
@@ -37,18 +35,8 @@ CONFIG = IndexConfig(window_anchor=ANCHOR)
 count_vectors = st.lists(st.integers(0, 500), min_size=11, max_size=11)
 
 
-def series_from_vectors(vectors) -> CountSeries:
-    windows = []
-    for i, vec in enumerate(vectors):
-        n = {cat: int(vec[j]) for j, cat in enumerate(CATEGORIES)}
-        windows.append(
-            WindowCounts(
-                start=ANCHOR + timedelta(days=7 * i),
-                n=n,
-                total=sum(n.values()),
-            )
-        )
-    return CountSeries(windows=tuple(windows))
+def series_from_vectors(vectors) -> WeeklySeries:
+    return WeeklySeries(ANCHOR, tuple(tuple(int(n) for n in vec) for vec in vectors))
 
 
 class TestSmoothedProportion:
@@ -258,19 +246,21 @@ class TestComputeImpactSeries:
     def test_single_empty_window(self):
         series = compute_impact_series(series_from_vectors([[0] * 11]), CONFIG)
         assert series.stats.iqr_degenerate
+        (w,) = series.weights.windows
+        assert w == pytest.approx(math.pi / 2, abs=1e-12)
         for cat in CATEGORIES:
-            (pt,) = series.per_category[cat]
-            assert pt.p == pytest.approx(1 / 11, abs=1e-15)
-            assert pt.w == pytest.approx(math.pi / 2, abs=1e-12)
-            assert pt.index == pytest.approx(math.pi / 22, abs=1e-12)
+            (p,) = series.shares[cat].windows
+            (index,) = series.indices[cat].windows
+            assert p == pytest.approx(1 / 11, abs=1e-15)
+            assert index == pytest.approx(math.pi / 22, abs=1e-12)
         for domain in (Domain.PHYSICAL, Domain.SOCIAL):
-            (composite,) = series.domains[domain]
+            (composite,) = series.domains[domain].windows
             assert composite == pytest.approx(0.7139983303613165, abs=1e-12)
 
     def test_busy_window_weighs_more_than_quiet_window(self):
         vectors = [[0] * 10 + [10], [0] * 11]
         series = compute_impact_series(series_from_vectors(vectors), CONFIG)
-        w0, w1 = series.weights
+        w0, w1 = series.weights.windows
         assert w0 == pytest.approx(3 * math.pi / 4, abs=1e-12)
         assert w1 == pytest.approx(math.pi / 4, abs=1e-12)
         assert w0 > math.pi / 2 > w1
@@ -278,12 +268,13 @@ class TestComputeImpactSeries:
     def test_weights_shared_across_categories(self):
         vectors = [[1, 0, 4, 0, 0, 2, 0, 0, 0, 3, 1], [0] * 11]
         series = compute_impact_series(series_from_vectors(vectors), CONFIG)
-        for pts in series.per_category.values():
-            assert [pt.w for pt in pts] == list(series.weights)
+        for cat in CATEGORIES:
+            shares, indices = series.shares[cat].windows, series.indices[cat].windows
+            assert list(indices) == [p * w for p, w in zip(shares, series.weights.windows)]
 
     def test_empty_series(self):
         with pytest.raises(EmptyInput):
-            compute_impact_series(CountSeries(windows=()), CONFIG)
+            compute_impact_series(WeeklySeries(ANCHOR, ()), CONFIG)
 
     def test_unknown_composite_operator(self):
         with pytest.raises(OutOfRange, match="composite_operator must be one of"):
@@ -299,7 +290,7 @@ class TestComputeImpactSeries:
             series_from_vectors(vectors), IndexConfig(composite_operator="mean")
         )
         for domain in (Domain.PHYSICAL, Domain.SOCIAL):
-            for s, m in zip(summed.domains[domain], averaged.domains[domain]):
+            for s, m in zip(summed.domains[domain].windows, averaged.domains[domain].windows):
                 assert m == pytest.approx(s / 5, abs=1e-12)
 
     def test_quantile_method_changes_the_weights(self):
@@ -315,21 +306,21 @@ class TestComputeImpactSeries:
     @settings(max_examples=50, deadline=None)
     def test_indices_partition_the_weight(self, vectors):
         series = compute_impact_series(series_from_vectors(vectors), CONFIG)
-        for t, w in enumerate(series.weights):
-            total = sum(series.per_category[cat][t].index for cat in CATEGORIES)
+        for t, w in enumerate(series.weights.windows):
+            total = sum(series.indices[cat].windows[t] for cat in CATEGORIES)
             assert abs(total - w) < 1e-9
-            physical = series.domains[Domain.PHYSICAL][t]
-            social = series.domains[Domain.SOCIAL][t]
-            other = series.per_category[CATEGORIES[-1]][t].index
+            physical = series.domains[Domain.PHYSICAL].windows[t]
+            social = series.domains[Domain.SOCIAL].windows[t]
+            other = series.indices[CATEGORIES[-1]].windows[t]
             assert abs(physical + social + other - w) < 1e-9
 
     @given(st.lists(count_vectors, min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_every_index_is_inside_zero_pi(self, vectors):
         series = compute_impact_series(series_from_vectors(vectors), CONFIG)
-        for pts in series.per_category.values():
-            for pt in pts:
-                assert 0.0 < pt.index < math.pi
+        for indices in series.indices.values():
+            for index in indices.windows:
+                assert 0.0 < index < math.pi
 
 
 class TestCsvExports:

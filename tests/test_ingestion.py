@@ -226,15 +226,15 @@ class TestGroundTruth:
         path.write_text("week_start,value\n2024-09-02,5.0\n2024-09-09,7.5\n")
         series, report = load_ground_truth(path)
         assert series.weeks == (date(2024, 9, 2), date(2024, 9, 9))
-        assert series.values == (5.0, 7.5)
+        assert series.windows == (5.0, 7.5)
         assert report.filled_weeks == ()
 
     def test_gap_zero_filled(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("week_start,value\n2024-09-02,5.0\n2024-09-16,1.0\n")
         series, report = load_ground_truth(path)
-        assert len(series.weeks) == len(series.values) == 3
-        assert (series.weeks[1], series.values[1]) == (date(2024, 9, 9), 0.0)
+        assert len(series.weeks) == len(series.windows) == 3
+        assert (series.weeks[1], series.windows[1]) == (date(2024, 9, 9), 0.0)
         assert report.filled_weeks == (date(2024, 9, 9),)
 
     def test_negative_rejected(self, tmp_path):

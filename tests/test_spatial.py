@@ -328,7 +328,7 @@ class TestAggregation:
             ANCHOR + timedelta(days=42),
         )
         series = compute_impact_series(counts, resolved)
-        expected = sum(series.domains[Domain.PHYSICAL][:5]) / 5
+        expected = sum(series.domains[Domain.PHYSICAL].windows[:5]) / 5
         assert september.month == date(2024, 9, 1)
         assert september.physical == pytest.approx(expected, abs=1e-12)
 

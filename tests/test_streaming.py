@@ -153,7 +153,7 @@ def run_cli(argv):
 
 def write_counts(joined, unlabeled, path, range_start, range_end):
     """Write counts.csv from joined (post, category) pairs; its stderr lines."""
-    series, report = build_count_series(
+    series, outside_range = build_count_series(
         Counter((post.created_date, category) for post, category in joined),
         IndexConfig(),
         range_start,
@@ -161,7 +161,7 @@ def write_counts(joined, unlabeled, path, range_start, range_end):
     )
     write_counts_csv(series, path)
     lines = [f"{unlabeled} posts had no label"] if unlabeled else []
-    return lines + ([f"{report.outside_range} posts outside range"] if report.outside_range else [])
+    return lines + ([f"{outside_range} posts outside range"] if outside_range else [])
 
 
 def write_spatial(joined, unlabeled, path, range_start, range_end):
@@ -176,6 +176,11 @@ def write_spatial(joined, unlabeled, path, range_start, range_end):
     lines = [f"{report.unlocated} posts could not be located"] if report.unlocated else []
     if report.suppressed_cells:
         lines.append(f"{len(report.suppressed_cells)} cells under min_group_size suppressed")
+    if report.zero_iqr_states:
+        lines.append(
+            f"IQR of 0 in the weekly totals of {report.zero_iqr_states} state series; "
+            "max(1, mean * 1e-6) stands in for it"
+        )
     return lines
 
 

@@ -37,8 +37,7 @@ WEEK = timedelta(days=7)
 
 
 def weekly(values, start=ANCHOR) -> WeeklySeries:
-    weeks = tuple(start + i * WEEK for i in range(len(values)))
-    return WeeklySeries(weeks=weeks, values=tuple(float(v) for v in values))
+    return WeeklySeries(start, tuple(float(v) for v in values))
 
 
 def brute_midranks(values):
@@ -132,21 +131,16 @@ class TestSpearman:
 class TestWeeklySeries:
     def test_requires_at_least_one_week(self):
         with pytest.raises(EmptyInput):
-            WeeklySeries(weeks=(), values=())
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            WeeklySeries(weeks=(ANCHOR,), values=(1.0, 2.0))
-
-    def test_weeks_must_step_by_seven_days(self):
-        with pytest.raises(ValueError):
-            WeeklySeries(
-                weeks=(ANCHOR, ANCHOR + timedelta(days=8)), values=(1.0, 2.0)
-            )
+            WeeklySeries(ANCHOR, ())
 
     def test_values_must_be_finite(self):
-        with pytest.raises(ValueError):
-            WeeklySeries(weeks=(ANCHOR,), values=(float("nan"),))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                WeeklySeries(ANCHOR, (1.0, bad))
+
+    def test_weeks_step_by_seven_days_from_the_start(self):
+        series = weekly([1, 2, 3])
+        assert series.weeks == (ANCHOR, ANCHOR + WEEK, ANCHOR + 2 * WEEK)
 
 
 class TestDomainSeries:
@@ -170,8 +164,9 @@ class TestDomainSeries:
         write_domain_csv(series, path)
         for domain in (Domain.PHYSICAL, Domain.SOCIAL):
             loaded = read_domain_csv(path, domain)
-            assert loaded.weeks == series.weeks
-            for got, want in zip(loaded.values, series.domains[domain]):
+            assert loaded.start == series.counts.start
+            assert len(loaded.windows) == len(series.domains[domain].windows)
+            for got, want in zip(loaded.windows, series.domains[domain].windows):
                 assert got == pytest.approx(want, abs=1e-9)
 
     def test_read_rejects_foreign_header(self, tmp_path):
@@ -275,6 +270,37 @@ class TestLeadLagProfile:
         profile = lead_lag_profile(index, truth, max_lag=1)
         assert profile.overlap[1] == 6  # truth runs one week later
 
+    @given(
+        st.lists(st.integers(0, 9), min_size=1, max_size=12),
+        st.lists(st.integers(0, 9), min_size=1, max_size=12),
+        st.integers(-8, 8),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pairs_weeks_by_date(self, index_values, truth_values, offset, max_lag):
+        index = weekly(index_values)
+        truth = weekly(truth_values, start=ANCHOR + offset * WEEK)
+        truth_by_week = dict(zip(truth.weeks, truth.windows))
+        overlap, rho = {}, {}
+        for lag in range(-max_lag, max_lag + 1):
+            pairs = [
+                (value, truth_by_week[week + lag * WEEK])
+                for week, value in zip(index.weeks, index.windows)
+                if week + lag * WEEK in truth_by_week
+            ]
+            overlap[lag], rho[lag] = len(pairs), None
+            if len(pairs) >= 3:
+                try:
+                    rho[lag] = spearman_rho(*zip(*pairs))
+                except ConstantInput:
+                    pass
+        if all(value is None for value in rho.values()):
+            with pytest.raises(AllLagsUndefined):
+                lead_lag_profile(index, truth, max_lag)
+            return
+        profile = lead_lag_profile(index, truth, max_lag)
+        assert (profile.overlap, profile.rho) == (overlap, rho)
+
     def test_negative_max_lag(self):
         with pytest.raises(OutOfRange):
             lead_lag_profile(weekly([1, 2, 3]), weekly([1, 2, 3]), max_lag=-1)
@@ -292,9 +318,7 @@ class TestLeadLagProfile:
 
     def test_monotone_transform_of_truth_changes_nothing(self):
         index, truth = shifted_pair(1, seed=17)
-        stretched = WeeklySeries(
-            weeks=truth.weeks, values=tuple(v**3 + v for v in truth.values)
-        )
+        stretched = WeeklySeries(truth.start, tuple(v**3 + v for v in truth.windows))
         original = lead_lag_profile(index, truth, max_lag=3)
         transformed = lead_lag_profile(index, stretched, max_lag=3)
         for lag in original.lags:

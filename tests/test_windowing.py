@@ -11,13 +11,13 @@ from conftest import ANCHOR, category, spread_posts
 
 from disimpact import (
     BeforeAnchor,
-    CountSeries,
     IndexConfig,
     LoadReport,
     MalformedCsv,
     MisalignedRange,
-    WindowCounts,
+    WeeklySeries,
     build_count_series,
+    compute_impact_series,
     iter_posts,
     monday_on_or_before,
     read_counts_csv,
@@ -48,13 +48,22 @@ def week_of(tmp_path, stamp):
     )
     (post,) = iter_posts(path, LoadReport())
     series, _ = build_count_series(tally(post.created_date), CONFIG)
-    (wc,) = series.windows
-    assert wc.total == 1
-    return wc.start
+    (window,) = series.windows
+    assert sum(window) == 1
+    return series.start
 
 
 def span(series):
-    return series.windows[0].start, series.windows[-1].start + WEEK
+    return series.start, series.start + len(series.windows) * WEEK
+
+
+def totals(series):
+    return tuple(map(sum, series.windows))
+
+
+def n(window, code):
+    """The count of category `code` in one window."""
+    return window[code - 1]
 
 
 class TestMondayGrid:
@@ -70,7 +79,7 @@ class TestMondayGrid:
     def test_derive_anchor_uses_earliest_post(self):
         posts = tally(date(2024, 9, 12), date(2024, 9, 5))
         series, _ = build_count_series(posts, IndexConfig())
-        assert series.windows[0].start == date(2024, 9, 2)
+        assert series.start == date(2024, 9, 2)
 
     def test_derive_anchor_needs_posts(self):
         with pytest.raises(ValueError):
@@ -103,19 +112,19 @@ class TestResolveConfig:
     def test_explicit_anchor_passes_through(self):
         posts = tally(date(2024, 9, 20))
         series, _ = build_count_series(posts, CONFIG)
-        assert series.windows[0].start == ANCHOR + 2 * WEEK
+        assert series.start == ANCHOR + 2 * WEEK
         assert span(series) == (date(2024, 9, 16), date(2024, 9, 23))
 
     def test_derives_monday_from_posts(self):
         posts = tally(date(2024, 9, 5))
         series, _ = build_count_series(posts, IndexConfig())
-        assert series.windows[0].start == date(2024, 9, 2)
+        assert series.start == date(2024, 9, 2)
 
     def test_range_start_joins_the_candidates(self):
         posts = tally(date(2024, 9, 20))
         series, _ = build_count_series(posts, IndexConfig(), range_start=date(2024, 9, 9))
         assert span(series) == (date(2024, 9, 9), date(2024, 9, 23))
-        assert series.totals == (0, 1)
+        assert totals(series) == (0, 1)
 
     def test_nothing_to_derive_from(self):
         # range_end alone gives no anchor.
@@ -125,46 +134,45 @@ class TestResolveConfig:
 
 class TestBuildCountSeries:
     def test_zero_posts_give_zero_filled_windows(self):
-        series, report = build_count_series(
+        series, outside = build_count_series(
             Counter(), CONFIG, ANCHOR, ANCHOR + timedelta(days=28)
         )
         assert len(series.windows) == 4
-        assert series.totals == (0, 0, 0, 0)
-        for wc in series.windows:
-            assert set(wc.n) == set(CATEGORIES)
-            assert all(v == 0 for v in wc.n.values())
-        assert report.outside_range == 0
+        assert totals(series) == (0, 0, 0, 0)
+        for window in series.windows:
+            assert window == (0,) * len(CATEGORIES)
+        assert outside == 0
 
     def test_counts_land_in_the_right_window(self):
         posts = spread_posts({0: {3: 3}, 2: {2: 1}})
         series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=21))
-        assert series.totals == (3, 0, 1)
-        assert series.windows[0].n[category(3)] == 3
-        assert series.windows[2].n[category(2)] == 1
-        assert series.windows[1].total == 0
+        assert totals(series) == (3, 0, 1)
+        assert n(series.windows[0], 3) == 3
+        assert n(series.windows[2], 2) == 1
+        assert sum(series.windows[1]) == 0
 
     def test_dense_single_window(self):
         posts = spread_posts({0: DENSE_WINDOW})
         series, _ = build_count_series(posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=7))
-        (wc,) = series.windows
-        assert wc.total == 9666
-        assert wc.n[category(3)] == 1720
-        assert wc.n[category(11)] == 2583
+        (window,) = series.windows
+        assert sum(window) == 9666
+        assert n(window, 3) == 1720
+        assert n(window, 11) == 2583
 
     def test_window_indices_respect_the_anchor(self):
         posts = spread_posts({2: {3: 1}})
         start = ANCHOR + timedelta(days=14)
         series, _ = build_count_series(posts, CONFIG, start, start + timedelta(days=7))
-        assert series.windows[0].start == ANCHOR + 2 * WEEK
-        assert series.totals == (1,)
+        assert series.start == ANCHOR + 2 * WEEK
+        assert totals(series) == (1,)
 
     def test_posts_outside_range_are_reported(self):
         posts = tally(ANCHOR, ANCHOR + timedelta(days=7))
-        series, report = build_count_series(
+        series, outside = build_count_series(
             posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=7)
         )
-        assert series.totals == (1,)
-        assert report.outside_range == 1
+        assert totals(series) == (1,)
+        assert outside == 1
 
     def test_misaligned_start(self):
         with pytest.raises(MisalignedRange):
@@ -196,11 +204,11 @@ class TestBuildCountSeries:
         posts = Counter(
             (ANCHOR + timedelta(days=7 * week), category(code)) for week, code in placements
         )
-        series, report = build_count_series(
+        series, outside = build_count_series(
             posts, CONFIG, ANCHOR, ANCHOR + timedelta(days=42)
         )
-        assert sum(series.totals) == len(placements)
-        assert report.outside_range == 0
+        assert sum(totals(series)) == len(placements)
+        assert outside == 0
 
     @given(
         st.lists(
@@ -222,16 +230,16 @@ class TestBuildCountSeries:
         moved, _ = build_count_series(
             shifted, CONFIG, ANCHOR + shift, ANCHOR + shift + timedelta(days=28)
         )
-        assert moved.totals == base.totals
-        assert [w.n for w in moved.windows] == [w.n for w in base.windows]
+        assert totals(moved) == totals(base)
+        assert moved.windows == base.windows
 
 
 class TestFullRange:
     def test_spans_every_post(self):
         posts = tally(date(2024, 9, 3), date(2024, 9, 20))
-        series, report = build_count_series(posts, CONFIG)
+        series, outside = build_count_series(posts, CONFIG)
         assert span(series) == (ANCHOR, ANCHOR + timedelta(days=21))
-        assert report.outside_range == 0
+        assert outside == 0
 
     def test_single_post_single_window(self):
         posts = tally(ANCHOR + timedelta(days=6))
@@ -257,18 +265,18 @@ class TestFullRange:
     def test_given_start_is_kept_and_end_spans_the_posts(self):
         posts = spread_posts({0: {3: 1}, 2: {4: 1}, 3: {5: 1}})
         start = ANCHOR + timedelta(days=14)
-        series, report = build_count_series(posts, CONFIG, range_start=start)
+        series, outside = build_count_series(posts, CONFIG, range_start=start)
         assert span(series) == (start, ANCHOR + timedelta(days=28))
-        assert series.totals == (1, 1)
-        assert report.outside_range == 1
+        assert totals(series) == (1, 1)
+        assert outside == 1
 
     def test_given_end_is_kept_and_start_spans_the_posts(self):
         posts = spread_posts({1: {3: 1}, 2: {4: 1}, 3: {5: 1}})
         end = ANCHOR + timedelta(days=21)
-        series, report = build_count_series(posts, IndexConfig(), range_end=end)
+        series, outside = build_count_series(posts, IndexConfig(), range_end=end)
         assert span(series) == (ANCHOR + timedelta(days=7), end)
-        assert series.totals == (1, 1)
-        assert report.outside_range == 1
+        assert totals(series) == (1, 1)
+        assert outside == 1
 
     def test_given_bound_must_sit_on_the_grid(self):
         posts = spread_posts({0: {3: 1}})
@@ -280,22 +288,16 @@ class TestFullRange:
 
 class TestCountsValidation:
     def test_window_counts_must_cover_all_categories(self):
-        with pytest.raises(ValueError):
-            WindowCounts(start=ANCHOR, n={category(3): 1}, total=1)
+        short = WeeklySeries(ANCHOR, ((0,) * 11, (1,) * 10))
+        with pytest.raises(ValueError, match="a window needs 11 counts, got 10"):
+            compute_impact_series(short, CONFIG)
 
-    def test_window_counts_total_must_match(self):
-        n = {c: 0 for c in CATEGORIES}
-        with pytest.raises(ValueError):
-            WindowCounts(start=ANCHOR, n=n, total=5)
-
-    def test_series_must_be_contiguous(self):
-        def window_at(start):
-            return WindowCounts(start=start, n={c: 0 for c in CATEGORIES}, total=0)
-
-        CountSeries(windows=(window_at(ANCHOR), window_at(ANCHOR + WEEK)))
-        for gap in (2 * WEEK, timedelta(days=3)):
-            with pytest.raises(ValueError):
-                CountSeries(windows=(window_at(ANCHOR), window_at(ANCHOR + gap)))
+    def test_windows_count_the_weeks(self):
+        # perfbench's windowing.windows metric reads len(series.windows).
+        posts = tally(ANCHOR + timedelta(days=2), ANCHOR + timedelta(days=40))
+        series, _ = build_count_series(posts, CONFIG)
+        assert len(series.windows) == len(series.weeks) == 6
+        assert series.weeks == tuple(ANCHOR + t * WEEK for t in range(6))
 
 
 class TestCountsCsv:
@@ -309,6 +311,7 @@ class TestCountsCsv:
         path = tmp_path / "counts.csv"
         write_counts_csv(series, path)
         assert read_counts_csv(path, CONFIG) == series
+        assert series == WeeklySeries(ANCHOR, ((1, 0, 3) + (0,) * 8, (0, 2) + (0,) * 9))
 
     def test_header_and_row_shape(self, tmp_path):
         path = tmp_path / "counts.csv"
@@ -325,7 +328,7 @@ class TestCountsCsv:
         text = path.read_text().replace("2024-09-09", "2024-09-17")
         path.write_text(text.replace("2024-09-02", "2024-09-10"))
         series = read_counts_csv(path, IndexConfig())
-        assert [wc.start for wc in series.windows] == [date(2024, 9, 10), date(2024, 9, 17)]
+        assert series.weeks == (date(2024, 9, 10), date(2024, 9, 17))
         with pytest.raises(MalformedCsv, match=r"counts.csv:2: window 2024-09-10 off the"):
             read_counts_csv(path, CONFIG)
 
