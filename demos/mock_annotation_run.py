@@ -54,9 +54,8 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
     print()
 
     # Stage one drops posts that are not about the disaster. The posts
-    # are read twice, once to look up the cache and once to ask, so they
-    # must be re-iterable: a list here. keep gets each relevant post, in
-    # order, as its verdict comes in.
+    # are read once, as a stream, so any iterable will do: a list here.
+    # keep gets each relevant post, in order, as its verdict comes in.
     backend = MockBackend()
     policy = ClientPolicy(max_in_flight=2)
     kept = []
@@ -68,18 +67,14 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
         print("  kept:", post.id, post.text[:46])
     print()
 
-    # Stage two assigns one impact category per relevant post. One
-    # asking read takes each post in turn: its relevance, if that is
-    # missing, then a relevant post's category. This source streams the
-    # file anew on each read, and the loop keeps only each post's id and
-    # verdicts. The cache holds the stage-one verdicts already, so only
-    # the category calls are made.
-    class PostsFile:
-        def __iter__(self):
-            return iter_posts(posts_path, LoadReport())
-
+    # Stage two assigns one impact category per relevant post. One read
+    # of the file takes each post in turn: its relevance, if that is
+    # missing, then a relevant post's category. The loop keeps only
+    # each post's id and verdicts. The cache holds the stage-one
+    # verdicts already, so only the category calls are made.
     labels, run = annotate_dataset(
-        PostsFile(), DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl"
+        iter_posts(posts_path, LoadReport()),
+        DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl",
     )
     print("labels (cache hits:", run.cache_hits, "):")
     for item in labels:

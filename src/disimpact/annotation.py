@@ -8,11 +8,11 @@ minimal JSON-over-HTTP contract (template id plus post payload in,
 judgment JSON out) and leaves vendor specifics to adapter code.
 
 clean_dataset and annotate_dataset share one loop, _run_stages. It
-reads the posts at most twice, from a source that can be read again:
-once to look up the cache, and once to ask, post by post, for every
-verdict still missing (relevance, then a relevant post's category). It
-holds no post past its read: per post it keeps the id and one byte of
-state.
+reads the posts once, as a stream: each post takes its cached verdicts
+out of the cache as it arrives, and is asked for every verdict still
+missing (relevance, then a relevant post's category) in the same read.
+It holds no post past its window: per post it keeps the id and one
+byte of state.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .core import (
 )
 from .errors import (
     EmptyInput,
-    InputChanged,
     MalformedResponse,
     OutOfRange,
     TransportError,
@@ -453,7 +452,9 @@ class _StageLoop:
     order, and flushed inline before the next backend call, or with a
     pool as soon as its post and every post before it are done. A pool
     task cut short by an exception hands back the verdicts it got, which
-    are written before the exception is raised again. So an interrupted
+    are written before the exception is raised again; if the posts
+    stream raises, the requests not yet sent are cancelled and the
+    verdicts of every request sent are written first. So an interrupted
     run keeps the work it finished.
     """
 
@@ -505,7 +506,8 @@ class _StageLoop:
         quote = json.encoder.encode_basestring_ascii
         fh = None
 
-        def finish(i: int, post: Post, verdicts) -> None:
+        def write(post: Post, verdicts):
+            """Append each new verdict to the cache; the last one that did not fail, or None."""
             nonlocal fh
             last = None
             for name, key, verdict in verdicts:
@@ -523,27 +525,40 @@ class _StageLoop:
                 judgment = str(verdict).lower() if isinstance(verdict, bool) else verdict.code
                 fh.write((line % (judgment, key.hex(), quote(post.id), name)).encode())
                 fh.flush()
-            done(i, post, last)
+            return last
 
         with ExitStack() as stack:
             if getattr(self.backend, "in_process", False):
                 # Each line is on disk before the generator makes its next call.
                 for i, post, tasks in items:
-                    finish(i, post, self.ask(post, tasks))
+                    done(i, post, write(post, self.ask(post, tasks)))
                 return
             # Imported here: in-process backends, the common case, need no pool.
             from concurrent.futures import ThreadPoolExecutor
 
             pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
-            # If writing the cache or reading the posts fails, send none of the queued requests.
+            # If writing the cache or a request fails, send none of the queued requests.
             stack.callback(pool.shutdown, cancel_futures=True)
             window: deque = deque()  # (index, post, future or None), in post order
 
             def finish_first() -> None:
                 i, post, future = window.popleft()
-                finish(i, post, () if future is None else future.result())
+                done(i, post, write(post, () if future is None else future.result()))
 
-            for i, post, tasks in items:
+            items = iter(items)
+            while True:
+                try:
+                    i, post, tasks = next(items)
+                except StopIteration:
+                    break
+                except BaseException:
+                    # The posts stream failed: send none of the queued requests,
+                    # but write the verdicts of every request already sent.
+                    pool.shutdown(cancel_futures=True)
+                    for _, post, future in window:
+                        if future is not None and not future.cancelled():
+                            write(post, future.result())
+                    raise
                 future = pool.submit(_gather, self.ask(post, tasks)) if tasks else None
                 window.append((i, post, future))
                 if len(window) == 2 * self.policy.max_in_flight:
@@ -563,17 +578,6 @@ def _gather(verdicts: Iterator) -> list:
     return got
 
 
-def _reread(posts: Iterable[Post], ids: list[str]) -> Iterator[tuple[int, Post]]:
-    """(index, post) for each post of a later pass; it must give the first pass's ids."""
-    n = 0
-    for n, post in enumerate(posts, 1):
-        if n > len(ids) or post.id != ids[n - 1]:
-            raise InputChanged(f"the posts changed between passes: post {n} is {post.id!r}")
-        yield n - 1, post
-    if n != len(ids):
-        raise InputChanged(f"the posts changed between passes: {n} posts, not {len(ids)}")
-
-
 # A post's state in _run_stages, one byte each: relevance unknown,
 # irrelevant, or relevant; a relevant post's category adds its code.
 _UNKNOWN, _IRRELEVANT, _RELEVANT = 0, 1, 2
@@ -587,55 +591,50 @@ def _run_stages(
 ) -> tuple[list[str], bytearray]:
     """The one annotation loop: each post's id and its state.
 
-    posts is read at most twice, as a stream, so it must be re-iterable
-    (a list, or a file source) and give the same posts each time. A
-    pass holds only the posts of its window: the one asked about inline,
-    or at most 2 x max_in_flight for a pool backend.
-
-    Pass 1 comes after the cache is read. It keeps each post's id and
-    one byte of state, and takes each cached verdict out of the
-    in-memory cache as its post streams by; it makes no backend call.
-    The asking pass then goes through the posts in order. For each it
-    asks for the missing relevance verdict and, without keep
-    (annotate), a relevant post's missing category. With keep (clean),
-    keep gets each relevant post. It runs only when it has a verdict to
-    ask for or a post to keep, so a warm annotate reads the posts once,
-    and raises InputChanged if it gives other ids. What is left of the
-    cache is released before this returns. Post ids must be distinct,
-    as iter_posts yields them: a repeated post would be asked again.
+    posts is read once, as a stream, after the cache is read. Each post
+    takes its cached verdicts out of the in-memory cache as it arrives,
+    and leaves its id and one byte of state. In the same read, a post
+    that lacks a verdict goes to loop.run, which asks for the missing
+    relevance verdict and, without keep (annotate), a relevant post's
+    missing category. With keep (clean), keep gets each relevant post,
+    in order. Only the posts of the loop's window are held: the one
+    asked about inline, or at most 2 x max_in_flight for a pool backend.
+    What is left of the cache is released before this returns. Post ids
+    must be distinct, as iter_posts yields them: a repeated post would
+    be asked again.
     """
-    if isinstance(posts, Iterator):
-        raise TypeError("posts must be re-iterable, such as a list, not a one-shot iterator")
     relevance_task = Task(f"relevance_{disaster.value}")
     relevance_question = loop.questions[relevance_task][0]
     category_question = loop.questions[Task.IMPACT_CATEGORY][0]
-    ids: list[str] = []
-    states = bytearray()
-    for post in posts:
-        flag = None
-        if loop.cache:  # an empty cache, as on a cold run, matches no key
-            material = _key_material(post)
-            flag = loop.cache.pop(_key(relevance_question, material), None)
-        if flag is None:
-            state = _UNKNOWN
-        elif not flag:
-            state = _IRRELEVANT
-        elif keep is None:
-            category = loop.cache.pop(_key(category_question, material), None)
-            state = _RELEVANT if category is None else _RELEVANT + category.code
-        else:
-            state = _RELEVANT
-        ids.append(post.id)
-        states.append(state)
-    post = None  # pass 1 is over; hold its last post no longer
     # The tasks a post in each state lacks, asked in turn while each
     # verdict is True; clean asks no category, but keeps each relevant post.
     category = (Task.IMPACT_CATEGORY,) if keep is None else ()
     lacking = {_UNKNOWN: (relevance_task, *category), _RELEVANT: category}
-    # A post missing a verdict is asked at least once.
-    missing = sum(states.count(state) for state, tasks in lacking.items() if tasks)
-    loop.report.backend_posts = missing
-    loop.report.cache_hits = len(ids) - missing
+    ids: list[str] = []
+    states = bytearray()
+
+    def items() -> Iterator[tuple[int, Post, tuple[Task, ...]]]:
+        for i, post in enumerate(posts):
+            flag = None
+            if loop.cache:  # an empty cache, as on a cold run, matches no key
+                material = _key_material(post)
+                flag = loop.cache.pop(_key(relevance_question, material), None)
+            if flag is None:
+                state = _UNKNOWN
+            elif not flag:
+                state = _IRRELEVANT
+            elif keep is None:
+                cached = loop.cache.pop(_key(category_question, material), None)
+                state = _RELEVANT if cached is None else _RELEVANT + cached.code
+            else:
+                state = _RELEVANT
+            ids.append(post.id)
+            states.append(state)
+            tasks = lacking.get(state)
+            if tasks:  # a post missing a verdict is asked at least once
+                loop.report.backend_posts += 1
+            if tasks is not None:
+                yield i, post, tasks
 
     def done(i: int, post: Post, verdict) -> None:
         if isinstance(verdict, bool):
@@ -645,9 +644,8 @@ def _run_stages(
         if keep is not None and states[i] == _RELEVANT:
             keep(post)
 
-    if _UNKNOWN in states or _RELEVANT in states:
-        reread = _reread(posts, ids)
-        loop.run(((i, p, lacking[states[i]]) for i, p in reread if states[i] in lacking), done)
+    loop.run(items(), done)
+    loop.report.cache_hits = len(ids) - loop.report.backend_posts
     loop.cache.clear()
     return ids, states
 
@@ -662,16 +660,13 @@ def annotate_dataset(
 ) -> tuple[list[Label], AnnotationReport]:
     """Annotate every post: relevance, then the category of a relevant post.
 
-    posts is read once, then once more if a verdict is missing, so it
-    must be re-iterable: a list, or a source each iteration of which
-    streams the same posts anew (a one-shot iterator raises TypeError).
-    The second read asks for each post's missing verdicts, relevance
-    before category, before it moves to the next post. No post is held
-    past the read it came from. Verdicts already cached, relevance
-    verdicts from ``clean_dataset`` included, cost zero backend calls.
-    Failures are collected per post and the rest of the batch
-    completes; a failed post is left out of the labels and its missing
-    verdict is asked for on the next run. An irrelevant post is
+    posts is any iterable, read once as a stream: each post is asked
+    for its missing verdicts, relevance before category, as it arrives.
+    No post is held past the loop's window. Verdicts already cached,
+    relevance verdicts from ``clean_dataset`` included, cost zero
+    backend calls. Failures are collected per post and the rest of the
+    batch completes; a failed post is left out of the labels and its
+    missing verdict is asked for on the next run. An irrelevant post is
     labelled OTHER.
     """
     report = AnnotationReport()
@@ -698,10 +693,10 @@ def clean_dataset(
 ) -> tuple[int, CleanReport]:
     """Relevance-filter posts for the disaster, caching each verdict for later stages.
 
-    posts is read at most twice, so it must be re-iterable, as for
-    ``annotate_dataset``. The second read asks for each missing
-    relevance verdict, and keep gets each relevant post, in input order,
-    during it; nothing else holds a post past its read.
+    posts is any iterable, read once as a stream, as for
+    ``annotate_dataset``. The read asks for each missing relevance
+    verdict, and keep gets each relevant post, in input order, during
+    it; nothing else holds a post past the loop's window.
     Returns how many posts keep got, and the report. Cached relevance
     verdicts (from either command) are reused without backend calls,
     and ``annotate_dataset`` reuses the ones this writes.

@@ -319,35 +319,17 @@ def _report_dropped(report: LoadReport) -> None:
         )
 
 
-class _PostsFile:
-    """posts.jsonl as the annotation loop reads it: once, then once to ask.
+def _stream_posts(path: Path, run: Run, report: LoadReport) -> Iterator[Post]:
+    """Stream posts.jsonl as run.input hashed it; at its end, say how many lines were dropped.
 
-    The first read counts into report and ends by saying on stderr how
-    many lines were dropped. Each later read must give the bytes whose
-    sha256 run.input recorded, or it raises InputChanged at its end.
+    The stream raises InputChanged at its end if it read other bytes.
     """
-
-    def __init__(self, path: Path, run: Run, report: LoadReport) -> None:
-        self.path = run.input(path)
-        self.sha256 = run.inputs[str(path)]
-        self.report = report
-        self.read = False
-
-    def __iter__(self) -> Iterator[Post]:
-        if self.read:
-            return iter_posts(self.path, LoadReport(), self.sha256)
-        self.read = True
-        return _stream_posts(self.path, self.report)
-
-
-def _stream_posts(path: Path, report: LoadReport) -> Iterator[Post]:
-    """Stream posts.jsonl; at its end, say on stderr how many lines were dropped."""
-    yield from iter_posts(path, report)
+    yield from iter_posts(path, report, run.inputs[str(path)])
     _report_dropped(report)
 
 
 def cmd_clean(args: argparse.Namespace, run: Run) -> int:
-    posts = _PostsFile(args.input, run, LoadReport())
+    posts = _stream_posts(run.input(args.input), run, LoadReport())
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     with run.output("posts_clean.jsonl").open("w", encoding="utf-8") as fh:
         _, report = clean_dataset(
@@ -360,7 +342,7 @@ def cmd_clean(args: argparse.Namespace, run: Run) -> int:
 
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
     loaded = LoadReport()
-    posts = _PostsFile(args.input, run, loaded)
+    posts = _stream_posts(run.input(args.input), run, loaded)
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     out = run.output("labels.csv")
     labels, report = annotate_dataset(
@@ -380,13 +362,14 @@ def _labelled_posts(
 ) -> Iterator[tuple[Post, ImpactCategory]]:
     """Stream (post, category) for the labelled posts of --in; labels are read first.
 
-    The stream ends with the posts' malformed-share check and then the
-    labels' unknown-id check, so a caller that consumes it before
+    The stream ends with the posts' digest and malformed-share checks
+    and then the labels' unknown-id check, so a caller that consumes it before
     writing writes nothing when either fails.
     """
     posts_path, labels_path = run.input(args.input), run.input(args.labels)
     labels = load_labels(labels_path)
-    return join_labels(iter_posts(posts_path, report), labels, labels_path, report)
+    posts = iter_posts(posts_path, report, run.inputs[str(posts_path)])
+    return join_labels(posts, labels, labels_path, report)
 
 
 def cmd_counts(args: argparse.Namespace, run: Run) -> int:

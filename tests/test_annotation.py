@@ -630,17 +630,23 @@ class TestCleanDataset:
                 reads.append(len(reads))
                 yield from posts
 
-        results = []
-        for name, source in (("list", list(posts)), ("source", Source())):
-            cache = tmp_path / f"{name}.jsonl"
-            clean(posts[::2], MockBackend(), cache_path=cache, sleep=no_sleep)
-            results.append(clean(source, MockBackend(), cache_path=cache, sleep=no_sleep))
-        assert results[0] == results[1]
-        assert results[0][1].cache_hits == 5
-        assert reads == [0, 1]  # the cache, then the relevance stage
-        # A one-shot stream cannot be read once per stage.
-        with pytest.raises(TypeError, match="re-iterable"):
-            clean((post for post in posts), MockBackend(), cache_path=cache, sleep=no_sleep)
+        # The posts are read once, so a one-shot generator gives the same.
+        sources = {
+            "list": lambda: list(posts),
+            "source": Source,
+            "generator": lambda: (post for post in posts),
+        }
+        for run, cache_hits in ((clean, 5), (annotate, 1)):
+            results, caches = [], set()
+            for name, source in sources.items():
+                cache = tmp_path / f"{run.__name__}-{name}.jsonl"
+                clean(posts[::2], MockBackend(), cache_path=cache, sleep=no_sleep)
+                results.append(run(source(), MockBackend(), cache_path=cache, sleep=no_sleep))
+                caches.add(cache.read_bytes())
+            assert results[0] == results[1] == results[2]
+            assert results[0][1].cache_hits == cache_hits
+            assert len(caches) == 1
+        assert reads == [0, 1]  # one read by each function
 
     def test_summary_line(self, tmp_path):
         posts = make_posts()
@@ -922,6 +928,42 @@ class TestInterruptAndResume:
         assert annotations == expected
         assert cache.read_bytes() == fresh.read_bytes()
 
+
+    def test_a_failed_stream_writes_every_verdict_the_pool_got(self, tmp_path):
+        posts = fixture_posts()
+        fresh = tmp_path / "fresh.jsonl"
+        annotate(posts, MockBackend(), cache_path=fresh)
+        # Both pool threads are held mid-request on these posts when the
+        # stream fails; the last post's request is still queued.
+        held = {posts[-3].id, posts[-2].id}
+        started, release = threading.Semaphore(0), threading.Event()
+        asked = []
+
+        class Holding(MockBackend):
+            def complete(self, request):
+                asked.append(request.post.id)
+                if request.post.id in held and request.task is not Task.IMPACT_CATEGORY:
+                    started.release()
+                    release.wait(5)
+                return super().complete(request)
+
+        def posts_then_fail():
+            yield from posts
+            for _ in held:
+                assert started.acquire(timeout=5)
+            threading.Timer(0.2, release.set).start()
+            raise disimpact.InputChanged("posts.jsonl changed while it was read")
+
+        cache = tmp_path / "cache.jsonl"
+        backend = PooledMock(Holding())
+        with pytest.raises(disimpact.InputChanged):
+            annotate(posts_then_fail(), backend, ClientPolicy(max_in_flight=2), cache_path=cache)
+        # Each request sent has its verdict on disk; the queued one was never sent.
+        assert cache.read_bytes().count(b"\n") == backend.inner.calls == len(asked)
+        assert held <= set(asked) and posts[-1].id not in asked
+        rerun = MockBackend()
+        annotate(posts, rerun, cache_path=cache)
+        assert cache.read_bytes() == fresh.read_bytes()
 
     def test_pool_keeps_the_relevance_verdict_of_a_cut_short_post(self, tmp_path):
         posts = fixture_posts()

@@ -354,92 +354,120 @@ class TestAnnotateStreams:
         monkeypatch.setattr(cli, "iter_posts", lambda *args: reads.append(1) or iter_posts(*args))
         cold = "annotated 200/200 posts (171 relevant, 0 cache hits)\n"
         warm = "annotated 200/200 posts (171 relevant, 200 cache hits)\n"
-        steps = (  # command, stdout, reads of posts.jsonl, backend calls
-            # pass 1, then the asking pass, which asks and writes the kept posts
-            ("clean", "171/200 (86%)\n", 2, 200),
-            # nothing to ask, but the kept posts are written from a second read
-            ("clean", "171/200 (86%)\n", 2, 0),
-            # pass 1, then the asking pass: relevance, and each relevant post's category
-            ("annotate", cold, 2, 371),
-            # every verdict cached: pass 1 only
-            ("annotate", warm, 1, 0),
+        after_clean = "annotated 200/200 posts (171 relevant, 29 cache hits)\n"
+        steps = (  # command, --out, stdout, backend calls (None: no backend)
+            # one read asks for each relevance verdict and writes the kept posts
+            ("clean", "clean", "171/200 (86%)\n", 200),
+            # nothing to ask: the one read writes the kept posts
+            ("clean", "clean", "171/200 (86%)\n", 0),
+            # clean's relevance verdicts cached: each relevant post's category
+            ("annotate", "clean", after_clean, 171),
+            # an empty cache: relevance, and each relevant post's category
+            ("annotate", "annotate", cold, 371),
+            # every verdict cached
+            ("annotate", "annotate", warm, 0),
+            ("counts", "annotate", "10 windows from 2024-09-02 to 2024-11-11, 171 posts\n", None),
+            ("spatial", "annotate", None, None),
         )
         # The window is the posts asked about at once: one for the inline mock,
-        # at most 2 x --max-in-flight for a pool. A pass also holds the post it
-        # last read while it parses the next.
+        # at most 2 x --max-in-flight for a pool. The read also holds the post
+        # it last gave while it parses the next.
         for make, in_flight, window in ((disimpact.MockBackend, 4, 1), (PooledMock, 3, 6)):
             factory["make"] = make
-            for command, stdout, n_reads, calls in steps:
-                out = tmp_path / make.__name__ / command
-                argv = [command, "--in", POSTS, "--disaster", "hurricane", "--out", out]
+            for command, name, stdout, calls in steps:
+                out = tmp_path / make.__name__ / name
+                argv = [command, "--in", POSTS, "--out", out]
+                if calls is None:
+                    argv += ["--labels", out / "labels.csv"]
+                else:
+                    argv += ["--disaster", "hurricane", "--max-in-flight", in_flight]
                 before = list(out.glob("annotation_cache.jsonl"))
                 before = before and before[0].read_bytes()
                 reads.clear()
+                made.clear()
                 CountedPost.peak = CountedPost.live = 0
-                assert run_cli(argv + ["--max-in-flight", in_flight]) == (0, stdout, "")
+                code, got, _ = run_cli(argv)
+                assert (code, len(reads)) == (0, 1), (make, command, name)
+                assert stdout is None or got == stdout, (make, command, name)
+                if calls is None:
+                    assert made == []
+                    continue
                 backend = getattr(made[-1], "inner", made[-1])
-                assert (len(reads), backend.calls) == (n_reads, calls), (make, command)
-                assert 1 <= CountedPost.peak <= window + 2, (make, command)
+                assert backend.calls == calls, (make, command, name)
+                assert 1 <= CountedPost.peak <= window + 2, (make, command, name)
                 if not calls:
                     assert (out / "annotation_cache.jsonl").read_bytes() == before
 
     @pytest.mark.parametrize("command", ["clean", "annotate"])
-    def test_posts_edited_between_passes_exit_1_and_commit_nothing(
+    def test_posts_edited_mid_read_exit_1_and_commit_nothing(
         self, tmp_path, monkeypatch, backends, command
     ):
         made, _ = backends
-        lines = CLEAN20.read_bytes().splitlines(keepends=True)
-        last = json.loads(lines[-1])
-        edited = json.dumps(last | {"text": "edited: " + last["text"]}).encode() + b"\n"
-        swapped = lines[:-2] + lines[:-3:-1]
-        # The file as the second read finds it, the error, and the verdicts asked first:
-        # annotate asks each relevant post's category too, 14 of the first 18 and of all 20.
-        categories = 0 if command == "clean" else 14
-        edits = {
-            "text": (lines[:-1] + [edited], "{posts} changed while it was read", 20 + categories),
-            "order": (
-                swapped,
-                f"the posts changed between passes: post 19 is {last['id']!r}",
-                18 + categories,
-            ),
-        }
+        last = json.loads(CLEAN20.read_bytes().splitlines()[-1])
+        added = json.dumps(last | {"id": "added", "text": "added: " + last["text"]}) + "\n"
+        posts, out = tmp_path / "posts.jsonl", tmp_path / "out"
+        posts.write_bytes(CLEAN20.read_bytes())
         iter_posts = cli.iter_posts
-        for edit, (new_lines, error, asked) in edits.items():
-            posts, out = tmp_path / edit / "posts.jsonl", tmp_path / edit / "out"
-            posts.parent.mkdir()
-            posts.write_bytes(CLEAN20.read_bytes())
-            reads = []
 
-            def read(path, *args):
-                reads.append(path)
-                if len(reads) == 2:
-                    posts.write_bytes(b"".join(new_lines))
-                return iter_posts(path, *args)
+        def read(path, *args):
+            stream = iter_posts(path, *args)
+            yield next(stream)
+            # The file is open, and a post is appended before the read reaches its end.
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write(added)
+            yield from stream
 
-            monkeypatch.setattr(cli, "iter_posts", read)
-            argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out]
-            assert run_cli(argv) == (
-                1, "", f"error: InputChanged: {error.format(posts=posts)}\n"
-            ), edit
-            # Every verdict the second read asked for stays cached ...
-            assert [path.name for path in out.iterdir()] == ["annotation_cache.jsonl"]
-            cached = (out / "annotation_cache.jsonl").read_bytes().count(b"\n")
-            assert cached == made[-1].calls == asked, edit
-            # ... and a rerun on the file as it now is asks only for the rest.
-            monkeypatch.setattr(cli, "iter_posts", iter_posts)
-            assert run_cli(argv)[0] == 0
-            fresh = tmp_path / edit / "fresh"
-            assert run_cli(argv[:-1] + [fresh])[0] == 0
-            assert made[-2].calls == made[-1].calls - cached, edit
-            assert (out / "annotation_cache.jsonl").read_bytes() == (
-                fresh / "annotation_cache.jsonl"
-            ).read_bytes()
+        monkeypatch.setattr(cli, "iter_posts", read)
+        argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out]
+        error = f"error: InputChanged: {posts} changed while it was read\n"
+        assert run_cli(argv) == (1, "", error)
+        # Every verdict the read asked for stays cached: 21 relevance verdicts,
+        # and for annotate the category of each of the 14 relevant posts ...
+        assert [path.name for path in out.iterdir()] == ["annotation_cache.jsonl"]
+        cached = (out / "annotation_cache.jsonl").read_bytes().count(b"\n")
+        assert cached == made[-1].calls == (21 if command == "clean" else 35)
+        # ... and a rerun on the file as it now is asks only for the rest.
+        monkeypatch.setattr(cli, "iter_posts", iter_posts)
+        assert run_cli(argv)[0] == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(argv[:-1] + [fresh])[0] == 0
+        assert made[-2].calls == made[-1].calls - cached
+        assert (out / "annotation_cache.jsonl").read_bytes() == (
+            fresh / "annotation_cache.jsonl"
+        ).read_bytes()
 
-    def test_mostly_malformed_posts_exit_2_before_any_call(self, tmp_path, backends):
+    @pytest.mark.parametrize("command", ["annotate", "counts", "spatial"])
+    def test_posts_edited_after_hashing_exit_1_and_commit_nothing(
+        self, tmp_path, monkeypatch, command
+    ):
+        posts, out = tmp_path / "posts.jsonl", tmp_path / "out"
+        posts.write_bytes(POSTS.read_bytes())
+        annotate = ["annotate", "--in", posts, "--disaster", "hurricane", "--out", out]
+        assert run_cli(annotate)[0] == 0
+        argv = annotate if command == "annotate" else [
+            command, "--in", posts, "--labels", out / "labels.csv", "--out", out
+        ]
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        iter_posts = cli.iter_posts
+
+        def read(path, *args):
+            # One post's platform is rewritten after Run.input hashed the file.
+            edited = posts.read_bytes().replace(b'"reddit"', b'"tiktok"', 1)
+            posts.write_bytes(edited)
+            return iter_posts(path, *args)
+
+        monkeypatch.setattr(cli, "iter_posts", read)
+        error = f"error: InputChanged: {posts} changed while it was read\n"
+        assert run_cli(argv) == (1, "", error)
+        # A warm annotate, counts and spatial commit nothing; the cache is unchanged.
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_mostly_malformed_posts_exit_2_and_commit_nothing(self, tmp_path, backends):
         made, _ = backends
+        lines = CLEAN20.read_bytes().splitlines(keepends=True)
         for command in ("clean", "annotate"):
             posts, out = tmp_path / "posts.jsonl", tmp_path / command
-            posts.write_bytes(b"".join(CLEAN20.read_bytes().splitlines(keepends=True)[:10]))
+            posts.write_bytes(b"".join(lines[:10]))
             argv = [command, "--in", posts, "--disaster", "hurricane", "--out", out]
             assert run_cli(argv)[0] == 0
             cache = out / "annotation_cache.jsonl"
@@ -448,12 +476,25 @@ class TestAnnotateStreams:
             before = {path.name: path.read_bytes() for path in out.iterdir()}
 
             posts.write_bytes(CLEAN20.read_bytes() + b"{not json\n" * 21)
-            calls = len(made)
             assert run_cli(argv) == (
                 2, "", f"error: MalformedInput: 21 of 41 lines are malformed in {posts}\n"
             )
-            assert sum(backend.calls for backend in made[calls:]) == 0
-            assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+            # The outputs and the manifest are unchanged. The valid posts were
+            # asked about before the read reached its end, and only the new
+            # ones' verdicts were added to the cache: the lines a run on
+            # those ten posts alone writes.
+            after = {path.name: path.read_bytes() for path in out.iterdir()}
+            added = after.pop(cache.name).removeprefix(before.pop(cache.name) + b"\n")
+            assert after == before
+            alone = tmp_path / f"{command}-alone"
+            alone.mkdir()
+            (alone / "posts.jsonl").write_bytes(b"".join(lines[10:]))
+            assert run_cli([*argv[:2], alone / "posts.jsonl", *argv[3:-1], alone])[0] == 0
+            assert added == (alone / "annotation_cache.jsonl").read_bytes()
+            # A rerun on the repaired file asks for nothing.
+            posts.write_bytes(CLEAN20.read_bytes())
+            assert run_cli(argv)[0] == 0
+            assert made[-1].calls == 0
 
 
 class TestCounts:

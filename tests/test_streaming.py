@@ -404,18 +404,22 @@ def read_cache(path):
     return verdicts
 
 
-def annotate_in_memory(posts, cache, labels_path, backend):
+def annotate_in_memory(posts, cache, labels_path, backend, asked_ids=None):
     """(exit code, stdout, stderr) of annotate as a plain loop over the loaded posts.
 
     Post by post, it takes each verdict from the cache or asks for it:
     relevance, then a relevant post's category. Each new verdict's line
-    is appended as json.dumps gives it.
+    is appended as json.dumps gives it. A file that fails its
+    end-of-read check has its valid posts asked about all the same, and
+    their lines appended, before the command fails. asked_ids, if
+    given, holds the ids of the only posts the backend is asked about.
     """
-    dropped = LoadReport()
+    dropped, loaded, error = LoadReport(), [], None
     try:
-        posts = tuple(iter_posts(posts, dropped))
+        loaded.extend(iter_posts(posts, dropped))
     except DisimpactError as exc:
-        return exc.exit_code, "", f"error: {type(exc).__name__}: {exc}\n"
+        error = exc
+    posts = tuple(loaded)
     stderr = ""
     if dropped.dropped_malformed or dropped.dropped_duplicate:
         stderr += (
@@ -432,6 +436,8 @@ def annotate_in_memory(posts, cache, labels_path, backend):
         key = _key(_question(task, backend), _key_material(post))
         if key in cached:
             return cached[key]
+        if asked_ids is not None and post.id not in asked_ids:
+            return None
         asked.add(post.id)
         try:
             judgment = _classify(post, task, backend, ClientPolicy(), time.sleep)
@@ -458,6 +464,8 @@ def annotate_in_memory(posts, cache, labels_path, backend):
             if seed and not seed.endswith(b"\n"):
                 fh.write(b"\n")  # a torn last line stays one line
             fh.write(b"".join(new_lines))
+    if error is not None:
+        return error.exit_code, "", f"error: {type(error).__name__}: {error}\n"
     write_labels_csv(labels, labels_path)
     n_relevant = sum(1 for label in labels if label.relevant)
     stdout = (
@@ -492,11 +500,15 @@ def assert_annotate_matches_the_in_memory_path(tmp, seed, make_backend, extra=()
                          "--out", str(out), *extra])
     got = code, out_buffer.getvalue(), err_buffer.getvalue()
     backend = make_backend(in_memory_calls)
+    pooled = not getattr(backend, "in_process", False)
+    # When the posts fail their end-of-read check, the pool sends none of
+    # its queued requests: only the posts the command asked about are asked.
+    asked = {post_id for post_id, _ in streamed_calls} if pooled and code == 2 else None
     want = annotate_in_memory(
-        posts, expected / "annotation_cache.jsonl", expected / "labels.csv", backend
+        posts, expected / "annotation_cache.jsonl", expected / "labels.csv", backend, asked
     )
     assert got == want
-    if not getattr(backend, "in_process", False):
+    if pooled:
         # Pool threads may interleave the posts; each post's calls keep their order.
         for calls in (streamed_calls, in_memory_calls):
             calls.sort(key=lambda call: call[0])
