@@ -14,6 +14,7 @@ from disimpact import (
     category_from_code,
     load_gazetteer,
     locate_posts,
+    resolve_location,
 )
 
 
@@ -41,16 +42,18 @@ labeled = [
 ]
 
 # Location resolution prefers profile metadata and falls back to the
-# post text; posts mentioning no known place stay unlocated. Each
-# labelled post is reduced to (state, day, category, source) as it is
-# located, which is all the roll-up below reads.
+# post text; posts mentioning no known place stay unlocated.
 gazetteer = load_gazetteer()
+for p, _ in labeled:
+    state, source = resolve_location(p, gazetteer)
+    print(f"{p.id}: state={state}  via={source.value}")
+print()
+
+# locate_posts counts the labelled posts by (state, day, category,
+# source) as it locates them, which is all the roll-up below reads.
 located = locate_posts(
     [(p, category_from_code(code)) for p, code in labeled], gazetteer
 )
-for (p, _), row in zip(labeled, located):
-    print(f"{p.id}: state={row.state}  via={row.source.value}")
-print()
 
 # Aggregate into state-month cells, bucketing each post by the month
 # its posting week starts in; each cell averages the weekly domain

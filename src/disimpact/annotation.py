@@ -343,9 +343,12 @@ def _classify(
 
 @dataclass(frozen=True)
 class AnnotationError:
+    """A post's failed backend call: its error class's name, message and exit code."""
+
     post_id: str
     stage: str
     message: str
+    exit_code: int
 
 
 @dataclass
@@ -442,131 +445,6 @@ def _end_torn_line(fh) -> None:
             fh.write(b"\n")
 
 
-class _StageLoop:
-    """The cache and backend of _run_stages; run asks each post for the verdicts it lacks.
-
-    A post's verdicts are asked for in turn, relevance before category:
-    inline for an in-process backend, otherwise in one task of a pool of
-    ``max_in_flight`` threads, with at most twice that many posts
-    submitted at once. Each new verdict is appended to the cache in post
-    order, and flushed inline before the next backend call, or with a
-    pool as soon as its post and every post before it are done. A pool
-    task cut short by an exception hands back the verdicts it got, which
-    are written before the exception is raised again; if the posts
-    stream raises, the requests not yet sent are cancelled and the
-    verdicts of every request sent are written first. So an interrupted
-    run keeps the work it finished.
-    """
-
-    def __init__(self, report, backend, policy, cache_path, sleep) -> None:
-        self.report = report
-        self.backend = backend
-        self.policy = policy
-        self.cache_path = Path(cache_path)
-        self.sleep = sleep
-        # Each task's question, and its name as a cache line spells it.
-        self.questions = {task: (_question(task, backend), task.value) for task in Task}
-        cache, report.cache_invalid = _read_cache(self.cache_path)
-        # Without an identity, a cached verdict may be another backend's.
-        self.cache = cache if getattr(backend, "identity", None) is not None else {}
-
-    def ask(self, post: Post, tasks: tuple[Task, ...]):
-        """Yield (task name, key, verdict) for each of tasks in turn, while the verdicts are True.
-
-        A verdict still in the cache is taken out of it and costs no
-        call; its key is None, as it needs no new line. A failed call's
-        verdict is an AnnotationError.
-        """
-        material = _key_material(post)
-        for task in tasks:
-            question, name = self.questions[task]
-            key = _key(question, material)
-            verdict = self.cache.pop(key, None)
-            if verdict is not None:
-                key = None
-            else:
-                try:
-                    verdict = _classify(post, task, self.backend, self.policy, self.sleep)
-                except (TransportError, MalformedResponse, EmptyInput) as exc:
-                    verdict = AnnotationError(
-                        post_id=post.id, stage=type(exc).__name__, message=str(exc)
-                    )
-            yield name, key, verdict
-            if verdict is not True:
-                return
-
-    def run(self, items: Iterable[tuple[int, Post, tuple[Task, ...]]], done: Callable) -> None:
-        """Ask for the tasks of each (index, post, tasks) item, then call done.
-
-        done(index, post, verdict) is called for every item, in order,
-        with the last of its verdicts that did not fail, or None.
-        """
-        # The bytes json.dumps gives the line with sorted keys, formatted directly.
-        line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": "%s"}\n'
-        quote = json.encoder.encode_basestring_ascii
-        fh = None
-
-        def write(post: Post, verdicts):
-            """Append each new verdict to the cache; the last one that did not fail, or None."""
-            nonlocal fh
-            last = None
-            for name, key, verdict in verdicts:
-                if isinstance(verdict, BaseException):  # a pool task cut short
-                    raise verdict
-                if isinstance(verdict, AnnotationError):
-                    self.report.errors.append(verdict)
-                    continue
-                last = verdict
-                if key is None:
-                    continue
-                if fh is None:
-                    fh = stack.enter_context(self.cache_path.open("a+b"))
-                    _end_torn_line(fh)
-                judgment = str(verdict).lower() if isinstance(verdict, bool) else verdict.code
-                fh.write((line % (judgment, key.hex(), quote(post.id), name)).encode())
-                fh.flush()
-            return last
-
-        with ExitStack() as stack:
-            if getattr(self.backend, "in_process", False):
-                # Each line is on disk before the generator makes its next call.
-                for i, post, tasks in items:
-                    done(i, post, write(post, self.ask(post, tasks)))
-                return
-            # Imported here: in-process backends, the common case, need no pool.
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=self.policy.max_in_flight)
-            # If writing the cache or a request fails, send none of the queued requests.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            window: deque = deque()  # (index, post, future or None), in post order
-
-            def finish_first() -> None:
-                i, post, future = window.popleft()
-                done(i, post, write(post, () if future is None else future.result()))
-
-            items = iter(items)
-            while True:
-                try:
-                    i, post, tasks = next(items)
-                except StopIteration:
-                    break
-                except BaseException:
-                    # The posts stream failed: send none of the queued requests,
-                    # but write the verdicts of every request already sent.
-                    pool.shutdown(cancel_futures=True)
-                    for _, post, future in window:
-                        if future is not None and not future.cancelled():
-                            write(post, future.result())
-                    raise
-                future = pool.submit(_gather, self.ask(post, tasks)) if tasks else None
-                window.append((i, post, future))
-                if len(window) == 2 * self.policy.max_in_flight:
-                    finish_first()
-            while window:
-                finish_first()
-
-
 def _gather(verdicts: Iterator) -> list:
     """A pool task: the verdicts it got, then the exception that cut it short, if any."""
     got: list = []
@@ -586,7 +464,11 @@ _UNKNOWN, _IRRELEVANT, _RELEVANT = 0, 1, 2
 def _run_stages(
     posts: Iterable[Post],
     disaster: DisasterTag,
-    loop: _StageLoop,
+    report: AnnotationReport,
+    backend: Backend,
+    policy: ClientPolicy,
+    cache_path: str | Path,
+    sleep: Callable[[float], None],
     keep: Callable[[Post], object] | None = None,
 ) -> tuple[list[str], bytearray]:
     """The one annotation loop: each post's id and its state.
@@ -594,59 +476,160 @@ def _run_stages(
     posts is read once, as a stream, after the cache is read. Each post
     takes its cached verdicts out of the in-memory cache as it arrives,
     and leaves its id and one byte of state. In the same read, a post
-    that lacks a verdict goes to loop.run, which asks for the missing
-    relevance verdict and, without keep (annotate), a relevant post's
-    missing category. With keep (clean), keep gets each relevant post,
-    in order. Only the posts of the loop's window are held: the one
-    asked about inline, or at most 2 x max_in_flight for a pool backend.
-    What is left of the cache is released before this returns. Post ids
-    must be distinct, as iter_posts yields them: a repeated post would
-    be asked again.
+    that lacks a verdict is asked for the missing relevance verdict and,
+    without keep (annotate), a relevant post's missing category, in that
+    order: inline for an in-process backend, otherwise in one task of a
+    pool of ``max_in_flight`` threads, with at most twice that many
+    posts submitted at once. Only those posts are held. With keep
+    (clean), keep gets each relevant post, in order.
+
+    Each new verdict is appended to the cache in post order, and flushed
+    inline before the next backend call, or with a pool as soon as its
+    post and every post before it are done. A pool task cut short by an
+    exception hands back the verdicts it got, which are written before
+    the exception is raised again; if the posts stream raises, the
+    requests not yet sent are cancelled and the verdicts of every
+    request sent are written first. So an interrupted run keeps the work
+    it finished. What is left of the cache is released before this
+    returns. Post ids must be distinct, as iter_posts yields them: a
+    repeated post would be asked again.
     """
+    cache_path = Path(cache_path)
+    cache, report.cache_invalid = _read_cache(cache_path)
+    # Without an identity, a cached verdict may be another backend's.
+    if getattr(backend, "identity", None) is None:
+        cache = {}
+    # Each task's question, and its name as a cache line spells it.
+    questions = {task: (_question(task, backend), task.value) for task in Task}
     relevance_task = Task(f"relevance_{disaster.value}")
-    relevance_question = loop.questions[relevance_task][0]
-    category_question = loop.questions[Task.IMPACT_CATEGORY][0]
+    relevance_question = questions[relevance_task][0]
+    category_question = questions[Task.IMPACT_CATEGORY][0]
     # The tasks a post in each state lacks, asked in turn while each
     # verdict is True; clean asks no category, but keeps each relevant post.
     category = (Task.IMPACT_CATEGORY,) if keep is None else ()
     lacking = {_UNKNOWN: (relevance_task, *category), _RELEVANT: category}
     ids: list[str] = []
     states = bytearray()
+    # The bytes json.dumps gives the line with sorted keys, formatted directly.
+    line = '{"judgment": %s, "key": "%s", "post_id": %s, "task": "%s"}\n'
+    quote = json.encoder.encode_basestring_ascii
+    fh = None
 
-    def items() -> Iterator[tuple[int, Post, tuple[Task, ...]]]:
-        for i, post in enumerate(posts):
-            flag = None
-            if loop.cache:  # an empty cache, as on a cold run, matches no key
-                material = _key_material(post)
-                flag = loop.cache.pop(_key(relevance_question, material), None)
-            if flag is None:
-                state = _UNKNOWN
-            elif not flag:
-                state = _IRRELEVANT
-            elif keep is None:
-                cached = loop.cache.pop(_key(category_question, material), None)
-                state = _RELEVANT if cached is None else _RELEVANT + cached.code
+    def arrive(post: Post) -> tuple[Task, ...] | None:
+        """Add the post's id and cached state; the tasks it lacks, or None if it is done."""
+        flag = None
+        if cache:  # an empty cache, as on a cold run, matches no key
+            material = _key_material(post)
+            flag = cache.pop(_key(relevance_question, material), None)
+        if flag is None:
+            state = _UNKNOWN
+        elif not flag:
+            state = _IRRELEVANT
+        elif keep is None:
+            cached = cache.pop(_key(category_question, material), None)
+            state = _RELEVANT if cached is None else _RELEVANT + cached.code
+        else:
+            state = _RELEVANT
+        ids.append(post.id)
+        states.append(state)
+        tasks = lacking.get(state)
+        if tasks:  # a post missing a verdict is asked at least once
+            report.backend_posts += 1
+        return tasks
+
+    def ask(post: Post, tasks: tuple[Task, ...]):
+        """Yield (task name, key, verdict) for each of tasks in turn, while the verdicts are True.
+
+        A verdict still in the cache is taken out of it and costs no
+        call; its key is None, as it needs no new line. A failed call's
+        verdict is an AnnotationError.
+        """
+        material = _key_material(post)
+        for task in tasks:
+            question, name = questions[task]
+            key = _key(question, material)
+            verdict = cache.pop(key, None)
+            if verdict is not None:
+                key = None
             else:
-                state = _RELEVANT
-            ids.append(post.id)
-            states.append(state)
-            tasks = lacking.get(state)
-            if tasks:  # a post missing a verdict is asked at least once
-                loop.report.backend_posts += 1
-            if tasks is not None:
-                yield i, post, tasks
+                try:
+                    verdict = _classify(post, task, backend, policy, sleep)
+                except (TransportError, MalformedResponse, EmptyInput) as exc:
+                    verdict = AnnotationError(
+                        post.id, type(exc).__name__, str(exc), exc.exit_code
+                    )
+            yield name, key, verdict
+            if verdict is not True:
+                return
 
-    def done(i: int, post: Post, verdict) -> None:
-        if isinstance(verdict, bool):
-            states[i] = _RELEVANT if verdict else _IRRELEVANT
-        elif verdict is not None:
-            states[i] = _RELEVANT + verdict.code
+    def write(i: int, post: Post, verdicts) -> None:
+        """Append each new verdict of post i to the cache, and set its state from it."""
+        nonlocal fh
+        for name, key, verdict in verdicts:
+            if isinstance(verdict, BaseException):  # a pool task cut short
+                raise verdict
+            if isinstance(verdict, AnnotationError):
+                report.errors.append(verdict)
+                continue
+            if isinstance(verdict, bool):
+                states[i] = _RELEVANT if verdict else _IRRELEVANT
+            else:
+                states[i] = _RELEVANT + verdict.code
+            if key is None:
+                continue
+            if fh is None:
+                fh = stack.enter_context(cache_path.open("a+b"))
+                _end_torn_line(fh)
+            judgment = str(verdict).lower() if isinstance(verdict, bool) else verdict.code
+            fh.write((line % (judgment, key.hex(), quote(post.id), name)).encode())
+            fh.flush()
+
+    def finish(i: int, post: Post, verdicts) -> None:
+        write(i, post, verdicts)
         if keep is not None and states[i] == _RELEVANT:
             keep(post)
 
-    loop.run(items(), done)
-    loop.report.cache_hits = len(ids) - loop.report.backend_posts
-    loop.cache.clear()
+    with ExitStack() as stack:
+        if getattr(backend, "in_process", False):
+            # Each line is on disk before the generator makes its next call.
+            for i, post in enumerate(posts):
+                tasks = arrive(post)
+                if tasks is not None:
+                    finish(i, post, ask(post, tasks))
+        else:
+            # Imported here: in-process backends, the common case, need no pool.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=policy.max_in_flight)
+            # If writing the cache or a request fails, send none of the queued requests.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            window: deque = deque()  # (index, post, future or None), in post order
+            posts = iter(posts)
+            while True:
+                try:
+                    post = next(posts)
+                except StopIteration:
+                    break
+                except BaseException:
+                    # The posts stream failed: send none of the queued requests,
+                    # but write the verdicts of every request already sent.
+                    pool.shutdown(cancel_futures=True)
+                    for i, post, future in window:
+                        if future is not None and not future.cancelled():
+                            write(i, post, future.result())
+                    raise
+                tasks = arrive(post)
+                if tasks is None:
+                    continue
+                future = pool.submit(_gather, ask(post, tasks)) if tasks else None
+                window.append((len(ids) - 1, post, future))
+                if len(window) == 2 * policy.max_in_flight:
+                    i, post, future = window.popleft()
+                    finish(i, post, () if future is None else future.result())
+            for i, post, future in window:
+                finish(i, post, () if future is None else future.result())
+    report.cache_hits = len(ids) - report.backend_posts
+    cache.clear()
     return ids, states
 
 
@@ -670,8 +653,7 @@ def annotate_dataset(
     labelled OTHER.
     """
     report = AnnotationReport()
-    loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    ids, states = _run_stages(posts, disaster, loop)
+    ids, states = _run_stages(posts, disaster, report, backend, policy, cache_path, sleep)
     labels = [
         Label(post_id, OTHER, False)
         if state == _IRRELEVANT
@@ -702,7 +684,6 @@ def clean_dataset(
     and ``annotate_dataset`` reuses the ones this writes.
     """
     report = CleanReport()
-    loop = _StageLoop(report, backend, policy, cache_path, sleep)
-    ids, states = _run_stages(posts, disaster, loop, keep)
+    ids, states = _run_stages(posts, disaster, report, backend, policy, cache_path, sleep, keep)
     report.total, report.kept = len(ids), states.count(_RELEVANT)
     return report.kept, report

@@ -208,6 +208,8 @@ class Run:
             raise MalformedInput(f"output {final} would replace this run's manifest or an input")
         if final.resolve() in _resolved(*self.recorded):
             raise MalformedInput(f"output {final} would replace the annotation cache")
+        if name in (cache.name for cache in self.recorded):  # the manifest keys both by name
+            raise MalformedInput(f"output {final} would share its manifest entry with the cache")
         return self._stage(final)
 
     def record(self, path: Path) -> Path:
@@ -304,9 +306,7 @@ def _round9(value):
 def _report_errors(errors: list[AnnotationError]) -> int:
     for error in errors:
         print(f"error: post {error.post_id}: {error.stage}: {error.message}", file=sys.stderr)
-    if any(e.stage == "TransportError" for e in errors):
-        return 3
-    return 1 if errors else 0
+    return max((error.exit_code for error in errors), default=0)
 
 
 def _report_dropped(report: LoadReport) -> None:

@@ -7,8 +7,8 @@ Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
 posts.jsonl is read by one loop, iter_posts, which yields each valid
 line as a core.Post, and written back by post_line. clean and annotate
-stream it once per annotation stage, after the annotation cache, and
-hold no post past its stage; counts and spatial stream it once against
+stream it once, after the annotation cache, and hold no post past the
+annotation loop's window; counts and spatial stream it once against
 labels read first (load_labels, join_labels) and keep only what they
 roll up.
 """

@@ -19,9 +19,11 @@ multiple sizable places, famous non-U.S. namesakes, and phrase-like
 names are left out, since a missed city degrades to the state name
 while a false hit silently corrupts the map.
 
-The roll-up streams: locate_posts keeps only (state, day, category,
-source) of each labelled post as it arrives, and aggregate_state_month
-counts those per state and week, then averages by state-month.
+The roll-up streams: locate_posts resolves each labelled post as it
+arrives and keeps only how many posts share each (state, day,
+category, source), so its memory grows with those keys, not with the
+posts. aggregate_state_month adds those counts up per state and week,
+then averages by state-month.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from datetime import date
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
@@ -239,7 +241,7 @@ def resolve_location(
 
 
 class Located(NamedTuple):
-    """What the roll-up keeps of one labelled post; state is None when unlocated."""
+    """What the roll-up keys a labelled post by; state is None when unlocated."""
 
     state: str | None
     day: date
@@ -249,12 +251,12 @@ class Located(NamedTuple):
 
 def locate_posts(
     labelled: Iterable[tuple[Post, ImpactCategory]], gazetteer: Gazetteer
-) -> list[Located]:
-    """Resolve each (post, category) as it arrives, keeping only what aggregation reads."""
-    located = []
+) -> Counter[Located]:
+    """Resolve each (post, category) as it arrives; how many posts share each Located."""
+    located: Counter[Located] = Counter()
     for post, category in labelled:
         state, source = resolve_location(post, gazetteer)
-        located.append(Located(state, post.created_date, category, source))
+        located[Located(state, post.created_date, category, source)] += 1
     return located
 
 
@@ -286,7 +288,7 @@ class SpatialReport:
 
 
 def aggregate_state_month(
-    located: Iterable[Located],
+    located: Mapping[Located, int],
     config: IndexConfig,
     source_filter: SourceFilter = SourceFilter.BOTH,
     min_posts: int = 1,
@@ -298,18 +300,19 @@ def aggregate_state_month(
     composites (combined by config.composite_operator) of the windows
     whose start date falls inside it, and its post count is the number
     of that state's posts landing in those windows. Cells under
-    min_posts are suppressed into the report.
+    min_posts are suppressed into the report. located maps each Located
+    to its number of posts, as locate_posts returns it.
     """
     report = SpatialReport()
     groups: dict[str, Counter[tuple[date, ImpactCategory]]] = {}
-    for state, day, category, source in located:
+    for (state, day, category, source), n in located.items():
         if state is None:
-            report.unlocated += 1
+            report.unlocated += n
             continue
         if source_filter is not SourceFilter.BOTH and source.value != source_filter.value:
-            report.filtered_out += 1
+            report.filtered_out += n
             continue
-        groups.setdefault(state, Counter())[day, category] += 1
+        groups.setdefault(state, Counter())[day, category] += n
     rows: list[StateMonthIndex] = []
     for state in sorted(groups):
         counts, _ = build_count_series(groups[state], config)

@@ -435,27 +435,27 @@ class TestAnnotateDataset:
         [unmatched] = cache_lines(cache, "relevance_wildfire")
         assert len(cache_lines(cache)) == 7
 
-        released, loops = [], []
+        released, caches = [], []
 
         class Cache(dict):
             def clear(self):
                 released.append(dict(self))
                 super().clear()
 
-        init = disimpact.annotation._StageLoop.__init__
+        read_cache = disimpact.annotation._read_cache
 
-        def spy(loop, *args):
-            init(loop, *args)
-            loop.cache = Cache(loop.cache)
-            loops.append(loop)
+        def spy(path):
+            verdicts, invalid = read_cache(path)
+            caches.append(Cache(verdicts))
+            return caches[-1], invalid
 
-        monkeypatch.setattr(disimpact.annotation._StageLoop, "__init__", spy)
+        monkeypatch.setattr(disimpact.annotation, "_read_cache", spy)
         backend = MockBackend()
         second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
         # Each matched verdict left the cache as its post streamed by ...
         assert released == [{bytes.fromhex(unmatched["key"]): False}]
         # ... and the rest was released before the call returned.
-        assert [loop.cache for loop in loops] == [{}]
+        assert caches == [{}]
         assert second == first
         assert report == disimpact.annotation.AnnotationReport(cache_hits=4)
         assert backend.calls == 0

@@ -294,6 +294,11 @@ class TestAnnotationCache:
             ("annotate", "{out}/manifest_annotate.json",
              "cache {out}/manifest_annotate.json would replace this run's manifest, "
              "an input or an output"),
+            # Another directory, but the manifest would list both files under one name.
+            ("clean", "{posts.parent}/posts_clean.jsonl",
+             "output {out}/posts_clean.jsonl would share its manifest entry with the cache"),
+            ("annotate", "{posts.parent}/labels.csv",
+             "output {out}/labels.csv would share its manifest entry with the cache"),
         ],
     )
     def test_cache_may_name_no_output_input_or_manifest(

@@ -234,6 +234,16 @@ class TestLocatedPost:
         assert len(both) == len(meta) + len(text_only)
         assert not (set(id(p) for p in meta) & set(id(p) for p in text_only))
 
+    def test_posts_that_share_a_key_are_one_key_with_their_count(self, gazetteer):
+        posts = [
+            make_post(post_id=f"t{i}", text="roads flooded", hour=i, metadata="Tampa, FL")
+            for i in range(5)
+        ]
+        tally = locate_posts(labelled(posts), gazetteer)
+        assert tally == {located(3, "FL", "metadata"): 5}
+        rows, _ = aggregate_state_month(tally, CONFIG)
+        assert [(r.state, r.post_count) for r in rows] == [("FL", 5)]
+
 
 class TestGazetteerLoading:
     def test_bundled_index_loads(self, gazetteer):
@@ -274,7 +284,7 @@ class TestGazetteerLoading:
 
 class TestAggregation:
     def test_single_post_cell_values(self):
-        rows, report = aggregate_state_month([located(3, "FL", "metadata")], CONFIG)
+        rows, report = aggregate_state_month(Counter([located(3, "FL", "metadata")]), CONFIG)
         (row,) = rows
         # One window, degenerate spread: w = pi/2. The located category is
         # physical, so its domain picks up the extra mass.
@@ -301,7 +311,7 @@ class TestAggregation:
                 for _ in range(4)
             ]
         )
-        rows, _ = aggregate_state_month(posts, CONFIG)
+        rows, _ = aggregate_state_month(Counter(posts), CONFIG)
         assert [(r.state, r.month, r.post_count) for r in rows] == [
             ("FL", date(2024, 9, 1), 3),
             ("FL", date(2024, 10, 1), 2),
@@ -315,7 +325,7 @@ class TestAggregation:
         ] + [
             located(3, "FL", "metadata", day=ANCHOR + timedelta(days=35))
         ]
-        rows, _ = aggregate_state_month(posts, CONFIG)
+        rows, _ = aggregate_state_month(Counter(posts), CONFIG)
         september = rows[0]
         # September spans windows starting 09-02 through 09-30.
         from disimpact import build_count_series, compute_impact_series, Domain
@@ -339,7 +349,7 @@ class TestAggregation:
             located(3, "NC", "text"),
         ]
         rows, report = aggregate_state_month(
-            posts, CONFIG, source_filter=SourceFilter.METADATA
+            Counter(posts), CONFIG, source_filter=SourceFilter.METADATA
         )
         assert [(r.state, r.post_count) for r in rows] == [("FL", 1)]
         assert report.filtered_out == 2
@@ -347,14 +357,14 @@ class TestAggregation:
     def test_source_filter_with_no_matching_posts(self):
         posts = [located(3, "FL", "text") for _ in range(4)]
         rows, report = aggregate_state_month(
-            posts, CONFIG, source_filter=SourceFilter.METADATA
+            Counter(posts), CONFIG, source_filter=SourceFilter.METADATA
         )
         assert rows == []
         assert report.filtered_out == 4
 
     def test_unlocated_are_counted(self):
         posts = [located(3, "FL", "metadata"), located(3, None, "none")]
-        rows, report = aggregate_state_month(posts, CONFIG)
+        rows, report = aggregate_state_month(Counter(posts), CONFIG)
         assert report.unlocated == 1
         assert sum(r.post_count for r in rows) == 1
 
@@ -362,7 +372,7 @@ class TestAggregation:
         posts = [
             located(3, "FL", "metadata", day=ANCHOR) for _ in range(2)
         ]
-        rows, report = aggregate_state_month(posts, CONFIG, min_posts=3)
+        rows, report = aggregate_state_month(Counter(posts), CONFIG, min_posts=3)
         assert rows == []
         assert report.suppressed_cells == [("FL", date(2024, 9, 1), 2)]
 
@@ -380,7 +390,7 @@ class TestAggregation:
                 posts.append(located(3, state, source, day=day))
         for source_filter in SourceFilter:
             rows, report = aggregate_state_month(
-                posts, CONFIG, source_filter=source_filter
+                Counter(posts), CONFIG, source_filter=source_filter
             )
             accounted = (
                 sum(r.post_count for r in rows)
@@ -391,7 +401,7 @@ class TestAggregation:
             assert accounted == len(posts)
 
     def test_empty_input(self):
-        rows, report = aggregate_state_month([], CONFIG)
+        rows, report = aggregate_state_month(Counter(), CONFIG)
         assert rows == []
         assert report.unlocated == 0
 

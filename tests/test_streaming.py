@@ -171,7 +171,7 @@ def write_spatial(joined, unlabeled, path, range_start, range_end):
         for post, category in joined
         for state, source in [resolve_location(post, GAZETTEER)]
     ]
-    rows, report = aggregate_state_month(located, IndexConfig())
+    rows, report = aggregate_state_month(Counter(located), IndexConfig())
     write_spatial_csv(rows, SourceFilter.BOTH, path)
     lines = [f"{report.unlocated} posts could not be located"] if report.unlocated else []
     if report.suppressed_cells:
