@@ -19,16 +19,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Sequence
 
-from .core import category_from_code
 from .errors import (
     DegenerateExpected,
     EmptyTable,
     EvenRaterCount,
     LengthMismatch,
     MalformedCsv,
-    OutOfRange,
 )
-from .ingestion import csv_rows
+from .ingestion import ANNOTATIONS_CSV, csv_rows
 
 Label = Hashable
 
@@ -158,7 +156,7 @@ def human_consensus(table: AgreementTable) -> list[ConsensusItem]:
 
 
 def load_annotations_csv(path: str | Path) -> AgreementTable:
-    """Build a table from annotations.csv (post_id,annotator_id,category_code).
+    """Build a table from annotations.csv (ANNOTATIONS_CSV).
 
     Items keep first-appearance order; annotator columns are sorted by id.
     The matrix must come out complete.
@@ -167,12 +165,7 @@ def load_annotations_csv(path: str | Path) -> AgreementTable:
     items: list[str] = []
     seen_items: set[str] = set()
     annotators: set[str] = set()
-    header = ("post_id", "annotator_id", "category_code")
-    for lineno, (item, annotator, code) in csv_rows(path, header):
-        try:
-            label = category_from_code(int(code))
-        except (ValueError, OutOfRange) as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+    for lineno, (item, annotator, label) in csv_rows(path, ANNOTATIONS_CSV):
         if (item, annotator) in cells:
             raise MalformedCsv(f"{path}:{lineno}: duplicate cell {item}/{annotator}")
         if item not in seen_items:

@@ -515,40 +515,42 @@ def _run_stages(
     quote = json.encoder.encode_basestring_ascii
     fh = None
 
-    def arrive(post: Post) -> tuple[Task, ...] | None:
-        """Add the post's id and cached state; the tasks it lacks, or None if it is done."""
-        flag = None
-        if cache:  # an empty cache, as on a cold run, matches no key
-            material = _key_material(post)
-            flag = cache.pop(_key(relevance_question, material), None)
+    def arrive(post: Post):
+        """Add the post's id and cached state; ask's verdicts for the tasks it lacks, if any."""
+        material = _key_material(post)
+        key = _key(relevance_question, material)
+        flag = cache.pop(key, None)
         if flag is None:
             state = _UNKNOWN
         elif not flag:
             state = _IRRELEVANT
         elif keep is None:
-            cached = cache.pop(_key(category_question, material), None)
+            key = _key(category_question, material)
+            cached = cache.pop(key, None)
             state = _RELEVANT if cached is None else _RELEVANT + cached.code
         else:
             state = _RELEVANT
         ids.append(post.id)
         states.append(state)
-        tasks = lacking.get(state)
+        tasks = lacking.get(state)  # None when done, () when clean keeps it unasked
         if tasks:  # a post missing a verdict is asked at least once
             report.backend_posts += 1
+            return ask(post, tasks, material, key)
         return tasks
 
-    def ask(post: Post, tasks: tuple[Task, ...]):
+    def ask(post: Post, tasks: tuple[Task, ...], material: bytes, missed: bytes | None):
         """Yield (task name, key, verdict) for each of tasks in turn, while the verdicts are True.
 
-        A verdict still in the cache is taken out of it and costs no
-        call; its key is None, as it needs no new line. A failed call's
-        verdict is an AnnotationError.
+        missed is the first task's key, which the cache lacks. A later
+        task's verdict still in the cache is taken out of it and costs
+        no call; its key is None, as it needs no new line. A failed
+        call's verdict is an AnnotationError.
         """
-        material = _key_material(post)
         for task in tasks:
             question, name = questions[task]
-            key = _key(question, material)
-            verdict = cache.pop(key, None)
+            key = missed or _key(question, material)
+            verdict = None if missed else cache.pop(key, None)
+            missed = None
             if verdict is not None:
                 key = None
             else:
@@ -593,9 +595,9 @@ def _run_stages(
         if getattr(backend, "in_process", False):
             # Each line is on disk before the generator makes its next call.
             for i, post in enumerate(posts):
-                tasks = arrive(post)
-                if tasks is not None:
-                    finish(i, post, ask(post, tasks))
+                verdicts = arrive(post)
+                if verdicts is not None:
+                    finish(i, post, verdicts)
         else:
             # Imported here: in-process backends, the common case, need no pool.
             from concurrent.futures import ThreadPoolExecutor
@@ -618,10 +620,10 @@ def _run_stages(
                         if future is not None and not future.cancelled():
                             write(i, post, future.result())
                     raise
-                tasks = arrive(post)
-                if tasks is None:
+                verdicts = arrive(post)
+                if verdicts is None:
                     continue
-                future = pool.submit(_gather, ask(post, tasks)) if tasks else None
+                future = pool.submit(_gather, verdicts) if verdicts != () else None
                 window.append((len(ids) - 1, post, future))
                 if len(window) == 2 * policy.max_in_flight:
                     i, post, future = window.popleft()

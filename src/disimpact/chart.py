@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .core import WEEK, WeeklySeries
 from .errors import MalformedCsv, MalformedInput, UnknownColumn
-from .ingestion import csv_header, csv_rows
+from .ingestion import DOMAIN_CSV, INDEX_CSV, csv_header, csv_rows
 
 WIDTH = 960
 HEIGHT = 540
@@ -49,40 +49,26 @@ _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 def read_chart_csv(path: str | Path) -> dict[str, WeeklySeries[float]]:
     """Load plottable series, by name in first-appearance order, from an index or domain export.
 
-    Index exports plot the index column per category; domain exports
-    plot the composite column per domain. Any other header is refused,
-    as are non-finite values, a repeated (week, series) row, weeks that
-    are not 7 days apart, and a series that misses a week. A file with
-    no data rows gives no series.
+    Index exports (INDEX_CSV) plot the index column per category;
+    domain exports (DOMAIN_CSV) plot the composite column per domain;
+    both are the last column. Any other header is refused, as are a
+    repeated (week, series) row, weeks that are not 7 days apart, and a
+    series that misses a week. A file with no data rows gives no series.
     """
     header = csv_header(path)
-    if header[:2] == ["window_start", "category"] and "index" in header:
-        value_col = header.index("index")
-    elif header[:2] == ["window_start", "domain"] and "composite" in header:
-        value_col = header.index("composite")
-    else:
+    schema = next((s for s in (INDEX_CSV, DOMAIN_CSV) if header == s.names), None)
+    if schema is None:
         raise UnknownColumn(
-            f"{path}: need window_start,category,...,index or "
-            f"window_start,domain,...,composite columns"
+            f"{path}: need header {','.join(INDEX_CSV.names)} "
+            f"or {','.join(DOMAIN_CSV.names)}"
         )
     points: dict[str, dict[date, float]] = {}
-    for lineno, row in csv_rows(path, header):
-        try:
-            week = date.fromisoformat(row[0])
-            value = float(row[value_col])
-        except ValueError as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(value):
-            raise MalformedCsv(f"{path}:{lineno}: value must be finite")
-        name = row[1]
-        if name not in points:
-            fault = _xml_fault(name)
-            if fault:
-                raise MalformedCsv(f"{path}:{lineno}: series name {name!r}: {fault}")
-            points[name] = {}
-        if week in points[name]:
+    for lineno, row in csv_rows(path, schema):
+        week, name, value = row[0], str(row[1]), row[-1]
+        by_week = points.setdefault(name, {})
+        if week in by_week:
             raise MalformedCsv(f"{path}:{lineno}: repeated row for week {week}, series {name}")
-        points[name][week] = value
+        by_week[week] = value
     weeks = sorted({week for by_week in points.values() for week in by_week})
     for prev, week in zip(weeks, weeks[1:]):
         if week - prev != WEEK:
@@ -119,9 +105,10 @@ def render_chart(
     series: Mapping[str, WeeklySeries[float]], title: str = ""
 ) -> tuple[str, list[str]]:
     """Render named series on the weeks of the first; returns the SVG and any warnings."""
-    fault = _xml_fault(title)
-    if fault:
-        raise MalformedInput(f"chart title {title!r}: {fault}")
+    for what, text in (("chart title", title), *(("series name", name) for name in series)):
+        fault = _xml_fault(text)
+        if fault:
+            raise MalformedInput(f"{what} {text!r}: {fault}")
     warnings: list[str] = []
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

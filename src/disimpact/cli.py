@@ -53,9 +53,10 @@ from .core import (
 from .errors import DisimpactError, MalformedCsv, MalformedInput, OutOfRange
 from .impact import compute_impact_series, write_domain_csv, write_index_csv
 from .ingestion import (
+    DOMAIN_CSV,
+    GROUND_TRUTH_CSV,
     LoadReport,
     csv_header,
-    iter_labels,
     iter_posts,
     join_labels,
     load_ground_truth,
@@ -414,9 +415,7 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
     table = load_annotations_csv(run.input(args.input))
     model_labels = None
     if args.labels:
-        model_labels = {
-            post_id: category for _, post_id, category in iter_labels(run.input(args.labels))
-        }
+        model_labels = load_labels(run.input(args.labels))
     report = agreement_report(table, model_labels)
     report = {key: _round9(value) for key, value in report.items()}
     write_json(report, run.output("agreement.json"))
@@ -437,15 +436,14 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
 def cmd_validate(args: argparse.Namespace, run: Run) -> int:
     header = csv_header(run.input(args.input))
     index_filled: tuple[date, ...] = ()
-    if header == ["window_start", "domain", "composite"]:
+    if header == DOMAIN_CSV.names:
         index_series = read_domain_csv(args.input, Domain(args.domain))
-    elif header == ["week_start", "value"]:
+    elif header == GROUND_TRUTH_CSV.names:
         index_series, index_report = load_ground_truth(args.input)
         index_filled = index_report.filled_weeks
     else:
-        raise MalformedCsv(
-            f"{args.input}: expected a domain export or a week_start,value series"
-        )
+        series = ",".join(GROUND_TRUTH_CSV.names)
+        raise MalformedCsv(f"{args.input}: expected a domain export or a {series} series")
     truth, truth_report = load_ground_truth(run.input(args.truth))
     profile = lead_lag_profile(index_series, truth, run.config.max_lag)
     write_leadlag_csv(profile, run.output("leadlag.csv"))

@@ -32,7 +32,7 @@ from .core import (
     WeeklySeries,
 )
 from .errors import EmptyInput, InvalidCounts, OutOfRange
-from .ingestion import write_csv
+from .ingestion import DOMAIN_CSV, INDEX_CSV, write_csv
 
 # When the IQR of the window totals is 0, max(1.0, N_mean * IQR_EPSILON)
 # stands in for it, so w never divides by zero. w is pi/2 only where
@@ -186,7 +186,7 @@ def compute_impact_series(
 
 
 def write_index_csv(series: ImpactSeries, path: str | Path) -> None:
-    """Export header window_start,category,n,total,p,w,index."""
+    """Export the series as an index.csv (INDEX_CSV)."""
 
     def rows():
         counts = series.counts
@@ -196,14 +196,14 @@ def write_index_csv(series: ImpactSeries, path: str | Path) -> None:
                 p, index = series.shares[c].windows[t], series.indices[c].windows[t]
                 yield week.isoformat(), c.short_name, n, total, p, w, index
 
-    write_csv(path, ("window_start", "category", "n", "total", "p", "w", "index"), rows())
+    write_csv(path, INDEX_CSV.names, rows())
 
 
 def write_domain_csv(series: ImpactSeries, path: str | Path) -> None:
-    """Export header window_start,domain,composite."""
+    """Export the domain composites as a domain.csv (DOMAIN_CSV)."""
     rows = (
         (week.isoformat(), d.value, series.domains[d].windows[t])
         for t, week in enumerate(series.counts.weeks)
         for d in (Domain.PHYSICAL, Domain.SOCIAL)
     )
-    write_csv(path, ("window_start", "domain", "composite"), rows)
+    write_csv(path, DOMAIN_CSV.names, rows)

@@ -1,7 +1,10 @@
 """Input loading: JSONL posts, label CSVs, weekly ground-truth CSVs.
 
-Every CSV input of the package is read through csv_rows (or csv_header
-first, where the header picks columns); every CSV output, by write_csv.
+Every CSV format the package reads is declared here once, as a Schema
+of typed columns (LABELS_CSV ... REFERENCE_CSV, after write_csv). Every
+CSV input is read through csv_rows, which parses each cell by its
+schema (csv_header first, where the header picks the format); every CSV
+output is written by write_csv.
 
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
@@ -20,20 +23,23 @@ import hashlib
 import json
 import json.encoder
 import json.scanner
+import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     WEEK,
+    Domain,
     ImpactCategory,
     Label,
     Platform,
     Post,
     WeeklySeries,
     category_from_code,
+    category_from_short_name,
 )
 from .errors import (
     EmptyInput,
@@ -249,37 +255,59 @@ def _csv_records(path: Path) -> Iterator[tuple[int, list[str]]]:
             raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
 
 
-def csv_header(path: str | Path) -> list[str]:
-    """The stripped header of a CSV input, for readers that pick columns by it."""
+def csv_header(path: str | Path) -> tuple[str, ...]:
+    """The stripped header of a CSV input, for readers that pick a format by it."""
     path = Path(path)
     for _, header in _csv_records(path):
-        return header
+        return tuple(header)
     raise MalformedCsv(f"{path}: empty file")
 
 
-def csv_rows(
-    path: str | Path, header: Sequence[str]
-) -> Iterator[tuple[int, list[str]]]:
-    """Stream the data rows of a CSV input as (line number, stripped fields).
+class Schema:
+    """One CSV format: its header's column names in order, each with its cells' parse.
+
+    A parse turns a stripped cell into its value, or raises ValueError
+    or OutOfRange; a text column's parse is str, a real column's float.
+    """
+
+    def __init__(self, *columns: tuple[str, Callable[[str], object]]) -> None:
+        self.names, self.parses = zip(*columns)
+
+
+def csv_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, list]]:
+    """Stream the data rows of a CSV input as (line number, parsed cells).
 
     This is the one reader every CSV input goes through. The file is
-    UTF-8; its stripped header must equal `header`; blank rows are
-    skipped; every other row must have as many fields as the header. A
-    violation, an undecodable byte or a field over the csv module's size
-    limit raises MalformedCsv naming `path:line`.
+    UTF-8; its stripped header must equal the schema's names; blank rows
+    are skipped; every other row must have as many fields as the header,
+    and each stripped cell is parsed by its column's parse. A real must
+    be finite. A violation, a cell its parse refuses, an undecodable
+    byte or a field over the csv module's size limit raises MalformedCsv
+    naming `path:line`.
     """
     path = Path(path)
+    names = schema.names
+    typed = [(i, parse) for i, parse in enumerate(schema.parses) if parse is not str]
+    reals = [i for i, parse in typed if parse is float]
     records = _csv_records(path)
     first = next(records, None)
-    if first is None or first[1] != list(header):
-        raise MalformedCsv(f"{path}:1: expected header {','.join(header)}")
+    if first is None or tuple(first[1]) != names:
+        raise MalformedCsv(f"{path}:1: expected header {','.join(names)}")
     for lineno, fields in records:
         if not any(fields):
             continue
-        if len(fields) != len(header):
+        if len(fields) != len(names):
             raise MalformedCsv(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}"
+                f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}"
             )
+        try:
+            for i, parse in typed:
+                fields[i] = parse(fields[i])
+        except (ValueError, OutOfRange) as exc:
+            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
+        for i in reals:
+            if not math.isfinite(fields[i]):
+                raise MalformedCsv(f"{path}:{lineno}: {names[i]} must be finite")
         yield lineno, fields
 
 
@@ -296,27 +324,78 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             writer.writerow(["%.9f" % v if isinstance(v, float) else v for v in row])
 
 
+def _category_code(text: str) -> ImpactCategory:
+    return category_from_code(int(text))
+
+
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError("negative count")
+    return count
+
+
+def _choice(noun: str, values: Mapping[str, object] | Collection[str]) -> Callable:
+    """The parse of a cell that must be one of values, or a key of them, as written."""
+    table = values if isinstance(values, Mapping) else dict(zip(values, values))
+
+    def parse(text: str):
+        if text not in table:
+            raise ValueError(f"unknown {noun} {text!r}")
+        return table[text]
+
+    return parse
+
+
+# The 50 states' postal codes.
+STATE_CODES = frozenset(
+    "AL AK AZ AR CA CO CT DE FL GA HI ID IL IN IA KS KY LA ME MD MA MI MN MS MO "
+    "MT NE NV NH NJ NM NY NC ND OH OK OR PA RI SC SD TN TX UT VT VA WA WV WI WY".split()
+)
+
+_DATE, _CATEGORY = date.fromisoformat, category_from_short_name
+LABELS_CSV = Schema(("post_id", str), ("category_code", _category_code))
+COUNTS_CSV = Schema(
+    ("window_start", _DATE), ("category", _CATEGORY), ("count", _count), ("total", _count)
+)
+INDEX_CSV = Schema(
+    ("window_start", _DATE), ("category", _CATEGORY), ("n", _count), ("total", _count),
+    ("p", float), ("w", float), ("index", float),
+)
+DOMAIN_CSV = Schema(
+    ("window_start", _DATE),
+    ("domain", _choice("domain", (Domain.PHYSICAL.value, Domain.SOCIAL.value))),
+    ("composite", float),
+)
+GROUND_TRUTH_CSV = Schema(("week_start", _DATE), ("value", float))
+ANNOTATIONS_CSV = Schema(
+    ("post_id", str), ("annotator_id", str), ("category_code", _category_code)
+)
+GAZETTEER_CSV = Schema(
+    ("name", str),
+    ("state_code", _choice("state code", STATE_CODES)),
+    ("kind", _choice("kind", ("state", "abbrev", "city"))),
+)
+REFERENCE_CSV = Schema(
+    ("platform", _choice("platform", {p.value: p for p in Platform if p is not Platform.OTHER})),
+    ("category", _CATEGORY), ("count", _count), ("published_pct", _count),
+)
+
+
 @dataclass(frozen=True)
 class GroundTruthReport:
     filled_weeks: tuple[date, ...]
 
 
 def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTruthReport]:
-    """Load a groundtruth.csv (header week_start,value).
+    """Load a groundtruth.csv (GROUND_TRUTH_CSV).
 
     Rows are sorted by week; interior gaps must be whole weeks and are
     zero-filled, with the filled weeks listed in the report. A file with
     no data rows raises EmptyInput.
     """
     rows: list[tuple[date, float]] = []
-    for lineno, (week_text, value_text) in csv_rows(path, ("week_start", "value")):
-        try:
-            week = date.fromisoformat(week_text)
-            value = float(value_text)
-        except ValueError as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-        if value != value or value in (float("inf"), float("-inf")):
-            raise MalformedCsv(f"{path}:{lineno}: value must be finite")
+    for lineno, (week, value) in csv_rows(path, GROUND_TRUTH_CSV):
         if value < 0:
             raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
         rows.append((week, value))
@@ -339,19 +418,15 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTrut
 
 
 def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
-    """Stream a labels.csv (header post_id,category_code) as (line, id, category).
+    """Stream a labels.csv (LABELS_CSV) as (line, id, category).
 
     A repeated post id or a code outside 1..11 raises MalformedCsv.
     """
     seen: set[str] = set()
-    for lineno, (post_id, code) in csv_rows(path, ("post_id", "category_code")):
+    for lineno, (post_id, category) in csv_rows(path, LABELS_CSV):
         if post_id in seen:
             raise MalformedCsv(f"{path}:{lineno}: duplicate label for {post_id!r}")
         seen.add(post_id)
-        try:
-            category = category_from_code(int(code))
-        except (ValueError, OutOfRange) as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
         yield lineno, post_id, category
 
 
@@ -396,4 +471,4 @@ def join_labels(
 def write_labels_csv(labels: Iterable[Label], path: str | Path) -> None:
     """Write the relevant posts' labels, as load_labels reads them."""
     rows = ((label.post_id, label.category.code) for label in labels if label.relevant)
-    write_csv(path, ("post_id", "category_code"), rows)
+    write_csv(path, LABELS_CSV.names, rows)

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .core import (
-    CATEGORIES,
-    DisasterTag,
-    ImpactCategory,
-    Platform,
-    category_from_short_name,
-)
+from .core import CATEGORIES, DisasterTag, ImpactCategory, Platform
 from .errors import MalformedCsv
-from .ingestion import csv_rows
+from .ingestion import REFERENCE_CSV, csv_rows
 
 
 @dataclass(frozen=True)
@@ -58,21 +52,7 @@ def load_reference_distribution(disaster: DisasterTag) -> list[ReferenceRow]:
 
 
 def _parse(path: Path) -> list[ReferenceRow]:
-    rows: list[ReferenceRow] = []
-    header = ("platform", "category", "count", "published_pct")
-    for lineno, (name, category, count, pct) in csv_rows(path, header):
-        platform = Platform.parse(name)
-        if platform is Platform.OTHER:
-            raise MalformedCsv(f"{path}:{lineno}: unknown platform {name!r}")
-        rows.append(
-            ReferenceRow(
-                platform=platform,
-                category=category_from_short_name(category),
-                count=int(count),
-                published_pct=int(pct),
-            )
-        )
-    return rows
+    return [ReferenceRow(*row) for _, row in csv_rows(path, REFERENCE_CSV)]
 
 
 def counts_by_category(

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
 from .impact import compute_impact_series
-from .ingestion import csv_rows, write_csv
+from .ingestion import GAZETTEER_CSV, csv_rows, write_csv
 from .windowing import build_count_series
 
 # Codes that read as ordinary words or titles when uppercased; these
@@ -60,19 +60,6 @@ WORD_COLLISION_CITIES = frozenset(
         "Savannah", "Boulder", "Providence", "Davenport",
     }
 )
-
-VALID_KINDS = ("state", "abbrev", "city")
-
-STATE_CODES = frozenset(
-    {
-        "AL", "AK", "AZ", "AR", "CA", "CO", "CT", "DE", "FL", "GA",
-        "HI", "ID", "IL", "IN", "IA", "KS", "KY", "LA", "ME", "MD",
-        "MA", "MI", "MN", "MS", "MO", "MT", "NE", "NV", "NH", "NJ",
-        "NM", "NY", "NC", "ND", "OH", "OK", "OR", "PA", "RI", "SC",
-        "SD", "TN", "TX", "UT", "VT", "VA", "WA", "WV", "WI", "WY",
-    }
-)
-
 
 class LocationSource(Enum):
     METADATA = "metadata"
@@ -215,11 +202,7 @@ def load_gazetteer(path: str | Path | None = None) -> Gazetteer:
         with resources.as_file(ref) as concrete:
             return load_gazetteer(concrete)
     entries: list[GazetteerEntry] = []
-    for lineno, (name, code, kind) in csv_rows(path, ("name", "state_code", "kind")):
-        if kind not in VALID_KINDS:
-            raise MalformedCsv(f"{path}:{lineno}: unknown kind {kind!r}")
-        if code not in STATE_CODES:
-            raise MalformedCsv(f"{path}:{lineno}: unknown state code {code!r}")
+    for lineno, (name, code, kind) in csv_rows(path, GAZETTEER_CSV):
         if not name:
             raise MalformedCsv(f"{path}:{lineno}: empty name")
         entries.append(GazetteerEntry(name=name, state_code=code, kind=kind))

@@ -27,32 +27,25 @@ from .errors import (
     MisalignedGrids,
     OutOfRange,
 )
-from .ingestion import csv_rows, write_csv
+from .ingestion import DOMAIN_CSV, csv_rows, write_csv
 
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
 
 
 def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries[float]:
-    """Load one domain's composite series from a domain export."""
+    """Load one domain's composite series, in week order, from a domain export (DOMAIN_CSV)."""
     weeks: list[date] = []
     values: list[float] = []
-    header = ("window_start", "domain", "composite")
-    for lineno, (week, name, composite) in csv_rows(path, header):
+    for lineno, (week, name, composite) in csv_rows(path, DOMAIN_CSV):
         if name != domain.value:
             continue
-        try:
-            week_start, value = date.fromisoformat(week), float(composite)
-        except ValueError as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-        if not math.isfinite(value):
-            raise MalformedCsv(f"{path}:{lineno}: composite must be finite")
-        if weeks and week_start - weeks[-1] != WEEK:
+        if weeks and week - weeks[-1] != WEEK:
             raise MalformedCsv(
-                f"{path}:{lineno}: week {week_start} does not follow {weeks[-1]} by 7 days"
+                f"{path}:{lineno}: week {week} does not follow {weeks[-1]} by 7 days"
             )
-        weeks.append(week_start)
-        values.append(value)
+        weeks.append(week)
+        values.append(composite)
     if not weeks:
         raise EmptyInput(f"{path}: no rows for domain {domain.value}")
     return WeeklySeries(weeks[0], tuple(values))

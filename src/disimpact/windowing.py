@@ -10,16 +10,9 @@ from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 
-from .core import (
-    CATEGORIES,
-    WEEK,
-    ImpactCategory,
-    IndexConfig,
-    WeeklySeries,
-    category_from_short_name,
-)
-from .errors import BeforeAnchor, MalformedCsv, MisalignedRange, OutOfRange
-from .ingestion import csv_rows, write_csv
+from .core import CATEGORIES, WEEK, ImpactCategory, IndexConfig, WeeklySeries
+from .errors import BeforeAnchor, MalformedCsv, MisalignedRange
+from .ingestion import COUNTS_CSV, csv_rows, write_csv
 
 
 def monday_on_or_before(day: date) -> date:
@@ -81,14 +74,14 @@ def build_count_series(
 
 
 def write_counts_csv(series: WeeklySeries[tuple[int, ...]], path: str | Path) -> None:
-    """Export header window_start,category,count,total."""
+    """Export the series as a counts.csv (COUNTS_CSV)."""
     rows = (
         (week.isoformat(), c.short_name, n, total)
         for week, window in zip(series.weeks, series.windows)
         for total in [sum(window)]
         for c, n in zip(CATEGORIES, window)
     )
-    write_csv(path, ("window_start", "category", "count", "total"), rows)
+    write_csv(path, COUNTS_CSV.names, rows)
 
 
 def read_counts_csv(path: str | Path, config: IndexConfig) -> WeeklySeries[tuple[int, ...]]:
@@ -104,17 +97,7 @@ def read_counts_csv(path: str | Path, config: IndexConfig) -> WeeklySeries[tuple
     stated_totals: dict[date, int] = {}
     last: date | None = None
     anchor = config.window_anchor
-    header = ("window_start", "category", "count", "total")
-    for lineno, row in csv_rows(path, header):
-        try:
-            start = date.fromisoformat(row[0])
-            category = category_from_short_name(row[1])
-            count = int(row[2])
-            total = int(row[3])
-        except (ValueError, OutOfRange) as exc:
-            raise MalformedCsv(f"{path}:{lineno}: {exc}") from exc
-        if count < 0:
-            raise MalformedCsv(f"{path}:{lineno}: negative count")
+    for lineno, (start, category, count, total) in csv_rows(path, COUNTS_CSV):
         if start not in per_window:
             if last is not None and start < last:
                 raise MalformedCsv(f"{path}:{lineno}: window starts out of order")

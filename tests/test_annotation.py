@@ -518,6 +518,26 @@ class TestAnnotateDataset:
         assert templates.count("clean_hurricane") == 0
         assert templates.count("classify_impact") == relevant
 
+    @pytest.mark.parametrize("in_process", [True, False], ids=["inline", "pool"])
+    def test_each_post_builds_its_key_material_once(self, tmp_path, monkeypatch, in_process):
+        # After clean, a relevant post's category key misses the cache on
+        # arrival; asking for it reuses what the lookup built.
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        built = []
+
+        def counted(post):
+            built.append(post.id)
+            return _key_material(post)
+
+        monkeypatch.setattr(disimpact.annotation, "_key_material", counted)
+        backend = PooledMock()
+        backend.in_process = in_process
+        annotations, _ = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert len(annotations) == len(posts)
+        assert built == [post.id for post in posts]
+
     def test_torn_cache_lines_are_skipped_and_counted(self, tmp_path):
         posts = make_posts()
         cache = tmp_path / "cache.jsonl"

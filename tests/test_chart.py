@@ -221,15 +221,10 @@ class TestRenderChart:
         assert "Weekly domain composites" in titled
         assert "Weekly domain composites" not in bare
 
-    def test_markup_in_title_and_series_names_is_escaped(self, tmp_path):
-        path = tmp_path / "domain.csv"
-        path.write_text(
-            "window_start,domain,composite\n"
-            "2024-09-02,R&D <north>,1.0\n"
-            "2024-09-09,R&D <north>,2.0\n",
-            encoding="utf-8",
-        )
-        svg, _ = chart_csv_to_svg(path, title="Helene & Milton <weekly>")
+    def test_markup_in_title_and_series_names_is_escaped(self):
+        # A CSV series is named by a category or a domain; render_chart takes any name.
+        series = {"R&D <north>": WeeklySeries(date(2024, 9, 2), (1.0, 2.0))}
+        svg, _ = render_chart(series, title="Helene & Milton <weekly>")
         root = ET.fromstring(svg)
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "Helene & Milton <weekly>" in texts
@@ -243,23 +238,17 @@ class TestRenderChart:
             chart_csv_to_svg(domain_csv, title=f"storm{char}surge")
 
     @pytest.mark.parametrize("char, code", [("\x01", "U+0001"), ("\ufffe", "U+FFFE")])
-    def test_series_name_xml_cannot_hold_is_refused(self, tmp_path, char, code):
-        path = tmp_path / "domain.csv"
-        path.write_text(
-            f"window_start,domain,composite\n2024-09-02,physical,1.0\n"
-            f"2024-09-02,storm{char}surge,1.0\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(MalformedCsv, match=re.escape(f"{path}:3: ") + ".*" + re.escape(code)):
-            read_chart_csv(path)
+    def test_series_name_xml_cannot_hold_is_refused(self, char, code):
+        series = {
+            "physical": WeeklySeries(date(2024, 9, 2), (1.0,)),
+            f"storm{char}surge": WeeklySeries(date(2024, 9, 2), (1.0,)),
+        }
+        with pytest.raises(MalformedInput, match="series name .*" + re.escape(code)):
+            render_chart(series)
 
-    def test_every_xml_char_is_kept(self, tmp_path):
+    def test_every_xml_char_is_kept(self):
         title = "tab\there \ue000 \U0001f300 \ud7ff"
-        path = tmp_path / "domain.csv"
-        path.write_text(
-            f"window_start,domain,composite\n2024-09-02,{title},1.0\n", encoding="utf-8"
-        )
-        svg, _ = chart_csv_to_svg(path, title=title)
+        svg, _ = render_chart({title: WeeklySeries(date(2024, 9, 2), (1.0,))}, title=title)
         texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert texts.count(title) == 2
 

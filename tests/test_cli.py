@@ -11,7 +11,7 @@ import signal
 import subprocess
 import sys
 import threading
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -968,7 +968,7 @@ class TestFailures:
         assert point in stderr
         assert list(out.iterdir()) == []
 
-    def test_chart_series_name_xml_cannot_hold_exits_2(self, tmp_path):
+    def test_chart_of_an_unknown_domain_exits_2(self, tmp_path):
         series = tmp_path / "domain.csv"
         series.write_text(
             "window_start,domain,composite\n2024-09-02,storm\x01surge,1.0\n",
@@ -977,8 +977,9 @@ class TestFailures:
         out = tmp_path / "out"
         code, _, stderr = run_cli(["chart", "--in", series, "--out", out])
         assert code == 2
-        assert stderr.startswith(f"error: MalformedCsv: {series}:2: ")
-        assert "U+0001" in stderr
+        assert stderr == (
+            f"error: MalformedCsv: {series}:2: unknown domain 'storm\\x01surge'\n"
+        )
         assert list(out.iterdir()) == []
 
     def test_chart_of_a_non_finite_value_exits_2(self, tmp_path):
@@ -994,7 +995,7 @@ class TestFailures:
         out = tmp_path / "out"
         code, _, stderr = run_cli(["chart", "--in", series, "--out", out])
         assert code == 2
-        assert stderr == f"error: MalformedCsv: {series}:2: value must be finite\n"
+        assert stderr == f"error: MalformedCsv: {series}:2: composite must be finite\n"
         assert list(out.iterdir()) == []
 
     def chart_over(self, tmp_path, outfile):
@@ -1096,6 +1097,33 @@ class TestFailures:
         )
         assert code == 2
         assert stderr.startswith(f"error: MalformedCsv: {domain}:4: {problem}")
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("2024-09-02,social,nan", "composite must be finite"),
+            ("2024-09-09,sociall,zzz", "unknown domain 'sociall'"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "chart"])
+    def test_every_row_of_a_domain_export_is_parsed(self, tmp_path, command, row, problem):
+        # The bad row is of another domain than validate's --domain physical.
+        weeks = [date(2024, 9, 2) + timedelta(weeks=t) for t in range(10)]
+        domain = tmp_path / "domain.csv"
+        domain.write_text(
+            "window_start,domain,composite\n"
+            + "".join(f"{week},physical,{t + 1}.0\n" for t, week in enumerate(weeks))
+            + f"{row}\n",
+            encoding="utf-8",
+        )
+        argv = {
+            "validate": ["validate", "--in", domain, "--domain", "physical", "--truth", TRUTH],
+            "chart": ["chart", "--in", domain],
+        }[command]
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(argv + ["--out", out])
+        assert (code, stderr) == (2, f"error: MalformedCsv: {domain}:12: {problem}\n")
+        assert list(out.iterdir()) == []
 
     def test_non_utf8_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

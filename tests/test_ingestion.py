@@ -1,6 +1,7 @@
 """Post/label/ground-truth loading and the privacy scrub rule."""
 
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -9,15 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import disimpact
-from disimpact.core import Label
+from disimpact import reference
+from disimpact.agreement import load_annotations_csv
+from disimpact.chart import read_chart_csv
+from disimpact.core import Domain, IndexConfig, Label, WeeklySeries
 from disimpact.errors import (
     MalformedCsv,
     MalformedInput,
     NegativeValue,
     UnknownPostId,
 )
+from disimpact.impact import compute_impact_series, write_domain_csv, write_index_csv
 from disimpact.ingestion import (
+    ANNOTATIONS_CSV,
+    COUNTS_CSV,
+    DOMAIN_CSV,
+    GAZETTEER_CSV,
+    GROUND_TRUTH_CSV,
+    INDEX_CSV,
+    LABELS_CSV,
+    REFERENCE_CSV,
     LoadReport,
+    Schema,
+    csv_header,
     csv_rows,
     iter_labels,
     iter_posts,
@@ -30,6 +45,9 @@ from disimpact.ingestion import (
     write_csv,
     write_labels_csv,
 )
+from disimpact.spatial import SourceFilter, load_gazetteer, write_spatial_csv
+from disimpact.validation import LagCorrelationProfile, read_domain_csv, write_leadlag_csv
+from disimpact.windowing import read_counts_csv, write_counts_csv
 
 from conftest import category, make_post
 
@@ -337,7 +355,7 @@ class TestCsvRows:
     def test_rows_are_stripped_and_numbered_by_their_first_line(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text(' a , b \n x , y \n\n"multi\nline",z\nlone\n', encoding="utf-8")
-        rows = csv_rows(path, ("a", "b"))
+        rows = csv_rows(path, Schema(("a", str), ("b", str)))
         assert next(rows) == (2, ["x", "y"])
         assert next(rows) == (4, ["multi\nline", "z"])
         with pytest.raises(MalformedCsv, match=r"two.csv:6: expected 2 fields, got 1"):
@@ -345,14 +363,131 @@ class TestCsvRows:
 
     def test_undecodable_byte_past_the_first_buffer_names_its_line(self, tmp_path):
         path = tmp_path / "counts.csv"
-        header = ("window_start", "category", "count", "total")
         path.write_bytes(
             b"window_start,category,count,total\n"
             + b"2024-09-02,CINJ,1,1\n" * 2000
             + b"2024-09-09,\xffCINJ,1,1\n"
         )
         with pytest.raises(MalformedCsv, match=r"counts.csv:2002: "):
-            list(csv_rows(path, header))
+            list(csv_rows(path, COUNTS_CSV))
+
+
+# Per input format: its schema, its reader as its command calls it, a good
+# row and a bad cell for each typed column.
+FORMATS = {
+    "labels": (LABELS_CSV, load_labels, "p1,3", {"category_code": "12"}),
+    "counts": (
+        COUNTS_CSV,
+        lambda path: read_counts_csv(path, IndexConfig()),
+        "2024-09-02,CINJ,1,1",
+        {"window_start": "2024-09-31", "category": "DTH", "count": "-1", "total": "1.5"},
+    ),
+    "index": (
+        INDEX_CSV,
+        read_chart_csv,
+        "2024-09-02,CINJ,1,1,0.5,1.5,0.75",
+        {
+            "window_start": "week one", "category": "DTH", "n": "x", "total": "-2",
+            "p": "nan", "w": "inf", "index": "high",
+        },
+    ),
+    "domain": (
+        DOMAIN_CSV,
+        lambda path: read_domain_csv(path, Domain.PHYSICAL),
+        "2024-09-02,physical,1.0",
+        {"window_start": "2024/09/09", "domain": "sociall", "composite": "-inf"},
+    ),
+    "domain chart": (
+        DOMAIN_CSV,
+        read_chart_csv,
+        "2024-09-02,physical,1.0",
+        {"window_start": "", "domain": "Physical", "composite": "zzz"},
+    ),
+    "ground truth": (
+        GROUND_TRUTH_CSV, load_ground_truth, "2024-09-02,1.0", {"week_start": "x", "value": "nan"}
+    ),
+    "annotations": (ANNOTATIONS_CSV, load_annotations_csv, "i1,a1,1", {"category_code": "one"}),
+    "gazetteer": (
+        GAZETTEER_CSV, load_gazetteer, "Tampa,FL,city", {"state_code": "XX", "kind": "village"}
+    ),
+    "reference": (
+        REFERENCE_CSV,
+        reference._parse,
+        "reddit,CINJ,332,3",
+        {"platform": "myspace", "category": "DTH", "count": "many", "published_pct": "-3"},
+    ),
+}
+BAD_CELLS = [(name, column) for name, (*_, bad) in FORMATS.items() for column in bad]
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("name, column", BAD_CELLS, ids=[" ".join(c) for c in BAD_CELLS])
+    def test_a_bad_cell_names_its_path_and_line(self, tmp_path, name, column):
+        schema, reader, good, bad = FORMATS[name]
+        cells = good.split(",")
+        cells[schema.names.index(column)] = bad[column]
+        path = tmp_path / "input.csv"
+        path.write_text(
+            f"{','.join(schema.names)}\n{good}\n{','.join(cells)}\n", encoding="utf-8"
+        )
+        for read in (lambda path: list(csv_rows(path, schema)), reader):
+            with pytest.raises(MalformedCsv, match=re.escape(f"{path}:3: ")):
+                read(path)
+
+    def test_every_typed_column_has_a_bad_cell(self):
+        for schema, _, _, bad in FORMATS.values():
+            typed = [n for n, parse in zip(schema.names, schema.parses) if parse is not str]
+            assert sorted(bad) == sorted(typed)
+
+    def test_good_rows_parse(self, tmp_path):
+        for schema, _, good, _ in FORMATS.values():
+            path = tmp_path / "input.csv"
+            path.write_text(f"{','.join(schema.names)}\n{good}\n", encoding="utf-8")
+            assert len(list(csv_rows(path, schema))) == 1
+
+    def test_a_real_cell_names_its_column_when_not_finite(self, tmp_path):
+        path = tmp_path / "index.csv"
+        path.write_text(
+            f"{','.join(INDEX_CSV.names)}\n2024-09-02,CINJ,1,1,0.5,inf,0.75\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedCsv, match=re.escape(f"{path}:2: w must be finite")):
+            read_chart_csv(path)
+
+    def test_writers_write_the_readers_header(self, tmp_path):
+        series = compute_impact_series(
+            WeeklySeries(date(2024, 9, 2), (tuple(range(1, 12)),)), IndexConfig()
+        )
+        writers = [
+            (LABELS_CSV, lambda path: write_labels_csv([Label("p1", category(3))], path)),
+            (COUNTS_CSV, lambda path: write_counts_csv(series.counts, path)),
+            (INDEX_CSV, lambda path: write_index_csv(series, path)),
+            (DOMAIN_CSV, lambda path: write_domain_csv(series, path)),
+        ]
+        for schema, write in writers:
+            path = tmp_path / "out.csv"
+            write(path)
+            assert csv_header(path) == schema.names
+            assert list(csv_rows(path, schema))  # and every written cell parses
+
+    def test_readme_file_formats_match_the_schemas(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+        documented = dict(re.findall(r"^- \*\*(\w+)\.csv\*\*: `([^`]*)`", section, re.M))
+        written = {}
+        for name, write in [
+            ("leadlag", lambda path: write_leadlag_csv(LagCorrelationProfile((), {}, {}), path)),
+            ("spatial", lambda path: write_spatial_csv([], SourceFilter.BOTH, path)),
+        ]:
+            write(tmp_path / name)
+            written[name] = ",".join(csv_header(tmp_path / name))
+        schemas = {
+            "labels": LABELS_CSV, "counts": COUNTS_CSV, "index": INDEX_CSV,
+            "domain": DOMAIN_CSV, "groundtruth": GROUND_TRUTH_CSV,
+            "annotations": ANNOTATIONS_CSV, "gazetteer": GAZETTEER_CSV,
+        }
+        written.update((name, ",".join(schema.names)) for name, schema in schemas.items())
+        assert documented == written
 
 
 class TestWriteCsv:

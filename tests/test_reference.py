@@ -1,5 +1,7 @@
 """Tests for the bundled reference category distributions."""
 
+import re
+
 import pytest
 
 from conftest import category
@@ -11,6 +13,7 @@ from disimpact import (
     counts_by_category,
     load_reference_distribution,
 )
+from disimpact import reference
 from disimpact.core import CATEGORIES
 
 PLATFORM_TOTALS = {
@@ -92,3 +95,19 @@ class TestCountsByCategory:
         filtered = [row for row in rows if row.category is not category(5)]
         with pytest.raises(MalformedCsv):
             counts_by_category(filtered, Platform.REDDIT)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("reddit,EVAC,3.5,3", "invalid literal for int()"),
+        ("reddit,DTH,368,3", "unknown category short name 'DTH'"),
+    ],
+)
+def test_a_bad_reference_cell_names_its_file_and_line(tmp_path, row, problem):
+    path = tmp_path / "counts.csv"
+    path.write_text(
+        f"platform,category,count,published_pct\nreddit,CINJ,332,3\n{row}\n", encoding="utf-8"
+    )
+    with pytest.raises(MalformedCsv, match=re.escape(f"{path}:3: {problem}")):
+        reference._parse(path)

@@ -60,7 +60,7 @@ from disimpact import (
     write_spatial_csv,
 )
 from disimpact.annotation import _classify, _key, _key_material, _question
-from disimpact.ingestion import LoadReport, csv_rows, iter_labels, iter_posts
+from disimpact.ingestion import COUNTS_CSV, LoadReport, csv_rows, iter_labels, iter_posts
 from disimpact.cli import main
 
 GAZETTEER = load_gazetteer()
@@ -691,6 +691,5 @@ def test_drawn_ids_and_texts_survive_clean_annotate_counts_and_spatial(lines):
         if relevant:
             # Every labelled post is joined: counts rolls up exactly them.
             assert codes["counts"] == codes["spatial"] == 0
-            header = ("window_start", "category", "count", "total")
-            rows = csv_rows(tmp / "counts" / "counts.csv", header)
-            assert sum(int(count) for _, (_, _, count, _) in rows) == len(relevant)
+            rows = csv_rows(tmp / "counts" / "counts.csv", COUNTS_CSV)
+            assert sum(count for _, (_, _, count, _) in rows) == len(relevant)
