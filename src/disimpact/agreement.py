@@ -76,6 +76,15 @@ class KappaDetail:
     degenerate: bool
 
 
+def _kappa(observed: float, expected: float) -> KappaDetail:
+    """Chance-corrected agreement; expected agreement of 1 is the degenerate case."""
+    if expected < 1.0:
+        return KappaDetail((observed - expected) / (1.0 - expected), observed, expected, False)
+    if observed < 1.0:
+        raise DegenerateExpected("expected agreement is 1 but observed is not")
+    return KappaDetail(1.0, observed, expected, True)
+
+
 def _fleiss_detail(table: AgreementTable) -> KappaDetail:
     if table.n_items < 2 or table.n_raters < 2:
         raise EmptyTable("Fleiss kappa needs >= 2 items and >= 2 raters")
@@ -86,19 +95,9 @@ def _fleiss_detail(table: AgreementTable) -> KappaDetail:
         tally = Counter(row)
         pooled.update(tally)
         per_item.append(sum(k * (k - 1) for k in tally.values()) / (n * (n - 1)))
-    p_bar = sum(per_item) / len(per_item)
     total = table.n_items * n
     p_e = sum((k / total) ** 2 for k in pooled.values())
-    if p_e >= 1.0:
-        if p_bar >= 1.0:
-            return KappaDetail(value=1.0, observed=p_bar, expected=p_e, degenerate=True)
-        raise DegenerateExpected("expected agreement is 1 but observed is not")
-    return KappaDetail(
-        value=(p_bar - p_e) / (1.0 - p_e),
-        observed=p_bar,
-        expected=p_e,
-        degenerate=False,
-    )
+    return _kappa(sum(per_item) / len(per_item), p_e)
 
 
 def fleiss_kappa(table: AgreementTable) -> float:
@@ -116,13 +115,7 @@ def _cohen_detail(a: Sequence[Label], b: Sequence[Label]) -> KappaDetail:
     count_a = Counter(a)
     count_b = Counter(b)
     p_e = sum(count_a[label] * count_b.get(label, 0) for label in count_a) / (n * n)
-    if p_e >= 1.0:
-        if p_o >= 1.0:
-            return KappaDetail(value=1.0, observed=p_o, expected=p_e, degenerate=True)
-        raise DegenerateExpected("expected agreement is 1 but observed is not")
-    return KappaDetail(
-        value=(p_o - p_e) / (1.0 - p_e), observed=p_o, expected=p_e, degenerate=False
-    )
+    return _kappa(p_o, p_e)
 
 
 def cohen_kappa(a: Sequence[Label], b: Sequence[Label]) -> float:
@@ -162,17 +155,14 @@ def load_annotations_csv(path: str | Path) -> AgreementTable:
     The matrix must come out complete.
     """
     cells: dict[tuple[str, str], Label] = {}
-    items: list[str] = []
-    seen_items: set[str] = set()
     annotators: set[str] = set()
     for lineno, (item, annotator, label) in csv_rows(path, ANNOTATIONS_CSV):
         if (item, annotator) in cells:
             raise MalformedCsv(f"{path}:{lineno}: duplicate cell {item}/{annotator}")
-        if item not in seen_items:
-            seen_items.add(item)
-            items.append(item)
         cells[(item, annotator)] = label
         annotators.add(annotator)
+    # A dict keeps insertion order, so the items come in first-appearance order.
+    items = tuple(dict.fromkeys(item for item, _ in cells))
     annotator_ids = tuple(sorted(annotators))
     rows = []
     for item in items:
@@ -185,7 +175,7 @@ def load_annotations_csv(path: str | Path) -> AgreementTable:
             row_labels.append(cells[(item, annotator)])
         rows.append(tuple(row_labels))
     return AgreementTable(
-        items=tuple(items), annotator_ids=annotator_ids, labels=tuple(rows)
+        items=items, annotator_ids=annotator_ids, labels=tuple(rows)
     )
 
 

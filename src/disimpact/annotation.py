@@ -7,12 +7,12 @@ no claim of fidelity to any hosted model. The remote backend speaks a
 minimal JSON-over-HTTP contract (template id plus post payload in,
 judgment JSON out) and leaves vendor specifics to adapter code.
 
-clean_dataset and annotate_dataset share one loop, _run_stages. It
-reads the posts once, as a stream: each post takes its cached verdicts
-out of the cache as it arrives, and is asked for every verdict still
-missing (relevance, then a relevant post's category) in the same read.
-It holds no post past its window: per post it keeps the id and one
-byte of state.
+clean_dataset and annotate_dataset share one loop, _run_stages, for
+every backend. It reads the posts once, as a stream: each post takes
+its cached verdicts out of the cache as it arrives, and is asked for
+every verdict still missing (relevance, then a relevant post's
+category) in the same read. It holds no post past its window: per post
+it keeps the id and one byte of state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import re
 import threading
 import time
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -73,9 +72,10 @@ def load_prompt(template_id: str) -> str:
 
 @dataclass(frozen=True)
 class ClassifierRequest:
+    """One question to a backend: a post, sent with its task's prompt template."""
+
     post: Post
     task: Task
-    prompt_template_id: str
 
     def __post_init__(self) -> None:
         # No handle may leave the process; parse-time scrubbing makes
@@ -87,7 +87,7 @@ class ClassifierRequest:
         """Serialized request body, also what the privacy audit sees."""
         return json.dumps(
             {
-                "template_id": self.prompt_template_id,
+                "template_id": PROMPT_TEMPLATE_IDS[self.task],
                 "post": {
                     "id": self.post.id,
                     "text": self.post.text,
@@ -100,13 +100,14 @@ class ClassifierRequest:
 
 # A pool starts a thread for each post submitted until it is full.
 MAX_IN_FLIGHT = 64
+# Seconds before the first retry of a failed request; each later wait doubles.
+BACKOFF_S = 0.5
 
 
 @dataclass(frozen=True)
 class ClientPolicy:
     max_in_flight: int = 4
     max_retries: int = 2
-    backoff_base: float = 0.5
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
@@ -115,8 +116,6 @@ class ClientPolicy:
             )
         if self.max_retries < 0:
             raise OutOfRange("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise OutOfRange("backoff_base must be >= 0")
 
 
 _JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
@@ -322,7 +321,7 @@ def _call_with_retries(
         except TransportError as exc:
             if not getattr(exc, "retryable", True) or attempt == attempts - 1:
                 raise
-            sleep(policy.backoff_base * (2**attempt))
+            sleep(BACKOFF_S * (2**attempt))
     raise AssertionError("unreachable")
 
 
@@ -335,9 +334,7 @@ def _classify(
 ) -> bool | ImpactCategory:
     if not post.text and not post.media_refs:
         raise EmptyInput(f"post {post.id} has neither text nor media")
-    request = ClassifierRequest(
-        post=post, task=task, prompt_template_id=PROMPT_TEMPLATE_IDS[task]
-    )
+    request = ClassifierRequest(post, task)
     return parse_judgment(_call_with_retries(backend, request, policy, sleep), task)
 
 
@@ -478,21 +475,23 @@ def _run_stages(
     and leaves its id and one byte of state. In the same read, a post
     that lacks a verdict is asked for the missing relevance verdict and,
     without keep (annotate), a relevant post's missing category, in that
-    order: inline for an in-process backend, otherwise in one task of a
-    pool of ``max_in_flight`` threads, with at most twice that many
-    posts submitted at once. Only those posts are held. With keep
-    (clean), keep gets each relevant post, in order.
+    order. Such posts wait in one window, in post order: an in-process
+    backend is asked inline, a window of one post; any other is asked
+    in one task per post of a pool of ``max_in_flight`` threads, with at
+    most twice that many posts in the window. Only those posts are
+    held. With keep (clean), keep gets each relevant post, in order.
 
     Each new verdict is appended to the cache in post order, and flushed
     inline before the next backend call, or with a pool as soon as its
-    post and every post before it are done. A pool task cut short by an
-    exception hands back the verdicts it got, which are written before
-    the exception is raised again; if the posts stream raises, the
-    requests not yet sent are cancelled and the verdicts of every
-    request sent are written first. So an interrupted run keeps the work
-    it finished. What is left of the cache is released before this
-    returns. Post ids must be distinct, as iter_posts yields them: a
-    repeated post would be asked again.
+    post and every post before it are done. Every failure (the posts
+    stream or a cache write failing, keep raising, Ctrl-C, a pool task
+    cut short) takes one way out: no queued request is sent, what each
+    sent request got is written in post order up to a post not wholly
+    written, such as a cut-short one, and the exception is raised again.
+    So an interrupted run keeps the work it finished, in post order.
+    What is left of the cache is released before this returns. Post ids
+    must be distinct, as iter_posts yields them: a repeated post would
+    be asked again.
     """
     cache_path = Path(cache_path)
     cache, report.cache_invalid = _read_cache(cache_path)
@@ -564,12 +563,15 @@ def _run_stages(
             if verdict is not True:
                 return
 
-    def write(i: int, post: Post, verdicts) -> None:
-        """Append each new verdict of post i to the cache, and set its state from it."""
+    def write(i: int, post: Post, verdicts) -> BaseException | None:
+        """Append each new verdict of post i to the cache, and set its state from it.
+
+        Returns the exception that cut post i's pool task short, if one did.
+        """
         nonlocal fh
         for name, key, verdict in verdicts:
-            if isinstance(verdict, BaseException):  # a pool task cut short
-                raise verdict
+            if isinstance(verdict, BaseException):
+                return verdict
             if isinstance(verdict, AnnotationError):
                 report.errors.append(verdict)
                 continue
@@ -580,56 +582,64 @@ def _run_stages(
             if key is None:
                 continue
             if fh is None:
-                fh = stack.enter_context(cache_path.open("a+b"))
+                fh = cache_path.open("a+b")
                 _end_torn_line(fh)
             judgment = str(verdict).lower() if isinstance(verdict, bool) else verdict.code
             fh.write((line % (judgment, key.hex(), quote(post.id), name)).encode())
             fh.flush()
 
-    def finish(i: int, post: Post, verdicts) -> None:
-        write(i, post, verdicts)
+    def finish() -> None:
+        """Write the new verdicts of the window's first post, then hand it to keep if kept."""
+        nonlocal torn
+        i, post, verdicts = window[0]
+        if pool is not None and verdicts:
+            verdicts = verdicts.result()
+        torn = True  # until every verdict the post got is written
+        window.popleft()
+        cut = write(i, post, verdicts)
+        if cut is not None:
+            raise cut
+        torn = False
         if keep is not None and states[i] == _RELEVANT:
             keep(post)
 
-    with ExitStack() as stack:
-        if getattr(backend, "in_process", False):
-            # Each line is on disk before the generator makes its next call.
-            for i, post in enumerate(posts):
-                verdicts = arrive(post)
-                if verdicts is not None:
-                    finish(i, post, verdicts)
-        else:
-            # Imported here: in-process backends, the common case, need no pool.
-            from concurrent.futures import ThreadPoolExecutor
+    pool, depth = None, 1
+    if not getattr(backend, "in_process", False):
+        # Imported here: in-process backends, the common case, need no pool.
+        from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(max_workers=policy.max_in_flight)
-            # If writing the cache or a request fails, send none of the queued requests.
-            stack.callback(pool.shutdown, cancel_futures=True)
-            window: deque = deque()  # (index, post, future or None), in post order
-            posts = iter(posts)
-            while True:
-                try:
-                    post = next(posts)
-                except StopIteration:
+        pool = ThreadPoolExecutor(max_workers=policy.max_in_flight)
+        depth = 2 * policy.max_in_flight
+    # Each post still to be written: (index, post, its verdicts, or the
+    # pool task asking for them), in post order.
+    window: deque = deque()
+    torn = False
+    try:
+        for post in posts:
+            verdicts = arrive(post)
+            if verdicts is None:
+                continue
+            if pool is not None and verdicts:
+                verdicts = pool.submit(_gather, verdicts)
+            window.append((len(ids) - 1, post, verdicts))
+            if len(window) == depth:
+                finish()
+        while window:
+            finish()
+    except BaseException:
+        # Send none of the queued requests, and write what each sent one
+        # got, in post order; stop at a post not wholly written.
+        if pool is not None and not torn:
+            pool.shutdown(cancel_futures=True)
+            for i, post, task in window:
+                if task and (task.cancelled() or write(i, post, task.result()) is not None):
                     break
-                except BaseException:
-                    # The posts stream failed: send none of the queued requests,
-                    # but write the verdicts of every request already sent.
-                    pool.shutdown(cancel_futures=True)
-                    for i, post, future in window:
-                        if future is not None and not future.cancelled():
-                            write(i, post, future.result())
-                    raise
-                verdicts = arrive(post)
-                if verdicts is None:
-                    continue
-                future = pool.submit(_gather, verdicts) if verdicts != () else None
-                window.append((len(ids) - 1, post, future))
-                if len(window) == 2 * policy.max_in_flight:
-                    i, post, future = window.popleft()
-                    finish(i, post, () if future is None else future.result())
-            for i, post, future in window:
-                finish(i, post, () if future is None else future.result())
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        if fh is not None:
+            fh.close()
     report.cache_hits = len(ids) - report.backend_posts
     cache.clear()
     return ids, states

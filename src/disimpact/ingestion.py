@@ -417,26 +417,19 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTrut
     )
 
 
-def iter_labels(path: str | Path) -> Iterator[tuple[int, str, ImpactCategory]]:
-    """Stream a labels.csv (LABELS_CSV) as (line, id, category).
+def load_labels(path: str | Path) -> dict[str, ImpactCategory]:
+    """Read a whole labels.csv (LABELS_CSV) as post id -> category.
 
     A repeated post id or a code outside 1..11 raises MalformedCsv.
-    """
-    seen: set[str] = set()
-    for lineno, (post_id, category) in csv_rows(path, LABELS_CSV):
-        if post_id in seen:
-            raise MalformedCsv(f"{path}:{lineno}: duplicate label for {post_id!r}")
-        seen.add(post_id)
-        yield lineno, post_id, category
-
-
-def load_labels(path: str | Path) -> dict[str, ImpactCategory]:
-    """Read a whole labels.csv as post id -> category.
-
     counts and spatial read it before they stream the posts, so its own
     faults are reported first.
     """
-    return {post_id: category for _, post_id, category in iter_labels(path)}
+    labels: dict[str, ImpactCategory] = {}
+    for lineno, (post_id, category) in csv_rows(path, LABELS_CSV):
+        if post_id in labels:
+            raise MalformedCsv(f"{path}:{lineno}: duplicate label for {post_id!r}")
+        labels[post_id] = category
+    return labels
 
 
 def join_labels(
@@ -462,7 +455,7 @@ def join_labels(
         else:
             yield post, category
     if labels:
-        for lineno, post_id, _ in iter_labels(path):
+        for lineno, (post_id, _) in csv_rows(path, LABELS_CSV):
             if post_id in labels:
                 raise UnknownPostId(f"{path}:{lineno}: unknown post id {post_id!r}")
         raise UnknownPostId(f"{path}: unknown post id {next(iter(labels))!r}")

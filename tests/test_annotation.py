@@ -249,11 +249,7 @@ class TestParseJudgment:
 
 class TestMockBackend:
     def request(self, text, task=Task.RELEVANCE_HURRICANE):
-        return ClassifierRequest(
-            post=make_post(text=text),
-            task=task,
-            prompt_template_id=PROMPT_TEMPLATE_IDS[task],
-        )
+        return ClassifierRequest(post=make_post(text=text), task=task)
 
     def judge(self, text, task=Task.RELEVANCE_HURRICANE):
         backend = MockBackend()
@@ -324,9 +320,7 @@ class TestRetries:
 
     def test_retryable_failures_then_success(self, tmp_path):
         backend = FlakyBackend(failures=2)
-        labels, errors, sleeps = self.run(
-            backend, tmp_path, max_retries=2, backoff_base=0.5
-        )
+        labels, errors, sleeps = self.run(backend, tmp_path, max_retries=2)
         assert [label.relevant for label in labels] == [True]
         assert errors == []
         assert backend.tasks == [Task.RELEVANCE_HURRICANE] * 3 + [Task.IMPACT_CATEGORY]
@@ -334,7 +328,7 @@ class TestRetries:
 
     def test_attempts_capped_at_one_plus_max_retries(self, tmp_path):
         backend = FlakyBackend(failures=99)
-        labels, errors, _ = self.run(backend, tmp_path, max_retries=2, backoff_base=0.0)
+        labels, errors, _ = self.run(backend, tmp_path, max_retries=2)
         assert (labels, errors) == ([], [("p1", "TransportError")])
         assert backend.calls == 3
 
@@ -1010,6 +1004,43 @@ class TestInterruptAndResume:
         ]
         assert cache.read_bytes() == b"".join(lines[: end + 1])
 
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_ctrl_c_on_the_pool_path_keeps_every_sent_verdict(self, tmp_path, in_flight):
+        posts = fixture_posts()
+        fresh = tmp_path / "fresh.jsonl"
+        clean(posts, MockBackend(), cache_path=fresh)
+
+        class Slow(PooledMock):
+            def complete(self, request):
+                time.sleep(0.005)
+                return super().complete(request)
+
+        kept = []
+
+        def keep(post):
+            # Ctrl-C lands in the main thread, here while pool threads are busy.
+            kept.append(post)
+            if len(kept) == 10:
+                raise KeyboardInterrupt
+
+        cache = tmp_path / "cache.jsonl"
+        backend = Slow()
+        with pytest.raises(KeyboardInterrupt):
+            clean_dataset(
+                posts,
+                DisasterTag.HURRICANE,
+                backend,
+                ClientPolicy(max_in_flight=in_flight),
+                cache_path=cache,
+                keep=keep,
+            )
+        written = cache.read_bytes().count(b"\n")
+        assert written == backend.inner.calls
+        rerun = MockBackend()
+        clean(posts, rerun, cache_path=cache)
+        assert rerun.calls == len(posts) - written
+        assert cache.read_bytes() == fresh.read_bytes()
+
     def test_each_verdict_is_on_disk_before_the_next_call(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         on_disk = []
@@ -1134,7 +1165,6 @@ class TestPayloadPrivacy:
             ClassifierRequest(
                 post=make_post(text="ask @storm_chaser99 about the flood"),
                 task=Task.RELEVANCE_HURRICANE,
-                prompt_template_id="clean_hurricane",
             )
 
     def test_no_handles_reach_the_backend(self, tmp_path):
@@ -1157,7 +1187,6 @@ class TestPayloadPrivacy:
         request = ClassifierRequest(
             post=make_post(text="storm surge", metadata="Tampa, FL"),
             task=Task.RELEVANCE_HURRICANE,
-            prompt_template_id="clean_hurricane",
         )
         payload = json.loads(request.payload())
         assert set(payload) == {"template_id", "post"}

@@ -34,7 +34,6 @@ from disimpact.ingestion import (
     Schema,
     csv_header,
     csv_rows,
-    iter_labels,
     iter_posts,
     join_labels,
     json_line,
@@ -516,7 +515,7 @@ class TestWriteCsv:
         path = tmp_path / "labels.csv"
         labels = [Label(post_id, category(3)), Label("plain", category(11))]
         write_labels_csv(labels, path)
-        assert [(i, c.code) for _, i, c in iter_labels(path)] == [(post_id, 3), ("plain", 11)]
+        assert [(i, c.code) for i, c in load_labels(path).items()] == [(post_id, 3), ("plain", 11)]
 
 
 def test_only_ingestion_calls_csv_writer():

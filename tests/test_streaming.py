@@ -60,7 +60,7 @@ from disimpact import (
     write_spatial_csv,
 )
 from disimpact.annotation import _classify, _key, _key_material, _question
-from disimpact.ingestion import COUNTS_CSV, LoadReport, csv_rows, iter_labels, iter_posts
+from disimpact.ingestion import COUNTS_CSV, LABELS_CSV, LoadReport, csv_rows, iter_posts
 from disimpact.cli import main
 
 GAZETTEER = load_gazetteer()
@@ -192,7 +192,7 @@ def in_memory(posts, labels, write, path, range_start=None, range_end=None):
         loaded = tuple(iter_posts(posts, report))
         by_id = load_labels(labels)
         known = {post.id for post in loaded}
-        unknown = [(n, i) for n, i, _ in iter_labels(labels) if i not in known]
+        unknown = [(n, i) for n, (i, _) in csv_rows(labels, LABELS_CSV) if i not in known]
         if unknown:
             raise UnknownPostId(f"{labels}:{unknown[0][0]}: unknown post id {unknown[0][1]!r}")
         if report.dropped_malformed or report.dropped_duplicate:
@@ -682,7 +682,7 @@ def test_drawn_ids_and_texts_survive_clean_annotate_counts_and_spatial(lines):
         assert codes["clean"] == codes["annotate"] == 0
         relevant = ids_of_posts(cleaned / "posts_clean.jsonl")
         event(f"{len(kept)} posts kept, {len(relevant)} relevant")
-        assert [post_id for _, post_id, _ in iter_labels(labels)] == relevant
+        assert list(load_labels(labels)) == relevant
         assert [post_id for post_id in kept if post_id in relevant] == relevant
         for cache in (cleaned / "annotation_cache.jsonl", out / "annotation_cache.jsonl"):
             if kept:
