@@ -59,7 +59,7 @@ with tempfile.TemporaryDirectory(prefix="annotation_demo_") as tmp:
     backend = MockBackend()
     policy = ClientPolicy(max_in_flight=2)
     kept = []
-    _, report = clean_dataset(
+    report = clean_dataset(
         posts, DisasterTag.HURRICANE, backend, policy, workdir / "cache.jsonl", keep=kept.append
     )
     print("cleaning kept", report.summary())

@@ -684,18 +684,18 @@ def clean_dataset(
     cache_path: str | Path = "annotation_cache.jsonl",
     sleep: Callable[[float], None] = time.sleep,
     keep: Callable[[Post], object] = lambda post: None,
-) -> tuple[int, CleanReport]:
+) -> CleanReport:
     """Relevance-filter posts for the disaster, caching each verdict for later stages.
 
     posts is any iterable, read once as a stream, as for
     ``annotate_dataset``. The read asks for each missing relevance
     verdict, and keep gets each relevant post, in input order, during
-    it; nothing else holds a post past the loop's window.
-    Returns how many posts keep got, and the report. Cached relevance
+    it; nothing else holds a post past the loop's window. Returns the
+    report, whose kept counts the posts keep got. Cached relevance
     verdicts (from either command) are reused without backend calls,
     and ``annotate_dataset`` reuses the ones this writes.
     """
     report = CleanReport()
     ids, states = _run_stages(posts, disaster, report, backend, policy, cache_path, sleep, keep)
     report.total, report.kept = len(ids), states.count(_RELEVANT)
-    return report.kept, report
+    return report

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from datetime import date
 from pathlib import Path
 from typing import Mapping
 
-from .core import WEEK, WeeklySeries
-from .errors import MalformedCsv, MalformedInput, UnknownColumn
-from .ingestion import DOMAIN_CSV, INDEX_CSV, csv_header, csv_rows
+from .core import WeeklySeries
+from .errors import MalformedInput, UnknownColumn
+from .ingestion import DOMAIN_CSV, INDEX_CSV, csv_header, read_weeks
 
 WIDTH = 960
 HEIGHT = 540
@@ -51,9 +50,9 @@ def read_chart_csv(path: str | Path) -> dict[str, WeeklySeries[float]]:
 
     Index exports (INDEX_CSV) plot the index column per category;
     domain exports (DOMAIN_CSV) plot the composite column per domain;
-    both are the last column. Any other header is refused, as are a
-    repeated (week, series) row, weeks that are not 7 days apart, and a
-    series that misses a week. A file with no data rows gives no series.
+    both are the last column. Any other header is refused. The file is
+    read by the weekly rule (read_weeks), since points are spaced one
+    week apart. A file with no data rows gives no series.
     """
     header = csv_header(path)
     schema = next((s for s in (INDEX_CSV, DOMAIN_CSV) if header == s.names), None)
@@ -62,23 +61,12 @@ def read_chart_csv(path: str | Path) -> dict[str, WeeklySeries[float]]:
             f"{path}: need header {','.join(INDEX_CSV.names)} "
             f"or {','.join(DOMAIN_CSV.names)}"
         )
-    points: dict[str, dict[date, float]] = {}
-    for lineno, row in csv_rows(path, schema):
-        week, name, value = row[0], str(row[1]), row[-1]
-        by_week = points.setdefault(name, {})
-        if week in by_week:
-            raise MalformedCsv(f"{path}:{lineno}: repeated row for week {week}, series {name}")
-        by_week[week] = value
-    weeks = sorted({week for by_week in points.values() for week in by_week})
-    for prev, week in zip(weeks, weeks[1:]):
-        if week - prev != WEEK:
-            raise MalformedCsv(f"{path}: week {week} is not 7 days after {prev}")
-    series = {}
-    for name, by_week in points.items():
-        if len(by_week) != len(weeks):
-            raise MalformedCsv(f"{path}: series {name} misses some weeks")
-        series[name] = WeeklySeries(weeks[0], tuple(by_week[w] for w in weeks))
-    return series
+    weeks = read_weeks(path, schema)
+    start, names = next(iter(weeks.items()), (None, ()))
+    return {
+        str(name): WeeklySeries(start, tuple(rows[name][1][-1] for rows in weeks.values()))
+        for name in names
+    }
 
 
 def _xml_fault(text: str) -> str | None:

@@ -333,7 +333,7 @@ def cmd_clean(args: argparse.Namespace, run: Run) -> int:
     posts = _stream_posts(run.input(args.input), run, LoadReport())
     cache_path = run.record(args.cache or args.out / "annotation_cache.jsonl")
     with run.output("posts_clean.jsonl").open("w", encoding="utf-8") as fh:
-        _, report = clean_dataset(
+        report = clean_dataset(
             posts, DisasterTag(args.disaster), make_backend(args), make_policy(args),
             cache_path, keep=lambda post: fh.write(post_line(post)),
         )

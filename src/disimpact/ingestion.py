@@ -3,8 +3,9 @@
 Every CSV format the package reads is declared here once, as a Schema
 of typed columns (LABELS_CSV ... REFERENCE_CSV, after write_csv). Every
 CSV input is read through csv_rows, which parses each cell by its
-schema (csv_header first, where the header picks the format); every CSV
-output is written by write_csv.
+schema (csv_header first, where the header picks the format), and each
+week-keyed one by the one weekly rule, read_weeks; every CSV output is
+written by write_csv.
 
 Loading is deterministic (input order preserved, keep-first dedupe) and
 privacy-scrubbing happens here, before any other module sees the text.
@@ -311,6 +312,50 @@ def csv_rows(path: str | Path, schema: Schema) -> Iterator[tuple[int, list]]:
         yield lineno, fields
 
 
+def read_weeks(
+    path: str | Path, schema: Schema, fill: bool = False
+) -> dict[date, dict[object, tuple[int, list]]]:
+    """The rows of a week-keyed CSV input by week, read by the one weekly rule.
+
+    A row's week is its first cell, and its series its second when the
+    schema has more than two columns. Rows may come in any order, a
+    (week, series) pair appears once, every week lies on the 7-day grid
+    of the earliest, no week between the first and the last is missing
+    (with fill, it comes back with no rows), and every week has every
+    series. A fault raises MalformedCsv at `path:line`: the repeated row,
+    or the first row of the off-grid week, of the week after a gap or of
+    the week that lacks a series. Each week maps its series, in order of
+    first appearance, to (line number, cells); no data rows give {}.
+    """
+    keyed = len(schema.names) > 2
+    weeks: dict[date, dict[object, tuple[int, list]]] = {}
+    names: dict[object, None] = {}
+    for lineno, row in csv_rows(path, schema):
+        week, name = row[0], row[1] if keyed else None
+        rows = weeks.setdefault(week, {})
+        if name in rows:
+            series = f", series {name}" if keyed else ""
+            raise MalformedCsv(f"{path}:{lineno}: repeated row for week {week}{series}")
+        rows[name] = lineno, row
+        names.setdefault(name)
+    grid = {}
+    first = expected = min(weeks, default=None)
+    for week, rows in sorted(weeks.items()):
+        line = min(lineno for lineno, _ in rows.values())
+        if (week - first) % WEEK:
+            raise MalformedCsv(f"{path}:{line}: week {week} is off the 7-day grid of {first}")
+        if week != expected and not fill:
+            raise MalformedCsv(f"{path}:{line}: week {week} leaves a gap after {expected - WEEK}")
+        for missing in range((week - expected) // WEEK):
+            grid[expected + missing * WEEK] = {}
+        lacking = [name for name in names if name not in rows]
+        if lacking:
+            raise MalformedCsv(f"{path}:{line}: week {week} has no row for series {lacking[0]}")
+        grid[week] = {name: rows[name] for name in names}
+        expected = week + WEEK
+    return grid
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The one CSV writer: UTF-8, "\\n" line ends, csv quoting.
 
@@ -388,33 +433,22 @@ class GroundTruthReport:
 
 
 def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTruthReport]:
-    """Load a groundtruth.csv (GROUND_TRUTH_CSV).
+    """Load a groundtruth.csv (GROUND_TRUTH_CSV) by the weekly rule (read_weeks).
 
-    Rows are sorted by week; interior gaps must be whole weeks and are
-    zero-filled, with the filled weeks listed in the report. A file with
-    no data rows raises EmptyInput.
+    A missing week is allowed: it is zero-filled and listed in the
+    report. A negative value raises NegativeValue, and a file with no
+    data rows EmptyInput.
     """
-    rows: list[tuple[date, float]] = []
-    for lineno, (week, value) in csv_rows(path, GROUND_TRUTH_CSV):
-        if value < 0:
-            raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
-        rows.append((week, value))
-    if not rows:
+    weeks = read_weeks(path, GROUND_TRUTH_CSV, fill=True)
+    if not weeks:
         raise EmptyInput(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    first = rows[0][0]
-    by_week: dict[date, float] = {}
-    for week, value in rows:
-        if (week - first) % WEEK:
-            raise MalformedCsv(f"{path}: week {week} is off the 7-day grid of {first}")
-        if week in by_week:
-            raise MalformedCsv(f"{path}: duplicate week {week}")
-        by_week[week] = value
-    weeks = [first + t * WEEK for t in range((rows[-1][0] - first) // WEEK + 1)]
-    return (
-        WeeklySeries(first, tuple(by_week.get(w, 0.0) for w in weeks)),
-        GroundTruthReport(filled_weeks=tuple(w for w in weeks if w not in by_week)),
-    )
+    for rows in weeks.values():
+        for lineno, (_, value) in rows.values():
+            if value < 0:
+                raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
+    values = tuple(rows[None][1][1] if rows else 0.0 for rows in weeks.values())
+    filled = tuple(week for week, rows in weeks.items() if not rows)
+    return WeeklySeries(next(iter(weeks)), values), GroundTruthReport(filled_weeks=filled)
 
 
 def load_labels(path: str | Path) -> dict[str, ImpactCategory]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,32 +22,27 @@ from .errors import (
     ConstantInput,
     EmptyInput,
     LengthMismatch,
-    MalformedCsv,
     MisalignedGrids,
     OutOfRange,
 )
-from .ingestion import DOMAIN_CSV, csv_rows, write_csv
+from .ingestion import DOMAIN_CSV, read_weeks, write_csv
 
 MEANINGFUL_LOW = 0.3
 MEANINGFUL_HIGH = 0.5
 
 
 def read_domain_csv(path: str | Path, domain: Domain) -> WeeklySeries[float]:
-    """Load one domain's composite series, in week order, from a domain export (DOMAIN_CSV)."""
-    weeks: list[date] = []
-    values: list[float] = []
-    for lineno, (week, name, composite) in csv_rows(path, DOMAIN_CSV):
-        if name != domain.value:
-            continue
-        if weeks and week - weeks[-1] != WEEK:
-            raise MalformedCsv(
-                f"{path}:{lineno}: week {week} does not follow {weeks[-1]} by 7 days"
-            )
-        weeks.append(week)
-        values.append(composite)
-    if not weeks:
+    """Load one domain's composite series from a domain export (DOMAIN_CSV).
+
+    The whole file, every domain's rows, is read by the weekly rule
+    (read_weeks); a file with no rows of the domain raises EmptyInput.
+    """
+    weeks = read_weeks(path, DOMAIN_CSV)
+    if domain.value not in next(iter(weeks.values()), {}):
         raise EmptyInput(f"{path}: no rows for domain {domain.value}")
-    return WeeklySeries(weeks[0], tuple(values))
+    return WeeklySeries(
+        next(iter(weeks)), tuple(rows[domain.value][1][2] for rows in weeks.values())
+    )
 
 
 def _midranks(values: Sequence[float]) -> list[float]:

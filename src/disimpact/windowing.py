@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .core import CATEGORIES, WEEK, ImpactCategory, IndexConfig, WeeklySeries
 from .errors import BeforeAnchor, MalformedCsv, MisalignedRange
-from .ingestion import COUNTS_CSV, csv_rows, write_csv
+from .ingestion import COUNTS_CSV, read_weeks, write_csv
 
 
 def monday_on_or_before(day: date) -> date:
@@ -85,45 +85,28 @@ def write_counts_csv(series: WeeklySeries[tuple[int, ...]], path: str | Path) ->
 
 
 def read_counts_csv(path: str | Path, config: IndexConfig) -> WeeklySeries[tuple[int, ...]]:
-    """Load a counts export back into a count series.
+    """Load a counts export back into a count series, by the weekly rule (read_weeks).
 
-    Every window must carry all 11 categories with a consistent total,
-    and window starts must be whole weeks from the configured anchor
-    (the first start anchors the grid when the config leaves it open).
-    Each new window must start one week after the last, so a missing
-    week is reported at the first row after the gap.
+    Beyond the rule, every window must carry all 11 categories and one
+    total that equals their sum, and the first window must start a whole
+    number of weeks on or after the configured anchor (any start, when
+    the config leaves it open).
     """
-    per_window: dict[date, dict[ImpactCategory, int]] = {}
-    stated_totals: dict[date, int] = {}
-    last: date | None = None
-    anchor = config.window_anchor
-    for lineno, (start, category, count, total) in csv_rows(path, COUNTS_CSV):
-        if start not in per_window:
-            if last is not None and start < last:
-                raise MalformedCsv(f"{path}:{lineno}: window starts out of order")
-            anchor = start if anchor is None else anchor
-            if start < anchor or (start - anchor) % WEEK:
-                raise MalformedCsv(
-                    f"{path}:{lineno}: window {start} off the 7-day grid of {anchor}"
-                )
-            if last is not None and start != last + WEEK:
-                raise MalformedCsv(
-                    f"{path}:{lineno}: window {start} leaves a gap after {last}"
-                )
-            per_window[start] = {}
-            stated_totals[start] = total
-            last = start
-        if stated_totals[start] != total:
-            raise MalformedCsv(f"{path}:{lineno}: total differs within window")
-        if category in per_window[start]:
-            raise MalformedCsv(f"{path}:{lineno}: duplicate category row")
-        per_window[start][category] = count
-    if not per_window:
+    weeks = read_weeks(path, COUNTS_CSV)
+    if not weeks:
         raise MalformedCsv(f"{path}: no data rows")
-    for start, n in per_window.items():
-        if set(n) != set(CATEGORIES):
-            raise MalformedCsv(f"{path}: window {start} misses categories")
-        if sum(n.values()) != stated_totals[start]:
-            raise MalformedCsv(f"{path}: window {start} total mismatch")
-    windows = tuple(tuple(n[c] for c in CATEGORIES) for n in per_window.values())
-    return WeeklySeries(next(iter(per_window)), windows)
+    start = next(iter(weeks))
+    anchor = start if config.window_anchor is None else config.window_anchor
+    line = min(lineno for lineno, _ in weeks[start].values())
+    if start < anchor or (start - anchor) % WEEK:
+        raise MalformedCsv(f"{path}:{line}: window {start} off the 7-day grid of {anchor}")
+    if len(weeks[start]) != len(CATEGORIES):
+        raise MalformedCsv(f"{path}:{line}: window {start} misses categories")
+    windows = []
+    for rows in weeks.values():
+        window = tuple(rows[c][1][2] for c in CATEGORIES)
+        for lineno, (*_, total) in rows.values():
+            if total != sum(window):
+                raise MalformedCsv(f"{path}:{lineno}: total {total} is not its window's sum")
+        windows.append(window)
+    return WeeklySeries(start, tuple(windows))

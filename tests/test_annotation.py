@@ -59,7 +59,7 @@ def annotate(posts, backend, *args, **kwargs):
 def clean(posts, backend, *args, **kwargs):
     """clean_dataset on hurricane posts: the posts it keeps, in order, and its report."""
     kept = []
-    _, report = clean_dataset(
+    report = clean_dataset(
         posts, DisasterTag.HURRICANE, backend, *args, keep=kept.append, **kwargs
     )
     return kept, report

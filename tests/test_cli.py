@@ -1078,9 +1078,9 @@ class TestFailures:
             ("2024-09-09,physical,nan", "composite must be finite"),
             ("2024-09-09,physical,inf", "composite must be finite"),
             ("2024-09-09,physical,-inf", "composite must be finite"),
-            ("2024-09-12,physical,2.0", "week 2024-09-12 does not follow 2024-09-02 by 7 days"),
-            ("2024-09-16,physical,2.0", "week 2024-09-16 does not follow 2024-09-02 by 7 days"),
-            ("2024-08-26,physical,2.0", "week 2024-08-26 does not follow 2024-09-02 by 7 days"),
+            ("2024-09-12,physical,2.0", "week 2024-09-12 is off the 7-day grid of 2024-09-02"),
+            ("2024-09-16,physical,2.0", "week 2024-09-16 leaves a gap after 2024-09-02"),
+            ("2024-08-26,physical,2.0", "week 2024-08-26 has no row for series social"),
         ],
     )
     def test_bad_domain_row_exits_2(self, tmp_path, row, problem):
@@ -1125,6 +1125,38 @@ class TestFailures:
         assert (code, stderr) == (2, f"error: MalformedCsv: {domain}:12: {problem}\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("fault", ["none", "social for one week"])
+    def test_one_domain_export_gets_one_verdict(self, tmp_path, fault):
+        # chart and validate, of either domain, read it by the one weekly rule.
+        weeks = [date(2024, 9, 2) + timedelta(weeks=t) for t in range(10)]
+        rows = {
+            # Complete, with the rows of 2024-09-09 before those of 2024-09-02.
+            "none": [
+                f"{weeks[t]},{domain},{(t * t) % 7}.5"
+                for t in (1, 0, *range(2, 10))
+                for domain in ("physical", "social")
+            ],
+            "social for one week": [
+                f"{weeks[0]},physical,1.0", f"{weeks[0]},social,1.0",
+                f"{weeks[1]},physical,2.0", f"{weeks[2]},physical,3.0",
+            ],
+        }[fault]
+        domain = tmp_path / "domain.csv"
+        domain.write_text("window_start,domain,composite\n" + "\n".join(rows) + "\n")
+        verdicts = []
+        for i, argv in enumerate([
+            ["chart", "--in", domain],
+            ["validate", "--in", domain, "--domain", "physical", "--truth", TRUTH],
+            ["validate", "--in", domain, "--domain", "social", "--truth", TRUTH],
+        ]):
+            code, _, stderr = run_cli(argv + ["--out", tmp_path / f"out{i}"])
+            verdicts.append((code, stderr))
+        if fault == "none":
+            assert verdicts == [(0, "")] * 3
+        else:
+            problem = f"{domain}:4: week 2024-09-09 has no row for series social"
+            assert verdicts == [(2, f"error: MalformedCsv: {problem}\n")] * 3
+
     def test_non_utf8_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"# tuning\nalpha=0.5\xff\n")
@@ -1163,7 +1195,7 @@ class TestFailures:
         assert code == 2
         assert stderr == (
             f"error: MalformedCsv: {off_grid}:13: "
-            "window 2024-09-10 off the 7-day grid of 2024-09-02\n"
+            "week 2024-09-10 is off the 7-day grid of 2024-09-02\n"
         )
 
     def test_unknown_post_id_exits_2(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import json
 import re
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ import disimpact
 from disimpact import reference
 from disimpact.agreement import load_annotations_csv
 from disimpact.chart import read_chart_csv
-from disimpact.core import Domain, IndexConfig, Label, WeeklySeries
+from disimpact.core import CATEGORIES, WEEK, Domain, IndexConfig, Label, WeeklySeries
 from disimpact.errors import (
     MalformedCsv,
     MalformedInput,
@@ -487,6 +487,102 @@ class TestSchemas:
         }
         written.update((name, ",".join(schema.names)) for name, schema in schemas.items())
         assert documented == written
+
+
+WEEKS = [date(2024, 9, 2) + t * WEEK for t in range(4)]
+SHORT_NAMES = [c.short_name for c in CATEGORIES]
+DOMAINS = ["physical", "social"]
+
+# Per week-keyed file and reader: its schema, its series, the cells that
+# follow the week in the row of week t and series s, and the reader as its
+# command calls it.
+WEEKLY = {
+    "counts.csv read_counts_csv": (
+        COUNTS_CSV, SHORT_NAMES, lambda t, s: f"{s},{t},{11 * t}",
+        lambda path: read_counts_csv(path, IndexConfig()),
+    ),
+    "domain.csv read_domain_csv": (
+        DOMAIN_CSV, DOMAINS, lambda t, s: f"{s},{t}.5",
+        lambda path: read_domain_csv(path, Domain.PHYSICAL),
+    ),
+    "domain.csv read_chart_csv": (DOMAIN_CSV, DOMAINS, lambda t, s: f"{s},{t}.5", read_chart_csv),
+    "index.csv read_chart_csv": (
+        INDEX_CSV, SHORT_NAMES, lambda t, s: f"{s},{t},{11 * t},0.1,1.0,{t}.5", read_chart_csv
+    ),
+    "groundtruth.csv load_ground_truth": (
+        GROUND_TRUTH_CSV, [None], lambda t, s: f"{t + 1}.0", load_ground_truth
+    ),
+}
+
+
+def first_line(rows, week):
+    """The line of the first row of week, after the header."""
+    return 2 + [row_week for row_week, _, _ in rows].index(week)
+
+
+def out_of_order(rows, series):
+    return rows[::-1], None, None
+
+
+def repeated_row(rows, series):
+    return rows + [rows[len(series)]], len(rows) + 2, f"repeated row for week {WEEKS[1]}"
+
+
+def off_grid_week(rows, series):
+    late = WEEKS[3] + timedelta(days=1)
+    rows = [(late if week == WEEKS[3] else week, t, s) for week, t, s in rows]
+    return rows, first_line(rows, late), f"week {late} is off the 7-day grid of {WEEKS[0]}"
+
+
+def missing_week(rows, series):
+    rows = [row for row in rows if row[0] != WEEKS[1]]
+    return rows, first_line(rows, WEEKS[2]), f"week {WEEKS[2]} leaves a gap after {WEEKS[0]}"
+
+
+def week_lacking_a_series(rows, series):
+    rows = [row for row in rows if row[0] != WEEKS[2] or row[2] != series[-1]]
+    message = f"week {WEEKS[2]} has no row for series {series[-1]}"
+    return rows, first_line(rows, WEEKS[2]), message
+
+
+WEEKLY_FAULTS = [out_of_order, repeated_row, off_grid_week, missing_week, week_lacking_a_series]
+WEEKLY_CASES = [
+    (reader, fault)
+    for reader in WEEKLY
+    for fault in WEEKLY_FAULTS
+    # A ground truth is one series: a week without it is a missing week.
+    if not (reader.startswith("groundtruth") and fault is week_lacking_a_series)
+]
+
+
+class TestOneWeeklyRule:
+    """The same weekly faults get the same verdict and message from every reader."""
+
+    @staticmethod
+    def write(path, reader, rows):
+        schema, _, cells, _ = WEEKLY[reader]
+        lines = [",".join(schema.names)] + [f"{week},{cells(t, s)}" for week, t, s in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "reader, fault", WEEKLY_CASES, ids=[f"{r} {f.__name__}" for r, f in WEEKLY_CASES]
+    )
+    def test_a_weekly_fault(self, tmp_path, reader, fault):
+        _, series, _, read = WEEKLY[reader]
+        rows = [(week, t, s) for t, week in enumerate(WEEKS) for s in series]
+        self.write(tmp_path / "in_order.csv", reader, rows)
+        path = tmp_path / "input.csv"
+        faulty, line, message = fault(rows, series)
+        self.write(path, reader, faulty)
+        if fault is out_of_order:
+            assert read(path) == read(tmp_path / "in_order.csv")
+        elif reader.startswith("groundtruth") and fault is missing_week:
+            truth, report = read(path)
+            assert truth == WeeklySeries(WEEKS[0], (1.0, 0.0, 3.0, 4.0))
+            assert report.filled_weeks == (WEEKS[1],)
+        else:
+            with pytest.raises(MalformedCsv, match=re.escape(f"{path}:{line}: {message}")):
+                read(path)
 
 
 class TestWriteCsv:

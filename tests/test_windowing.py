@@ -352,6 +352,14 @@ class TestCountsCsv:
         with pytest.raises(MalformedCsv):
             read_counts_csv(path, CONFIG)
 
+    def test_a_category_missing_from_every_window(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        write_counts_csv(self.build(), path)
+        lines = [line for line in path.read_text().splitlines() if ",SECO," not in line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedCsv, match=f"counts.csv:2: window {ANCHOR} misses categories"):
+            read_counts_csv(path, CONFIG)
+
     def test_duplicate_category_row(self, tmp_path):
         path = tmp_path / "counts.csv"
         write_counts_csv(self.build(), path)
@@ -386,7 +394,7 @@ class TestCountsCsv:
         with pytest.raises(MalformedCsv) as excinfo:
             read_counts_csv(path, CONFIG)
         assert str(excinfo.value).startswith(
-            f"{path}:13: window 2024-09-10 off the 7-day grid of 2024-09-02"
+            f"{path}:13: week 2024-09-10 is off the 7-day grid of 2024-09-02"
         )
 
     def test_gap_between_windows(self, tmp_path):
@@ -401,4 +409,4 @@ class TestCountsCsv:
         # Header plus 11 rows of the first week: the first row after the gap is line 13.
         with pytest.raises(MalformedCsv) as excinfo:
             read_counts_csv(path, CONFIG)
-        assert str(excinfo.value).startswith(f"{path}:13: window {far} leaves a gap")
+        assert str(excinfo.value).startswith(f"{path}:13: week {far} leaves a gap after {ANCHOR}")
