@@ -1,12 +1,17 @@
 """Tests for the two-stage classifier client and its caching layer."""
 
+import hashlib
 import json
 import re
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, PooledMock, RecordingMock, make_post
 
@@ -14,9 +19,11 @@ from disimpact import (
     ClassifierRequest,
     ClientPolicy,
     DisasterTag,
+    Label,
     LoadReport,
     MalformedResponse,
     MockBackend,
+    OTHER,
     OutOfRange,
     RemoteBackend,
     Task,
@@ -29,7 +36,15 @@ from disimpact import (
     scrub_handles,
 )
 import disimpact.annotation
-from disimpact.annotation import PROMPT_TEMPLATE_IDS, _key, _key_material, _question
+from disimpact.annotation import (
+    PROMPT_TEMPLATE_IDS,
+    RELEVANCE_TASKS,
+    _Verdicts,
+    _key,
+    _key_material,
+    _question,
+    _read_cache,
+)
 
 
 # Texts with a known deterministic mock outcome: (text, relevant, code).
@@ -429,30 +444,36 @@ class TestAnnotateDataset:
         [unmatched] = cache_lines(cache, "relevance_wildfire")
         assert len(cache_lines(cache)) == 7
 
-        released, caches = [], []
+        found, tables = [], []
 
-        class Cache(dict):
-            def clear(self):
-                released.append(dict(self))
-                super().clear()
+        class Verdicts(disimpact.annotation._Verdicts):
+            def __init__(self, size):
+                super().__init__(size)
+                tables.append(weakref.ref(self))
 
-        read_cache = disimpact.annotation._read_cache
+            def get(self, key):
+                state = super().get(key)
+                if state:
+                    found.append(key)
+                return state
 
-        def spy(path):
-            verdicts, invalid = read_cache(path)
-            caches.append(Cache(verdicts))
-            return caches[-1], invalid
-
-        monkeypatch.setattr(disimpact.annotation, "_read_cache", spy)
-        backend = MockBackend()
-        second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
-        # Each matched verdict left the cache as its post streamed by ...
-        assert released == [{bytes.fromhex(unmatched["key"]): False}]
-        # ... and the rest was released before the call returned.
-        assert caches == [{}]
-        assert second == first
-        assert report == disimpact.annotation.AnnotationReport(cache_hits=4)
-        assert backend.calls == 0
+        monkeypatch.setattr(disimpact.annotation, "_Verdicts", Verdicts)
+        hurricane = [line for line in cache_lines(cache) if line != unmatched]
+        for in_process in (True, False):
+            found.clear()
+            tables.clear()
+            backend = PooledMock()
+            backend.in_process = in_process
+            second, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+            # Each hurricane verdict was found once, as its post streamed
+            # by; the wildfire verdict never was ...
+            assert sorted(found) == sorted(bytes.fromhex(line["key"]) for line in hurricane)
+            assert len(found) == 6
+            # ... and nothing of the table is held after the call returns.
+            assert len(tables) == 1 and tables[0]() is None
+            assert second == first
+            assert report == disimpact.annotation.AnnotationReport(cache_hits=4)
+            assert backend.inner.calls == 0
 
     def test_results_follow_dataset_order(self, tmp_path):
         posts = make_posts()
@@ -564,6 +585,20 @@ class TestAnnotateDataset:
         )
         by_id = {a.post_id: a for a in annotations}
         assert by_id["p0"].category.short_name == "ASST"
+
+    def test_last_relevance_entry_wins(self, tmp_path):
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        first, _ = annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        p0_relevance = cache_lines(cache, "relevance_hurricane")[0]
+        assert (p0_relevance["post_id"], p0_relevance["judgment"]) == ("p0", True)
+        with cache.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(dict(p0_relevance, judgment="maybe"), sort_keys=True) + "\n")
+            fh.write(json.dumps(dict(p0_relevance, judgment=False), sort_keys=True) + "\n")
+        backend = MockBackend()
+        annotations, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert annotations == [Label("p0", OTHER, False), *first[1:]]
+        assert (report.cache_invalid, report.cache_hits, backend.calls) == (1, 10, 0)
 
     def test_empty_dataset(self, tmp_path):
         posts = ()
@@ -869,6 +904,56 @@ class TestCacheKeys:
         assert (report.cache_hits, report.backend_posts, backend.calls) == (9, 1, 1)
         assert len(kept) == 8
 
+    def test_a_line_of_another_task_than_its_key(self, tmp_path):
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        first, _ = annotate(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        # p0's relevance key gets a category verdict, and its category
+        # key a relevance verdict.
+        relevance, category = cache_lines(cache)[:2]
+        assert (relevance["post_id"], category["post_id"]) == ("p0", "p0")
+        forged = [
+            dict(relevance, task="impact_category", judgment=9),
+            dict(category, task="relevance_hurricane", judgment=True),
+        ]
+        rest = cache.read_bytes().splitlines(keepends=True)[2:]
+        cache.write_bytes(
+            b"".join(json.dumps(line, sort_keys=True).encode() + b"\n" for line in forged)
+            + b"".join(rest)
+        )
+        backend = MockBackend()
+        labels, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+        # The first counts as relevant; the second is no category, so
+        # p0's category is asked again.
+        assert labels == first
+        assert (report.cache_invalid, report.backend_posts, backend.calls) == (0, 1, 1)
+        kept, report = clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        assert kept[0] == posts[0] and report.backend_posts == 0
+        # Without p0's relevance line, its relevance is asked, and a
+        # relevance verdict under its category key is still no category.
+        for judgment in (True, False):
+            forged = dict(category, task="relevance_hurricane", judgment=judgment)
+            cache.write_bytes(json.dumps(forged, sort_keys=True).encode() + b"\n" + b"".join(rest))
+            backend = MockBackend()
+            labels, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
+            assert labels == first
+            assert (report.cache_invalid, report.backend_posts, backend.calls) == (0, 1, 2)
+
+    def test_key_of_the_wrong_length_is_invalid_and_asked_again(self, tmp_path):
+        posts = make_posts()
+        cache = tmp_path / "cache.jsonl"
+        clean(posts, MockBackend(), cache_path=cache, sleep=no_sleep)
+        lines = cache.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[3])
+        record["key"] = "abcd"  # hex, but no key is 2 bytes long: it could never match
+        lines[3] = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        cache.write_bytes(b"".join(lines))
+        backend = MockBackend()
+        kept, report = clean(posts, backend, cache_path=cache, sleep=no_sleep)
+        assert report.cache_invalid == 1
+        assert (report.cache_hits, report.backend_posts, backend.calls) == (9, 1, 1)
+        assert len(kept) == 8
+
     def test_deeply_nested_line_is_invalid_and_asked_again(self, tmp_path):
         posts = make_posts()
         cache = tmp_path / "cache.jsonl"
@@ -911,6 +996,89 @@ class TestCacheKeys:
         rerun = MockBackend()
         again, report = annotate(posts, rerun, cache_path=cache, sleep=no_sleep)
         assert (again, report.cache_invalid, rerun.calls) == (labels, 0, 0)
+
+
+# Keys of two byte values can match at several offsets of one bucket.
+KEYS = st.one_of(
+    st.binary(min_size=16, max_size=16),
+    st.lists(st.sampled_from(b"\x01\x02"), min_size=16, max_size=16).map(bytes),
+)
+STATES = st.integers(1, 13)
+
+
+class TestVerdictTable:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(0, 3 * 2048), data=st.data())
+    def test_agrees_with_a_dict(self, size, data):
+        # A file of at most 6 KiB makes at most four buckets, so keys share them.
+        pool = data.draw(st.lists(KEYS, min_size=1, max_size=6, unique=True))
+        writes = data.draw(st.lists(st.tuples(st.sampled_from(pool), STATES), max_size=40))
+        absent = data.draw(st.lists(KEYS.filter(lambda key: key not in pool), max_size=5))
+        table, oracle = _Verdicts(size), {}
+        for key, state in writes:
+            table.add(key, state)
+            oracle[key] = state
+            assert table.get(key) == state  # the later write wins
+        # Under 2 KiB, every record is in one bucket, in this order: so
+        # these keys each match there across two records.
+        records = b"".join(key + bytes([state]) for key, state in writes)
+        straddling = [records[at:at + 16] for at in range(len(records) - 15) if at % 17]
+        for key in pool + absent + straddling:
+            assert table.get(key) == oracle.get(key, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        verdict=st.one_of(
+            st.sampled_from(
+                [(task.value, flag) for task in RELEVANCE_TASKS for flag in (True, False)]
+                + [("impact_category", code) for code in range(1, 12)]
+            ),
+            st.tuples(
+                st.sampled_from([*(task.value for task in Task), "bogus"]),
+                st.one_of(
+                    st.booleans(), st.integers(-1, 13), st.sampled_from(["true", "01", 1.0])
+                ),
+            ),
+        ),
+        post_id=st.one_of(st.from_regex(r"[ -~]{0,8}", fullmatch=True), st.text(max_size=8)),
+        key=st.sampled_from(["ab" * 16, "ab" * 16, "AB" * 16, "ab" * 15, "zz" * 16]),
+    )
+    def test_plain_lines_read_as_the_decoder_reads_them(
+        self, tmp_path_factory, verdict, post_id, key
+    ):
+        # A line as the loop writes it may be read without the JSON
+        # decoder; with a trailing space, the decoder reads it.
+        task, judgment = verdict
+        record = {"judgment": judgment, "key": key, "post_id": post_id, "task": task}
+        line = json.dumps(record, sort_keys=True)
+        path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+        results = []
+        for text in (line, line + " "):
+            path.write_text(text + "\n", encoding="utf-8")
+            table, invalid = _read_cache(path)
+            results.append((table.get(b"\xab" * 16), invalid))
+        assert results[0] == results[1]
+
+    def test_a_verdict_costs_under_40_bytes(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        tasks = ("relevance_hurricane", "impact_category")
+        with cache.open("w", encoding="utf-8") as fh:
+            for i in range(20_000):
+                key = hashlib.blake2b(b"%d" % i, digest_size=16).hexdigest()
+                judgment = "true" if i % 2 == 0 else i % 11 + 1
+                fh.write(
+                    '{"judgment": %s, "key": "%s", "post_id": "b%07d", "task": "%s"}\n'
+                    % (judgment, key, i // 2, tasks[i % 2])
+                )
+        tracemalloc.start()
+        try:
+            table, invalid = _read_cache(cache)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / 20_000 <= 40
+        assert invalid == 0
+        assert table.get(hashlib.blake2b(b"19999", digest_size=16).digest()) == 2 + 19999 % 11 + 1
 
 
 class TestInterruptAndResume:
