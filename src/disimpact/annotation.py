@@ -17,7 +17,9 @@ it keeps the id and one byte of state.
 The cache file is read whole first, into a table of fixed-width
 records, not Python objects: each verdict is its 16-byte key and the
 one byte of state it gives a post, 17 bytes, or about 22 with the
-table's overhead.
+table's overhead. A cache line has one spelling, the one the loop
+writes, and is read by one pattern built from it; a line spelled any
+other way is unreadable, and its post is asked again.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import (
     OutOfRange,
     TransportError,
 )
-from .ingestion import json_line, scrub_handles
+from .ingestion import json_value, scrub_handles
 
 
 class Task(Enum):
@@ -67,7 +69,6 @@ PROMPT_TEMPLATE_IDS = {
 }
 
 RELEVANCE_TASKS = (Task.RELEVANCE_HURRICANE, Task.RELEVANCE_WILDFIRE)
-_TASKS = {task.value: task for task in Task}
 
 
 def load_prompt(template_id: str) -> str:
@@ -124,39 +125,29 @@ class ClientPolicy:
             raise OutOfRange("max_retries must be >= 0")
 
 
-_JSON_BLOCK = re.compile(r"\{.*\}", re.DOTALL)
+def parse_judgment(raw: str, task: Task) -> bool | ImpactCategory:
+    """The judgment for a task in the first {...} object of a reply; rejects, never coerces.
 
-
-def _extract_judgment(raw: str):
-    """The Judgment field of the first {...} block of a reply.
-
-    A block that does not decode, nested past the recursion limit
-    included, raises MalformedResponse.
+    What follows the object is not read. An object that does not
+    decode, nested past the recursion limit included, raises
+    MalformedResponse.
     """
-    block = _JSON_BLOCK.search(raw)
-    if block is None:
+    start = raw.find("{")
+    if start < 0:
         raise MalformedResponse(f"no judgment object in response: {raw!r}")
-    text = block.group(0)
+    text = raw[start:]
     try:
-        data = json_line(text)
+        data, _ = json_value(text)
     except ValueError:
         # The response contract spells booleans in title case.
         patched = re.sub(r"\bTrue\b", "true", re.sub(r"\bFalse\b", "false", text))
         try:
-            data = json_line(patched)
+            data, _ = json_value(patched)
         except ValueError as exc:
             raise MalformedResponse(f"unparseable response: {raw!r}") from exc
     if not isinstance(data, dict) or "Judgment" not in data:
         raise MalformedResponse(f"response lacks a Judgment field: {raw!r}")
-    return data["Judgment"]
-
-
-def parse_judgment(raw: str, task: Task) -> bool | ImpactCategory:
-    """Extract the judgment for a task; rejects, never coerces."""
-    return _check_judgment(_extract_judgment(raw), task)
-
-
-def _check_judgment(value, task: Task) -> bool | ImpactCategory:
+    value = data["Judgment"]
     if task in RELEVANCE_TASKS:
         if isinstance(value, bool):
             return value
@@ -425,19 +416,25 @@ class _Verdicts:
         return bucket[at + _KEY_BYTES] if at >= 0 else _UNKNOWN
 
 
-# The bytes json.dumps gives a cache line, keys sorted, for its
-# judgment, its key's hex, its post id as a JSON string and its task.
+# The one spelling of a cache line: the bytes json.dumps gives it, keys
+# sorted, for its judgment, its key's hex, its post id as a JSON string
+# and its task.
 _LINE = '{"judgment": %s, "key": "%s", "post_id": %s, "task": "%s"}\n'
-# A line as _LINE formats it, whose post id is printable ASCII with no
-# quote or backslash, so JSON escapes nothing in it. Such a line whose
-# task and judgment are in _LINE_STATES is read without the JSON
-# decoder; the decoder reads every other line and decides whether it
-# is readable. On 2 vCPUs, with the decoder reading every line, a warm
-# annotate of 300k posts took 13-23% longer and the warm_rerun
-# benchmark workload about 26% longer.
-_PLAIN_LINE = re.compile(
+# Matches every line _LINE formats, whatever the post id:
+# encode_basestring_ascii writes printable ASCII other than a quote or
+# a backslash as itself, and every other character as one of these
+# escapes. The id is an unrolled loop, with no nested quantifier that
+# backtracks, so an id with no closing quote fails in linear time. With
+# the JSON decoder reading every line instead, on 2 vCPUs, the
+# warm_rerun benchmark workload took about 26% longer.
+_LINE_PATTERN = re.compile(
     re.escape(_LINE.encode())
-    % (rb"([a-z0-9]+)", rb"([0-9a-f]{32})", rb'"[ !#-\[\]-~]*"', rb"([a-z_]+)")
+    % (
+        rb"([a-z0-9]+)",
+        rb"([0-9a-f]{32})",
+        rb'"[ !#-\[\]-~]*(?:\\(?:["\\bfnrt]|u[0-9a-f]{4})[ !#-\[\]-~]*)*"',
+        rb"([a-z_]+)",
+    )
 )
 _LINE_STATES = {
     (task.value.encode(), judgment.encode()): state
@@ -454,9 +451,11 @@ def _read_cache(path: Path) -> tuple[_Verdicts, int]:
     state it gives a post (_IRRELEVANT, _RELEVANT or _RELEVANT plus the
     category code): 17 bytes, about 22 with the buckets' overhead, for
     a typical line of about 113 bytes. A later line for the same key
-    wins. A key that is not hex or not 16 bytes long (so could never
-    match), a judgment the task does not allow and a line nested past
-    the recursion limit are unreadable.
+    wins. A line is readable only as _LINE spells it, with a judgment
+    its task allows; every other line but a blank one is unreadable:
+    a torn write, bytes that are not UTF-8, a line in the old unkeyed
+    format or any other spelling of the same JSON. Its post is asked
+    again.
     """
     if not path.exists():
         return _Verdicts(0), 0
@@ -464,27 +463,11 @@ def _read_cache(path: Path) -> tuple[_Verdicts, int]:
     with path.open("rb") as fh:
         verdicts = _Verdicts(os.fstat(fh.fileno()).st_size)
         for line in fh:
-            plain = _PLAIN_LINE.fullmatch(line)
-            state = plain and _LINE_STATES.get((plain[3], plain[1]))
+            match = _LINE_PATTERN.fullmatch(line)
+            state = match and _LINE_STATES.get((match[3], match[1]))
             if state:
-                verdicts.add(binascii.unhexlify(plain[2]), state)
-                continue
-            if not line.strip():
-                continue
-            try:
-                data = json_line(line.decode("utf-8"))
-                task = _TASKS[data["task"]]
-                key = bytes.fromhex(data["key"])
-                state = _state(_check_judgment(data["judgment"], task))
-            except (KeyError, TypeError, ValueError, MalformedResponse):
-                # Torn writes, bytes that are not UTF-8, keys that are
-                # not hex and lines in the old unkeyed format are
-                # recoverable: skip the line and ask the backend again.
-                invalid += 1
-                continue
-            if len(key) == _KEY_BYTES:
-                verdicts.add(key, state)
-            else:
+                verdicts.add(binascii.unhexlify(match[2]), state)
+            elif line.strip():
                 invalid += 1
     return verdicts, invalid
 

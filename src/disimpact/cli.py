@@ -61,6 +61,7 @@ from .ingestion import (
     join_labels,
     load_ground_truth,
     load_labels,
+    parse_date,
     post_line,
     write_labels_csv,
 )
@@ -100,7 +101,7 @@ class RunConfig(IndexConfig):
 
 _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "alpha": float,
-    "window_anchor": lambda v: None if v.lower() in ("", "none") else date.fromisoformat(v),
+    "window_anchor": lambda v: None if v.lower() in ("", "none") else parse_date(v),
     "max_lag": int,
     "quantile_method": str,
     "composite_operator": str,
@@ -555,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
     p.add_argument("--labels", type=Path, required=True, help="labels.csv")
-    p.add_argument("--range-start", type=date.fromisoformat)
-    p.add_argument("--range-end", type=date.fromisoformat)
-    p.add_argument("--window-anchor", dest="window_anchor", type=date.fromisoformat)
+    p.add_argument("--range-start", type=parse_date)
+    p.add_argument("--range-end", type=parse_date)
+    p.add_argument("--window-anchor", dest="window_anchor", type=parse_date)
     p.set_defaults(handler=cmd_counts)
 
     p = sub.add_parser(

@@ -77,6 +77,18 @@ class LoadReport:
     unlabeled: int = 0  # kept posts no label named; counted by join_labels
 
 
+def parse_date(text: str) -> date:
+    """A YYYY-MM-DD date: the one form date.fromisoformat takes on every supported Python.
+
+    The others it takes from Python 3.11 on, such as 2024-W36-1 or
+    20240902, raise ValueError.
+    """
+    day = date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return day
+
+
 def _parse_rfc3339(value: str) -> datetime:
     text = value.strip()
     if text.endswith(("Z", "z")):
@@ -94,20 +106,27 @@ def _parse_rfc3339(value: str) -> datetime:
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def json_line(text: str):
-    """Decode one JSON text as the json module's loads does, or raise ValueError.
+def json_value(text: str, at: int = 0) -> tuple[object, int]:
+    """The JSON value that starts at text[at], and the index just past it; the rest is unread.
 
-    Only JSON whitespace (space, tab, newline, carriage return) may
-    surround the value. A value nested past the recursion limit also
-    raises ValueError, where loads raises RecursionError.
+    No value there, or one nested past the recursion limit, raises ValueError.
     """
-    text = text.strip(" \t\n\r")
     try:
-        value, end = _scan(text, 0)
+        return _scan(text, at)
     except StopIteration as exc:
         raise json.JSONDecodeError("Expecting value", text, exc.value) from None
     except RecursionError:
         raise ValueError("JSON value nested too deeply") from None
+
+
+def json_line(text: str):
+    """Decode one JSON text as the json module's loads does, or raise ValueError.
+
+    Only JSON whitespace (space, tab, newline, carriage return) may
+    surround the value.
+    """
+    text = text.strip(" \t\n\r")
+    value, end = json_value(text)
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return value
@@ -398,7 +417,7 @@ STATE_CODES = frozenset(
     "MT NE NV NH NJ NM NY NC ND OH OK OR PA RI SC SD TN TX UT VT VA WA WV WI WY".split()
 )
 
-_DATE, _CATEGORY = date.fromisoformat, category_from_short_name
+_DATE, _CATEGORY = parse_date, category_from_short_name
 LABELS_CSV = Schema(("post_id", str), ("category_code", _category_code))
 COUNTS_CSV = Schema(
     ("window_start", _DATE), ("category", _CATEGORY), ("count", _count), ("total", _count)

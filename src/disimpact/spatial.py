@@ -118,7 +118,6 @@ class Gazetteer:
         self.entries = tuple(entries)
         self._folded: _Hits = {}
         self._exact: _Hits = {}
-        self._ambiguous: _Hits = {}
         self._patterns: list[tuple[re.Pattern, GazetteerEntry]] = []
         self._maxtok = 1
         for entry in self.entries:
@@ -130,9 +129,7 @@ class Gazetteer:
                 )
                 self._patterns.append((pattern, entry))
                 continue
-            if entry.kind == "abbrev":
-                index = self._ambiguous if name in AMBIGUOUS_ABBREVS else self._exact
-            elif name in WORD_COLLISION_CITIES:
+            if entry.kind == "abbrev" or name in WORD_COLLISION_CITIES:
                 index = self._exact
             else:
                 index, name = self._folded, name.lower()
@@ -140,7 +137,6 @@ class Gazetteer:
             self._maxtok = max(self._maxtok, len(_WORDS.findall(name)))
         self._exact_first = frozenset(_WORDS.match(name)[0] for name in self._exact)
         self._folded_first = frozenset(_WORDS.match(name)[0] for name in self._folded)
-        self._ambiguous_codes = frozenset(self._ambiguous)
 
     def best_match(self, text: str) -> str | None:
         """State code of the longest, earliest gazetteer hit, if any."""
@@ -148,20 +144,13 @@ class Gazetteer:
             return None
         candidates: _Candidates = []
         parts = _SPLIT_WORDS.split(text)
-        words = parts[1::2]
-        if not self._exact_first.isdisjoint(words):
+        if not self._exact_first.isdisjoint(parts[1::2]):
             self._lookup(parts, self._exact, self._exact_first, candidates)
         # Only the _FOLD characters can add letters, and they are not ASCII.
         folded = text.lower() if text.isascii() else text.translate(_FOLD).lower()
         folded_parts = _SPLIT_FOLDED.split(folded)
         if not self._folded_first.isdisjoint(folded_parts[1::2]):
             self._lookup(folded_parts, self._folded, self._folded_first, candidates)
-        if not self._ambiguous_codes.isdisjoint(words):
-            for i in range(3, len(parts), 2):
-                hits = self._ambiguous.get(parts[i])
-                if hits and self._follows_capitalized(parts[i - 2], parts[i - 1]):
-                    start = sum(map(len, parts[:i]))
-                    candidates.extend((-len(parts[i]), start, code, kind) for code, kind in hits)
         for pattern, entry in self._patterns:
             match = pattern.search(text)
             if match is not None:
@@ -184,7 +173,10 @@ class Gazetteer:
                 if j > i:
                     name += parts[j - 1] + parts[j]
                 hits = index.get(name)
-                if hits:
+                if hits and (
+                    name not in AMBIGUOUS_ABBREVS
+                    or i > 1 and self._follows_capitalized(parts[i - 2], parts[i - 1])
+                ):
                     start = sum(map(len, parts[:i]))
                     candidates.extend((-len(name), start, code, kind) for code, kind in hits)
 

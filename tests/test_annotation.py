@@ -253,6 +253,14 @@ class TestParseJudgment:
         raw = 'Based on the text, the answer is {"Judgment": 3} here.'
         assert parse_judgment(raw, Task.IMPACT_CATEGORY).short_name == "INFR"
 
+    def test_only_the_first_object_is_read(self):
+        raw = 'Sure! {"Judgment": 3} (see {notes})'
+        assert parse_judgment(raw, Task.IMPACT_CATEGORY).short_name == "INFR"
+        raw = '{"Judgment": true} {"other": 1}'
+        assert parse_judgment(raw, Task.RELEVANCE_HURRICANE) is True
+        raw = '{"Judgment": False} and then {"Judgment": true}'
+        assert parse_judgment(raw, Task.RELEVANCE_HURRICANE) is False
+
     def test_no_json_object(self):
         with pytest.raises(MalformedResponse):
             parse_judgment("no structured output at all", Task.RELEVANCE_HURRICANE)
@@ -579,12 +587,14 @@ class TestAnnotateDataset:
         p0_category = cache_lines(cache, "impact_category")[0]
         assert p0_category["post_id"] == "p0"
         with cache.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(dict(p0_category, judgment=9, raw="")) + "\n")
-        annotations, _ = annotate(
-            posts, MockBackend(), cache_path=cache, sleep=no_sleep
-        )
+            fh.write(json.dumps(dict(p0_category, judgment=9), sort_keys=True) + "\n")
+            # Another spelling of a verdict, here with an extra key, is unreadable.
+            fh.write(json.dumps(dict(p0_category, judgment=10, raw="")) + "\n")
+        backend = MockBackend()
+        annotations, report = annotate(posts, backend, cache_path=cache, sleep=no_sleep)
         by_id = {a.post_id: a for a in annotations}
         assert by_id["p0"].category.short_name == "ASST"
+        assert (report.cache_invalid, backend.calls) == (1, 0)
 
     def test_last_relevance_entry_wins(self, tmp_path):
         posts = make_posts()
@@ -1026,38 +1036,72 @@ class TestVerdictTable:
         for key in pool + absent + straddling:
             assert table.get(key) == oracle.get(key, 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        verdict=st.one_of(
-            st.sampled_from(
-                [(task.value, flag) for task in RELEVANCE_TASKS for flag in (True, False)]
-                + [("impact_category", code) for code in range(1, 12)]
-            ),
-            st.tuples(
-                st.sampled_from([*(task.value for task in Task), "bogus"]),
-                st.one_of(
-                    st.booleans(), st.integers(-1, 13), st.sampled_from(["true", "01", 1.0])
-                ),
-            ),
+        task=st.sampled_from([*(task.value for task in Task), "bogus"]),
+        judgment=st.one_of(
+            st.booleans(), st.integers(-1, 13), st.sampled_from(["true", "3", 1.0, None])
         ),
-        post_id=st.one_of(st.from_regex(r"[ -~]{0,8}", fullmatch=True), st.text(max_size=8)),
-        key=st.sampled_from(["ab" * 16, "ab" * 16, "AB" * 16, "ab" * 15, "zz" * 16]),
+        key=st.one_of(
+            st.binary(min_size=16, max_size=16).map(bytes.hex),
+            st.sampled_from(["AB" * 16, "ab" * 15, "ab" * 17, "zz" * 16]),
+        ),
+        post_id=st.one_of(
+            st.text(max_size=8),
+            # Quotes, backslashes, control characters, non-ASCII, a
+            # character outside the BMP and a lone surrogate.
+            st.text('"\\/\x00\x07\n\x1f\x7f aé漢\U0001f300\ud800', max_size=8),
+        ),
     )
-    def test_plain_lines_read_as_the_decoder_reads_them(
-        self, tmp_path_factory, verdict, post_id, key
+    def test_a_line_reads_as_json_loads_reads_it(
+        self, tmp_path_factory, task, judgment, key, post_id
     ):
-        # A line as the loop writes it may be read without the JSON
-        # decoder; with a trailing space, the decoder reads it.
-        task, judgment = verdict
+        def oracle(line):
+            """The state the line's verdict gives a post, or None if it is unreadable."""
+            record = json.loads(line)
+            key, judgment = record["key"], record["judgment"]
+            if not re.fullmatch(r"[0-9a-f]{32}", key):
+                return None
+            if record["task"] in (relevance.value for relevance in RELEVANCE_TASKS):
+                return 1 + judgment if isinstance(judgment, bool) else None
+            if record["task"] == Task.IMPACT_CATEGORY.value:
+                valid = type(judgment) is int and 1 <= judgment <= OTHER.code
+                return 2 + judgment if valid else None
+            return None
+
         record = {"judgment": judgment, "key": key, "post_id": post_id, "task": task}
         line = json.dumps(record, sort_keys=True)
         path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
-        results = []
-        for text in (line, line + " "):
-            path.write_text(text + "\n", encoding="utf-8")
-            table, invalid = _read_cache(path)
-            results.append((table.get(b"\xab" * 16), invalid))
-        assert results[0] == results[1]
+
+        def read(text):
+            path.write_text(text + "\n", encoding="ascii")
+            return _read_cache(path)
+
+        state = oracle(line)
+        table, invalid = read(line)
+        assert invalid == (state is None)
+        if state is not None:
+            assert table.get(bytes.fromhex(key)) == state
+        # Every other spelling of the same JSON is unreadable.
+        respellings = [
+            line + " ",
+            json.dumps(record, sort_keys=True, separators=(",", ":")),
+            json.dumps(dict(reversed(record.items()))),
+        ]
+        for text in respellings:
+            assert json.loads(text) == json.loads(line)
+            assert read(text)[1] == 1
+
+    def test_an_unterminated_long_post_id_is_invalid_in_linear_time(self, tmp_path):
+        # A torn line whose id, of escapes and plain characters, never closes.
+        post_id = ('a\\"b\\\\c\\u00e9d' * 8_000)[:100_000]
+        line = '{"judgment": true, "key": "%s", "post_id": "%s\n' % ("ab" * 16, post_id)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(line, encoding="ascii")
+        started = time.perf_counter()
+        _, invalid = _read_cache(cache)
+        assert invalid == 1
+        assert time.perf_counter() - started < 0.5
 
     def test_a_verdict_costs_under_40_bytes(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -91,6 +91,12 @@ class TestConfigFile:
             "quantile_method": "nearest",
         }
 
+    def test_anchor_is_only_yyyy_mm_dd(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("window_anchor=2024-W36-1\n", encoding="utf-8")
+        with pytest.raises(MalformedInput, match="is not YYYY-MM-DD"):
+            load_config_file(path)
+
     def test_anchor_none_spelling(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("window_anchor=none\n", encoding="utf-8")
@@ -503,6 +509,17 @@ class TestAnnotateStreams:
 
 
 class TestCounts:
+    @pytest.mark.parametrize("flag", ["--range-start", "--range-end", "--window-anchor"])
+    def test_a_date_flag_is_only_yyyy_mm_dd(self, pipeline, tmp_path, capsys, flag):
+        out, _ = pipeline
+        argv = ["counts", "--in", POSTS, "--labels", out / "labels.csv", "--out", tmp_path]
+        for text in ("20240826", "2024-W35-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([str(arg) for arg in argv + [flag, text]])
+            assert excinfo.value.code == 2
+            assert f"argument {flag}: invalid " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_window_summary(self, pipeline):
         _, steps = pipeline
         code, stdout, stderr = steps["counts"]

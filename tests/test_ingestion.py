@@ -433,6 +433,14 @@ class TestSchemas:
             with pytest.raises(MalformedCsv, match=re.escape(f"{path}:3: ")):
                 read(path)
 
+    @pytest.mark.parametrize("text", ["2024-W36-1", "2024W361", "20240902"])
+    def test_a_date_cell_is_only_yyyy_mm_dd(self, tmp_path, text):
+        # Other ISO forms that date.fromisoformat takes from Python 3.11 on.
+        path = tmp_path / "counts.csv"
+        path.write_text(f"{','.join(COUNTS_CSV.names)}\n{text},CINJ,1,1\n", encoding="utf-8")
+        with pytest.raises(MalformedCsv, match=re.escape(f"{path}:2: ")):
+            list(csv_rows(path, COUNTS_CSV))
+
     def test_every_typed_column_has_a_bad_cell(self):
         for schema, _, _, bad in FORMATS.values():
             typed = [n for n, parse in zip(schema.names, schema.parses) if parse is not str]
