@@ -93,10 +93,10 @@ def render_chart(
     series: Mapping[str, WeeklySeries[float]], title: str = ""
 ) -> tuple[str, list[str]]:
     """Render named series on the weeks of the first; returns the SVG and any warnings."""
-    for what, text in (("chart title", title), *(("series name", name) for name in series)):
-        fault = _xml_fault(text)
+    for what, value in (("chart title", title), *(("series name", name) for name in series)):
+        fault = _xml_fault(value)
         if fault:
-            raise MalformedInput(f"{what} {text!r}: {fault}")
+            raise MalformedInput(f"{what} {value!r}: {fault}")
     warnings: list[str] = []
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -110,37 +110,31 @@ def render_chart(
             return MARGIN_LEFT + plot_w / 2
         return MARGIN_LEFT + (i / (count - 1)) * plot_w
 
-    parts: list[str] = []
-    parts.append(
+    def line(x1, y1, x2, y2, stroke: str, width: float) -> str:
+        ends = f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
+        return f'<line {ends} stroke="{stroke}" stroke-width="{width}"/>'
+
+    def text(x, y, size: int, body: str, extra_attrs: str = "") -> str:
+        font = f'font-family="sans-serif" font-size="{size}" fill="#333"'
+        return f'<text x="{x}" y="{y}" {font}{extra_attrs}>{body}</text>'
+
+    right = MARGIN_LEFT + plot_w
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-    )
-    parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+    ]
     if title:
-        parts.append(
-            f'<text x="{MARGIN_LEFT}" y="20" font-family="sans-serif" '
-            f'font-size="14" fill="#333">{_escape(title)}</text>'
-        )
+        parts.append(text(MARGIN_LEFT, 20, 14, _escape(title)))
     # Axes and y grid.
     for value, label in Y_TICKS:
         y = _fmt(y_of(value))
+        parts.append(line(MARGIN_LEFT, y, right, y, "#ddd", 1))
         parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{y}" stroke="#ddd" stroke-width="1"/>'
+            text(MARGIN_LEFT - 8, y, 12, label, ' text-anchor="end" dominant-baseline="middle"')
         )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y}" font-family="sans-serif" '
-            f'font-size="12" fill="#333" text-anchor="end" '
-            f'dominant-baseline="middle">{label}</text>'
-        )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{bottom}" stroke="#333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{bottom}" x2="{MARGIN_LEFT + plot_w}" '
-        f'y2="{bottom}" stroke="#333" stroke-width="1"/>'
-    )
+    parts.append(line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, bottom, "#333", 1))
+    parts.append(line(MARGIN_LEFT, bottom, right, bottom, "#333", 1))
     if not series:
         warnings.append("no data rows; rendering axes only")
     else:
@@ -149,13 +143,9 @@ def render_chart(
         step = max(1, math.ceil(count / 8))
         for i in range(0, count, step):
             x = _fmt(x_of(i, count))
-            parts.append(
-                f'<text x="{x}" y="{bottom + 18}" font-family="sans-serif" '
-                f'font-size="11" fill="#333" text-anchor="middle">'
-                f"{weeks[i].isoformat()}</text>"
-            )
-        for index, (name, line) in enumerate(series.items()):
-            values = line.windows
+            parts.append(text(x, bottom + 18, 11, weeks[i].isoformat(), ' text-anchor="middle"'))
+        for index, name in enumerate(series):
+            values = series[name].windows
             color = PALETTE[index % len(PALETTE)]
             if count == 1:
                 parts.append(
@@ -172,15 +162,9 @@ def render_chart(
                     f'stroke-width="1.5"/>'
                 )
             legend_y = MARGIN_TOP + 14 + index * 18
-            legend_x = MARGIN_LEFT + plot_w + 16
-            parts.append(
-                f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 20}" '
-                f'y2="{legend_y}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{legend_x + 26}" y="{legend_y + 4}" '
-                f'font-family="sans-serif" font-size="12" fill="#333">{_escape(name)}</text>'
-            )
+            legend_x = right + 16
+            parts.append(line(legend_x, legend_y, legend_x + 20, legend_y, color, 2))
+            parts.append(text(legend_x + 26, legend_y + 4, 12, _escape(name)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n", warnings
 

@@ -436,16 +436,15 @@ def cmd_agreement(args: argparse.Namespace, run: Run) -> int:
 
 def cmd_validate(args: argparse.Namespace, run: Run) -> int:
     header = csv_header(run.input(args.input))
-    index_filled: tuple[date, ...] = ()
+    index_filled = ()
     if header == DOMAIN_CSV.names:
         index_series = read_domain_csv(args.input, Domain(args.domain))
     elif header == GROUND_TRUTH_CSV.names:
-        index_series, index_report = load_ground_truth(args.input)
-        index_filled = index_report.filled_weeks
+        index_series, index_filled = load_ground_truth(args.input)
     else:
         series = ",".join(GROUND_TRUTH_CSV.names)
         raise MalformedCsv(f"{args.input}: expected a domain export or a {series} series")
-    truth, truth_report = load_ground_truth(run.input(args.truth))
+    truth, truth_filled = load_ground_truth(run.input(args.truth))
     profile = lead_lag_profile(index_series, truth, run.config.max_lag)
     write_leadlag_csv(profile, run.output("leadlag.csv"))
     interpretation = {
@@ -453,7 +452,7 @@ def cmd_validate(args: argparse.Namespace, run: Run) -> int:
     }
     write_json(interpretation, run.output("validate_report.json"))
     print(interpretation["statement"])
-    for what, filled in (("index", index_filled), ("truth", truth_report.filled_weeks)):
+    for what, filled in (("index", index_filled), ("truth", truth_filled)):
         if filled:
             print(f"zero-filled {len(filled)} missing {what} weeks", file=sys.stderr)
     return 0
@@ -470,13 +469,9 @@ def cmd_spatial(args: argparse.Namespace, run: Run) -> int:
         run.inputs["gazetteer.csv"] = hashlib.sha256(data).hexdigest()
     located = locate_posts(labelled, gazetteer)
     _report_dropped(loaded)
-    rows, report = aggregate_state_month(
-        located,
-        run.config,
-        SourceFilter(args.source_filter),
-        min_posts=run.config.min_group_size,
-    )
-    write_spatial_csv(rows, SourceFilter(args.source_filter), run.output("spatial.csv"))
+    source = SourceFilter(args.source_filter)
+    rows, report = aggregate_state_month(located, run.config, source, run.config.min_group_size)
+    write_spatial_csv(rows, source, run.output("spatial.csv"))
     states = sorted({row.state for row in rows})
     print(f"{len(rows)} state-month cells across {len(states)} states")
     if report.unlocated:
@@ -504,6 +499,13 @@ def cmd_chart(args: argparse.Namespace, run: Run) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {args.out / args.outfile}")
     return 0
+
+
+def _date_flag(text: str) -> date:
+    try:
+        return parse_date(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid date {text!r}: expected YYYY-MM-DD") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
     p.add_argument("--labels", type=Path, required=True, help="labels.csv")
-    p.add_argument("--range-start", type=parse_date)
-    p.add_argument("--range-end", type=parse_date)
-    p.add_argument("--window-anchor", dest="window_anchor", type=parse_date)
+    p.add_argument("--range-start", type=_date_flag)
+    p.add_argument("--range-end", type=_date_flag)
+    p.add_argument("--window-anchor", dest="window_anchor", type=_date_flag)
     p.set_defaults(handler=cmd_counts)
 
     p = sub.add_parser(

@@ -4,6 +4,7 @@ For a window t and category c with count n_t(c) and window total N_t:
 
     P_t(c) = (n_t(c) + alpha) / (N_t + alpha * C)          smoothed share
     w_t    = arctan((N_t - N_mean) / IQR) + pi/2           activity weight
+           = atan2(IQR, N_mean - N_t), computed without the cancellation near 0
     I_t(c) = P_t(c) * w_t                                  impact index
 
 P sums to 1 over the C categories, w lies in (0, pi), so every index
@@ -91,7 +92,6 @@ class SeriesStats:
 
     n_mean: float
     iqr: float
-    t_count: int
     iqr_degenerate: bool = False
 
     @classmethod
@@ -103,12 +103,12 @@ class SeriesStats:
         degenerate = iqr == 0.0
         if degenerate:
             iqr = max(1.0, mean * IQR_EPSILON)
-        return cls(n_mean=mean, iqr=iqr, t_count=len(totals), iqr_degenerate=degenerate)
+        return cls(n_mean=mean, iqr=iqr, iqr_degenerate=degenerate)
 
 
 def intensity_weight(total: int, stats: SeriesStats) -> float:
-    """Arctan-shaped weight in (0, pi); pi/2 at the mean posting volume."""
-    return math.atan((total - stats.n_mean) / stats.iqr) + math.pi / 2
+    """w_t in (0, pi), pi/2 at the mean; it rounds to pi only some 3e15 IQRs above the mean."""
+    return math.atan2(stats.iqr, stats.n_mean - total)
 
 
 def impact_index(p: float, w: float) -> float:

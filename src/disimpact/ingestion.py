@@ -89,16 +89,26 @@ def parse_date(text: str) -> date:
     return day
 
 
+# The grammar Python 3.10 documents for datetime.fromisoformat, with the
+# UTC offset required, so every Python keeps the same posts. Later versions
+# take more, and the C parser takes undocumented forms too, such as a
+# fraction after the minutes: it reads that as part of a second, and
+# ISO 8601 as part of a minute.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?",
+    re.DOTALL,
+)
+
+
 def _parse_rfc3339(value: str) -> datetime:
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
+    if not _TIMESTAMP.fullmatch(text):
+        raise ValueError(f"timestamp {value!r} is not YYYY-MM-DDTHH[:MM[:SS]] with a UTC offset")
     ts = datetime.fromisoformat(text)
-    if ts.tzinfo is timezone.utc:
-        return ts
-    if ts.tzinfo is None:
-        raise ValueError(f"timestamp {value!r} has no UTC offset")
-    return ts.astimezone(timezone.utc)
+    return ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
 
 
 # Built once and called directly: the json module's loads wraps this same
@@ -446,17 +456,12 @@ REFERENCE_CSV = Schema(
 )
 
 
-@dataclass(frozen=True)
-class GroundTruthReport:
-    filled_weeks: tuple[date, ...]
-
-
-def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTruthReport]:
+def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], tuple[date, ...]]:
     """Load a groundtruth.csv (GROUND_TRUTH_CSV) by the weekly rule (read_weeks).
 
-    A missing week is allowed: it is zero-filled and listed in the
-    report. A negative value raises NegativeValue, and a file with no
-    data rows EmptyInput.
+    A missing week is allowed: it is zero-filled and returned, with the
+    other filled weeks, after the series. A negative value raises
+    NegativeValue, and a file with no data rows EmptyInput.
     """
     weeks = read_weeks(path, GROUND_TRUTH_CSV, fill=True)
     if not weeks:
@@ -467,7 +472,7 @@ def load_ground_truth(path: str | Path) -> tuple[WeeklySeries[float], GroundTrut
                 raise NegativeValue(f"{path}:{lineno}: value {value} is negative")
     values = tuple(rows[None][1][1] if rows else 0.0 for rows in weeks.values())
     filled = tuple(week for week, rows in weeks.items() if not rows)
-    return WeeklySeries(next(iter(weeks)), values), GroundTruthReport(filled_weeks=filled)
+    return WeeklySeries(next(iter(weeks)), values), filled
 
 
 def load_labels(path: str | Path) -> dict[str, ImpactCategory]:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -293,20 +294,16 @@ def aggregate_state_month(
         counts, _ = build_count_series(groups[state], config)
         series = compute_impact_series(counts, config)
         report.zero_iqr_states += series.weights_use_fallback_iqr
-        monthly: dict[date, tuple[list[float], list[float], int]] = {}
-        for week, window, physical, social in zip(
+        weekly = zip(
             counts.weeks,
             counts.windows,
             series.domains[Domain.PHYSICAL].windows,
             series.domains[Domain.SOCIAL].windows,
-        ):
-            month = week.replace(day=1)
-            phys, soc, n_posts = monthly.setdefault(month, ([], [], 0))
-            phys.append(physical)
-            soc.append(social)
-            monthly[month] = (phys, soc, n_posts + sum(window))
-        for month in sorted(monthly):
-            phys, soc, n_posts = monthly[month]
+        )
+        # Weeks ascend, so each month's weeks are consecutive.
+        for month, cells in groupby(weekly, key=lambda cell: cell[0].replace(day=1)):
+            _, windows, phys, soc = zip(*cells)
+            n_posts = sum(map(sum, windows))
             if n_posts < max(min_posts, 1):
                 report.suppressed_cells.append((state, month, n_posts))
                 continue

@@ -118,11 +118,8 @@ def lead_lag_profile(
         xs = index.windows[first:last]
         ys = truth.windows[first + shift:last + shift]
         overlap[lag] = len(xs)
-        if len(xs) < 3:
-            rho[lag] = None
-            continue
         try:
-            rho[lag] = spearman_rho(xs, ys)
+            rho[lag] = spearman_rho(xs, ys) if len(xs) >= 3 else None
         except ConstantInput:
             rho[lag] = None
     profile = LagCorrelationProfile(lags=lags, rho=rho, overlap=overlap)
@@ -152,21 +149,16 @@ def interpret_profile(profile: LagCorrelationProfile) -> dict:
     best_rho = profile.rho[best]
     assert best_rho is not None
     span = f"{abs(best)} week" + ("s" if abs(best) != 1 else "")
-    if best < 0:
-        narrative = f"index leads the ground truth by {span}"
-        formula_reading = (
-            f"lag {best} pairs each index week with the ground-truth value "
-            f"{span} earlier"
-        )
-    elif best > 0:
-        narrative = f"ground truth leads the index by {span}"
-        formula_reading = (
-            f"lag {best} pairs each index week with the ground-truth value "
-            f"{span} later"
-        )
-    else:
+    if best == 0:
         narrative = "contemporaneous"
         formula_reading = "lag 0 pairs each week with itself"
+    else:
+        lead = "index leads the ground truth" if best < 0 else "ground truth leads the index"
+        when = "earlier" if best < 0 else "later"
+        narrative = f"{lead} by {span}"
+        formula_reading = (
+            f"lag {best} pairs each index week with the ground-truth value {span} {when}"
+        )
     strength = _strength(abs(best_rho))
     return {
         "best_lag": best,

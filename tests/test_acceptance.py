@@ -128,7 +128,7 @@ def test_criterion_01_proportion_normalization():
 
 def test_criterion_02_weight_anchor_points():
     with criterion("02"):
-        stats = SeriesStats(n_mean=100.0, iqr=40.0, t_count=4)
+        stats = SeriesStats(n_mean=100.0, iqr=40.0)
         assert intensity_weight(100, stats) == pytest.approx(
             math.pi / 2, abs=1e-12
         )

@@ -1,5 +1,6 @@
 """Tests for chart CSV loading and deterministic SVG rendering."""
 
+import hashlib
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -295,3 +296,42 @@ class TestRenderChart:
         match = re.search(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', svg)
         assert match is not None
         assert float(match.group(2)) == pytest.approx((32 + 492) / 2, abs=0.01)
+
+
+def _pinned_series(n_series: int, n_weeks: int) -> dict[str, WeeklySeries[float]]:
+    return {
+        f"series {j}": WeeklySeries(
+            ANCHOR, tuple((1 + (i * 5 + j * 3) % 11) * math.pi / 12 for i in range(n_weeks))
+        )
+        for j in range(n_series)
+    }
+
+
+# sha256 of render_chart's SVG for each branch the fixture's chart.svg does not reach.
+CHART_PINS = {
+    "empty": (
+        lambda: render_chart({}),
+        "850433a2ffd9a0f378f6cf1c159159308ff7813e8839bf455fcce764132831c5",
+    ),
+    "one week, escaped title and name": (
+        lambda: render_chart(
+            {"R&D <north>": WeeklySeries(ANCHOR, (1.0,))}, title="Helene & Milton <weekly>"
+        ),
+        "35b687c7ba118c658d9648de17d73cf0fdda3547219ca54b3b2c6c453b74a6ef",
+    ),
+    "more series than colors": (
+        lambda: render_chart(_pinned_series(13, 20), title="thirteen"),
+        "cd7004ecafdcc66a7d9346425a6fb31d98f99427f5262009ce5917098da2024f",
+    ),
+    "two weeks": (
+        lambda: render_chart(_pinned_series(2, 2)),
+        "b5b6384c04a688eb0dbc32f49cdf8fb7ac2c0bb7f229d82d8812471937c3f19c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHART_PINS)
+def test_render_chart_bytes_are_pinned(name):
+    render, digest = CHART_PINS[name]
+    svg, _ = render()
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest

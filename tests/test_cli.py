@@ -517,7 +517,9 @@ class TestCounts:
             with pytest.raises(SystemExit) as excinfo:
                 main([str(arg) for arg in argv + [flag, text]])
             assert excinfo.value.code == 2
-            assert f"argument {flag}: invalid " in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"argument {flag}: invalid " in err
+            assert f"invalid date '{text}': expected YYYY-MM-DD" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_window_summary(self, pipeline):

@@ -161,7 +161,6 @@ class TestSeriesStats:
         assert stats.iqr_degenerate
         assert stats.iqr == 1.0
         assert stats.n_mean == 5.0
-        assert stats.t_count == 4
 
     def test_fallback_scales_with_the_mean(self):
         stats = SeriesStats.from_totals([2_000_000] * 4)
@@ -181,32 +180,34 @@ class TestSeriesStats:
 
 class TestIntensityWeight:
     def test_mean_volume_sits_at_the_midpoint(self):
-        stats = SeriesStats(n_mean=100.0, iqr=7.0, t_count=10)
+        stats = SeriesStats(n_mean=100.0, iqr=7.0)
         assert intensity_weight(100, stats) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_one_iqr_above_the_mean(self):
-        stats = SeriesStats(n_mean=0.0, iqr=1.0, t_count=2)
+        stats = SeriesStats(n_mean=0.0, iqr=1.0)
         assert intensity_weight(1, stats) == pytest.approx(3 * math.pi / 4, abs=1e-12)
 
     def test_ten_iqr_below_the_mean(self):
-        stats = SeriesStats(n_mean=10.0, iqr=1.0, t_count=2)
+        stats = SeriesStats(n_mean=10.0, iqr=1.0)
         assert intensity_weight(0, stats) == pytest.approx(
             0.09966865249116186, abs=1e-15
         )
 
     def test_saturation_at_extreme_volumes(self):
-        stats = SeriesStats(n_mean=0.0, iqr=1.0, t_count=2)
+        stats = SeriesStats(n_mean=0.0, iqr=1.0)
         assert intensity_weight(1000, stats) == pytest.approx(math.pi, abs=1e-3)
         assert intensity_weight(-1000, stats) == pytest.approx(0.0, abs=1e-3)
+        # arctan(x) + pi/2 cancels to exactly 0.0 here; atan2 keeps the 1e-17.
+        assert 0.0 < intensity_weight(0, SeriesStats(n_mean=1e17, iqr=1.0)) < math.pi
 
     @given(st.integers(-10**6, 10**6), st.floats(0.5, 1e6), st.floats(-1e6, 1e6))
     def test_always_strictly_inside_zero_pi(self, total, iqr, mean):
-        stats = SeriesStats(n_mean=mean, iqr=iqr, t_count=2)
+        stats = SeriesStats(n_mean=mean, iqr=iqr)
         w = intensity_weight(total, stats)
         assert 0.0 < w < math.pi
 
     def test_monotone_in_volume(self):
-        stats = SeriesStats(n_mean=50.0, iqr=10.0, t_count=5)
+        stats = SeriesStats(n_mean=50.0, iqr=10.0)
         weights = [intensity_weight(n, stats) for n in range(0, 101, 10)]
         assert weights == sorted(weights)
         assert all(a < b for a, b in zip(weights, weights[1:]))

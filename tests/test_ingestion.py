@@ -99,6 +99,11 @@ class TestLoadPosts:
             _line("b", created_at="2024-09-02T10:00:00"),
             _line("b", created_at="0001-01-01T00:30:00+01:00"),
             _line("c", created_at="9999-12-31T23:30:00-01:00"),
+            # Forms datetime.fromisoformat takes from Python 3.11 on, not on 3.10.
+            _line("b", created_at="20240902T100000Z"),
+            _line("b", created_at="2024-W36-1T10:00Z"),
+            _line("b", created_at="2024-09-02T10:00:00.5Z"),
+            _line("b", created_at="2024-09-02T10:00:00+0200"),
             _line("b", media_refs=False),
             _line("b", media_refs=0),
             _line("b", media_refs=""),
@@ -130,10 +135,11 @@ class TestLoadPosts:
             [
                 _line("a", created_at="2024-09-02T10:00:00Z"),
                 _line("b", created_at="2024-09-02T10:00:00+00:00"),
+                _line("c", created_at="2024-09-02 12:00:00+02:00"),
             ],
         )
-        (a, b), _ = read_posts(path)
-        assert a.created_at == b.created_at
+        (a, b, c), _ = read_posts(path)
+        assert a.created_at == b.created_at == c.created_at
 
     def test_unknown_platform_becomes_other(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -241,18 +247,18 @@ class TestGroundTruth:
     def test_direct_parse(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("week_start,value\n2024-09-02,5.0\n2024-09-09,7.5\n")
-        series, report = load_ground_truth(path)
+        series, filled = load_ground_truth(path)
         assert series.weeks == (date(2024, 9, 2), date(2024, 9, 9))
         assert series.windows == (5.0, 7.5)
-        assert report.filled_weeks == ()
+        assert filled == ()
 
     def test_gap_zero_filled(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("week_start,value\n2024-09-02,5.0\n2024-09-16,1.0\n")
-        series, report = load_ground_truth(path)
+        series, filled = load_ground_truth(path)
         assert len(series.weeks) == len(series.windows) == 3
         assert (series.weeks[1], series.windows[1]) == (date(2024, 9, 9), 0.0)
-        assert report.filled_weeks == (date(2024, 9, 9),)
+        assert filled == (date(2024, 9, 9),)
 
     def test_negative_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
@@ -585,9 +591,9 @@ class TestOneWeeklyRule:
         if fault is out_of_order:
             assert read(path) == read(tmp_path / "in_order.csv")
         elif reader.startswith("groundtruth") and fault is missing_week:
-            truth, report = read(path)
+            truth, filled = read(path)
             assert truth == WeeklySeries(WEEKS[0], (1.0, 0.0, 3.0, 4.0))
-            assert report.filled_weeks == (WEEKS[1],)
+            assert filled == (WEEKS[1],)
         else:
             with pytest.raises(MalformedCsv, match=re.escape(f"{path}:{line}: {message}")):
                 read(path)
