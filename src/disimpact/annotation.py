@@ -288,38 +288,19 @@ class RemoteBackend:
             with urllib.request.urlopen(http_request, timeout=self.timeout) as reply:
                 raw = reply.read()
         except urllib.error.HTTPError as exc:
-            retryable = exc.code == 429 or exc.code >= 500
+            exc.close()  # the error reply's socket
             error = TransportError(f"HTTP {exc.code} from {self.endpoint}")
-            error.retryable = retryable
+            error.retryable = exc.code == 429 or exc.code >= 500
             raise error from exc
         # A reply cut short raises IncompleteRead, an HTTPException but no OSError.
         except (
             urllib.error.URLError, TimeoutError, OSError, http.client.HTTPException
         ) as exc:
-            error = TransportError(f"transport failure: {exc}")
-            error.retryable = True
-            raise error from exc
+            raise TransportError(f"transport failure: {exc}") from exc
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedResponse(f"response is not UTF-8: {exc}") from exc
-
-
-def _call_with_retries(
-    backend: Backend,
-    request: ClassifierRequest,
-    policy: ClientPolicy,
-    sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    attempts = 1 + policy.max_retries
-    for attempt in range(attempts):
-        try:
-            return backend.complete(request)
-        except TransportError as exc:
-            if not getattr(exc, "retryable", True) or attempt == attempts - 1:
-                raise
-            sleep(BACKOFF_S * (2**attempt))
-    raise AssertionError("unreachable")
 
 
 def _classify(
@@ -329,10 +310,18 @@ def _classify(
     policy: ClientPolicy,
     sleep: Callable[[float], None],
 ) -> bool | ImpactCategory:
+    """The judgment of post for task, asked again up to max_retries times on a retryable failure."""
     if not post.text and not post.media_refs:
         raise EmptyInput(f"post {post.id} has neither text nor media")
     request = ClassifierRequest(post, task)
-    return parse_judgment(_call_with_retries(backend, request, policy, sleep), task)
+    for attempt in range(policy.max_retries + 1):
+        try:
+            return parse_judgment(backend.complete(request), task)
+        except TransportError as exc:
+            if not exc.retryable or attempt == policy.max_retries:
+                raise
+            sleep(BACKOFF_S * 2**attempt)
+    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -567,11 +556,10 @@ def _run_stages(
     # Without an identity, a cached verdict may be another backend's.
     if getattr(backend, "identity", None) is None:
         cache = _Verdicts(0)
-    # Each task's question, and its name as a cache line spells it.
-    questions = {task: (_question(task, backend), task.value) for task in Task}
+    questions = {task: _question(task, backend) for task in Task}
     relevance_task = Task(f"relevance_{disaster.value}")
-    relevance_question = questions[relevance_task][0]
-    category_question = questions[Task.IMPACT_CATEGORY][0]
+    relevance_question = questions[relevance_task]
+    category_question = questions[Task.IMPACT_CATEGORY]
     # The tasks a post in each state lacks, asked in turn while each
     # verdict is True; clean asks no category, but keeps each relevant post.
     category = (Task.IMPACT_CATEGORY,) if keep is None else ()
@@ -601,7 +589,7 @@ def _run_stages(
         return tasks
 
     def ask(post: Post, tasks: tuple[Task, ...], material: bytes, missed: bytes | None):
-        """Yield (task name, key, state) for each of tasks in turn, while the post is relevant.
+        """Yield (task, key, state) for each of tasks in turn, while the post is relevant.
 
         missed is the first task's key, which the cache lacks. A later
         task's verdict found in the cache costs no call; its key is
@@ -609,8 +597,7 @@ def _run_stages(
         AnnotationError in place of the state.
         """
         for task in tasks:
-            question, name = questions[task]
-            key = missed or _key(question, material)
+            key = missed or _key(questions[task], material)
             state = _UNKNOWN if missed else cache.get(key)
             missed = None
             # A later task is the category, which only a category
@@ -625,7 +612,7 @@ def _run_stages(
                     state = AnnotationError(
                         post.id, type(exc).__name__, str(exc), exc.exit_code
                     )
-            yield name, key, state
+            yield task, key, state
             if state != _RELEVANT:
                 return
 
@@ -635,7 +622,7 @@ def _run_stages(
         Returns the exception that cut post i's pool task short, if one did.
         """
         nonlocal fh
-        for name, key, state in verdicts:
+        for task, key, state in verdicts:
             if isinstance(state, BaseException):
                 return state
             if isinstance(state, AnnotationError):
@@ -647,7 +634,7 @@ def _run_stages(
             if fh is None:
                 fh = cache_path.open("a+b")
                 _end_torn_line(fh)
-            fh.write((_LINE % (_JUDGMENTS[state], key.hex(), quote(post.id), name)).encode())
+            fh.write((_LINE % (_JUDGMENTS[state], key.hex(), quote(post.id), task.value)).encode())
             fh.flush()
 
     def finish() -> None:

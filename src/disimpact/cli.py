@@ -532,32 +532,29 @@ def build_parser() -> argparse.ArgumentParser:
     backend_flags.add_argument("--max-retries", type=int, default=2)
     backend_flags.add_argument("--timeout", type=float, default=30.0)
 
+    posts_flag = argparse.ArgumentParser(add_help=False)
+    posts_flag.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
+    disaster_flags = argparse.ArgumentParser(add_help=False, parents=[posts_flag])
+    disaster_flags.add_argument("--disaster", choices=("hurricane", "wildfire"), required=True)
+    labels_flags = argparse.ArgumentParser(add_help=False, parents=[posts_flag])
+    labels_flags.add_argument("--labels", type=Path, required=True, help="labels.csv")
+
     p = sub.add_parser(
-        "clean", parents=[common, backend_flags],
+        "clean", parents=[common, backend_flags, disaster_flags],
         help="relevance-filter posts, writing posts_clean.jsonl",
-    )
-    p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
-    p.add_argument(
-        "--disaster", choices=("hurricane", "wildfire"), required=True
     )
     p.set_defaults(handler=cmd_clean)
 
     p = sub.add_parser(
-        "annotate", parents=[common, backend_flags],
+        "annotate", parents=[common, backend_flags, disaster_flags],
         help="classify posts into impact categories, writing labels.csv",
-    )
-    p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
-    p.add_argument(
-        "--disaster", choices=("hurricane", "wildfire"), required=True
     )
     p.set_defaults(handler=cmd_annotate)
 
     p = sub.add_parser(
-        "counts", parents=[common],
+        "counts", parents=[common, labels_flags],
         help="count labeled posts per window and category, writing counts.csv",
     )
-    p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
-    p.add_argument("--labels", type=Path, required=True, help="labels.csv")
     p.add_argument("--range-start", type=_date_flag)
     p.add_argument("--range-end", type=_date_flag)
     p.add_argument("--window-anchor", dest="window_anchor", type=_date_flag)
@@ -597,11 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser(
-        "spatial", parents=[common],
+        "spatial", parents=[common, labels_flags],
         help="state-month impact aggregation, writing spatial.csv",
     )
-    p.add_argument("--in", dest="input", type=Path, required=True, help="posts.jsonl")
-    p.add_argument("--labels", type=Path, required=True, help="labels.csv")
     p.add_argument("--gazetteer", type=Path, help="override the bundled place index")
     p.add_argument(
         "--source-filter", choices=("metadata", "text", "both"), default="both"

@@ -37,6 +37,8 @@ class TransportError(DisimpactError):
     """A classifier backend failed at the transport level (after retries)."""
 
     exit_code = 3
+    # A backend sets it False on a failure that asking again cannot mend.
+    retryable = True
 
 
 class MalformedResponse(DisimpactError):

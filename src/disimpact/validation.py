@@ -165,7 +165,6 @@ def interpret_profile(profile: LagCorrelationProfile) -> dict:
         "best_rho": best_rho,
         "abs_rho": abs(best_rho),
         "strength": strength,
-        "meaningful": strength == "meaningful",
         "statement": (
             f"strongest association at {best:+d} weeks "
             f"(rho = {best_rho:.3f}, {strength} range): {narrative}"

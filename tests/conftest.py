@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import http.server
+import json
+import threading
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-
-import threading
 
 import pytest
 
@@ -88,6 +90,59 @@ class PooledMock:
     def complete(self, request):
         self.threads.add(threading.current_thread().name)
         return self.inner.complete(request)
+
+
+@contextlib.contextmanager
+def loopback_server(handler):
+    """An http.server on 127.0.0.1 that serves handler from a thread until the block ends."""
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class ScriptedStatusHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with the next status of the server's script, then with 200.
+
+    A 200 judges the post relevant, and of category 1. Each request's
+    post id is appended to the server's asked, in the order served.
+    """
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.asked.append(request["post"]["id"])
+        status = self.server.script.pop(0) if self.server.script else 200
+        reply = b"{}"
+        if status == 200:
+            impact = request["template_id"] == "classify_impact"
+            reply = b'{"Judgment": 1}' if impact else b'{"Judgment": true}'
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def scripted_server(monkeypatch):
+    """A loopback ScriptedStatusHandler server with an empty script; the remote API key is set.
+
+    A test sets ``script`` to the statuses to answer before the 200s and
+    reads ``asked``.
+    """
+    monkeypatch.setenv("DISIMPACT_MLLM_API_KEY", "k")
+    with loopback_server(ScriptedStatusHandler) as server:
+        server.script, server.asked = [], []
+        yield server
 
 
 # Location-resolution cases: (metadata, text, expected_state, expected_source).

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, PooledMock, RecordingMock, make_post
+from conftest import FIXTURES, PooledMock, RecordingMock, category, make_post
 
 from disimpact import (
     ClassifierRequest,
@@ -362,6 +362,26 @@ class TestRetries:
         assert backend.calls == 1
         assert sleeps == []
 
+    def test_a_bare_transport_error_is_retried(self, tmp_path):
+        class Down:
+            """A backend that raises TransportError and never sets retryable."""
+
+            calls = 0
+
+            def complete(self, request):
+                self.calls += 1
+                raise TransportError("x")
+
+        backend, sleeps = Down(), []
+        labels, report = annotate(
+            [make_post()], backend, ClientPolicy(max_retries=2),
+            cache_path=tmp_path / "cache.jsonl", sleep=sleeps.append,
+        )
+        assert backend.calls == 3
+        assert sleeps == [0.5, 1.0]
+        assert labels == []
+        assert [(e.stage, e.exit_code) for e in report.errors] == [("TransportError", 3)]
+
     def test_zero_retries_means_single_attempt(self, tmp_path):
         backend = FlakyBackend(failures=1)
         labels, errors, sleeps = self.run(backend, tmp_path, max_retries=0)
@@ -392,6 +412,47 @@ class TestRetries:
             ClientPolicy(max_retries=-1)
         with pytest.raises(OutOfRange):
             RemoteBackend("http://127.0.0.1:9/x", api_key="k", timeout=0.0)
+
+
+class TestRemoteStatuses:
+    """RemoteBackend against a loopback server's scripted HTTP statuses."""
+
+    def run(self, server, tmp_path, n_posts, **policy):
+        host, port = server.server_address
+        sleeps = []
+        labels, report = annotate(
+            [make_post(f"p{n}", text="storm surge at the pier") for n in range(n_posts)],
+            RemoteBackend(f"http://{host}:{port}/classify", timeout=10),
+            ClientPolicy(**policy),
+            cache_path=tmp_path / "cache.jsonl",
+            sleep=sleeps.append,
+        )
+        return labels, [(e.post_id, e.stage, e.exit_code) for e in report.errors], sleeps
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404])
+    def test_a_client_error_costs_one_request_per_post(self, scripted_server, tmp_path, status):
+        scripted_server.script = [status] * 3
+        labels, errors, sleeps = self.run(scripted_server, tmp_path, 3, max_retries=2)
+        assert sorted(scripted_server.asked) == ["p0", "p1", "p2"]
+        assert labels == [] and sleeps == []
+        assert errors == [(f"p{n}", "TransportError", 3) for n in range(3)]
+
+    @pytest.mark.parametrize("status", [500, 503])
+    def test_a_server_error_costs_one_plus_max_retries(self, scripted_server, tmp_path, status):
+        scripted_server.script = [status] * 6
+        labels, errors, sleeps = self.run(scripted_server, tmp_path, 2, max_retries=2)
+        assert sorted(scripted_server.asked) == ["p0"] * 3 + ["p1"] * 3
+        assert labels == [] and sorted(sleeps) == [0.5, 0.5, 1.0, 1.0]
+        assert errors == [("p0", "TransportError", 3), ("p1", "TransportError", 3)]
+
+    def test_a_429_is_retried(self, scripted_server, tmp_path):
+        scripted_server.script = [429, 429]
+        labels, errors, sleeps = self.run(scripted_server, tmp_path, 1, max_retries=2)
+        # Relevance answered on the third request, then the category on the first.
+        assert scripted_server.asked == ["p0"] * 4
+        assert sleeps == [0.5, 1.0]
+        assert errors == []
+        assert labels == [Label("p0", category(1))]
 
 
 class TestAnnotateDataset:

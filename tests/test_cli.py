@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, PooledMock
+from conftest import FIXTURES, PooledMock, loopback_server
 
 import disimpact
 from disimpact import MalformedInput
@@ -620,7 +620,7 @@ class TestValidate:
         assert report["best_lag"] == 1
         assert report["best_rho"] == pytest.approx(0.8, abs=1e-9)
         assert report["strength"] == "strong"
-        assert report["meaningful"] is False
+        assert "meaningful" not in report  # strength already names the band
 
     def test_truth_against_itself_is_contemporaneous(self, tmp_path):
         code, stdout, _ = run_cli(
@@ -762,7 +762,7 @@ GOLDEN = {
     "index.csv": "c281162f3a3d36faba651687dee2bf2958628641c8646a43190a8b51312d5c9d",
     "domain.csv": "2d7f25c05872292c55add774ba7b64535bfde2f92aa2d0276c0eeb9a579efb89",
     "leadlag.csv": "121f730e3ac345edbddaa9194931e72162b788573b940819ffc7f97971b2f48d",
-    "validate_report.json": "f4d11013f4dcff5d326ef1ae1fbeea7125e34965f7ecbaa18754f9ab9c459010",
+    "validate_report.json": "29499c09f67c7d9eb6a7c708ce22840e90af213e0c84ae240198c1d45928664f",
     "chart.svg": "ec27387c9379eb1af33c523fbe642525a4ab7a73ae75a7ec5b74951216af1d9b",
     "agreement.json": "1820344cd54b428086b7ef8d453494f1ff1b26df5dc7be031afb9d50761d162a",
     "agreement.json --labels": "587098555497d1d4cb26f9d5a79fb31c755d894caabf8c967007ff243b0622b7",
@@ -1313,6 +1313,58 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == disimpact.__version__
 
 
+# Each command's option strings, as build_parser gave them when every
+# command declared its own --in, --disaster and --labels.
+OPTIONS = {
+    "clean": [
+        "--backend", "--cache", "--config", "--disaster", "--endpoint", "--help", "--in",
+        "--max-in-flight", "--max-retries", "--out", "--seed", "--timeout", "-h",
+    ],
+    "counts": [
+        "--config", "--help", "--in", "--labels", "--out", "--range-end", "--range-start",
+        "--seed", "--window-anchor", "-h",
+    ],
+    "spatial": [
+        "--config", "--gazetteer", "--help", "--in", "--labels", "--min-group-size", "--out",
+        "--seed", "--source-filter", "-h",
+    ],
+}
+OPTIONS["annotate"] = OPTIONS["clean"]
+
+
+class TestSharedFlags:
+    """--in, --disaster and --labels, each declared once, reach the commands that take them."""
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_command_keeps_its_options(self, command):
+        [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        actions = commands.choices[command]._actions
+        assert sorted(flag for action in actions for flag in action.option_strings) == (
+            OPTIONS[command]
+        )
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("clean", ["--in", POSTS, "--disaster", "hurricane"]),
+            ("annotate", ["--in", POSTS, "--disaster", "hurricane"]),
+            ("counts", ["--in", POSTS, "--labels", "labels.csv"]),
+            ("spatial", ["--in", POSTS, "--labels", "labels.csv"]),
+        ],
+    )
+    @pytest.mark.parametrize("left_out", [0, 2])
+    def test_a_required_flag_left_out_is_named(self, tmp_path, capsys, command, flags, left_out):
+        flag = flags[left_out]
+        argv = [command, *flags[:left_out], *flags[left_out + 2:], "--out", tmp_path]
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(arg) for arg in argv])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: the following arguments are required: {flag}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 # numpy is used by no command; the HTTP stack only by the remote backend and
 # the thread pool only by backends that are not in-process.
 UNUSED_MODULES = ("numpy", "urllib.request", "http.client", "ssl", "concurrent.futures")
@@ -1522,17 +1574,9 @@ class BadReplyHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def bad_reply_server(monkeypatch):
     monkeypatch.setenv("DISIMPACT_MLLM_API_KEY", "k")
-    server = http.server.HTTPServer(("127.0.0.1", 0), BadReplyHandler)
-    server.asked = []
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
-    try:
+    with loopback_server(BadReplyHandler) as server:
+        server.asked = []
         yield server
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
 
 
 class TestRemoteReplies:

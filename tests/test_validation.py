@@ -341,7 +341,10 @@ class TestInterpretProfile:
         result = interpret_profile(profile_with(rho))
         assert result["best_lag"] == -3
         assert result["strength"] == "meaningful"
-        assert result["meaningful"] is True
+        assert set(result) == {
+            "best_lag", "best_rho", "abs_rho", "strength", "statement", "narrative",
+            "formula_reading", "defined_lags",
+        }
         assert result["narrative"] == "index leads the ground truth by 3 weeks"
         assert result["statement"] == (
             "strongest association at -3 weeks (rho = 0.440, meaningful range): "
@@ -371,7 +374,7 @@ class TestInterpretProfile:
         rho = {0: 0.1, 1: 0.2}
         result = interpret_profile(profile_with(rho))
         assert result["strength"] == "weak"
-        assert result["meaningful"] is False
+        assert "meaningful" not in result
 
     def test_negative_rho_ranked_by_magnitude(self):
         rho = {0: 0.3, 1: -0.7}
