@@ -9,23 +9,28 @@ judgment JSON out) and leaves vendor specifics to adapter code.
 
 clean_dataset and annotate_dataset share one loop, _run_stages, for
 every backend. It reads the posts once, as a stream: each post looks
-its cached verdicts up in the cache as it arrives, and is asked for
-every verdict still missing (relevance, then a relevant post's
-category) in the same read. It holds no post past its window: per post
-it keeps the id and one byte of state.
+its verdicts up as it arrives, among the cached ones and those the
+run wrote, and is asked for every verdict still missing (relevance,
+then a relevant post's category) in the same read. A verdict is keyed
+by what decides it, the text and media, so each distinct question is
+asked once per run, and a repost takes its original's verdicts. It
+holds no post past its window: per post it keeps the id and one byte
+of state.
 
 The cache file is read whole first, into a table of fixed-width
 records, not Python objects: each verdict is its 16-byte key and the
 one byte of state it gives a post, 17 bytes, or about 22 with the
-table's overhead. A cache line has one spelling, the one the loop
-writes, and is read by one pattern built from it; a line spelled any
-other way is unreadable, and its post is asked again.
+table's overhead; the run adds each verdict it writes. A cache line
+has one spelling, the one the loop writes, and is read by one pattern
+built from it; a line spelled any other way is unreadable, and its
+question is asked again.
 """
 
 from __future__ import annotations
 
 import binascii
 import hashlib
+import itertools
 import json
 import json.encoder
 import os
@@ -33,7 +38,7 @@ import re
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -91,12 +96,15 @@ class ClassifierRequest:
             raise ValueError("request text must be scrubbed first")
 
     def payload(self) -> str:
-        """Serialized request body, also what the privacy audit sees."""
+        """Serialized request body, also what the privacy audit sees.
+
+        It holds what the cache key covers of the post, its text and
+        media refs, and no post id.
+        """
         return json.dumps(
             {
                 "template_id": PROMPT_TEMPLATE_IDS[self.task],
                 "post": {
-                    "id": self.post.id,
                     "text": self.post.text,
                     "media_refs": list(self.post.media_refs),
                 },
@@ -164,6 +172,12 @@ def parse_judgment(raw: str, task: Task) -> bool | ImpactCategory:
 
 class Backend(Protocol):
     """A classifier backend.
+
+    A reply may depend only on the request's task and its post's text
+    and media refs, all that ``ClassifierRequest.payload`` sends: a
+    verdict's cache key covers nothing else, so each verdict answers
+    every post with the same text and media, whatever its id, time or
+    location.
 
     Two optional attributes steer the annotation loop. ``identity`` is
     a string naming what answers (``"mock"``, or the remote endpoint);
@@ -312,7 +326,7 @@ def _classify(
 ) -> bool | ImpactCategory:
     """The judgment of post for task, asked again up to max_retries times on a retryable failure."""
     if not post.text and not post.media_refs:
-        raise EmptyInput(f"post {post.id} has neither text nor media")
+        raise EmptyInput("post has neither text nor media")
     request = ClassifierRequest(post, task)
     for attempt in range(policy.max_retries + 1):
         try:
@@ -336,10 +350,17 @@ class AnnotationError:
 
 @dataclass
 class AnnotationReport:
-    """Per-run counts; a cache hit is a post that needed no backend call."""
+    """Per-run counts; each post is counted in one of backend_posts, shared and cache_hits.
+
+    backend_posts asked the backend at least once. shared asked nothing,
+    but took a verdict that an earlier post of the run wrote, or the
+    error that an earlier post's request gave. cache_hits took every
+    verdict from the cache. cache_invalid counts unreadable cache lines.
+    """
 
     backend_posts: int = 0
     cache_hits: int = 0
+    shared: int = 0
     cache_invalid: int = 0
     errors: list[AnnotationError] = field(default_factory=list)
 
@@ -369,6 +390,11 @@ _RECORD = _KEY_BYTES + 1
 # typical line, short enough for rfind, long enough that bucket
 # overhead stays near 5 bytes a verdict.
 _BUCKET_FILE_BYTES = 2048
+# The most records a bucket holds on average before the table grows:
+# above the 20 of the shortest lines, so reading a cache never grows it.
+_BUCKET_RECORDS = 24
+# Set in the state of a record _run_stages adds: a verdict of this run.
+_RAN = 0x80
 
 
 def _state(verdict: bool | ImpactCategory) -> int:
@@ -379,22 +405,37 @@ def _state(verdict: bool | ImpactCategory) -> int:
 
 
 class _Verdicts:
-    """Cached verdicts, each a 17-byte record: its key, then the state it gives a post.
+    """Verdicts, each a 17-byte record: its key, then the state it gives a post.
 
-    Records are appended, in the order they are added, to one of
-    ``size // _BUCKET_FILE_BYTES + 1`` bytearrays chosen by the key's
-    hash, where size is the cache file's. A lookup takes the key's last
-    record, so a later line for a key wins. Nothing is added after the
-    cache is read, so pool threads may look keys up at the same time.
+    Records are appended, in the order they are added, to one of a list
+    of bytearrays chosen by the key's hash: at first
+    ``size // _BUCKET_FILE_BYTES + 1`` of them, where size is the cache
+    file's, and twice as many whenever they would average more than
+    _BUCKET_RECORDS records. A lookup takes the key's last record, so a
+    later line for a key wins. One thread at a time may use a table.
     """
 
     def __init__(self, size: int) -> None:
         self._buckets = [bytearray() for _ in range(size // _BUCKET_FILE_BYTES + 1)]
+        self.count = 0
 
     def add(self, key: bytes, state: int) -> None:
+        if self.count >= _BUCKET_RECORDS * len(self._buckets):
+            self._grow()
         bucket = self._buckets[hash(key) % len(self._buckets)]
         bucket += key
         bucket.append(state)
+        self.count += 1
+
+    def _grow(self) -> None:
+        """Spread the records over twice as many buckets, each key's in the order added."""
+        buckets = [bytearray() for _ in range(2 * len(self._buckets))]
+        for bucket in self._buckets:
+            records = bytes(bucket)
+            for at in range(0, len(records), _RECORD):
+                key = records[at : at + _KEY_BYTES]
+                buckets[hash(key) % len(buckets)] += records[at : at + _RECORD]
+        self._buckets = buckets
 
     def get(self, key: bytes) -> int:
         """The state of the key's last record, or _UNKNOWN if it has none."""
@@ -443,8 +484,8 @@ def _read_cache(path: Path) -> tuple[_Verdicts, int]:
     wins. A line is readable only as _LINE spells it, with a judgment
     its task allows; every other line but a blank one is unreadable:
     a torn write, bytes that are not UTF-8, a line in the old unkeyed
-    format or any other spelling of the same JSON. Its post is asked
-    again.
+    format or any other spelling of the same JSON. Its question is
+    asked again.
     """
     if not path.exists():
         return _Verdicts(0), 0
@@ -464,11 +505,24 @@ def _read_cache(path: Path) -> tuple[_Verdicts, int]:
 def _key_material(post: Post) -> bytes:
     """The bytes of a post that every cache key of its verdicts covers.
 
-    Length-prefixed id and scrubbed text, then the media tuple's repr:
-    no two posts give the same bytes.
+    Length-prefixed scrubbed text, then the media tuple's repr: all a
+    backend is sent of the post. Two posts give the same bytes exactly
+    when they ask the same question, so a repost shares its original's
+    verdicts; the post id is not covered.
     """
-    material = f"{len(post.id)}:{post.id}{len(post.text)}:{post.text}{post.media_refs!r}"
+    material = f"{len(post.text)}:{post.text}{post.media_refs!r}"
     return material.encode("utf-8", "surrogatepass")
+
+
+def _old_key(question, post: Post, material: bytes) -> bytes:
+    """The key of a post's verdict in a cache written while keys covered the post id.
+
+    Its material was the length-prefixed id, then ``_key_material``'s.
+    """
+    digest = question.copy()
+    digest.update(f"{len(post.id)}:{post.id}".encode("utf-8", "surrogatepass"))
+    digest.update(material)
+    return digest.digest()
 
 
 def _question(task: Task, backend: Backend):
@@ -529,15 +583,26 @@ def _run_stages(
     """The one annotation loop: each post's id and its state.
 
     posts is read once, as a stream, after the cache is read into a
-    _Verdicts table. Each post looks its cached verdicts up in the table
-    as it arrives, and leaves its id and one byte of state. In the same
-    read, a post that lacks a verdict is asked for the missing relevance
-    verdict and, without keep (annotate), a relevant post's missing
-    category, in that order. Such posts wait in one window, in post order: an in-process
-    backend is asked inline, a window of one post; any other is asked
-    in one task per post of a pool of ``max_in_flight`` threads, with at
-    most twice that many posts in the window. Only those posts are
-    held. With keep (clean), keep gets each relevant post, in order.
+    _Verdicts table, which also gets each verdict the run writes. Each
+    post looks its verdicts up there as it arrives, and leaves its id
+    and one byte of state. In the same read, a post that lacks a
+    verdict is asked for the missing relevance verdict and, without
+    keep (annotate), a relevant post's missing category, in that order.
+    Such posts wait in one window, in post order: an in-process backend
+    is asked inline, a window of one post; any other is asked in one
+    task per post of a pool of ``max_in_flight`` threads, with at most
+    twice that many posts in the window. Only those posts are held.
+    With keep (clean), keep gets each relevant post, in order.
+
+    Posts with the same text and media ask the same questions, and each
+    is asked once per run: a later copy takes the verdicts that the
+    first copy's request got. With a pool, a copy that arrives while the
+    first is still asked sends nothing either: it waits in the window,
+    and takes what that post got, an error included, once that post is
+    written. A copy that arrives after a failed one is written asks
+    again. A verdict the table holds only under an old id-keyed key is
+    moved: appended under its key. Only the main thread uses the table;
+    a pool task gets what arrive found of its post's later task.
 
     Each new verdict is appended to the cache in post order, and flushed
     inline before the next backend call, or with a pool as soon as its
@@ -547,9 +612,7 @@ def _run_stages(
     sent request got is written in post order up to a post not wholly
     written, such as a cut-short one, and the exception is raised again.
     So an interrupted run keeps the work it finished, in post order.
-    Nothing of the table is held after this returns. Post ids must be
-    distinct, as iter_posts yields them: a repeated post would be asked
-    again.
+    Nothing of the table is held after this returns.
     """
     cache_path = Path(cache_path)
     cache, report.cache_invalid = _read_cache(cache_path)
@@ -566,46 +629,94 @@ def _run_stages(
     lacking = {_UNKNOWN: (relevance_task, *category), _RELEVANT: category}
     ids: list[str] = []
     states = bytearray()
+    # Each key whose first asker is still in the window, with a pool: the
+    # task asking it, whose verdicts a copy of that post takes.
+    asked: dict[bytes, object] = {}
     quote = json.encoder.encode_basestring_ascii
     fh = None
+    # A table read empty holds no verdict under an old key either.
+    old_keys = cache.count > 0
+
+    def move(task: Task, key: bytes, post: Post, material: bytes, moves: list) -> int:
+        """The state of the post's verdict under its old key, _UNKNOWN if none.
+
+        A verdict found there is moved to key: the table gets it as this
+        run's, and its (task, key, state) joins moves, to be appended to
+        the cache.
+        """
+        if not old_keys:
+            return _UNKNOWN
+        state = cache.get(_old_key(questions[task], post, material))
+        if state:
+            cache.add(key, state | _RAN)
+            moves.append((task, key, state))
+        return state
 
     def arrive(post: Post):
-        """Add the post's id and cached state; ask's verdicts for the tasks it lacks, if any."""
+        """Add the post's id and known state; return what it still needs written, if anything.
+
+        That is its moved verdicts, then ask's for the tasks it lacks
+        (with a pool, the task asking), or share's when a post in the
+        window asks the same.
+        """
         material = _key_material(post)
+        moves: list = []
         key = _key(relevance_question, material)
+        found = cache.get(key) or move(relevance_task, key, post, material, moves)
+        ran = found & _RAN
         # Only a hand-edited line gives a key another task's verdict:
         # a category verdict counts as relevant, and a relevance verdict
         # as no category.
-        state = min(cache.get(key), _RELEVANT)
+        state = min(found & ~_RAN, _RELEVANT)
         if state == _RELEVANT and keep is None:
             key = _key(category_question, material)
-            state = max(cache.get(key), _RELEVANT)
+            found = cache.get(key) or move(Task.IMPACT_CATEGORY, key, post, material, moves)
+            ran |= found & _RAN
+            state = max(found & ~_RAN, _RELEVANT)
         ids.append(post.id)
         states.append(state)
         tasks = lacking.get(state)  # None when done, () when clean keeps it unasked
-        if tasks:  # a post missing a verdict is asked at least once
-            report.backend_posts += 1
-            return ask(post, tasks, material, key)
-        return tasks
+        if not tasks:
+            if ran:
+                report.shared += 1
+            return moves or tasks
+        asking = asked.get(key)
+        if asking is not None:
+            report.shared += 1
+            return share(post.id, asking)
+        report.backend_posts += 1
+        asks = [(tasks[0], key, _UNKNOWN)]
+        if len(tasks) > 1:  # the category, asked once relevance is True
+            later = _key(category_question, material)
+            found = cache.get(later) & ~_RAN
+            if found > _RELEVANT:
+                later = None
+            elif not found and old_keys:
+                found = cache.get(_old_key(category_question, post, material))
+            asks.append((Task.IMPACT_CATEGORY, later, found))
+        verdicts = ask(post, asks)
+        if moves:
+            verdicts = itertools.chain(moves, verdicts)
+        if pool is None:
+            return verdicts
+        asked[key] = asking = pool.submit(_gather, verdicts)
+        return asking
 
-    def ask(post: Post, tasks: tuple[Task, ...], material: bytes, missed: bytes | None):
-        """Yield (task, key, state) for each of tasks in turn, while the post is relevant.
+    def ask(post: Post, asks: list):
+        """Yield (task, key, state) for each of asks in turn, while the post is relevant.
 
-        missed is the first task's key, which the cache lacks. A later
-        task's verdict found in the cache costs no call; its key is
-        None, as it needs no new line. A failed call gives an
-        AnnotationError in place of the state.
+        asks holds a (task, key, state) for each task the post lacks,
+        with the state arrive found: _UNKNOWN for the first. A later
+        task's verdict found under its key costs no call, and its key is
+        None, as it needs no new line; one found only under its old key
+        is moved. A failed call gives an AnnotationError in place of the
+        state.
         """
-        for task in tasks:
-            key = missed or _key(questions[task], material)
-            state = _UNKNOWN if missed else cache.get(key)
-            missed = None
+        for task, key, state in asks:
             # A later task is the category, which only a category
             # verdict answers: a relevance verdict under its key, from a
             # hand-edited line, is no category, so it is asked again.
-            if state > _RELEVANT:
-                key = None
-            else:
+            if state <= _RELEVANT:
                 try:
                     state = _state(_classify(post, task, backend, policy, sleep))
                 except (TransportError, MalformedResponse, EmptyInput) as exc:
@@ -616,21 +727,35 @@ def _run_stages(
             if state != _RELEVANT:
                 return
 
+    def share(post_id: str, asking):
+        """Yield, as ask does, what the post asking the same got, an error as post_id's; no key is new.
+
+        Read once that post is written.
+        """
+        for task, _, state in asking.result():
+            if isinstance(state, AnnotationError):
+                state = replace(state, post_id=post_id)
+            yield task, None, state
+
     def write(i: int, post: Post, verdicts) -> BaseException | None:
         """Set post i's state from each of its verdicts, and append each new one to the cache.
 
-        Returns the exception that cut post i's pool task short, if one did.
+        A key whose verdict or error is written is no longer asked, and
+        a new verdict joins the table. Returns the exception that cut
+        post i's pool task short, if one did.
         """
         nonlocal fh
         for task, key, state in verdicts:
             if isinstance(state, BaseException):
                 return state
+            asked.pop(key, None)  # a copy arriving from now on asks again
             if isinstance(state, AnnotationError):
                 report.errors.append(state)
                 continue
             states[i] = state
             if key is None:
                 continue
+            cache.add(key, state | _RAN)
             if fh is None:
                 fh = cache_path.open("a+b")
                 _end_torn_line(fh)
@@ -641,7 +766,7 @@ def _run_stages(
         """Write the new verdicts of the window's first post, then hand it to keep if kept."""
         nonlocal torn
         i, post, verdicts = window[0]
-        if pool is not None and verdicts:
+        if pool is not None and isinstance(verdicts, Future):
             verdicts = verdicts.result()
         torn = True  # until every verdict the post got is written
         window.popleft()
@@ -655,7 +780,7 @@ def _run_stages(
     pool, depth = None, 1
     if not getattr(backend, "in_process", False):
         # Imported here: in-process backends, the common case, need no pool.
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import Future, ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=policy.max_in_flight)
         depth = 2 * policy.max_in_flight
@@ -668,8 +793,6 @@ def _run_stages(
             verdicts = arrive(post)
             if verdicts is None:
                 continue
-            if pool is not None and verdicts:
-                verdicts = pool.submit(_gather, verdicts)
             window.append((len(ids) - 1, post, verdicts))
             if len(window) == depth:
                 finish()
@@ -680,8 +803,12 @@ def _run_stages(
         # got, in post order; stop at a post not wholly written.
         if pool is not None and not torn:
             pool.shutdown(cancel_futures=True)
-            for i, post, task in window:
-                if task and (task.cancelled() or write(i, post, task.result()) is not None):
+            for i, post, verdicts in window:
+                if isinstance(verdicts, Future):
+                    if verdicts.cancelled():
+                        break
+                    verdicts = verdicts.result()
+                if write(i, post, verdicts) is not None:
                     break
         raise
     finally:
@@ -689,7 +816,7 @@ def _run_stages(
             pool.shutdown(cancel_futures=True)
         if fh is not None:
             fh.close()
-    report.cache_hits = len(ids) - report.backend_posts
+    report.cache_hits = len(ids) - report.backend_posts - report.shared
     return ids, states
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Iterator
 from . import __version__
 from .agreement import agreement_report, human_consensus, load_annotations_csv
 from .annotation import (
-    AnnotationError,
+    AnnotationReport,
     Backend,
     ClientPolicy,
     MockBackend,
@@ -305,7 +305,14 @@ def _round9(value):
     return value
 
 
-def _report_errors(errors: list[AnnotationError]) -> int:
+def _report_annotation(report: AnnotationReport) -> int:
+    """Say on stderr how many cache lines were unreadable, if any, then each post's error.
+
+    Returns the exit code the errors give.
+    """
+    if report.cache_invalid:
+        print(f"ignored {report.cache_invalid} unreadable cache lines", file=sys.stderr)
+    errors = report.errors
     for error in errors:
         print(f"error: post {error.post_id}: {error.stage}: {error.message}", file=sys.stderr)
     return max((error.exit_code for error in errors), default=0)
@@ -339,7 +346,7 @@ def cmd_clean(args: argparse.Namespace, run: Run) -> int:
             cache_path, keep=lambda post: fh.write(post_line(post)),
         )
     print(report.summary())
-    return _report_errors(report.errors)
+    return _report_annotation(report)
 
 
 def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
@@ -354,9 +361,9 @@ def cmd_annotate(args: argparse.Namespace, run: Run) -> int:
     relevant = sum(1 for label in labels if label.relevant)
     print(
         f"annotated {len(labels)}/{loaded.kept} posts "
-        f"({relevant} relevant, {report.cache_hits} cache hits)"
+        f"({relevant} relevant, {report.cache_hits} cache hits, {report.shared} shared)"
     )
-    return _report_errors(report.errors)
+    return _report_annotation(report)
 
 
 def _labelled_posts(

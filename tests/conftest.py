@@ -111,12 +111,13 @@ class ScriptedStatusHandler(http.server.BaseHTTPRequestHandler):
     """Answers each request with the next status of the server's script, then with 200.
 
     A 200 judges the post relevant, and of category 1. Each request's
-    post id is appended to the server's asked, in the order served.
+    post text is appended to the server's asked, in the order served;
+    a request carries no post id.
     """
 
     def do_POST(self):
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.server.asked.append(request["post"]["id"])
+        self.server.asked.append(request["post"]["text"])
         status = self.server.script.pop(0) if self.server.script else 200
         reply = b"{}"
         if status == 200:

@@ -414,6 +414,11 @@ class TestRetries:
             RemoteBackend("http://127.0.0.1:9/x", api_key="k", timeout=0.0)
 
 
+# Each post of TestRemoteStatuses asks its own questions: a request is
+# told apart by its text, and no copy of a text shares another's verdicts.
+PIER = "storm surge at pier {}"
+
+
 class TestRemoteStatuses:
     """RemoteBackend against a loopback server's scripted HTTP statuses."""
 
@@ -421,7 +426,7 @@ class TestRemoteStatuses:
         host, port = server.server_address
         sleeps = []
         labels, report = annotate(
-            [make_post(f"p{n}", text="storm surge at the pier") for n in range(n_posts)],
+            [make_post(f"p{n}", text=PIER.format(n)) for n in range(n_posts)],
             RemoteBackend(f"http://{host}:{port}/classify", timeout=10),
             ClientPolicy(**policy),
             cache_path=tmp_path / "cache.jsonl",
@@ -433,7 +438,7 @@ class TestRemoteStatuses:
     def test_a_client_error_costs_one_request_per_post(self, scripted_server, tmp_path, status):
         scripted_server.script = [status] * 3
         labels, errors, sleeps = self.run(scripted_server, tmp_path, 3, max_retries=2)
-        assert sorted(scripted_server.asked) == ["p0", "p1", "p2"]
+        assert sorted(scripted_server.asked) == [PIER.format(n) for n in range(3)]
         assert labels == [] and sleeps == []
         assert errors == [(f"p{n}", "TransportError", 3) for n in range(3)]
 
@@ -441,7 +446,7 @@ class TestRemoteStatuses:
     def test_a_server_error_costs_one_plus_max_retries(self, scripted_server, tmp_path, status):
         scripted_server.script = [status] * 6
         labels, errors, sleeps = self.run(scripted_server, tmp_path, 2, max_retries=2)
-        assert sorted(scripted_server.asked) == ["p0"] * 3 + ["p1"] * 3
+        assert sorted(scripted_server.asked) == [PIER.format(0)] * 3 + [PIER.format(1)] * 3
         assert labels == [] and sorted(sleeps) == [0.5, 0.5, 1.0, 1.0]
         assert errors == [("p0", "TransportError", 3), ("p1", "TransportError", 3)]
 
@@ -449,7 +454,7 @@ class TestRemoteStatuses:
         scripted_server.script = [429, 429]
         labels, errors, sleeps = self.run(scripted_server, tmp_path, 1, max_retries=2)
         # Relevance answered on the third request, then the category on the first.
-        assert scripted_server.asked == ["p0"] * 4
+        assert scripted_server.asked == [PIER.format(0)] * 4
         assert sleeps == [0.5, 1.0]
         assert errors == []
         assert labels == [Label("p0", category(1))]
@@ -817,6 +822,16 @@ def fixture_posts():
     return tuple(iter_posts(FIXTURES / "posts.jsonl", LoadReport()))
 
 
+# The fixture's distinct (text, media) pairs, and the hurricane-relevant
+# ones: a cold clean asks 110 questions, and annotate then 89 more.
+FIXTURE_QUESTIONS, FIXTURE_CATEGORIES = 110, 89
+
+
+def distinct_posts():
+    """The fixture's posts, each text made its own, so that every post asks its own questions."""
+    return tuple(post._replace(text=f"{post.text} #{n}") for n, post in enumerate(fixture_posts()))
+
+
 class TestCacheKeys:
     """A cached verdict is reused only for the question it answered."""
 
@@ -842,7 +857,7 @@ class TestCacheKeys:
         after, alone = self.run_pair(
             tmp_path, clean_for(DisasterTag.HURRICANE), clean_for(DisasterTag.WILDFIRE)
         )
-        assert after == alone == ([], 200)
+        assert after == alone == ([], FIXTURE_QUESTIONS)
 
     def annotate(self, backend_factory):
         def run(cache):
@@ -1097,6 +1112,17 @@ class TestVerdictTable:
         for key in pool + absent + straddling:
             assert table.get(key) == oracle.get(key, 0)
 
+    def test_a_growing_table_keeps_each_key_s_last_record(self):
+        keys = [hashlib.blake2b(str(n).encode(), digest_size=16).digest() for n in range(3000)]
+        table, oracle = _Verdicts(0), {}
+        for n, key in enumerate(keys + keys[::2]):  # every other key written twice
+            state = 1 + n % 13
+            table.add(key, state)
+            oracle[key] = state
+        assert table.count == 4500
+        assert len(table._buckets) > 4500 // 24  # it grew from one bucket
+        assert all(table.get(key) == state for key, state in oracle.items())
+
     @settings(max_examples=300, deadline=None)
     @given(
         task=st.sampled_from([*(task.value for task in Task), "bogus"]),
@@ -1189,7 +1215,7 @@ class TestVerdictTable:
 class TestInterruptAndResume:
     @pytest.mark.parametrize("in_flight", [1, 3])
     def test_interrupt_keeps_finished_verdicts(self, tmp_path, in_flight):
-        posts = fixture_posts()
+        posts = distinct_posts()
         fresh = tmp_path / "fresh.jsonl"
         expected, _ = annotate(posts, MockBackend(), cache_path=fresh)
         assert len(fresh.read_text().splitlines()) == 371
@@ -1217,7 +1243,7 @@ class TestInterruptAndResume:
 
 
     def test_a_failed_stream_writes_every_verdict_the_pool_got(self, tmp_path):
-        posts = fixture_posts()
+        posts = distinct_posts()
         fresh = tmp_path / "fresh.jsonl"
         annotate(posts, MockBackend(), cache_path=fresh)
         # Both pool threads are held mid-request on these posts when the
@@ -1279,7 +1305,7 @@ class TestInterruptAndResume:
 
     @pytest.mark.parametrize("in_flight", [1, 4])
     def test_ctrl_c_on_the_pool_path_keeps_every_sent_verdict(self, tmp_path, in_flight):
-        posts = fixture_posts()
+        posts = distinct_posts()
         fresh = tmp_path / "fresh.jsonl"
         clean(posts, MockBackend(), cache_path=fresh)
 
@@ -1324,7 +1350,7 @@ class TestInterruptAndResume:
                 return super().complete(request)
 
         annotate(fixture_posts(), Probe(), cache_path=cache)
-        assert on_disk == list(range(371))
+        assert on_disk == list(range(FIXTURE_QUESTIONS + FIXTURE_CATEGORIES))
 
     def test_torn_last_line_keeps_the_next_verdict(self, tmp_path):
         posts = make_posts()
@@ -1358,7 +1384,7 @@ class TestPool:
         finally:
             sys.setswitchinterval(interval)
         assert len(backend.threads) > 1
-        assert backend.inner.calls == report.backend_posts + 171 == 371
+        assert backend.inner.calls == report.backend_posts + FIXTURE_CATEGORIES == 199
         assert annotations == expected
         assert (tmp_path / "pool.jsonl").read_bytes() == inline.read_bytes()
 
@@ -1383,7 +1409,7 @@ class TestPool:
         finally:
             sys.setswitchinterval(interval)
         assert len(backend.threads) > 1
-        assert backend.inner.calls == report.backend_posts == 200
+        assert backend.inner.calls == report.backend_posts == FIXTURE_QUESTIONS
         assert annotations == expected
         assert sorted(cache.read_bytes().splitlines()) == sorted(inline.read_bytes().splitlines())
 
@@ -1408,11 +1434,11 @@ class TestPool:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
         backend = Slow()
         policy = ClientPolicy(max_in_flight=3)
-        labels, _ = annotate(fixture_posts(), backend, policy, cache_path=cache)
+        labels, _ = annotate(distinct_posts(), backend, policy, cache_path=cache)
         # Each post's relevance and category are asked in one task.
         assert (len(outstanding), backend.inner.calls) == (200, 371)
         assert max(outstanding) == 6
-        assert labels == annotate(fixture_posts(), MockBackend(), cache_path=tmp_path / "c")[0]
+        assert labels == annotate(distinct_posts(), MockBackend(), cache_path=tmp_path / "c")[0]
 
     def test_cache_write_failure_cancels_queued_requests(self, tmp_path):
         class Slow(PooledMock):
@@ -1430,6 +1456,236 @@ class TestPool:
             )
         # Only the requests already running when the write failed are sent.
         assert backend.inner.calls < 20
+
+
+OUTAGE_TEXT = "hurricane photos from the pier"
+GARBAGE = "no judgment object in response: 'no judgment here'"
+
+
+class OutageOnText(MockBackend):
+    """Fails every question on OUTAGE_TEXT, and every category."""
+
+    def complete(self, request):
+        reply = super().complete(request)
+        if request.post.text == OUTAGE_TEXT:
+            error = TransportError("scripted outage")
+            error.retryable = False
+            raise error
+        if request.task is Task.IMPACT_CATEGORY:
+            return "no judgment here"
+        return reply
+
+
+class TestAskOnce:
+    """Posts with the same text and media ask each question once per run."""
+
+    @pytest.mark.parametrize("make", [MockBackend, PooledMock])
+    def test_the_fixture_asks_each_distinct_question_once(self, tmp_path, make):
+        backend = make()
+        counted = getattr(backend, "inner", backend)
+        cache, policy = tmp_path / "cache.jsonl", ClientPolicy(max_in_flight=4)
+        kept, report = clean(fixture_posts(), backend, policy, cache_path=cache)
+        assert counted.calls == FIXTURE_QUESTIONS
+        assert (report.backend_posts, report.shared, report.cache_hits) == (110, 90, 0)
+        labels, report = annotate(fixture_posts(), backend, policy, cache_path=cache)
+        assert counted.calls == FIXTURE_QUESTIONS + FIXTURE_CATEGORIES
+        # The 29 irrelevant posts take clean's verdicts from the cache.
+        assert (report.backend_posts, report.shared, report.cache_hits) == (89, 82, 29)
+        assert (len(kept), len(labels), report.errors) == (171, 200, [])
+        assert cache.read_bytes().count(b"\n") == FIXTURE_QUESTIONS + FIXTURE_CATEGORIES
+
+    def test_two_copies_in_flight_at_once_make_one_call(self, tmp_path):
+        sent, release = threading.Event(), threading.Event()
+
+        class Blocking(MockBackend):
+            def complete(self, request):
+                sent.set()
+                assert release.wait(5)
+                return super().complete(request)
+
+        def posts():
+            yield make_post("a", text="hurricane flooded the roads")
+            assert sent.wait(5)
+            yield make_post("b", text="hurricane flooded the roads")
+            # b has arrived while a's first request is still unanswered.
+            release.set()
+
+        cache = tmp_path / "cache.jsonl"
+        backend = PooledMock(Blocking())
+        labels, report = annotate(posts(), backend, ClientPolicy(max_in_flight=2), cache_path=cache)
+        assert backend.inner.calls == 2  # the relevance question, then the category
+        assert labels == [Label("a", category(3)), Label("b", category(3))]
+        assert (report.backend_posts, report.shared, report.cache_hits) == (1, 1, 0)
+        assert [line["post_id"] for line in cache_lines(cache)] == ["a", "a"]
+
+    def test_copies_in_the_window_take_a_failed_copy_s_error_with_no_second_call(self, tmp_path):
+        # All four posts are in the window at once: c and d wait on a and b.
+        posts = [
+            make_post("a", text=OUTAGE_TEXT),
+            make_post("b", text="hurricane flooded the roads"),
+            make_post("c", text=OUTAGE_TEXT),
+            make_post("d", text="hurricane flooded the roads"),
+        ]
+        backend = PooledMock(OutageOnText())
+        cache = tmp_path / "cache.jsonl"
+        labels, report = annotate(
+            posts, backend, ClientPolicy(max_in_flight=4), cache_path=cache, sleep=no_sleep
+        )
+        assert [(e.post_id, e.stage, e.message, e.exit_code) for e in report.errors] == [
+            ("a", "TransportError", "scripted outage", 3),
+            ("b", "MalformedResponse", GARBAGE, 1),
+            ("c", "TransportError", "scripted outage", 3),
+            ("d", "MalformedResponse", GARBAGE, 1),
+        ]
+        # a's relevance, b's relevance and b's category: no copy asks again.
+        assert backend.inner.calls == 3
+        assert (labels, report.backend_posts, report.shared) == ([], 2, 2)
+        assert [(line["post_id"], line["task"]) for line in cache_lines(cache)] == [
+            ("b", "relevance_hurricane")
+        ]
+        # A failed question is asked again on the next run, once.
+        rerun = MockBackend()
+        labels, report = annotate(posts, rerun, cache_path=cache)
+        assert (rerun.calls, len(labels), report.errors) == (3, 4, [])
+
+    @pytest.mark.parametrize("make", [lambda inner: inner, PooledMock])
+    def test_a_copy_arriving_after_a_failed_copy_is_written_asks_again(self, tmp_path, make):
+        # Inline, and on a pool of one thread (a window of two posts),
+        # each post is written before its copy arrives.
+        posts = [
+            make_post("a", text=OUTAGE_TEXT),
+            make_post("b", text="hurricane flooded the roads"),
+            make_post("c", text=OUTAGE_TEXT),
+            make_post("d", text="hurricane flooded the roads"),
+        ]
+        backend = make(OutageOnText())
+        cache = tmp_path / "cache.jsonl"
+        labels, report = annotate(
+            posts, backend, ClientPolicy(max_in_flight=1), cache_path=cache, sleep=no_sleep
+        )
+        assert [(e.post_id, e.stage) for e in report.errors] == [
+            ("a", "TransportError"),
+            ("b", "MalformedResponse"),
+            ("c", "TransportError"),
+            ("d", "MalformedResponse"),
+        ]
+        # a's relevance, b's relevance and category, c's relevance, and d's
+        # category: d takes b's relevance verdict, but asks its category again.
+        assert getattr(backend, "inner", backend).calls == 5
+        assert (labels, report.backend_posts, report.shared) == ([], 4, 0)
+
+    def test_only_the_copies_in_a_failed_copy_s_window_take_its_error(self, tmp_path):
+        # A window of two posts: c arrives while a is asked, e once a is written.
+        posts = [
+            make_post("a", text=OUTAGE_TEXT),
+            make_post("c", text=OUTAGE_TEXT),
+            make_post("b", text="a storm surge flooded the roads"),
+            make_post("d", text="a storm surge flooded the roads"),
+            make_post("e", text=OUTAGE_TEXT),
+        ]
+        backend = PooledMock(OutageOnText())
+        labels, report = annotate(
+            posts, backend, ClientPolicy(max_in_flight=1),
+            cache_path=tmp_path / "cache.jsonl", sleep=no_sleep,
+        )
+        assert [(e.post_id, e.stage) for e in report.errors] == [
+            ("a", "TransportError"),
+            ("c", "TransportError"),
+            ("b", "MalformedResponse"),
+            ("d", "MalformedResponse"),
+            ("e", "TransportError"),
+        ]
+        # a's relevance, b's relevance and category, then e's relevance.
+        assert backend.inner.calls == 4
+        assert (labels, report.backend_posts, report.shared) == ([], 3, 2)
+
+    def test_a_post_with_neither_text_nor_media_fails_each_copy(self, tmp_path):
+        posts = [make_post("a", text=""), make_post("b", text="")]
+        backend = MockBackend()
+        _, report = annotate(posts, backend, cache_path=tmp_path / "cache.jsonl")
+        assert [(e.post_id, e.stage, e.message) for e in report.errors] == [
+            (post_id, "EmptyInput", "post has neither text nor media") for post_id in "ab"
+        ]
+        assert backend.calls == 0
+
+
+def id_keyed_cache(posts) -> bytes:
+    """The cache a cold mock annotate of posts wrote while every key covered the post id.
+
+    Key material was then the length-prefixed id, the length-prefixed
+    text and the media tuple's repr.
+    """
+    mock, lines = MockBackend(), []
+    for post in posts:
+        material = f"{len(post.id)}:{post.id}{len(post.text)}:{post.text}{post.media_refs!r}"
+        for task in (Task.RELEVANCE_HURRICANE, Task.IMPACT_CATEGORY):
+            judgment = parse_judgment(mock.complete(ClassifierRequest(post, task)), task)
+            key = _key(_question(task, mock), material.encode("utf-8", "surrogatepass"))
+            line = {
+                "judgment": judgment if isinstance(judgment, bool) else judgment.code,
+                "key": key.hex(),
+                "post_id": post.id,
+                "task": task.value,
+            }
+            lines.append(json.dumps(line, sort_keys=True).encode() + b"\n")
+            if judgment is not True:
+                break
+    return b"".join(lines)
+
+
+class TestIdKeyedCaches:
+    """A cache whose keys cover the post id still answers every post, and moves to the new keys."""
+
+    @pytest.mark.parametrize("make", [MockBackend, PooledMock])
+    def test_a_warm_annotate_moves_each_verdict_once(self, tmp_path, make):
+        posts = fixture_posts()
+        fresh = tmp_path / "fresh.jsonl"
+        expected, _ = annotate(posts, MockBackend(), cache_path=fresh)
+        old = id_keyed_cache(posts)
+        assert old.count(b"\n") == 371
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(old)
+        backend = make()
+        labels, report = annotate(posts, backend, ClientPolicy(max_in_flight=4), cache_path=cache)
+        assert getattr(backend, "inner", backend).calls == 0
+        assert labels == expected
+        # The first post of each distinct question moves its verdict; the copies share it.
+        assert (report.backend_posts, report.cache_hits, report.shared) == (0, 110, 90)
+        # One new-key line per distinct question, as a cold run writes them.
+        assert cache.read_bytes() == old + fresh.read_bytes()
+        rerun = MockBackend()
+        again, report = annotate(posts, rerun, cache_path=cache)
+        assert (rerun.calls, again, report.cache_hits) == (0, expected, 200)
+        assert cache.read_bytes() == old + fresh.read_bytes()
+
+    def test_a_warm_clean_moves_the_relevance_verdicts(self, tmp_path):
+        posts = fixture_posts()
+        fresh = tmp_path / "fresh.jsonl"
+        expected, _ = clean(posts, MockBackend(), cache_path=fresh)
+        old = id_keyed_cache(posts)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(old)
+        backend = MockBackend()
+        kept, report = clean(posts, backend, cache_path=cache)
+        assert (backend.calls, kept, report.backend_posts) == (0, expected, 0)
+        assert cache.read_bytes() == old + fresh.read_bytes()
+
+    def test_a_category_found_under_an_old_key_after_a_new_relevance_is_moved(self, tmp_path):
+        # Only the categories are cached, under the old keys: each relevance
+        # is asked, and each category moved to its new key in the same task.
+        posts = distinct_posts()[:20]
+        old = b"".join(
+            line for line in id_keyed_cache(posts).splitlines(keepends=True)
+            if b'"impact_category"' in line
+        )
+        fresh = tmp_path / "fresh.jsonl"
+        expected, _ = annotate(posts, MockBackend(), cache_path=fresh)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(old)
+        backend = PooledMock()
+        labels, report = annotate(posts, backend, ClientPolicy(max_in_flight=3), cache_path=cache)
+        assert (backend.inner.calls, labels) == (20, expected)
+        assert cache.read_bytes() == old + fresh.read_bytes()
 
 
 class TestPayloadPrivacy:
@@ -1456,6 +1712,31 @@ class TestPayloadPrivacy:
             tokens = set(re.findall(r"@[A-Za-z0-9_.]+", payload))
             assert tokens <= {"@user"}
 
+    def test_no_post_id_reaches_the_backend(self, tmp_path):
+        posts = fixture_posts()
+        backend = RecordingMock()
+        cache = tmp_path / "cache.jsonl"
+        clean(posts, backend, cache_path=cache)
+        annotate(posts, backend, cache_path=cache)
+        assert len(backend.request_log) == FIXTURE_QUESTIONS + FIXTURE_CATEGORIES
+
+        def strings(value):
+            """Every key and string value in a decoded payload."""
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield key
+                    yield from strings(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from strings(item)
+            elif isinstance(value, str):
+                yield value
+
+        # A media ref may name a post id inside its URL; no field is one.
+        ids = {post.id for post in posts}
+        for payload in backend.request_log:
+            assert ids.isdisjoint(strings(json.loads(payload))), payload
+
     def test_payload_excludes_location_metadata(self):
         request = ClassifierRequest(
             post=make_post(text="storm surge", metadata="Tampa, FL"),
@@ -1463,4 +1744,4 @@ class TestPayloadPrivacy:
         )
         payload = json.loads(request.payload())
         assert set(payload) == {"template_id", "post"}
-        assert set(payload["post"]) == {"id", "text", "media_refs"}
+        assert set(payload["post"]) == {"text", "media_refs"}

@@ -24,6 +24,10 @@ from disimpact import cli
 from disimpact.cli import load_config_file, main
 
 POSTS = FIXTURES / "posts.jsonl"
+# A cold fixture run's backend calls: one per distinct question. The
+# 200 posts hold 110 distinct (text, media) pairs, 89 of them relevant.
+QUESTIONS = 110
+VERDICTS = {"clean": QUESTIONS, "annotate": QUESTIONS + 89}
 CLEAN20 = FIXTURES / "clean20.jsonl"
 TRUTH = FIXTURES / "groundtruth.csv"
 TABLE_COUNTS = FIXTURES / "table_counts.csv"
@@ -255,7 +259,7 @@ class TestAnnotationCache:
         after = run_cli(clean + ["wildfire", "--out", shared])
         alone = run_cli(clean + ["wildfire", "--out", fresh])
         assert after[:2] == alone[:2] == (0, "0/200 (0%)\n")
-        assert [backend.calls for backend in made] == [200, 200, 200]
+        assert [backend.calls for backend in made] == [QUESTIONS, QUESTIONS, QUESTIONS]
         assert (shared / "posts_clean.jsonl").read_bytes() == (
             fresh / "posts_clean.jsonl"
         ).read_bytes()
@@ -275,14 +279,28 @@ class TestAnnotationCache:
             ]
         assert outputs["inline"] == outputs["again"] == outputs["pool"]
         assert threading.current_thread().name not in made[-1].threads
-        assert len(outputs["pool"][0].splitlines()) == 371 == made[-1].inner.calls
+        assert len(outputs["pool"][0].splitlines()) == VERDICTS["annotate"] == made[-1].inner.calls
+
+    def test_unreadable_cache_lines_are_named_on_stderr(self, tmp_path, backends):
+        made, _ = backends
+        clean = ["clean", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
+        assert run_cli(clean) == (0, "171/200 (86%)\n", "")
+        cache = tmp_path / "annotation_cache.jsonl"
+        cache.write_bytes(cache.read_bytes()[:-20])  # the last line torn mid-write
+        ignored = "ignored 1 unreadable cache lines\n"
+        assert run_cli(clean) == (0, "171/200 (86%)\n", ignored)
+        assert made[-1].calls == 1  # the torn line's question, asked again
+        summary = "annotated 200/200 posts (171 relevant, 29 cache hits, 82 shared)\n"
+        assert run_cli(["annotate", *clean[1:]]) == (0, summary, ignored)
 
     def test_rerun_appends_nothing(self, tmp_path):
         argv = ["annotate", "--in", POSTS, "--disaster", "hurricane", "--out", tmp_path]
         assert run_cli(argv)[0] == 0
         before = (tmp_path / "annotation_cache.jsonl").read_bytes()
         code, stdout, _ = run_cli(argv)
-        assert (code, stdout) == (0, "annotated 200/200 posts (171 relevant, 200 cache hits)\n")
+        assert (code, stdout) == (
+            0, "annotated 200/200 posts (171 relevant, 200 cache hits, 0 shared)\n"
+        )
         assert (tmp_path / "annotation_cache.jsonl").read_bytes() == before
 
 
@@ -346,7 +364,7 @@ class TestAnnotate:
         _, steps = pipeline
         code, stdout, stderr = steps["annotate"]
         assert code == 0
-        assert stdout == "annotated 200/200 posts (171 relevant, 0 cache hits)\n"
+        assert stdout == "annotated 200/200 posts (171 relevant, 0 cache hits, 90 shared)\n"
         assert stderr == ""
 
     def test_labels_written_for_relevant_posts(self, pipeline):
@@ -363,18 +381,18 @@ class TestAnnotateStreams:
         reads = []  # one entry per read of posts.jsonl
         iter_posts = cli.iter_posts
         monkeypatch.setattr(cli, "iter_posts", lambda *args: reads.append(1) or iter_posts(*args))
-        cold = "annotated 200/200 posts (171 relevant, 0 cache hits)\n"
-        warm = "annotated 200/200 posts (171 relevant, 200 cache hits)\n"
-        after_clean = "annotated 200/200 posts (171 relevant, 29 cache hits)\n"
+        cold = "annotated 200/200 posts (171 relevant, 0 cache hits, 90 shared)\n"
+        warm = "annotated 200/200 posts (171 relevant, 200 cache hits, 0 shared)\n"
+        after_clean = "annotated 200/200 posts (171 relevant, 29 cache hits, 82 shared)\n"
         steps = (  # command, --out, stdout, backend calls (None: no backend)
-            # one read asks for each relevance verdict and writes the kept posts
-            ("clean", "clean", "171/200 (86%)\n", 200),
+            # one read asks each distinct relevance question and writes the kept posts
+            ("clean", "clean", "171/200 (86%)\n", QUESTIONS),
             # nothing to ask: the one read writes the kept posts
             ("clean", "clean", "171/200 (86%)\n", 0),
-            # clean's relevance verdicts cached: each relevant post's category
-            ("annotate", "clean", after_clean, 171),
-            # an empty cache: relevance, and each relevant post's category
-            ("annotate", "annotate", cold, 371),
+            # clean's relevance verdicts cached: each relevant question's category
+            ("annotate", "clean", after_clean, VERDICTS["annotate"] - QUESTIONS),
+            # an empty cache: relevance, and each relevant question's category
+            ("annotate", "annotate", cold, VERDICTS["annotate"]),
             # every verdict cached
             ("annotate", "annotate", warm, 0),
             ("counts", "annotate", "10 windows from 2024-09-02 to 2024-11-11, 171 posts\n", None),
@@ -758,7 +776,7 @@ GOLDEN = {
     "hurricane": "337b9bd7fed4723bd7d7d3e043b41f400b9b1078bed5facc54af68f88dab453b",
     # The fixture holds no wildfire post: wildfire cleaning keeps none.
     "wildfire": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "annotation_cache.jsonl": "08569ce8065420bf8073491003f3d521845022627ac8d6c0d0e7bc6e75c70c6b",
+    "annotation_cache.jsonl": "906b69e7bc05d7a659637682e672834961fe20fe444db0b97a413f6e179af35b",
     "index.csv": "c281162f3a3d36faba651687dee2bf2958628641c8646a43190a8b51312d5c9d",
     "domain.csv": "2d7f25c05872292c55add774ba7b64535bfde2f92aa2d0276c0eeb9a579efb89",
     "leadlag.csv": "121f730e3ac345edbddaa9194931e72162b788573b940819ffc7f97971b2f48d",
@@ -1409,17 +1427,22 @@ class TestImports:
 
 
 OUTAGE_IDS = {f"p{n:04d}" for n in range(1, 201, 10)}
+# The question of each OUTAGE_IDS post: its scrubbed text and media refs.
+OUTAGE_QUESTIONS = {
+    (disimpact.scrub_handles(post["text"]), tuple(post["media_refs"]))
+    for post in map(json.loads, POSTS.read_text(encoding="utf-8").splitlines())
+    if post["id"] in OUTAGE_IDS
+}
 FAILING_OUTPUT = {"clean": "posts_clean.jsonl", "annotate": "labels.csv"}
-VERDICTS = {"clean": 200, "annotate": 371}  # a cold fixture run's backend calls
 
 
 class OutageMock(disimpact.MockBackend):
-    """The mock, failing every OUTAGE_IDS post without counting a call."""
+    """The mock, failing the question of every OUTAGE_IDS post without counting a call."""
 
     garbage = False  # True: an unparseable reply (exit 1), else a hard outage (exit 3)
 
     def complete(self, request):
-        if request.post.id not in OUTAGE_IDS:
+        if (request.post.text, request.post.media_refs) not in OUTAGE_QUESTIONS:
             return super().complete(request)
         if self.garbage:
             return "no judgment here"
@@ -1452,7 +1475,9 @@ class TestCommitOnSuccess:
         for out in (earlier, fresh):
             code, _, stderr = run_cli(argv + [out, "--in", POSTS])
             assert code == exit_code
-            assert f"error: post p0001: {stage}: " in stderr
+            # p0001's text is one of CLEAN20's, so earlier's cache answers
+            # it; p0011 asks a question of its own.
+            assert f"error: post p0011: {stage}: " in stderr
         assert {name: (earlier / name).read_bytes() for name in kept} == before
         assert sorted(p.name for p in fresh.iterdir()) == ["annotation_cache.jsonl"]
 
@@ -1551,15 +1576,18 @@ class TestCommitOnSuccess:
 
 
 class BadReplyHandler(http.server.BaseHTTPRequestHandler):
-    """Judges every post relevant, but answers post p3 as the server's `bad` says."""
+    """Judges every post relevant, but answers the text of post p3 as the server's `bad` says.
+
+    Each request's text is appended to the server's asked.
+    """
 
     def do_POST(self):
-        post_id = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["post"]["id"]
-        self.server.asked.append(post_id)
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["post"]["text"]
+        self.server.asked.append(text)
         reply, length = b'{"Judgment": true}', None
-        if post_id == "p3" and self.server.bad == "undecodable":
+        if text == FLOOD.format("p3") and self.server.bad == "undecodable":
             reply = b'{"Judgment": tru\xff}'
-        elif post_id == "p3":  # cut short: fewer bytes than Content-Length, then closed
+        elif text == FLOOD.format("p3"):  # cut short: fewer bytes than Content-Length, then closed
             reply, length = b'{"Judgment"', 100
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -1569,6 +1597,10 @@ class BadReplyHandler(http.server.BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):
         pass
+
+
+# Each post of TestRemoteReplies has a text of its own, so each asks its own question.
+FLOOD = "hurricane flood at {}"
 
 
 @pytest.fixture
@@ -1593,7 +1625,7 @@ class TestRemoteReplies:
         posts = tmp_path / "posts.jsonl"
         posts.write_text(
             "".join(
-                json.dumps({"id": post_id, "platform": "reddit", "text": "hurricane flood",
+                json.dumps({"id": post_id, "platform": "reddit", "text": FLOOD.format(post_id),
                             "created_at": "2024-09-27T12:00:00Z"}) + "\n"
                 for post_id in ids
             ),
@@ -1616,7 +1648,8 @@ class TestRemoteReplies:
         assert sorted(json.loads(line)["post_id"] for line in cache.splitlines()) == [
             post_id for post_id in ids if post_id != "p3"
         ]
-        assert sorted(bad_reply_server.asked) == sorted(ids + ["p3"] * (asks - 1))
+        texts = [FLOOD.format(post_id) for post_id in ids + ["p3"] * (asks - 1)]
+        assert sorted(bad_reply_server.asked) == sorted(texts)
 
 COUNTS_LABELS = "post_id,category_code\nc01,1\nc02,5\nc05,7\n"
 

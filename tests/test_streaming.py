@@ -390,25 +390,34 @@ def caches(draw, posts):
 
 
 def read_cache(path):
-    """Each judgment of the cache at path by its key; a line that does not decode is skipped."""
-    verdicts = {}
+    """Each judgment of the cache at path by its key, and the count of lines that do not decode.
+
+    Blank lines are skipped.
+    """
+    verdicts, unreadable = {}, 0
     for raw in path.read_bytes().splitlines() if path.exists() else ():
         try:
             entry = json.loads(raw)
         except ValueError:
+            unreadable += bool(raw.strip())
             continue
         judgment = entry["judgment"]
         if not isinstance(judgment, bool):
             judgment = category_from_code(judgment)
         verdicts[bytes.fromhex(entry["key"])] = judgment
-    return verdicts
+    return verdicts, unreadable
 
 
 def annotate_in_memory(posts, cache, labels_path, backend, asked_ids=None):
     """(exit code, stdout, stderr) of annotate as a plain loop over the loaded posts.
 
-    Post by post, it takes each verdict from the cache or asks for it:
-    relevance, then a relevant post's category. Each new verdict's line
+    Post by post, it takes each verdict from the cache, or from an
+    earlier post of the run with the same key, or asks for it:
+    relevance, then a relevant post's category. A post that asks holds
+    a place in the streamed loop's window, as does one that takes the
+    verdict or error of a post still in it: one place inline, twice
+    ClientPolicy's max_in_flight with a pool. A later post with a failed
+    post's key asks again once that post has left. Each new verdict's line
     is appended as json.dumps gives it. A file that fails its
     end-of-read check has its valid posts asked about all the same, and
     their lines appended, before the command fails. asked_ids, if
@@ -426,24 +435,45 @@ def annotate_in_memory(posts, cache, labels_path, backend, asked_ids=None):
             f"dropped {dropped.dropped_malformed} malformed, "
             f"{dropped.dropped_duplicate} duplicate lines\n"
         )
+    cached, unreadable = read_cache(cache)
     # A backend without an identity reuses no cached verdict.
-    cached = read_cache(cache) if getattr(backend, "identity", None) else {}
+    if not getattr(backend, "identity", None):
+        cached = {}
     new_lines, failures, labels = [], [], []
     asked = set()  # the ids of posts that needed a backend call
+    shared = set()  # the ids of posts that took an earlier post's verdict or error
+    this_run = {}  # each key asked in this run: the place of the post asking, and what it got
+    depth = 1 if getattr(backend, "in_process", False) else 2 * ClientPolicy().max_in_flight
+    places = 0  # the places in the window taken so far
+    placed = False  # whether the post at hand takes one
 
     def verdict(post, task):
-        """The post's cached verdict for task, else the backend's; None if the call failed."""
+        """The post's cached verdict for task, else the run's, else the backend's; None on failure."""
+        nonlocal placed
         key = _key(_question(task, backend), _key_material(post))
         if key in cached:
             return cached[key]
+        if key in this_run:
+            place, judgment = this_run[key]
+            waits = places - place < depth  # the post that asked is still in the window
+            placed |= waits
+            if waits or not isinstance(judgment, DisimpactError):
+                shared.add(post.id)
+                if isinstance(judgment, DisimpactError):
+                    failures.append((post.id, judgment))
+                    return None
+                return judgment
         if asked_ids is not None and post.id not in asked_ids:
             return None
         asked.add(post.id)
+        placed = True
         try:
             judgment = _classify(post, task, backend, ClientPolicy(), time.sleep)
         except (TransportError, MalformedResponse, EmptyInput) as exc:
             failures.append((post.id, exc))
+            this_run[key] = places, exc
             return None
+        this_run[key] = places, judgment
         line = {
             "judgment": judgment if isinstance(judgment, bool) else judgment.code,
             "key": key.hex(),
@@ -454,10 +484,12 @@ def annotate_in_memory(posts, cache, labels_path, backend, asked_ids=None):
         return judgment
 
     for post in posts:
+        placed = False
         flag = verdict(post, Task.RELEVANCE_HURRICANE)
         category = verdict(post, Task.IMPACT_CATEGORY) if flag else OTHER
         if flag is not None and category is not None:
             labels.append(Label(post.id, category, flag))
+        places += placed
     if new_lines:
         seed = cache.read_bytes() if cache.exists() else b""
         with cache.open("ab") as fh:
@@ -468,10 +500,13 @@ def annotate_in_memory(posts, cache, labels_path, backend, asked_ids=None):
         return error.exit_code, "", f"error: {type(error).__name__}: {error}\n"
     write_labels_csv(labels, labels_path)
     n_relevant = sum(1 for label in labels if label.relevant)
+    shared -= asked
     stdout = (
-        f"annotated {len(labels)}/{len(posts)} posts "
-        f"({n_relevant} relevant, {len(posts) - len(asked)} cache hits)\n"
+        f"annotated {len(labels)}/{len(posts)} posts ({n_relevant} relevant, "
+        f"{len(posts) - len(asked) - len(shared)} cache hits, {len(shared)} shared)\n"
     )
+    if unreadable:
+        stderr += f"ignored {unreadable} unreadable cache lines\n"
     for post_id, exc in failures:
         stderr += f"error: post {post_id}: {type(exc).__name__}: {exc}\n"
     if any(isinstance(exc, TransportError) for _, exc in failures):
@@ -647,6 +682,14 @@ def ids_of_posts(path):
     return [post.id for post in iter_posts(path, LoadReport())]
 
 
+def first_askers(path):
+    """The id of the first post of each distinct (text, media) pair: the posts that ask."""
+    first = {}
+    for post in iter_posts(path, LoadReport()):
+        first.setdefault((post.text, post.media_refs), post.id)
+    return set(first.values())
+
+
 @settings(max_examples=40, deadline=None)
 @given(drawn_posts)
 # The ids that once broke labels.csv, each on a relevant post.
@@ -687,7 +730,7 @@ def test_drawn_ids_and_texts_survive_clean_annotate_counts_and_spatial(lines):
         for cache in (cleaned / "annotation_cache.jsonl", out / "annotation_cache.jsonl"):
             if kept:
                 entries = cache.read_bytes().splitlines()
-                assert {json.loads(entry)["post_id"] for entry in entries} == set(kept)
+                assert {json.loads(entry)["post_id"] for entry in entries} == first_askers(posts)
         if relevant:
             # Every labelled post is joined: counts rolls up exactly them.
             assert codes["counts"] == codes["spatial"] == 0
