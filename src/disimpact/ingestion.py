@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
+    CATEGORIES,
     WEEK,
     Domain,
     ImpactCategory,
@@ -398,15 +399,24 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             writer.writerow(["%.9f" % v if isinstance(v, float) else v for v in row])
 
 
-def _category_code(text: str) -> ImpactCategory:
-    return category_from_code(int(text))
-
-
 def _count(text: str) -> int:
+    """A whole number of at least 0, written in ASCII digits only.
+
+    int() alone would also take "1_1", "+3" and non-ASCII digits ("٣");
+    it runs first so that a cell holding no number keeps int()'s message.
+    """
     count = int(text)
-    if count < 0:
-        raise ValueError("negative count")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a whole number in ASCII digits: {text!r}")
     return count
+
+
+_CATEGORY_CODES = {str(c.code): c for c in CATEGORIES}
+
+
+def _category_code(text: str) -> ImpactCategory:
+    category = _CATEGORY_CODES.get(text)
+    return category if category is not None else category_from_code(_count(text))
 
 
 def _choice(noun: str, values: Mapping[str, object] | Collection[str]) -> Callable:

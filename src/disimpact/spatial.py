@@ -19,6 +19,11 @@ multiple sizable places, famous non-U.S. namesakes, and phrase-like
 names are left out, since a missed city degrades to the state name
 while a false hit silently corrupts the map.
 
+A text is split into words only when it may hold the first word of a
+name: one regex search, a tree of the case-sensitive names' first
+words, scans the text as written, and one set check compares the
+lowercased text's words with the first words of the other names.
+
 The roll-up streams: locate_posts resolves each labelled post as it
 arrives and keeps only how many posts share each (state, day,
 category, source), so its memory grows with those keys, not with the
@@ -35,8 +40,9 @@ from datetime import date
 from enum import Enum
 from importlib import resources
 from itertools import groupby
+from os.path import commonprefix
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import Domain, ImpactCategory, IndexConfig, Post
 from .errors import MalformedCsv
@@ -85,6 +91,7 @@ class GazetteerEntry:
 # ASCII letters only, so digits and "_" separate words. Splitting on a
 # captured run gives [separator, word, separator, ..., word, separator].
 _WORDS = re.compile(r"[A-Za-z]+")
+_FOLDED_WORDS = re.compile(r"[a-z]+")
 _SPLIT_WORDS = re.compile(r"([A-Za-z]+)")
 _SPLIT_FOLDED = re.compile(r"([a-z]+)")
 
@@ -93,12 +100,45 @@ _SPLIT_FOLDED = re.compile(r"([a-z]+)")
 # length and never produces an ASCII letter from a non-ASCII one.
 _FOLD = str.maketrans({"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"})
 
-_Hits = dict[str, list[tuple[str, str]]]
-_Candidates = list[tuple[int, int, str, str]]
+# A name's key maps to the least state code of its entries: the code a
+# tie between them resolves to.
+_Hits = dict[str, str]
+_Candidates = list[tuple[int, int, str]]
+
+
+def _first_words(index: _Hits) -> dict[str, int]:
+    """Each first word of the names in index: the most words a name starting with it has."""
+    most: dict[str, int] = {}
+    for name in index:
+        words = _WORDS.findall(name)
+        most[words[0]] = max(most.get(words[0], 1), len(words))
+    return most
 
 
 def _tokenizable(name: str) -> bool:
     return name.isascii() and name[:1].isalpha() and name[-1:].isalpha()
+
+
+def _alternation(words: Collection[str], depth: int = 0) -> str:
+    """A regex matching exactly `words`, non-empty and all distinct.
+
+    It is their radix tree: the branches at each node start with
+    different letters, so a search follows at most one of them, and its
+    cost does not grow with the number of words. Below 64 levels the
+    words are listed flat, which keeps the pattern within re's nesting
+    limit.
+    """
+    if len(words) == 1 or depth == 64:
+        return "|".join(map(re.escape, sorted(words)))
+    prefix = commonprefix(list(words))
+    rests = {word[len(prefix):] for word in words}
+    optional = "" in rests
+    rests.discard("")
+    by_letter: dict[str, list[str]] = {}
+    for rest in rests:
+        by_letter.setdefault(rest[0], []).append(rest)
+    body = "|".join(_alternation(group, depth + 1) for _, group in sorted(by_letter.items()))
+    return re.escape(prefix) + f"(?:{body})" + ("?" if optional else "")
 
 
 class Gazetteer:
@@ -107,8 +147,9 @@ class Gazetteer:
     Names are keyed by the text they match: lowercased for
     case-insensitive names, as written for abbreviations and
     word-collision cities. A text is matched by looking up the runs of
-    1..maxtok consecutive letter runs, separators compared as written,
-    that start with the first word of some name. Names the letter-run
+    consecutive letter runs, separators compared as written, that start
+    with the first word of some name and are no longer in words than
+    the longest such name. Names the letter-run
     scan cannot bound (non-ASCII, or starting or ending with a
     non-letter) keep a per-entry regex.
     """
@@ -120,7 +161,6 @@ class Gazetteer:
         self._folded: _Hits = {}
         self._exact: _Hits = {}
         self._patterns: list[tuple[re.Pattern, GazetteerEntry]] = []
-        self._maxtok = 1
         for entry in self.entries:
             name = entry.name
             if not _tokenizable(name):
@@ -134,52 +174,54 @@ class Gazetteer:
                 index = self._exact
             else:
                 index, name = self._folded, name.lower()
-            index.setdefault(name, []).append((entry.state_code, entry.kind))
-            self._maxtok = max(self._maxtok, len(_WORDS.findall(name)))
-        self._exact_first = frozenset(_WORDS.match(name)[0] for name in self._exact)
-        self._folded_first = frozenset(_WORDS.match(name)[0] for name in self._folded)
+            index[name] = min(index.get(name, entry.state_code), entry.state_code)
+        self._exact_first = _first_words(self._exact)
+        self._folded_first = _first_words(self._folded)
+        # Also finds a first word that ends a longer run ("AL" in
+        # "FINAL"), and the split then decides: without a lookbehind, re
+        # skips straight to the words' first letters.
+        exact_start = _alternation(self._exact_first) if self._exact_first else "(?!)"
+        self._exact_start = re.compile(exact_start + "(?![A-Za-z])")
 
     def best_match(self, text: str) -> str | None:
         """State code of the longest, earliest gazetteer hit, if any."""
         if not text:
             return None
         candidates: _Candidates = []
-        parts = _SPLIT_WORDS.split(text)
-        if not self._exact_first.isdisjoint(parts[1::2]):
+        if self._exact_start.search(text) is not None:
+            parts = _SPLIT_WORDS.split(text)
             self._lookup(parts, self._exact, self._exact_first, candidates)
         # Only the _FOLD characters can add letters, and they are not ASCII.
         folded = text.lower() if text.isascii() else text.translate(_FOLD).lower()
-        folded_parts = _SPLIT_FOLDED.split(folded)
-        if not self._folded_first.isdisjoint(folded_parts[1::2]):
-            self._lookup(folded_parts, self._folded, self._folded_first, candidates)
+        if not self._folded_first.keys().isdisjoint(_FOLDED_WORDS.findall(folded)):
+            parts = _SPLIT_FOLDED.split(folded)
+            self._lookup(parts, self._folded, self._folded_first, candidates)
         for pattern, entry in self._patterns:
             match = pattern.search(text)
             if match is not None:
-                candidates.append(
-                    (-len(entry.name), match.start(), entry.state_code, entry.kind)
-                )
+                candidates.append((-len(entry.name), match.start(), entry.state_code))
         if not candidates:
             return None
         return min(candidates)[2]
 
     def _lookup(
-        self, parts: list[str], index: _Hits, first: frozenset[str], candidates: _Candidates
+        self, parts: list[str], index: _Hits, first: dict[str, int], candidates: _Candidates
     ) -> None:
         """Probe the word runs of split text `parts` that start with a name's first word."""
         for i in range(1, len(parts), 2):
-            if parts[i] not in first:
+            words = first.get(parts[i])
+            if words is None:
                 continue
             name = parts[i]
-            for j in range(i, min(i + 2 * self._maxtok, len(parts)), 2):
+            for j in range(i, min(i + 2 * words, len(parts)), 2):
                 if j > i:
                     name += parts[j - 1] + parts[j]
-                hits = index.get(name)
-                if hits and (
+                code = index.get(name)
+                if code is not None and (
                     name not in AMBIGUOUS_ABBREVS
                     or i > 1 and self._follows_capitalized(parts[i - 2], parts[i - 1])
                 ):
-                    start = sum(map(len, parts[:i]))
-                    candidates.extend((-len(name), start, code, kind) for code, kind in hits)
+                    candidates.append((-len(name), sum(map(len, parts[:i])), code))
 
     @staticmethod
     def _follows_capitalized(previous: str, separator: str) -> bool:
@@ -229,11 +271,11 @@ def locate_posts(
     labelled: Iterable[tuple[Post, ImpactCategory]], gazetteer: Gazetteer
 ) -> Counter[Located]:
     """Resolve each (post, category) as it arrives; how many posts share each Located."""
-    located: Counter[Located] = Counter()
-    for post, category in labelled:
-        state, source = resolve_location(post, gazetteer)
-        located[Located(state, post.created_date, category, source)] += 1
-    return located
+    return Counter(
+        Located(state, post.created_date, category, source)
+        for post, category in labelled
+        for state, source in (resolve_location(post, gazetteer),)
+    )
 
 
 @dataclass(frozen=True)

@@ -1244,6 +1244,19 @@ class TestFailures:
         assert code == 2
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("cell", ["1_1", "\u0663", "+3"])
+    def test_a_code_not_in_ascii_digits_exits_2(self, tmp_path, cell):
+        # int() reads these as 11, 3 and 3.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"post_id,category_code\nc01,{cell}\n", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["counts", "--in", CLEAN20, "--labels", labels, "--out", tmp_path / "out"]
+        )
+        assert code == 2
+        assert stderr == (
+            f"error: MalformedCsv: {labels}:2: not a whole number in ASCII digits: {cell!r}\n"
+        )
+
     def test_out_of_range_code_exits_2(self, tmp_path):
         bad = tmp_path / "annotations.csv"
         bad.write_text(

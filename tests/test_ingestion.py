@@ -447,6 +447,23 @@ class TestSchemas:
         with pytest.raises(MalformedCsv, match=re.escape(f"{path}:2: ")):
             list(csv_rows(path, COUNTS_CSV))
 
+    @pytest.mark.parametrize("text", ["1_1", "+3", "\u0663", "\uff13", "-0", "-1"])
+    def test_an_integer_cell_is_only_ascii_digits(self, tmp_path, text):
+        # Forms int() takes: underscores, a sign, non-ASCII digits. A
+        # negative number is refused by the same rule.
+        for schema, row in ((COUNTS_CSV, f"2024-09-02,CINJ,{text},1"), (LABELS_CSV, f"p1,{text}")):
+            path = tmp_path / "input.csv"
+            path.write_text(f"{','.join(schema.names)}\n{row}\n", encoding="utf-8")
+            with pytest.raises(MalformedCsv, match=re.escape(f"{path}:2: not a whole number")):
+                list(csv_rows(path, schema))
+
+    def test_an_integer_cell_may_lead_with_zeros(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_text("post_id,category_code\np1,03\n", encoding="utf-8")
+        assert list(csv_rows(path, LABELS_CSV)) == [(2, ["p1", category(3)])]
+        path.write_text("window_start,category,count,total\n2024-09-02,CINJ,007,1\n")
+        assert list(csv_rows(path, COUNTS_CSV))[0][1][2:] == [7, 1]
+
     def test_every_typed_column_has_a_bad_cell(self):
         for schema, _, _, bad in FORMATS.values():
             typed = [n for n, parse in zip(schema.names, schema.parses) if parse is not str]

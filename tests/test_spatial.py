@@ -126,6 +126,10 @@ CUSTOM = Gazetteer(
         GazetteerEntry("Route 66 Town", "AZ", "city"),
         GazetteerEntry("Springfield", "IL", "city"),
         GazetteerEntry("Springfield", "MO", "city"),
+        # Case-sensitive names whose first words share a prefix.
+        GazetteerEntry("CAL", "CA", "abbrev"),
+        GazetteerEntry("Calif", "CA", "abbrev"),
+        GazetteerEntry("NYC", "NY", "abbrev"),
     ]
 )
 
@@ -203,6 +207,13 @@ class TestRegexOracle:
     @example("Salem\u3000OR")
     @example("Texas2024; Port St. Lucie; winston-salem")
     @example("KAN\u017fAS and \u0130llinois and \u0131owa and \u212aansas")
+    # A code that ends a longer uppercase run, fold characters against a
+    # code, a name-starting word in one case only.
+    @example("ALLIANCE TX")
+    @example("INFO, OR")
+    @example("\u0130TX")
+    @example("\u212aS")
+    @example("NEW orleans")
     def test_bundled_gazetteer_matches_oracle(self, text):
         _agrees(BUNDLED, text)
 
@@ -210,8 +221,17 @@ class TestRegexOracle:
     @given(texts(CUSTOM))
     @example("cañon city vs CAÑON CITY, near washington d.c.")
     @example("route 66 town, Springfield MO")
+    @example("Cal, CALIF, Calif NYCE NYC")
+    @example("rain in CA and NY")
     def test_custom_gazetteer_matches_oracle(self, text):
         _agrees(CUSTOM, text)
+
+    def test_first_words_nested_deeper_than_re_allows(self):
+        # "X", "XX", ..., 1,000 X's: each first word extends the one before,
+        # nesting deeper than re allows.
+        chain = Gazetteer([GazetteerEntry("X" * k, "TX", "abbrev") for k in range(1, 1001)])
+        assert chain.best_match("storm near " + "X" * 150 + ", roads out") == "TX"
+        assert chain.best_match("X" * 1001) is None
 
     def test_bundled_names_all_use_the_token_index(self):
         assert BUNDLED._patterns == []
@@ -243,6 +263,22 @@ class TestLocatedPost:
         assert tally == {located(3, "FL", "metadata"): 5}
         rows, _ = aggregate_state_month(tally, CONFIG)
         assert [(r.state, r.post_count) for r in rows] == [("FL", 5)]
+
+    def test_the_tally_counts_what_resolve_location_gives_each_post(self, gazetteer):
+        # Metadata that resolves, metadata that falls through to text
+        # ("somewhere coastal"), none at all; two categories, some shared keys.
+        metadata = ["Tampa, FL", "somewhere coastal", None, "Ohio", "Tampa, FL"]
+        pairs = [
+            (make_post(post_id=f"m{i}", text=f"roads flooded in Miami {i}", hour=i % 3,
+                       metadata=metadata[i % 5]), category(3 + i % 2))
+            for i in range(30)
+        ]
+        expected = Counter()
+        for post, code in pairs:
+            state, source = resolve_location(post, gazetteer)
+            expected[Located(state, post.created_date, code, source)] += 1
+        assert locate_posts(pairs, gazetteer) == expected
+        assert sorted(expected.values()) != [1] * len(expected)
 
 
 class TestGazetteerLoading:
